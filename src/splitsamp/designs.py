@@ -8,9 +8,15 @@ integer sample size and hit their first-order inclusion probabilities
 exactly; the oracle module verifies this by exhaustive enumeration on
 small populations.
 
-The stream procedures precompute a "plan" (ladders of capped
-probability-proportional-to-size vectors) that depends only on the
-sizes, so repeated Monte Carlo runs share the expensive part.
+Chao, Tille and Midzuno precompute a "plan" that depends only on the
+sizes, so repeated Monte Carlo runs share it: a ladder of capped
+probability-proportional-to-size vectors.  Every rung has the form
+``min(1, lam x)``, so the plan keeps one lam per rung, the count of
+capped units per rung and the order in which units leave the cap:
+O(N) memory, built in O(N log N) time.  At a step, every unit below the
+cap has the same weight, so a step is one uniform pick among those units
+or a pick among the few units that leave the cap there: O(1) work per
+replicate, beyond adding each unit to the pick pool once.
 
 Each procedure's step is written once, over a batch of replicates: all
 rows take a step together as one array operation, and each row draws
@@ -20,6 +26,7 @@ its uniforms from its own seed.  A single draw is the batch of one.
 from __future__ import annotations
 
 import enum
+import heapq
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Sequence
@@ -150,25 +157,241 @@ def _srswor_rows(N: int, n: int, seeds: Sequence[int]) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# Probability ladders: capped size shares min(1, lam x) rung by rung.
+
+
+@dataclass(frozen=True)
+class Ladder:
+    """Capped size-proportional probabilities along a run of rungs, in
+    O(N) memory.
+
+    Rung s gives unit k the probability ``min(1, lam[s] * x[k])``: its
+    ``capped[s]`` capped units sit at 1 and every other unit at
+    ``lam[s] * x[k] < 1``.  Step j leads from rung j to rung j + 1.  The
+    units present at rung 0 are all capped there (``lam[0]`` is
+    infinite); a unit that arrives later, in Chao's stream, is capped on
+    arrival or never.  A unit leaves the capped set, or crosses the cap,
+    at most once: ``cross[cross_at[j]:cross_at[j + 1]]`` are the units
+    that cross at step j, and ``cross[cross_at[-1]:]`` are still capped
+    at the last rung.
+    """
+
+    x: np.ndarray
+    lam: np.ndarray
+    capped: np.ndarray
+    cross: np.ndarray
+    cross_at: np.ndarray
+
+    @property
+    def N(self) -> int:
+        return self.x.size
+
+    @property
+    def steps(self) -> int:
+        return self.lam.size - 1
+
+    def pi(self, s: int, units: int | None = None) -> np.ndarray:
+        """Dense probabilities of rung s over the first ``units`` units."""
+        x = self.x[:units]
+        p = self.lam[s] * x
+        capped = self.cross[self.cross_at[s] :]
+        p[capped[capped < x.size]] = 1.0
+        return p
+
+
+def _stays_capped(free: float, c: int, size: float, rest: float) -> bool:
+    """Whether the smallest of ``c`` capped units, of this size, keeps its
+    cap when ``free`` sample slots fall to the units outside the others:
+    the same share test as ``compute_pips``."""
+    return (free - c + 1) * size / (rest + size) >= 1.0 - CERTAINTY_TOL
+
+
+def _elimination_ladder(x: np.ndarray, n: int) -> Ladder:
+    """Ladder of the rungs i = N, N-1, ..., n of capped shares of x.
+
+    Going down one rung, units leave the capped set smallest first, so
+    they cross in ascending size order and one sort and one sweep build
+    the whole ladder: O(N log N) time, O(N) memory.
+    """
+    N = x.size
+    cross = np.argsort(x, kind="stable")
+    sizes = x[cross].tolist()
+    lam = np.empty(N - n + 1)
+    capped = np.empty(N - n + 1, dtype=np.intp)
+    lam[0], capped[0] = np.inf, N
+    c, rest = N, 0.0
+    for s in range(1, N - n + 1):
+        i = N - s
+        while c and not _stays_capped(i, c, sizes[N - c], rest):
+            rest += sizes[N - c]
+            c -= 1
+        lam[s], capped[s] = (i - c) / rest, c
+    return Ladder(x=x, lam=lam, capped=capped, cross=cross, cross_at=N - capped)
+
+
+def _stream_ladder(xs: np.ndarray, n: int) -> tuple[Ladder, np.ndarray]:
+    """Ladder of capped shares at size n of the stream prefixes of
+    length n, n+1, ..., N, and the acceptance probability of each
+    arrival.
+
+    A new unit may join the capped set on arrival; capped units leave it
+    smallest first as the prefix grows, so a min-heap of the capped units
+    builds the ladder in O(N log N) time and O(N) memory.
+    """
+    N = xs.size
+    sizes = xs.tolist()
+    heap = [(sizes[k], k) for k in range(n)]
+    heapq.heapify(heap)
+    lam = np.empty(N - n + 1)
+    capped = np.empty(N - n + 1, dtype=np.intp)
+    lam[0], capped[0] = np.inf, n
+    accept = np.empty(N - n)
+    cross: list[int] = []
+    cross_at = [0]
+    rest = 0.0
+    for j in range(N - n):
+        new = n + j
+        heapq.heappush(heap, (sizes[new], new))
+        new_capped = True
+        while heap and not _stays_capped(n, len(heap), heap[0][0], rest):
+            size, k = heapq.heappop(heap)
+            rest += size
+            if k == new:
+                new_capped = False
+            else:
+                cross.append(k)
+        lam[j + 1], capped[j + 1] = (n - len(heap)) / rest, len(heap)
+        cross_at.append(len(cross))
+        accept[j] = 1.0 if new_capped else lam[j + 1] * sizes[new]
+    cross.extend(k for _, k in sorted(heap))
+    ladder = Ladder(
+        x=xs,
+        lam=lam,
+        capped=capped,
+        cross=np.array(cross, dtype=np.intp),
+        cross_at=np.array(cross_at, dtype=np.intp),
+    )
+    return ladder, accept
+
+
+def _picks(
+    ladder: Ladder,
+    u: np.ndarray,
+    count: np.ndarray,
+    expected: np.ndarray,
+    context: Callable[[int], str],
+) -> np.ndarray:
+    """Check the law of every step as scalars, then turn each row's
+    uniform for step j, ``u[:, j]``, into its pick: a position in the
+    step's extended pool, where the ``count[j]`` live uncapped units (the
+    pool) sit at 0..count[j]-1 and the units crossing the cap follow at
+    count[j] + k.
+
+    At step j a crossing unit has weight ``1 - lam[j+1] x_k`` and a pool
+    unit ``r = 1 - lam[j+1] / lam[j]``; they must be nonnegative and sum
+    to ``expected[j]``.  With that total T and the crossing mass M, u
+    picks a crossing unit by inverse CDF when u T falls below M, else
+    pool index floor((u T - M) / r).
+    """
+    lam = ladder.lam
+    at = ladder.cross_at
+    m = np.diff(at)
+    step_of = np.repeat(np.arange(ladder.steps), m)
+    w = 1.0 - lam[1:][step_of] * ladder.x[ladder.cross[: at[-1]]]
+    r = np.where(count > 0, 1.0 - lam[1:] / lam[:-1], 0.0)
+    for weights, step in ((w, step_of), (r, np.arange(ladder.steps))):
+        bad = np.flatnonzero(weights < -RANGE_TOL)
+        if bad.size:
+            raise ContractViolationError(
+                f"{context(int(step[bad[0]]))}: negative probability "
+                f"{float(weights[bad[0]])!r}"
+            )
+    w, r = np.maximum(w, 0.0), np.maximum(r, 0.0)
+    # A step's crossing mass: the unit's weight when one unit crosses,
+    # the last of the cumulative weights when several do.
+    mass = np.zeros(ladder.steps)
+    single = np.flatnonzero(m == 1)
+    mass[single] = w[at[single]]
+    cums = {}
+    for j in np.flatnonzero(m > 1).tolist():
+        cums[j] = np.cumsum(w[at[j] : at[j + 1]])
+        mass[j] = cums[j][-1]
+    total = mass + count * r
+    off = np.abs(total - expected) > PROB_SUM_TOL
+    if bool(off.any()):
+        j = int(np.argmax(off))
+        raise ContractViolationError(
+            f"{context(j)}: probabilities sum to {total[j]!r}, "
+            f"expected {float(expected[j])!r}"
+        )
+    v = u * total
+    pooled = r > 0.0
+    q = (v - mass) / np.where(pooled, r, 1.0)
+    pos = np.minimum(q, count - 1).astype(np.intp)
+    # A lone crossing unit is picked when u T falls below its weight.
+    lone = (v[:, single] < mass[single]) | ~pooled[single]
+    pos[:, single] = np.where(lone, count[single], pos[:, single])
+    for j, cum in cums.items():
+        k = np.searchsorted(cum, v[:, j], side="right")
+        if pooled[j]:
+            pos[:, j] = np.where(k < m[j], count[j] + k, pos[:, j])
+        else:
+            pos[:, j] = count[j] + np.minimum(k, m[j] - 1)
+    return pos
+
+
+def _eliminate(
+    ladder: Ladder, seeds: Sequence[int], context: Callable[[int], str]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Walk an elimination ladder down, one unit leaving per step and
+    row, all rows in lockstep with one uniform per step.
+
+    Each row keeps its live uncapped units in a pool.  A step appends
+    the units that cross the cap there and swap-removes the picked unit,
+    O(1) per row beyond the appends.  Returns the picked units, one
+    column per step, and each row's uncapped survivors.
+    """
+    R, steps = len(seeds), ladder.steps
+    at = ladder.cross_at
+    # The pool starts empty, and a step adds its crossing units and
+    # removes one.
+    count = at[:-1] - np.arange(steps)
+    pos = _picks(ladder, _uniforms(seeds, steps), count, np.ones(steps), context)
+    rows = np.arange(R)
+    pool = np.empty((R, int(at[-1])), dtype=np.intp)
+    picked = np.empty((R, steps), dtype=np.intp)
+    at = at.tolist()
+    for j in range(steps):
+        lo, hi = at[j], at[j + 1]
+        if hi > lo:
+            pool[:, lo - j : hi - j] = ladder.cross[lo:hi]
+        p = pos[:, j]
+        picked[:, j] = pool[rows, p]
+        pool[rows, p] = pool[:, hi - j - 1]
+    return picked, pool[:, : at[-1] - steps]
+
+
+# ---------------------------------------------------------------------------
 # Chao's reservoir procedure.
 
 
-@dataclass
+@dataclass(frozen=True)
 class ChaoPlan:
-    """Stream-order ladders for Chao's procedure.
+    """Stream-order ladder for Chao's procedure.
 
-    ``accept[j]`` is the updated probability of stream unit t = n+1+j at
-    its own arrival, and ``evict_ratio[j][k]`` is
-    ``1 - pi_k(t) / pi_k(t-1)`` for stream positions k < t; restricted
-    to the current reservoir these are the joint accept-and-evict
-    probabilities.
+    Rung s of ``ladder`` holds the capped shares at size n of the first
+    n + s stream units, over stream positions.  ``accept[j]`` is the
+    updated probability of stream unit t = n+1+j at its own arrival.
+    When it is accepted it evicts reservoir member k with the joint
+    probability ``1 - pi_k(t) / pi_k(t-1)``: ``1 - lam_t x_k`` for a
+    unit that crosses the cap at t, ``1 - lam_t / lam_{t-1}`` for every
+    reservoir unit uncapped at t-1.
     """
 
     order: np.ndarray
     n: int
+    ladder: Ladder
     accept: np.ndarray
-    evict_ratio: list[np.ndarray]
-    pi_stream: np.ndarray
 
     @property
     def N(self) -> int:
@@ -186,38 +409,52 @@ def chao_plan(x: np.ndarray, n: int, order: np.ndarray | None = None) -> ChaoPla
             raise InvalidInputError("stream order must be a permutation of 0..N-1")
     if not 1 <= n <= N:
         raise InvalidSizeError(f"invalid size: n={n} outside 1..{N}")
-    xs = x[order]
-    accept = np.zeros(N - n)
-    ratios: list[np.ndarray] = []
-    prev = compute_pips(xs[:n], n).pi if n >= 1 else np.zeros(0)
-    for t in range(n + 1, N + 1):
-        cur = compute_pips(xs[:t], n).pi
-        accept[t - n - 1] = cur[-1]
-        ratios.append(1.0 - cur[: t - 1] / prev)
-        prev = cur
-    return ChaoPlan(order=order, n=n, accept=accept, evict_ratio=ratios, pi_stream=prev)
+    ladder, accept = _stream_ladder(x[order], n)
+    return ChaoPlan(order=order, n=n, ladder=ladder, accept=accept)
 
 
 def _chao_rows(plan: ChaoPlan, seeds: Sequence[int]) -> np.ndarray:
     """One Chao sample per seed, all rows stepping through the stream
     together.  A row spends its N-n acceptance uniforms first and then
-    one further uniform per eviction."""
+    one further uniform per eviction.
+
+    Each row keeps its reservoir units that are uncapped in a pool; the
+    capped ones are in every reservoir and are the plan's.  An arrival
+    first appends the units that cross the cap to every pool; a row that
+    accepts it then evicts one unit of this extended pool, picked as in
+    ``_eliminate``, and puts the arrival in its place.
+    """
     N, n = plan.N, plan.n
+    ladder = plan.ladder
+    R = len(seeds)
     u = _uniforms(seeds, 2 * (N - n))
     enters = u[:, : N - n] <= plan.accept
     # A row's k-th accepted arrival evicts with uniform N-n+k-1.
     u_evict = np.take_along_axis(u, N - n - 1 + np.cumsum(enters, axis=1), axis=1)
-    reservoir = np.tile(np.arange(n), (len(seeds), 1))
-    for j in np.flatnonzero(enters.any(axis=0)):
-        # Unit t enters these rows; each evicts one reservoir member.
+    # An arrival that is capped enters every reservoir and stays out of
+    # the pools; its eviction shrinks them by one.
+    joins = plan.accept == 1.0
+    at = ladder.cross_at
+    count = at[:-1] - np.cumsum(joins) + joins
+    pos = _picks(
+        ladder, u_evict, count, plan.accept, lambda j: f"chao step t={n + 1 + j}"
+    )
+    pool = np.empty((R, n), dtype=np.intp)
+    moves = enters.any(axis=0) | (at[1:] > at[:-1])
+    at = at.tolist()
+    for j in np.flatnonzero(moves).tolist():
+        lo, hi = at[j], at[j + 1]
+        size = int(count[j]) + hi - lo
+        if hi > lo:
+            pool[:, size - hi + lo : size] = ladder.cross[lo:hi]
         rows = np.flatnonzero(enters[:, j])
-        w = _check_sum(
-            plan.evict_ratio[j][reservoir[rows]],
-            float(plan.accept[j]),
-            f"chao step t={n + 1 + j}",
-        )
-        reservoir[rows, categorical_rows(w, u_evict[rows, j])] = n + j
-    return plan.order[reservoir]
+        if joins[j]:
+            pool[rows, pos[rows, j]] = pool[rows, size - 1]
+        elif rows.size:
+            pool[rows, pos[rows, j]] = n + j
+    size = at[-1] - int(joins.sum())
+    capped = np.tile(ladder.cross[at[-1] :], (R, 1))
+    return plan.order[np.hstack([pool[:, :size], capped])]
 
 
 def sample_chao(
@@ -232,66 +469,40 @@ def sample_chao(
     otherwise).  Arrival t is accepted with its own updated probability
     and, when accepted, evicts a current reservoir member k with
     probability proportional to how much k's updated probability fell.
+    Every reservoir unit below the cap fell by the same factor, so an
+    eviction is one uniform pick among them or a pick among the units
+    that leave the cap at t.
     """
-    plan = chao_plan(x, pi.n, order=stream_order)
-    back = np.empty(plan.N, dtype=float)
-    back[plan.order] = plan.pi_stream
-    if float(np.max(np.abs(back - pi.pi))) > PROB_SUM_TOL:
-        raise InvalidInputError(
-            "pi does not match the capped size shares of x at size n"
-        )
-    return Sampler(plan.N, partial(_chao_rows, plan))(rng_seed)
+    draw, _ = make_sampler(DesignKind.CHAO, pi=pi, x=x, stream_order=stream_order)
+    return draw(rng_seed)
 
 
 # ---------------------------------------------------------------------------
 # Tille's elimination procedure.
 
 
-@dataclass
-class TillePlan:
-    """Elimination probabilities r_{k,i} for i = N-1 down to n.
+def tille_plan(sizes: np.ndarray, n: int) -> Ladder:
+    """Tille's ladder: rung s holds the capped shares of ``sizes`` at
+    sample size N - s, for s = 0..N-n, and step j eliminates one unit.
 
-    ``elim[j]`` is the column for i = N-1-j; restricted to the units
-    still present it sums to one.
+    Restricted to the units still present, the elimination probability
+    ``1 - pi_k(i) / pi_k(i+1)`` is ``1 - lam_i x_k`` for a unit that
+    crosses the cap between rungs i+1 and i, ``1 - lam_i / lam_{i+1}``
+    for every unit uncapped at rung i+1, and 0 for the rest.
     """
-
-    n: int
-    N: int
-    elim: list[np.ndarray]
-
-
-def tille_plan(sizes: np.ndarray, n: int) -> TillePlan:
     sizes = np.asarray(sizes, dtype=float)
     N = sizes.size
     if not 1 <= n <= N:
         raise InvalidSizeError(f"invalid size: n={n} outside 1..{N}")
-    rungs: dict[int, np.ndarray] = {}
-    for i in range(n, N + 1):
-        rungs[i] = compute_pips(sizes, i).pi
-    elim: list[np.ndarray] = []
-    for i in range(N - 1, n - 1, -1):
-        r = 1.0 - rungs[i] / rungs[i + 1]
-        if float(r.min()) < -RANGE_TOL:
-            raise ContractViolationError(
-                f"tille ladder: negative elimination probability at i={i}"
-            )
-        elim.append(np.clip(r, 0.0, None))
-    return TillePlan(n=n, N=N, elim=elim)
+    return _elimination_ladder(sizes, n)
 
 
-def _tille_rows(plan: TillePlan, seeds: Sequence[int]) -> np.ndarray:
+def _tille_rows(plan: Ladder, seeds: Sequence[int]) -> np.ndarray:
     """One Tille sample per seed, all rows eliminating in lockstep with
     one uniform per step."""
-    u = _uniforms(seeds, len(plan.elim))
-    rows = np.arange(len(seeds))
-    alive = np.tile(np.arange(plan.N), (len(seeds), 1))
-    size = plan.N
-    for j, col in enumerate(plan.elim):
-        w = _check_sum(col[alive[:, :size]], 1.0, f"tille step i={plan.N - 1 - j}")
-        out = categorical_rows(w, u[:, j])
-        alive[rows, out] = alive[:, size - 1]
-        size -= 1
-    return alive[:, :size]
+    _, kept = _eliminate(plan, seeds, lambda j: f"tille step i={plan.N - 1 - j}")
+    capped = np.tile(plan.cross[plan.cross_at[-1] :], (len(seeds), 1))
+    return np.hstack([kept, capped])
 
 
 def sample_tille(
@@ -299,42 +510,36 @@ def sample_tille(
 ) -> Sample:
     """Tille's elimination procedure.
 
-    Precomputes the capped shares at every intermediate size i = n..N
-    and, walking i from N-1 down to n, eliminates exactly one of the
-    still-present units with probability 1 - pi_k(i)/pi_k(i+1).  The n
-    survivors form the sample.
+    Walking i from N-1 down to n, eliminates exactly one of the
+    still-present units with probability 1 - pi_k(i)/pi_k(i+1), where
+    pi(i) are the capped shares of x at size i.  The n survivors form
+    the sample.  Every unit below the cap at i+1 shares one elimination
+    probability, so a step is one uniform pick among those units or a
+    pick among the units that leave the cap at i.
     """
-    x = np.asarray(x, dtype=float)
-    if x.size != pi.N:
-        raise InvalidInputError("x and pi must have equal length")
-    plan = tille_plan(x, pi.n)
-    target = compute_pips(x, pi.n).pi
-    if float(np.max(np.abs(target - pi.pi))) > PROB_SUM_TOL:
-        raise InvalidInputError(
-            "pi does not match the capped size shares of x at size n"
-        )
-    return Sampler(plan.N, partial(_tille_rows, plan))(rng_seed)
+    draw, _ = make_sampler(DesignKind.TILLE_ELIMINATION, pi=pi, x=x)
+    return draw(rng_seed)
 
 
 # ---------------------------------------------------------------------------
 # Generalized Midzuno selection.
 
 
-@dataclass
+@dataclass(frozen=True)
 class MidzunoPlan:
-    """Selection probabilities over the non-certainty units.
+    """Selection ladder over the non-certainty units.
 
-    The ladder runs on the complementary probabilities 1 - pi: step
-    j selects one not-yet-selected unit with probability
-    ``select[j][k] = 1 - bar_pi_k(i) / bar_pi_k(i+1)``, i = N'-1 down to
-    N'-n', where bar_pi are capped shares of 1 - pi.
+    ``ladder`` is Tille's ladder run on the complementary probabilities
+    1 - pi of the ``active`` units, from N' down to N'-n' (n' the draws
+    left after the certainty units); the units it eliminates are the
+    ones Midzuno selects.  None when no draw is random.
     """
 
     N: int
     n: int
     certain: np.ndarray
     active: np.ndarray
-    select: list[np.ndarray]
+    ladder: Ladder | None
 
 
 def midzuno_plan(pi: InclusionProbabilities) -> MidzunoPlan:
@@ -345,23 +550,11 @@ def midzuno_plan(pi: InclusionProbabilities) -> MidzunoPlan:
         raise InvalidSizeError("more certainty units than the sample size")
     # n_active == 0 or n_active == active.size leave no randomness and
     # need no ladder.
-    select: list[np.ndarray] = []
+    ladder = None
     if 0 < n_active < active.size:
-        comp = 1.0 - pi.pi[active]
-        n_prime = active.size
-        m = n_prime - n_active
-        rungs: dict[int, np.ndarray] = {}
-        for i in range(m, n_prime + 1):
-            rungs[i] = compute_pips(comp, i).pi
-        for i in range(n_prime - 1, m - 1, -1):
-            p = 1.0 - rungs[i] / rungs[i + 1]
-            if float(p.min()) < -RANGE_TOL:
-                raise ContractViolationError(
-                    f"midzuno ladder: negative selection probability at i={i}"
-                )
-            select.append(np.clip(p, 0.0, None))
+        ladder = _elimination_ladder(1.0 - pi.pi[active], active.size - n_active)
     return MidzunoPlan(
-        N=pi.N, n=pi.n, certain=certain, active=active, select=select
+        N=pi.N, n=pi.n, certain=certain, active=active, ladder=ladder
     )
 
 
@@ -369,22 +562,14 @@ def _midzuno_rows(plan: MidzunoPlan, seeds: Sequence[int]) -> np.ndarray:
     """One Midzuno sample per seed, all rows selecting in lockstep with
     one uniform per step."""
     R = len(seeds)
-    n_active = plan.n - plan.certain.size
-    if n_active == plan.active.size:
-        chosen = np.tile(np.arange(plan.active.size), (R, 1))
+    if plan.ladder is not None:
+        picked, _ = _eliminate(plan.ladder, seeds, lambda j: f"midzuno step {j + 1}")
+        chosen = plan.active[picked]
+    elif plan.n - plan.certain.size == plan.active.size:
+        chosen = np.tile(plan.active, (R, 1))
     else:
-        u = _uniforms(seeds, len(plan.select))
-        rows = np.arange(R)
-        pool = np.tile(np.arange(plan.active.size), (R, 1))
-        size = plan.active.size
-        chosen = np.empty((R, len(plan.select)), dtype=int)
-        for j, col in enumerate(plan.select):
-            w = _check_sum(col[pool[:, :size]], 1.0, f"midzuno step {j + 1}")
-            pick = categorical_rows(w, u[:, j])
-            chosen[:, j] = pool[rows, pick]
-            pool[rows, pick] = pool[:, size - 1]
-            size -= 1
-    return np.hstack([np.tile(plan.certain, (R, 1)), plan.active[chosen]])
+        chosen = np.empty((R, 0), dtype=np.intp)
+    return np.hstack([np.tile(plan.certain, (R, 1)), chosen])
 
 
 def sample_midzuno(pi: InclusionProbabilities, rng_seed: int) -> Sample:
@@ -392,8 +577,9 @@ def sample_midzuno(pi: InclusionProbabilities, rng_seed: int) -> Sample:
 
     Selects n units one at a time; the selection probabilities come from
     the capped shares of the complementary probabilities 1 - pi, so the
-    procedure is the complement of Tille elimination applied to 1 - pi.
-    Certainty units are pre-selected.
+    procedure is the complement of Tille elimination applied to 1 - pi
+    and shares its ladder and its step.  Certainty units are
+    pre-selected.
     """
     plan = midzuno_plan(pi)
     return Sampler(plan.N, partial(_midzuno_rows, plan))(rng_seed)
@@ -410,16 +596,26 @@ class BrewerRule:
     weight proportional to ``pi_k (r - pi_k) / (1 - pi_k)``; drawing k
     raises it to one and rescales every other undecided unit by
     ``(r - 1) / (r - pi_k)``.
+
+    ``alphas`` and ``delta`` of one step share its undecided units and
+    r, computed once per step.  They are kept for the last (t, pi) seen,
+    with pi compared by identity: ``run_splitting`` never changes a
+    probability vector in place.
     """
 
-    @staticmethod
-    def _active(pi: np.ndarray) -> np.ndarray:
-        return np.flatnonzero((pi > ZERO_ONE_TOL) & (pi < 1.0 - ZERO_ONE_TOL))
+    def __init__(self) -> None:
+        self._step: tuple | None = None
+
+    def _undecided(self, t: int, pi: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+        step = self._step
+        if step is None or step[0] != t or step[1] is not pi:
+            a = np.flatnonzero((pi > ZERO_ONE_TOL) & (pi < 1.0 - ZERO_ONE_TOL))
+            p = pi[a]
+            step = self._step = (t, pi, a, p, float(round(float(p.sum()))))
+        return step[2:]
 
     def alphas(self, t: int, pi: np.ndarray) -> np.ndarray:
-        a = self._active(pi)
-        p = pi[a]
-        r = float(round(float(p.sum())))
+        _, p, r = self._undecided(t, pi)
         w = p * (r - p) / (1.0 - p)
         total = float(w.sum())
         if total <= 0.0:
@@ -427,9 +623,7 @@ class BrewerRule:
         return w / total
 
     def delta(self, t: int, pi: np.ndarray, i: int) -> np.ndarray:
-        a = self._active(pi)
-        p = pi[a]
-        r = float(round(float(p.sum())))
+        a, p, r = self._undecided(t, pi)
         pk = p[i]
         d = np.zeros(pi.size)
         d[a] = -p * (1.0 - pk) / (r - pk)
@@ -440,10 +634,11 @@ class BrewerRule:
 def _brewer_rows(pi_vec: np.ndarray, seeds: Sequence[int]) -> np.ndarray:
     """One Brewer sample per seed, all rows drawing in lockstep with one
     uniform per draw.  Each row keeps its undrawn units in their
-    original order and rescales them after every draw."""
+    original order and rescales them after every draw.  A unit within
+    ``ZERO_ONE_TOL`` of 1 is certain, as in the traced driver."""
     R = len(seeds)
-    certain = np.flatnonzero(pi_vec >= 1.0 - CERTAINTY_TOL)
-    active = np.flatnonzero(pi_vec < 1.0 - CERTAINTY_TOL)
+    certain = np.flatnonzero(pi_vec >= 1.0 - ZERO_ONE_TOL)
+    active = np.flatnonzero(pi_vec < 1.0 - ZERO_ONE_TOL)
     n_draws = int(round(float(pi_vec[active].sum())))
     u = _uniforms(seeds, n_draws)
     rows = np.arange(R)
@@ -525,17 +720,32 @@ def make_sampler(
     if kind is DesignKind.SRSWOR:
         return Sampler(pi.N, partial(_srswor_rows, pi.N, pi.n)), pi
     if kind is DesignKind.CHAO:
-        if x is None:
-            raise InvalidInputError("chao needs the size vector x")
-        plan = chao_plan(np.asarray(x, dtype=float), pi.n, order=stream_order)
+        plan = chao_plan(sizes_giving(kind, pi, x), pi.n, order=stream_order)
         return Sampler(plan.N, partial(_chao_rows, plan)), pi
     if kind is DesignKind.TILLE_ELIMINATION:
-        if x is None:
-            raise InvalidInputError("tille needs the size vector x")
-        plan = tille_plan(np.asarray(x, dtype=float), pi.n)
+        plan = tille_plan(sizes_giving(kind, pi, x), pi.n)
         return Sampler(plan.N, partial(_tille_rows, plan)), pi
     if kind is DesignKind.GENERALIZED_MIDZUNO:
         return Sampler(pi.N, partial(_midzuno_rows, midzuno_plan(pi))), pi
     if kind is DesignKind.BREWER:
         return Sampler(pi.N, partial(_brewer_rows, pi.pi)), pi
     raise InvalidInputError(f"unknown design kind {kind!r}")
+
+
+def sizes_giving(
+    kind: DesignKind, pi: InclusionProbabilities, x: np.ndarray | None
+) -> np.ndarray:
+    """The sizes a size-driven design (Chao, Tille) draws with, checked
+    against the pi its caller expands with: they must give that pi as
+    ``compute_pips(x, n)``, or the design would silently sample another
+    one."""
+    if x is None:
+        raise InvalidInputError(f"{kind.value} needs the size vector x")
+    x = np.asarray(x, dtype=float)
+    if x.size != pi.N:
+        raise InvalidInputError("x and pi must have equal length")
+    if float(np.max(np.abs(compute_pips(x, pi.n).pi - pi.pi))) > PROB_SUM_TOL:
+        raise InvalidInputError(
+            "pi does not match the capped size shares of x at size n"
+        )
+    return x

@@ -21,8 +21,11 @@ import numpy as np
 
 from .designs import (
     DesignKind,
+    Ladder,
+    _check_sum,
     chao_plan,
     midzuno_plan,
+    sizes_giving,
     tille_plan,
 )
 from .distribution import (
@@ -122,6 +125,8 @@ def enumerate_design(
             raise InvalidInputError("srswor needs N and n (or pi)")
     else:
         N, n = pi.N, pi.n
+        if kind in (DesignKind.CHAO, DesignKind.TILLE_ELIMINATION) and x is not None:
+            sizes_giving(kind, pi, x)
     if N > MAX_ENUM_N:
         raise InvalidInputError(
             f"exact enumeration supports N <= {MAX_ENUM_N}, got {N}"
@@ -153,27 +158,37 @@ def enumerate_design(
     raise InvalidInputError(f"unknown design kind {kind!r}")
 
 
+def _dense_steps(ladder: Ladder, name: str, what: str) -> list[np.ndarray]:
+    """Dense per-unit law of each step of an elimination ladder,
+    ``1 - min(1, lam_i x) / min(1, lam_{i+1} x)`` for every unit, built
+    from the plan's rungs independently of the sampler's pick."""
+    rungs = [ladder.pi(s) for s in range(ladder.steps + 1)]
+    cols = []
+    for j in range(ladder.steps):
+        col = 1.0 - rungs[j + 1] / rungs[j]
+        if float(col.min()) < -1e-12:
+            raise ContractViolationError(
+                f"{name} ladder: negative {what} probability at i={ladder.N - 1 - j}"
+            )
+        cols.append(np.clip(col, 0.0, None))
+    return cols
+
+
 def _walk_chao(walk: _Walk, x: np.ndarray, pi: InclusionProbabilities) -> None:
     plan = chao_plan(x, pi.n)
     steps = walk.N - walk.n
+    # Dense rungs over the stream prefixes: ratios[j][k] is
+    # 1 - pi_k(t) / pi_k(t-1) for arrival t = n+1+j and k < t-1.
+    rungs = [plan.ladder.pi(s, walk.n + s) for s in range(steps + 1)]
+    ratios = [1.0 - rungs[j + 1][:-1] / rungs[j] for j in range(steps)]
 
     def rec(j: int, reservoir: tuple[int, ...], prob: float) -> None:
         walk.visit()
         if j == steps:
             walk.leaf(reservoir, prob)
             return
-        a = float(plan.accept[j])
-        ratios = plan.evict_ratio[j]
-        w = np.array([ratios[k] for k in reservoir])
-        if float(w.min()) < -1e-12:
-            raise ContractViolationError(
-                f"chao step {walk.n + 1 + j}: negative eviction probability"
-            )
-        w = np.clip(w, 0.0, None)
-        if abs(float(w.sum()) - a) > STEP_SUM_TOL:
-            raise ContractViolationError(
-                f"chao step {walk.n + 1 + j}: eviction mass {w.sum()!r} != {a!r}"
-            )
+        a = float(rungs[j + 1][-1])
+        w = _check_sum(ratios[j][list(reservoir)], a, f"chao step {walk.n + 1 + j}")
         reject = 1.0 - a
         if reject >= PRUNE_TOL:
             rec(j + 1, reservoir, prob * reject)
@@ -191,14 +206,14 @@ def _walk_chao(walk: _Walk, x: np.ndarray, pi: InclusionProbabilities) -> None:
 
 
 def _walk_tille(walk: _Walk, sizes: np.ndarray, pi: InclusionProbabilities) -> None:
-    plan = tille_plan(sizes, pi.n)
+    elim = _dense_steps(tille_plan(sizes, pi.n), "tille", "elimination")
 
     def rec(j: int, alive: tuple[int, ...], prob: float) -> None:
         walk.visit()
-        if j == len(plan.elim):
+        if j == len(elim):
             walk.leaf(alive, prob)
             return
-        w = plan.elim[j][list(alive)]
+        w = elim[j][list(alive)]
         if abs(float(w.sum()) - 1.0) > STEP_SUM_TOL:
             raise ContractViolationError(
                 f"tille step i={walk.N - 1 - j}: elimination mass {w.sum()!r} != 1"
@@ -226,13 +241,14 @@ def _walk_midzuno(walk: _Walk, pi: InclusionProbabilities) -> None:
         walk.visit()
         walk.leaf(certain, 1.0)
         return
+    select = _dense_steps(plan.ladder, "midzuno", "selection")
 
     def rec(j: int, pool: tuple[int, ...], chosen: tuple[int, ...], prob: float) -> None:
         walk.visit()
-        if j == len(plan.select):
+        if j == len(select):
             walk.leaf(certain + tuple(int(plan.active[c]) for c in chosen), prob)
             return
-        w = plan.select[j][list(pool)]
+        w = select[j][list(pool)]
         if abs(float(w.sum()) - 1.0) > STEP_SUM_TOL:
             raise ContractViolationError(
                 f"midzuno step {j + 1}: selection mass {w.sum()!r} != 1"

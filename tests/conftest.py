@@ -10,6 +10,12 @@ UNEQUAL_DESIGNS = (
     DesignKind.BREWER,
 )
 
+# At n = 4 the last unit is a certainty unit, and over the first ladder
+# steps the other units leave the cap a few at a time.
+X_CERTAIN = np.array(
+    [1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0, 4.5, 5.0, 5.5, 6.0, 40.0]
+)
+
 
 @pytest.fixture(scope="session")
 def x123456():

@@ -7,6 +7,9 @@ comparing empirical frequencies of the runners against it exercises
 both codepaths end to end.
 """
 
+import bisect
+import itertools
+import tracemalloc
 from functools import partial
 
 import numpy as np
@@ -15,11 +18,13 @@ import pytest
 from splitsamp import (
     ContractViolationError,
     DesignKind,
+    InclusionProbabilities,
     InvalidInputError,
     InvalidSizeError,
     Sample,
     compute_pips,
     enumerate_design,
+    estimate_tail,
     make_sampler,
     sample_brewer,
     sample_chao,
@@ -28,15 +33,14 @@ from splitsamp import (
     sample_tille,
 )
 from splitsamp.designs import (
-    CERTAINTY_TOL,
     _check_sum,
     chao_plan,
     midzuno_plan,
     tille_plan,
 )
-from splitsamp.splitting import categorical_index
+from splitsamp.splitting import ZERO_ONE_TOL, categorical_index
 
-from conftest import UNEQUAL_DESIGNS
+from conftest import UNEQUAL_DESIGNS, X_CERTAIN
 
 
 class TestSample:
@@ -139,15 +143,19 @@ class TestChao:
     def test_plan_ladder_shapes(self):
         x = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
         plan = chao_plan(x, 2)
+        ladder = plan.ladder
         assert plan.accept.size == 3
-        assert len(plan.evict_ratio) == 3
-        # Ratios at arrival t cover stream positions 0..t-2.
-        assert [r.size for r in plan.evict_ratio] == [2, 3, 4]
-        # Eviction mass equals the accept probability, reservoir-restricted
-        # only at run time; over all prefix units it is at least that.
-        for j, r in enumerate(plan.evict_ratio):
-            assert r.min() >= -1e-12
-
+        # One rung per stream prefix of 2..5 units; the first caps both.
+        assert ladder.lam.size == 4 and ladder.capped[0] == 2
+        assert ladder.cross_at.tolist()[0] == 0 and ladder.cross_at.size == 4
+        # Each unit crosses the cap at most once.
+        assert sorted(set(ladder.cross.tolist())) == sorted(ladder.cross.tolist())
+        for s in range(4):
+            rung = ladder.pi(s, 2 + s)
+            assert rung.sum() == pytest.approx(2.0, abs=1e-12)
+            assert rung.min() > 0.0 and rung.max() <= 1.0
+            if s:
+                assert plan.accept[s - 1] == rung[-1]
 
 class TestTille:
     def test_fixed_size_and_determinism(self, pi_plain):
@@ -164,17 +172,18 @@ class TestTille:
     def test_elimination_plan_shape(self):
         x = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
         plan = tille_plan(x, 2)
-        assert len(plan.elim) == 3
-        # The full first column covers all units; later columns sum to
-        # one only restricted to the survivors, which the runner and the
-        # enumeration both check branch by branch.
-        assert plan.elim[0].sum() == pytest.approx(1.0, abs=1e-9)
-        for col in plan.elim:
-            assert col.min() >= 0.0
+        assert plan.steps == 3
+        # Rung 0 (size 5) caps every unit; units cross smallest first.
+        assert plan.capped.tolist()[0] == 5
+        assert plan.cross.tolist() == [0, 1, 2, 3, 4]
+        for s in range(plan.steps + 1):
+            assert plan.pi(s).sum() == pytest.approx(5 - s, abs=1e-12)
 
     def test_census_has_no_steps(self):
         plan = tille_plan(np.array([1.0, 2.0]), 2)
-        assert plan.elim == []
+        assert plan.steps == 0
+        pi = compute_pips(np.array([1.0, 2.0]), 2)
+        assert sample_tille(pi, np.array([1.0, 2.0]), rng_seed=0).selected == (0, 1)
 
 
 class TestMidzuno:
@@ -195,10 +204,12 @@ class TestMidzuno:
 
     def test_selection_plan_shape(self, pi_plain):
         plan = midzuno_plan(pi_plain)
-        assert len(plan.select) == 2
-        assert plan.select[0].sum() == pytest.approx(1.0, abs=1e-9)
-        for col in plan.select:
-            assert col.min() >= 0.0
+        ladder = plan.ladder
+        # Tille's ladder on 1 - pi, from 4 units down to 4 - 2.
+        assert ladder.steps == 2
+        assert np.array_equal(ladder.x, 1.0 - pi_plain.pi)
+        for s in range(ladder.steps + 1):
+            assert ladder.pi(s).sum() == pytest.approx(4 - s, abs=1e-12)
 
 
 class TestBrewer:
@@ -219,6 +230,20 @@ class TestBrewer:
     def test_bad_trace_mode(self, pi_plain):
         with pytest.raises(InvalidInputError):
             sample_brewer(pi_plain, rng_seed=0, trace="verbose")
+
+    def test_traced_and_plain_agree_near_certainty(self):
+        # Criterion 04's population with unit 0 at pi = 1 - 1e-10 and the
+        # rest rescaled to sum 9 + 1e-10: both paths must take unit 0 as
+        # certain, so a seed gives one sample with or without a trace.
+        x = -np.log1p(-np.random.default_rng(77).random(50))
+        near = compute_pips(x, 10).pi.copy()
+        near[0] = 1.0 - 1e-10
+        near[1:] *= (10.0 - near[0]) / near[1:].sum()
+        pi = InclusionProbabilities(pi=near, n=10)
+        draw, _ = make_sampler(DesignKind.BREWER, pi=pi)
+        for seed in range(500):
+            traced, _ = sample_brewer(pi, seed, trace="realized")
+            assert traced.selected == draw(seed).selected, seed
 
 
 class TestMakeSampler:
@@ -253,55 +278,103 @@ class TestMakeSampler:
         with pytest.raises(InvalidInputError):
             make_sampler(DesignKind.SRSWOR)
 
+    @pytest.mark.parametrize(
+        "kind", [DesignKind.CHAO, DesignKind.TILLE_ELIMINATION], ids=lambda k: k.value
+    )
+    def test_rejects_pi_that_x_does_not_give(self, kind):
+        # x = 1..6 at n = 3 gives pi = x / 7, not 0.5 everywhere; Chao and
+        # Tille sample from x, so expanding with 0.5 would be wrong.
+        x = np.arange(1.0, 7.0)
+        pi = InclusionProbabilities(pi=np.full(6, 0.5), n=3)
+        match = "capped size shares"
+        with pytest.raises(InvalidInputError, match=match):
+            make_sampler(kind, pi=pi, x=x)
+        with pytest.raises(InvalidInputError, match=match):
+            estimate_tail(kind, y=np.ones(6), eps_grid=[0.1], replicates=10, pi=pi, x=x)
+        with pytest.raises(InvalidInputError, match=match):
+            enumerate_design(kind, x=x, pi=pi)
 
-# Reference loops: one replicate at a time, one categorical_index call
-# per step.  The samplers draw every replicate of a batch in lockstep and
-# must give, seed for seed, the sample these loops give.
+
+# Reference loops: one replicate at a time, in Python floats, one
+# ladder step after another.  The samplers draw every replicate of a
+# batch in lockstep and must give, seed for seed, the sample these loops
+# give.
+
+
+def reference_step(u, pool, crossing, w, r, expected):
+    """One ladder step for one replicate: the pool units share weight r
+    each, the crossing units have weights w.  Appends the crossing units
+    to the pool and returns the position that u picks."""
+    count = len(pool)
+    r = max(r, 0.0) if count else 0.0
+    cum = list(itertools.accumulate(max(v, 0.0) for v in w))
+    mass = cum[-1] if cum else 0.0
+    total = mass + count * r
+    assert abs(total - expected) <= 1e-9
+    v = u * total
+    k = bisect.bisect_right(cum, v)
+    pool.extend(crossing)
+    if k < len(cum) or not (count and r > 0.0):
+        return count + min(k, len(cum) - 1)
+    return int(min((v - mass) / r, count - 1))
+
+
+def reference_steps(ladder, j):
+    """Step j's crossing units, their weights and the pool weight."""
+    lam, x = ladder.lam.tolist(), ladder.x.tolist()
+    at = ladder.cross_at.tolist()
+    crossing = ladder.cross[at[j] : at[j + 1]].tolist()
+    w = [1.0 - lam[j + 1] * x[k] for k in crossing]
+    return crossing, w, 1.0 - lam[j + 1] / lam[j]
+
+
+def reference_eliminate(ladder, rng):
+    pool, picked = [], []
+    for j in range(ladder.steps):
+        pos = reference_step(rng.random(), pool, *reference_steps(ladder, j), 1.0)
+        picked.append(pool[pos])
+        pool[pos] = pool[-1]
+        pool.pop()
+    return picked, pool
 
 
 def reference_chao(plan, seed):
     rng = np.random.default_rng(seed)
     N, n = plan.N, plan.n
-    reservoir = np.arange(n)
+    ladder = plan.ladder
+    pool = []
     u = rng.random(N - n)
     for j in range(N - n):
+        crossing, w, r = reference_steps(ladder, j)
         if u[j] > plan.accept[j]:
+            pool.extend(crossing)
             continue
-        w = _check_sum(plan.evict_ratio[j][reservoir], float(plan.accept[j]), "chao")
-        reservoir[categorical_index(rng, w)] = n + j
-    return plan.order[reservoir]
+        pos = reference_step(rng.random(), pool, crossing, w, r, float(plan.accept[j]))
+        if plan.accept[j] == 1.0:
+            pool[pos] = pool[-1]
+            pool.pop()
+        else:
+            pool[pos] = n + j
+    return plan.order[pool + ladder.cross[ladder.cross_at[-1] :].tolist()]
 
 
 def reference_tille(plan, seed):
-    rng = np.random.default_rng(seed)
-    alive = np.arange(plan.N)
-    size = plan.N
-    for col in plan.elim:
-        out = categorical_index(rng, _check_sum(col[alive[:size]], 1.0, "tille"))
-        alive[out] = alive[size - 1]
-        size -= 1
-    return alive[:size]
+    _, kept = reference_eliminate(plan, np.random.default_rng(seed))
+    return np.array(kept + plan.cross[plan.cross_at[-1] :].tolist(), dtype=int)
 
 
 def reference_midzuno(plan, seed):
-    rng = np.random.default_rng(seed)
-    if plan.n - plan.certain.size == plan.active.size:
-        return np.concatenate([plan.certain, plan.active])
-    pool = np.arange(plan.active.size)
-    size = pool.size
-    chosen = []
-    for col in plan.select:
-        pick = categorical_index(rng, _check_sum(col[pool[:size]], 1.0, "midzuno"))
-        chosen.append(int(pool[pick]))
-        pool[pick] = pool[size - 1]
-        size -= 1
-    return np.concatenate([plan.certain, plan.active[chosen]])
+    if plan.ladder is None:
+        forced = plan.n - plan.certain.size == plan.active.size
+        return np.concatenate([plan.certain, plan.active if forced else []])
+    picked, _ = reference_eliminate(plan.ladder, np.random.default_rng(seed))
+    return np.concatenate([plan.certain, plan.active[picked]])
 
 
 def reference_brewer(pi_vec, seed):
     rng = np.random.default_rng(seed)
-    active = np.flatnonzero(pi_vec < 1.0 - CERTAINTY_TOL)
-    chosen = list(np.flatnonzero(pi_vec >= 1.0 - CERTAINTY_TOL))
+    active = np.flatnonzero(pi_vec < 1.0 - ZERO_ONE_TOL)
+    chosen = list(np.flatnonzero(pi_vec >= 1.0 - ZERO_ONE_TOL))
     cur = pi_vec[active].copy()
     n_draws = int(round(float(cur.sum())))
     for t in range(1, n_draws + 1):
@@ -397,3 +470,140 @@ class TestEnumeratedInclusionProbabilities:
 
         pi_hat, _ = first_second_order(dist)
         assert np.max(np.abs(pi_hat - pi.pi)) <= 1e-9
+
+
+# ---------------------------------------------------------------------------
+# The O(N) ladders and their steps against dense capped shares.
+
+def ladder_instances():
+    """Random sizes with N up to 2000: lognormal frames with certainty
+    units, some rounded up to integers so that many sizes tie."""
+    rng = np.random.default_rng(31)
+    for N, n, sigma, ties in (
+        (2000, 200, 1.5, False),
+        (500, 450, 2.0, True),
+        (300, 40, 2.5, True),
+        (60, 12, 1.0, False),
+    ):
+        x = rng.lognormal(0.0, sigma, size=N)
+        yield np.ceil(x) if ties else x, n
+
+
+LADDER_IDS = ["N2000", "N500_ties", "N300_ties", "N60"]
+
+
+def capped_at(ladder, s, units):
+    capped = ladder.cross[ladder.cross_at[s] :]
+    return sorted(capped[capped < units].tolist())
+
+
+def structured_law(ladder, j, units):
+    """Step j's law per unit from the plan: the crossing weight, the
+    shared pool weight, or 0 for a unit still capped."""
+    lam = ladder.lam
+    law = np.full(units, 1.0 - lam[j + 1] / lam[j])
+    law[capped_at(ladder, j, units)] = 0.0
+    crossing = ladder.cross[ladder.cross_at[j] : ladder.cross_at[j + 1]]
+    law[crossing] = 1.0 - lam[j + 1] * ladder.x[crossing]
+    return law
+
+
+class TestLadders:
+    def check_rung(self, ladder, s, x, ref):
+        assert capped_at(ladder, s, x.size) == np.flatnonzero(ref == 1.0).tolist()
+        assert ladder.capped[s] == int(np.sum(ref == 1.0))
+        free = ref < 1.0
+        if free.any():
+            lam = ref[free] / x[free]
+            assert np.max(np.abs(lam / ladder.lam[s] - 1.0)) <= 1e-12
+        assert np.max(np.abs(ladder.pi(s, x.size) - ref)) <= 1e-12
+
+    @pytest.mark.parametrize("x, n", ladder_instances(), ids=LADDER_IDS)
+    def test_tille_rungs_match_compute_pips(self, x, n):
+        ladder = tille_plan(x, n)
+        assert ladder.steps == x.size - n
+        for s in range(ladder.steps + 1):
+            self.check_rung(ladder, s, x, compute_pips(x, x.size - s).pi)
+
+    @pytest.mark.parametrize("x, n", ladder_instances(), ids=LADDER_IDS)
+    def test_chao_prefix_rungs_match_compute_pips(self, x, n):
+        order = np.random.default_rng(4).permutation(x.size)
+        plan = chao_plan(x, n, order=order)
+        xs = x[order]
+        for s in range(plan.ladder.steps + 1):
+            ref = compute_pips(xs[: n + s], n).pi
+            self.check_rung(plan.ladder, s, xs[: n + s], ref)
+            if s:
+                assert abs(plan.accept[s - 1] - ref[-1]) <= 1e-12
+
+    @pytest.mark.parametrize("x, n", ladder_instances(), ids=LADDER_IDS)
+    def test_step_laws_match_dense_columns(self, x, n):
+        ladder = tille_plan(x, n)
+        prev = compute_pips(x, x.size).pi
+        for j in range(ladder.steps):
+            cur = compute_pips(x, x.size - 1 - j).pi
+            law = structured_law(ladder, j, x.size)
+            assert np.max(np.abs(law - (1.0 - cur / prev))) <= 1e-12, j
+            prev = cur
+        plan = chao_plan(x, n)
+        prev = compute_pips(x[:n], n).pi
+        for j in range(plan.ladder.steps):
+            cur = compute_pips(x[: n + 1 + j], n).pi
+            law = structured_law(plan.ladder, j, n + j)
+            assert np.max(np.abs(law - (1.0 - cur[:-1] / prev))) <= 1e-12, j
+            prev = cur
+
+    def test_midzuno_ladder_runs_on_complements(self):
+        x = np.random.default_rng(9).lognormal(0.0, 1.5, size=300)
+        pi = compute_pips(x, 60)
+        plan = midzuno_plan(pi)
+        comp = 1.0 - pi.pi[plan.active]
+        m = plan.active.size - (pi.n - plan.certain.size)
+        assert plan.ladder.steps == plan.active.size - m
+        for s in range(plan.ladder.steps + 1):
+            ref = compute_pips(comp, comp.size - s).pi
+            assert np.max(np.abs(plan.ladder.pi(s) - ref)) <= 1e-12
+
+    def test_tille_plan_memory_at_scale(self):
+        x = np.random.default_rng(8).lognormal(0.0, 1.5, size=100_000)
+        tracemalloc.start()
+        try:
+            plan = tille_plan(x, 10_000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert plan.steps == 90_000
+        assert peak < 20e6
+
+
+class TestCrossingFrequencies:
+    """Sampler frequencies against exact enumeration where many units
+    cross the cap; 4 sigma of binomial noise at R = 4000."""
+
+    R = 4000
+
+    @pytest.mark.parametrize(
+        "kind",
+        [DesignKind.CHAO, DesignKind.TILLE_ELIMINATION, DesignKind.GENERALIZED_MIDZUNO],
+        ids=lambda k: k.value,
+    )
+    @pytest.mark.parametrize(
+        "x, n",
+        [
+            (X_CERTAIN[[0, 2, 4, 6, 8, 9, 10, 11]], 4),
+            (np.random.default_rng(12).lognormal(0.0, 1.5, size=8), 5),
+        ],
+        ids=["certain", "lognormal"],
+    )
+    def test_frequencies_match_enumeration(self, kind, x, n):
+        pi = compute_pips(x, n)
+        dist = enumerate_design(kind, x=x, pi=pi)
+        draw, _ = make_sampler(kind, pi=pi, x=x)
+        counts: dict[tuple[int, ...], int] = {}
+        for row in draw.rows(list(range(self.R))):
+            key = tuple(int(k) for k in row)
+            counts[key] = counts.get(key, 0) + 1
+        assert set(counts) <= set(dist.support)
+        for key, p in dist.support.items():
+            sigma = np.sqrt(p * (1 - p) / self.R)
+            assert abs(counts.get(key, 0) / self.R - p) <= 4 * sigma + 1e-12, key

@@ -20,6 +20,8 @@ from splitsamp import (
 from splitsamp import designs, montecarlo
 from splitsamp.montecarlo import DEFAULT_Z
 
+from conftest import X_CERTAIN
+
 
 def splitmix64_reference(state):
     """Textbook splitmix64, written independently of the library."""
@@ -165,10 +167,6 @@ class TestEstimateTail:
             )
 
 
-# At n = 4 the last unit is a certainty unit.
-X_CERTAIN = np.array(
-    [1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0, 4.5, 5.0, 5.5, 6.0, 40.0]
-)
 CHAO_ORDER = np.array([11, 3, 0, 7, 1, 9, 4, 10, 2, 8, 6, 5])
 
 
@@ -209,23 +207,26 @@ class TestLockstepReplicates:
         assert np.array_equal(tail.errors, expect)
 
     @pytest.mark.parametrize(
-        "kind, build, field",
+        "kind, build",
         [
-            (DesignKind.TILLE_ELIMINATION, "tille_plan", "elim"),
-            (DesignKind.CHAO, "chao_plan", "evict_ratio"),
-            (DesignKind.GENERALIZED_MIDZUNO, "midzuno_plan", "select"),
+            (DesignKind.TILLE_ELIMINATION, "tille_plan"),
+            (DesignKind.CHAO, "chao_plan"),
+            (DesignKind.GENERALIZED_MIDZUNO, "midzuno_plan"),
         ],
         ids=["tille", "chao", "midzuno"],
     )
-    def test_corrupted_plan_rejected_in_batches(self, monkeypatch, kind, build, field):
-        # Scale every ladder column so the live entries no longer sum to
-        # what the step expects; both paths must run the per-step check.
+    def test_corrupted_plan_rejected_in_batches(self, monkeypatch, kind, build):
+        # Scale every rung's lam down, so that the crossing units' weights
+        # rise and a step's weights no longer sum to what it expects;
+        # both paths must run the per-step check.
         original = getattr(designs, build)
 
         def corrupted(*args, **kwargs):
             plan = original(*args, **kwargs)
-            scaled = [col * 1.01 for col in getattr(plan, field)]
-            return dataclasses.replace(plan, **{field: scaled})
+            if isinstance(plan, designs.Ladder):
+                return dataclasses.replace(plan, lam=plan.lam * 0.99)
+            ladder = dataclasses.replace(plan.ladder, lam=plan.ladder.lam * 0.99)
+            return dataclasses.replace(plan, ladder=ladder)
 
         monkeypatch.setattr(designs, build, corrupted)
         match = f"{kind.value} step .*probabilities sum to"

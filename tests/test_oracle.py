@@ -171,24 +171,23 @@ class TestComplementarity:
 class TestWalkerAgainstBruteForce:
     def test_chao_by_direct_recursion(self):
         # Independent re-enumeration of the reservoir walk written from
-        # scratch against the packaged one.
-        from splitsamp.designs import chao_plan
-
+        # scratch against the packaged one, with each prefix's capped
+        # shares taken straight from compute_pips.
         x = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
         n = 2
-        plan = chao_plan(x, n)
+        rungs = [compute_pips(x[:t], n).pi for t in range(n, x.size + 1)]
         support: dict[tuple[int, ...], float] = {}
 
         def walk(j, reservoir, prob):
-            if j == len(plan.accept):
+            if j == x.size - n:
                 key = tuple(sorted(reservoir))
                 support[key] = support.get(key, 0.0) + prob
                 return
-            a = float(plan.accept[j])
+            a = float(rungs[j + 1][-1])
             if 1.0 - a > 0.0:
                 walk(j + 1, reservoir, prob * (1.0 - a))
             if a > 0.0:
-                ratios = plan.evict_ratio[j]
+                ratios = 1.0 - rungs[j + 1][:-1] / rungs[j]
                 weights = [float(ratios[u]) for u in reservoir]
                 total = sum(weights)
                 assert total == pytest.approx(a, abs=1e-9)

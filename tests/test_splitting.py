@@ -194,6 +194,54 @@ class TestRunSplitting:
             assert re.fullmatch(r"\d+;[0-9.eE+-]+;[0-9.eE+-]+", line)
 
 
+class RecomputingBrewer:
+    """Brewer's rule as a pure function of (t, pi) that recomputes its
+    undecided units and r on every call."""
+
+    def alphas(self, t, pi):
+        a = np.flatnonzero((pi > 1e-9) & (pi < 1.0 - 1e-9))
+        p = pi[a]
+        r = float(round(float(p.sum())))
+        w = p * (r - p) / (1.0 - p)
+        return w / float(w.sum())
+
+    def delta(self, t, pi, i):
+        a = np.flatnonzero((pi > 1e-9) & (pi < 1.0 - 1e-9))
+        p = pi[a]
+        r = float(round(float(p.sum())))
+        pk = p[i]
+        d = np.zeros(pi.size)
+        d[a] = -p * (1.0 - pk) / (r - pk)
+        d[a[i]] = 1.0 - pk
+        return d
+
+
+class TestBrewerRuleOncePerStep:
+    @pytest.mark.parametrize("record", ["full", "realized"])
+    def test_traces_equal_a_rule_that_recomputes(self, record):
+        x = -np.log1p(-np.random.default_rng(77).random(50))
+        pi = compute_pips(x, 10)
+        for seed in range(20):
+            got = run_splitting(BrewerRule(), pi, seed, record=record)
+            want = run_splitting(RecomputingBrewer(), pi, seed, record=record)
+            assert len(got.steps) == len(want.steps)
+            for a, b in zip(got.steps, want.steps):
+                assert np.array_equal(a.alphas, b.alphas)
+                assert np.array_equal(a.realized_delta, b.realized_delta)
+                assert (a.deltas is None) == (b.deltas is None)
+                if a.deltas is not None:
+                    assert np.array_equal(a.deltas, b.deltas)
+            assert np.array_equal(got.final, want.final)
+
+    def test_new_vector_at_the_same_step_is_not_confused(self):
+        rule = BrewerRule()
+        first = np.array([0.6, 0.8, 0.6])
+        second = np.array([0.5, 0.5, 0.5, 0.5])
+        rule.alphas(1, first)
+        assert np.array_equal(rule.alphas(1, second), np.full(4, 0.25))
+        assert rule.delta(1, second, 0).size == 4
+
+
 class TestDrawByDraw:
     def test_srswor_distribution_reproduced(self):
         d = enumerate_design(DesignKind.SRSWOR, N=4, n=2)
