@@ -318,7 +318,9 @@ def build_parser() -> argparse.ArgumentParser:
         choices=[k.value for k in DesignKind],
     )
     p_sample.add_argument("--n", type=int, help="sample size (required for id,x,y files)")
-    p_sample.add_argument("--seed", type=int, default=0)
+    p_sample.add_argument(
+        "--seed", type=int, default=0, help="integer in [0, 2**128)"
+    )
     p_sample.add_argument(
         "--out", help="write ids here and a JSON sidecar to OUT.json"
     )

@@ -29,7 +29,7 @@ import enum
 import heapq
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -39,7 +39,6 @@ from .splitting import (
     RANGE_TOL,
     ZERO_ONE_TOL,
     SplittingTrace,
-    categorical_rows,
     run_splitting,
 )
 
@@ -97,8 +96,10 @@ class Sampler:
     one Sample, ``sampler.rows(seeds)`` draws one per seed in lockstep.
 
     ``draw_rows`` maps a seed sequence to an array with one row of unit
-    indices per seed.  Row r is built from ``default_rng(seeds[r])``
-    alone, so it is the sample that ``sampler(seeds[r])`` returns.
+    indices per seed.  Row r is built from the stream of
+    ``default_rng(seeds[r])`` alone, so it is the sample that
+    ``sampler(seeds[r])`` returns.  Seeds are integers in [0, 2**128);
+    any other seed raises ``InvalidInputError``.
     """
 
     N: int
@@ -134,26 +135,140 @@ def _check_sum(weights: np.ndarray, expected: float, context: str) -> np.ndarray
     return np.maximum(w, 0.0) if lo_min < 0.0 else w
 
 
+# ---------------------------------------------------------------------------
+# Per-seed streams: the state default_rng(seed) starts in, for a whole
+# batch of seeds at once.
+#
+# default_rng(seed) hashes the seed with numpy's SeedSequence into a pool
+# of four uint32 words and seeds PCG64 from that pool; NEP 19 keeps both
+# stable.  A seed below 2**128 fills at most the four pool words, and a
+# missing word hashes as a zero word would, so every such seed hashes as
+# its four little-endian words.  The hashes use a fixed chain of
+# constants, so they run here as array operations over all seeds.
+
+SEED_LIMIT = 1 << 128
+
+_MASK32 = (1 << 32) - 1
+_MASK128 = (1 << 128) - 1
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _hash_chain(init: int, mult: int, count: int) -> tuple[list[int], list[int]]:
+    """The (xor, multiplier) constants of ``count`` successive hashmix
+    calls: call k xors with h_k and multiplies by h_{k+1} = h_k * mult."""
+    h = [init]
+    for _ in range(count):
+        h.append(h[-1] * mult & _MASK32)
+    return h[:-1], h[1:]
+
+
+def _cross_hash(xor: list[int], mul: list[int], src: int) -> tuple[np.ndarray, ...]:
+    """Constants for hashing pool word ``src`` once for each other word,
+    in word order, as 4-wide rows with zeros at ``src``."""
+    cols = [k for k in range(4) if k != src]
+    pairs = (np.zeros(4, dtype=np.uint32), np.zeros(4, dtype=np.uint32))
+    for row, chain in zip(pairs, (xor, mul)):
+        row[cols] = chain[4 + 3 * src : 7 + 3 * src]
+    return pairs
+
+
+# Mixing the pool takes 4 hashes of the seed words, then 3 per pool word,
+# one for each other word; generating the state takes 8.
+_POOL_CHAIN = _hash_chain(0x43B0D7E5, 0x931E8875, 4 + 4 * 3)
+_POOL_HASH = tuple(np.array(c[:4], dtype=np.uint32) for c in _POOL_CHAIN)
+_CROSS_HASH = tuple(_cross_hash(*_POOL_CHAIN, src) for src in range(4))
+_STATE_HASH = tuple(
+    np.array(c, dtype=np.uint32) for c in _hash_chain(0x8B51F9DD, 0x58F38DED, 8)
+)
+_XSHIFT = np.uint32(16)
+_MIX_MULT_L = np.uint32(0xCA01F9DD)
+_MIX_MULT_R = np.uint32(0x4973F715)
+
+
+def _hashmix(v: np.ndarray, xor: np.ndarray, mul: np.ndarray) -> np.ndarray:
+    v = (v ^ xor) * mul
+    v ^= v >> _XSHIFT
+    return v
+
+
+def _check_seed(seed) -> int:
+    """A seed as a Python int, which must lie in [0, 2**128)."""
+    if isinstance(seed, (int, np.integer)) and 0 <= seed < SEED_LIMIT:
+        return int(seed)
+    raise InvalidInputError(f"seed must be an integer in [0, 2**128), got {seed!r}")
+
+
+def _pcg64_states(seeds: Sequence[int]) -> list[tuple[int, int]]:
+    """The PCG64 (state, increment) of ``default_rng(seed)`` per seed.
+
+    Row r of the pool holds seed r's four words.  Pool word ``src`` is
+    hashed once for each other word and mixed into it; ``mix(x, y)`` is
+    ``L x - R y`` with an xor-shift, and the mix leaves word ``src``
+    itself as it was.  The pool then hashes into a 128-bit seed s and
+    stream i, and PCG64 starts from 0 with increment 2i + 1, steps, adds
+    s and steps again.
+    """
+    raw = b"".join(_check_seed(s).to_bytes(16, "little") for s in seeds)
+    pool = _hashmix(np.frombuffer(raw, dtype="<u4").reshape(-1, 4), *_POOL_HASH)
+    for src, consts in enumerate(_CROSS_HASH):
+        mixed = pool * _MIX_MULT_L
+        mixed -= _hashmix(pool[:, src, None], *consts) * _MIX_MULT_R
+        mixed ^= mixed >> _XSHIFT
+        mixed[:, src] = pool[:, src]
+        pool = mixed
+    words = _hashmix(np.tile(pool, 2), *_STATE_HASH)
+    # Little-endian word pairs make the 64-bit halves of the PCG64 seed
+    # and increment, high half first.
+    halves = words.astype("<u4").view("<u8").T.tolist()
+    states = []
+    for s_hi, s_lo, i_hi, i_lo in zip(*halves):
+        inc = ((i_hi << 65) | (i_lo << 1) | 1) & _MASK128
+        state = (((s_hi << 64) | s_lo) + inc) * _PCG64_MULT + inc
+        states.append((state & _MASK128, inc))
+    return states
+
+
+def _streams(seeds: Sequence[int]) -> Iterator[np.random.Generator]:
+    """Per seed, a generator in the state ``default_rng(seed)`` starts
+    in.  One generator serves all seeds: built from the first seed, it is
+    reset to each later seed's state in turn, so use it up before taking
+    the next."""
+    if len(seeds) == 0:
+        return
+    rng = np.random.default_rng(_check_seed(seeds[0]))
+    yield rng
+    if len(seeds) == 1:
+        return
+    for state, inc in _pcg64_states(seeds[1:]):
+        rng.bit_generator.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": state, "inc": inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        yield rng
+
+
 def _uniforms(seeds: Sequence[int], count: int) -> np.ndarray:
     """Row r: the first ``count`` uniforms of ``default_rng(seeds[r])``,
     the values that ``count`` successive ``rng.random()`` calls return."""
     u = np.empty((len(seeds), count))
-    for r, seed in enumerate(seeds):
-        np.random.default_rng(seed).random(out=u[r])
+    for row, rng in zip(u, _streams(seeds)):
+        rng.random(out=row)
     return u
 
 
 def sample_srswor(N: int, n: int, rng_seed: int) -> Sample:
     """Simple random sampling without replacement, uniform over subsets."""
-    if not 1 <= n <= N:
-        raise InvalidSizeError(f"invalid size: n={n} outside 1..{N}")
-    rng = np.random.default_rng(rng_seed)
-    sel = rng.choice(N, size=n, replace=False)
-    return Sample(selected=tuple(int(k) for k in sel), N=int(N))
+    draw, _ = make_sampler(DesignKind.SRSWOR, N=N, n=n)
+    return draw(rng_seed)
 
 
 def _srswor_rows(N: int, n: int, seeds: Sequence[int]) -> np.ndarray:
-    return np.array([sample_srswor(N, n, seed).selected for seed in seeds])
+    rows = np.empty((len(seeds), n), dtype=np.intp)
+    for row, rng in zip(rows, _streams(seeds)):
+        row[:] = rng.choice(N, size=n, replace=False)
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -633,34 +748,57 @@ class BrewerRule:
 
 def _brewer_rows(pi_vec: np.ndarray, seeds: Sequence[int]) -> np.ndarray:
     """One Brewer sample per seed, all rows drawing in lockstep with one
-    uniform per draw.  Each row keeps its undrawn units in their
-    original order and rescales them after every draw.  A unit within
-    ``ZERO_ONE_TOL`` of 1 is certain, as in the traced driver."""
+    uniform per draw.  A unit within ``ZERO_ONE_TOL`` of 1 is certain, as
+    in the traced driver.
+
+    The block is unit-major: one row per undecided unit, one column per
+    replicate, so sums and cumulative sums over the units run as
+    whole-row adds in the units' original order.  A drawn unit stays in
+    place at probability 0, which gives it weight 0, so the pick (the
+    first unit whose cumulative weight passes u times the total) is
+    always an undrawn one.
+    """
     R = len(seeds)
     certain = np.flatnonzero(pi_vec >= 1.0 - ZERO_ONE_TOL)
     active = np.flatnonzero(pi_vec < 1.0 - ZERO_ONE_TOL)
     n_draws = int(round(float(pi_vec[active].sum())))
     u = _uniforms(seeds, n_draws)
-    rows = np.arange(R)
-    units = np.tile(active, (R, 1))
-    cur = np.tile(pi_vec[active], (R, 1))
-    chosen = np.empty((R, n_draws), dtype=int)
+    cols = np.arange(R)
+    cur = np.repeat(pi_vec[active, None], R, axis=1)
+    w = np.empty_like(cur)
+    cum = np.empty_like(cur)
+    picks = np.empty((R, n_draws), dtype=np.intp)
     for t in range(1, n_draws + 1):
         r = n_draws - t + 1
-        w = cur * (r - cur) / (1.0 - cur)
-        j = categorical_rows(w, u[:, t - 1])
-        pj = cur[rows, j]
-        chosen[:, t - 1] = units[rows, j]
-        keep = np.ones(cur.shape, dtype=bool)
-        keep[rows, j] = False
-        m = cur.shape[1] - 1
-        units = units[keep].reshape(R, m)
-        cur = cur[keep].reshape(R, m) * ((r - 1.0) / (r - pj))[:, None]
-        if m and float(cur.max()) > 1.0 + PROB_SUM_TOL:
+        # w = cur (r - cur) / (1 - cur), in place.
+        np.subtract(r, cur, out=w)
+        w *= cur
+        w /= np.subtract(1.0, cur, out=cum)
+        lo = float(w.min(initial=0.0))
+        if lo < -RANGE_TOL:
+            raise ContractViolationError(
+                f"brewer step {t}: negative selection weight {lo!r}"
+            )
+        if lo < 0.0:
+            np.maximum(w, 0.0, out=w)
+        np.add.accumulate(w, axis=0, out=cum)
+        total = cum[-1]
+        bad = ~(np.isfinite(total) & (total > 0.0))
+        if bool(bad.any()):
+            raise ContractViolationError(
+                f"brewer step {t}: selection weights sum to {float(total[bad][0])!r}"
+            )
+        # u < 1 makes u T < T, so some unit's cumulative weight passes u T.
+        i = np.add.reduce(cum <= u[:, t - 1] * total, axis=0)
+        picks[:, t - 1] = i
+        pj = cur[i, cols]
+        cur[i, cols] = 0.0
+        cur *= (r - 1.0) / (r - pj)
+        if float(cur.max(initial=0.0)) > 1.0 + PROB_SUM_TOL:
             raise ContractViolationError(
                 f"brewer step {t}: intermediate probability above 1"
             )
-    return np.hstack([np.tile(certain, (R, 1)), chosen])
+    return np.hstack([np.tile(certain, (R, 1)), active[picks]])
 
 
 def sample_brewer(
@@ -684,7 +822,7 @@ def sample_brewer(
     if trace in (None, False):
         return Sampler(pi.N, partial(_brewer_rows, pi.pi))(rng_seed)
     record = "full" if trace is True else str(trace)
-    tr = run_splitting(BrewerRule(), pi, rng_seed, record=record)
+    tr = run_splitting(BrewerRule(), pi, _check_seed(rng_seed), record=record)
     return Sample(selected=tr.selected, N=pi.N), tr
 
 

@@ -72,33 +72,6 @@ def categorical_index(rng: np.random.Generator, weights: np.ndarray) -> int:
     return min(i, w.size - 1)
 
 
-def categorical_rows(weights: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """``categorical_index`` for a block of rows, row r drawing with u[r].
-
-    Each row is clamped, normalized and accumulated with the same
-    arithmetic as the single draw, so a row picks exactly the index that
-    ``categorical_index`` picks for that row's weights and uniform.
-    """
-    w = np.asarray(weights, dtype=float)
-    if w.ndim != 2 or w.shape[1] == 0:
-        raise ContractViolationError("empty candidate set")
-    lo = np.minimum.reduce(w, axis=1)
-    if float(lo.min()) < 0.0:
-        bad = np.flatnonzero(lo < -RANGE_TOL)
-        if bad.size:
-            raise ContractViolationError(
-                f"negative selection weight {float(lo[bad[0]])!r}"
-            )
-        w = np.maximum(w, 0.0)
-    total = np.add.reduce(w, axis=1)
-    if bool(np.any(total <= 0.0)):
-        raise ContractViolationError("selection weights carry no mass")
-    cum = np.add.accumulate(w / total[:, None], axis=1)
-    # The count of cumulative weights <= u is searchsorted(side="right").
-    i = np.add.reduce(cum <= np.asarray(u, dtype=float)[:, None], axis=1)
-    return np.minimum(i, w.shape[1] - 1)
-
-
 class SplitRule(Protocol):
     """Per-step candidate generator for ``run_splitting``.
 

@@ -78,6 +78,15 @@ class TestSample:
         assert rc == 2
         assert "invalid size" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("design", ["srswor", "chao", "brewer"])
+    def test_seed_domain(self, pop_file, capsys, design):
+        argv = ["sample", pop_file, "--design", design, "--n", "3", "--seed"]
+        assert main(argv + [str(2**128 - 1)]) == 0
+        assert len(capsys.readouterr().out.split()) == 3
+        for seed in ("-1", str(2**128)):
+            assert main(argv + [seed]) == 2
+            assert "seed must be an integer in [0, 2**128)" in capsys.readouterr().err
+
     def test_missing_file(self, tmp_path, capsys):
         rc = main(
             ["sample", str(tmp_path / "nope.csv"), "--design", "brewer",

@@ -23,6 +23,7 @@ from splitsamp import (
     InvalidSizeError,
     Sample,
     compute_pips,
+    derive_seed,
     enumerate_design,
     estimate_tail,
     make_sampler,
@@ -33,7 +34,10 @@ from splitsamp import (
     sample_tille,
 )
 from splitsamp.designs import (
+    SEED_LIMIT,
+    _brewer_rows,
     _check_sum,
+    _uniforms,
     chao_plan,
     midzuno_plan,
     tille_plan,
@@ -99,6 +103,81 @@ class TestSrswor:
     def test_invalid_size(self):
         with pytest.raises(InvalidSizeError, match="invalid size"):
             sample_srswor(3, 4, 0)
+
+
+# Seeds where the 32-bit words of a seed change count or wrap, and the
+# ends of the seed domain.
+EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1, 2**64, 2**128 - 1]
+
+
+class TestStreams:
+    """Each row of a batch draws exactly the stream ``default_rng(seed)``
+    draws, whether the seed opens the batch or sits inside it."""
+
+    SEEDS = EDGE_SEEDS + [derive_seed(11, r) for r in range(2000)]
+
+    @pytest.mark.parametrize("count", [1, 40, 320])
+    def test_rows_equal_default_rng(self, count):
+        expect = {s: np.random.default_rng(s).random(count) for s in self.SEEDS}
+        for seed in self.SEEDS:
+            assert np.array_equal(_uniforms([seed], count)[0], expect[seed]), seed
+        # The edge seeds sit inside the first 655-row block.
+        seeds = self.SEEDS[8:300] + self.SEEDS[:8] + self.SEEDS[300:]
+        for start in range(0, len(seeds), 655):
+            block = seeds[start : start + 655]
+            u = _uniforms(block, count)
+            for seed, row in zip(block, u):
+                assert np.array_equal(row, expect[seed]), seed
+
+    @pytest.mark.parametrize("N, n", [(200, 40), (2000, 200), (10, 10)])
+    def test_srswor_rows_equal_default_rng_choice(self, N, n):
+        draw, _ = make_sampler(DesignKind.SRSWOR, N=N, n=n)
+        seeds = [derive_seed(5, r) for r in range(150)] + EDGE_SEEDS
+        rows = draw.rows(seeds)
+        for seed, row in zip(seeds, rows):
+            expect = np.sort(np.random.default_rng(seed).choice(N, n, replace=False))
+            assert np.array_equal(row, expect), seed
+        for seed in EDGE_SEEDS:
+            assert draw(seed).selected == tuple(rows[seeds.index(seed)])
+
+
+class TestSeedDomain:
+    """Seeds are integers in [0, 2**128): the range whose streams the
+    batched seeding reproduces.  Anything else is rejected up front."""
+
+    BAD = [-1, SEED_LIMIT, 2**200, 1.5, "3", None]
+
+    def test_invalid_input_is_a_value_error(self):
+        assert issubclass(InvalidInputError, ValueError)
+
+    @pytest.mark.parametrize("kind", list(DesignKind), ids=lambda k: k.value)
+    def test_draw_and_rows(self, kind):
+        x = np.arange(1.0, 7.0)
+        draw, _ = make_sampler(kind, x=x, n=3, N=6)
+        for seed in (0, SEED_LIMIT - 1):
+            assert draw(seed).size == 3
+            assert draw.rows([1, seed]).shape == (2, 3)
+        for seed in self.BAD:
+            with pytest.raises(InvalidInputError, match="seed must be an integer"):
+                draw(seed)
+            with pytest.raises(InvalidInputError, match="seed must be an integer"):
+                draw.rows([0, 1, seed])
+
+    def test_sample_functions(self, pi_plain):
+        x = np.array([1.0, 2.0, 3.0, 4.0])
+        calls = [
+            lambda seed: sample_srswor(4, 2, seed),
+            lambda seed: sample_chao(pi_plain, x, seed),
+            lambda seed: sample_tille(pi_plain, x, seed),
+            lambda seed: sample_midzuno(pi_plain, seed),
+            lambda seed: sample_brewer(pi_plain, seed),
+            lambda seed: sample_brewer(pi_plain, seed, trace="realized")[0],
+        ]
+        for call in calls:
+            assert call(SEED_LIMIT - 1).size == 2
+            for seed in (-1, SEED_LIMIT):
+                with pytest.raises(InvalidInputError, match="seed must be an integer"):
+                    call(seed)
 
 
 @pytest.fixture(scope="module")
@@ -246,6 +325,13 @@ class TestBrewer:
             assert traced.selected == draw(seed).selected, seed
 
 
+    def test_batch_checks_its_weights(self):
+        # A negative pi is no valid input; the batch still refuses the
+        # negative selection weight it would give, in any row.
+        with pytest.raises(ContractViolationError, match="brewer step 1: negative"):
+            _brewer_rows(np.array([-0.1, 0.6, 0.5]), [0, 1, 2])
+
+
 class TestMakeSampler:
     def test_matches_direct_calls(self, pi_plain):
         x = np.array([1.0, 2.0, 3.0, 4.0])
@@ -271,6 +357,11 @@ class TestMakeSampler:
         draw, pi = make_sampler(DesignKind.SRSWOR, N=6, n=2)
         assert pi.is_equal_probability()
         assert draw(3).selected == sample_srswor(6, 2, 3).selected
+
+    @pytest.mark.parametrize("kind", list(DesignKind), ids=lambda k: k.value)
+    def test_empty_batch(self, kind):
+        draw, _ = make_sampler(kind, x=np.arange(1.0, 7.0), n=3, N=6)
+        assert draw.rows([]).shape == (0, 3)
 
     def test_missing_inputs(self):
         with pytest.raises(InvalidInputError):

@@ -23,7 +23,7 @@ from splitsamp import (
     sequential_splitting_from_distribution,
 )
 from splitsamp.designs import BrewerRule
-from splitsamp.splitting import categorical_index, categorical_rows
+from splitsamp.splitting import categorical_index
 
 
 class TestCategoricalIndex:
@@ -56,39 +56,6 @@ class TestCategoricalIndex:
         rng = np.random.default_rng(0)
         with pytest.raises(ContractViolationError):
             categorical_index(rng, np.zeros(3))
-
-
-class TestCategoricalRows:
-    class FakeRng:
-        def __init__(self, u):
-            self.u = u
-
-        def random(self):
-            return self.u
-
-    def test_each_row_matches_single_draw(self):
-        rng = np.random.default_rng(8)
-        for m in (1, 3, 9, 40, 200):
-            w = rng.random((64, m)) ** 3
-            if m >= 3:
-                w[::7, 0] = -1e-14
-                w[1::5, -1] = 0.0
-            u = rng.random(64)
-            # Uniforms at or past the last cumulative weight fall back to
-            # the last index, as in the single draw.
-            u[3] = np.nextafter(1.0, 0.0)
-            picks = categorical_rows(w, u)
-            expect = [categorical_index(self.FakeRng(u[r]), w[r]) for r in range(64)]
-            assert picks.tolist() == expect
-
-    def test_contract_checks(self):
-        u = np.full(2, 0.5)
-        with pytest.raises(ContractViolationError, match="negative selection weight -0.1"):
-            categorical_rows(np.array([[0.5, 0.5], [-0.1, 1.1]]), u)
-        with pytest.raises(ContractViolationError, match="no mass"):
-            categorical_rows(np.array([[0.5, 0.5], [0.0, 0.0]]), u)
-        with pytest.raises(ContractViolationError, match="empty"):
-            categorical_rows(np.zeros((2, 0)), u)
 
 
 class TestRunSplitting:
