@@ -36,6 +36,7 @@ from .errors import (
 from .estimation import ht_estimate
 from .experiment import ExperimentConfig, experiment_csv, run_experiment
 from .oracle import (
+    DEFAULT_MAX_BRANCHES,
     check_csyg,
     check_pairwise_na,
     enumerate_design,
@@ -374,8 +375,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument(
         "--max-branches",
         type=int,
-        default=10_000_000,
-        help="enumeration branch budget",
+        default=DEFAULT_MAX_BRANCHES,
+        help="enumeration budget, in transitions between states",
     )
     p_verify.add_argument("--dump", help="write the exact distribution CSV here")
     p_verify.set_defaults(func=cmd_verify)

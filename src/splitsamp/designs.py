@@ -126,7 +126,9 @@ def _check_sum(weights: np.ndarray, expected: float, context: str) -> np.ndarray
         first = float(lo[np.flatnonzero(lo < -RANGE_TOL)[0]])
         raise ContractViolationError(f"{context}: negative probability {first!r}")
     total = np.ravel(np.add.reduce(w, axis=-1))
-    off = np.abs(total - expected) > PROB_SUM_TOL
+    # Written so that a NaN total, from weights normalized by a zero
+    # sum, fails too.
+    off = ~(np.abs(total - expected) <= PROB_SUM_TOL)
     if bool(off.any()):
         raise ContractViolationError(
             f"{context}: probabilities sum to {total[np.flatnonzero(off)[0]]!r}, "

@@ -1,14 +1,23 @@
 """Exact enumeration of the sampling procedures and structural checks.
 
 Every procedure in this package makes a finite sequence of discrete
-random choices, so on small populations its distribution over samples
-can be computed exactly by walking the whole choice tree.  The checks
-below compare that distribution against what the theory promises:
-correct first-order inclusion probabilities, fixed sample size,
-conditional negative-dependence inequalities, nonpositive pairwise
-indicator covariances, design unbiasedness of the Horvitz-Thompson
-estimator, and the complementarity between the Midzuno and elimination
+random choices, and its next choice depends only on the set of units
+it has kept, eliminated or drawn so far, whatever the order.  So on
+small populations its distribution over samples is computed exactly
+one level at a time: a level maps each reachable state to its
+probability, every state is expanded by its design's moves, and states
+that coincide are merged.  The enumeration budget counts transitions,
+one per move out of a state.  The checks below compare the resulting
+distribution against what the theory promises: correct first-order
+inclusion probabilities, fixed sample size, conditional
+negative-dependence inequalities, nonpositive pairwise indicator
+covariances, design unbiasedness of the Horvitz-Thompson estimator,
+and the complementarity between the Midzuno and elimination
 procedures.
+
+The step laws are built here from the plans' rungs and from Brewer's
+closed form, not by running the samplers' kernels, so enumeration stays
+an independent reference for the samplers.
 """
 
 from __future__ import annotations
@@ -43,59 +52,11 @@ from .population import InclusionProbabilities, compute_pips
 # Population ceiling for exact enumeration.
 MAX_ENUM_N = 10
 
-# Branches with smaller local probability are pruned; their mass is
-# tracked and audited.
+# Moves with smaller probability are pruned; their mass is tracked and
+# audited.
 PRUNE_TOL = 1e-15
 
-# Step probabilities restricted to the live pool must sum to their
-# target within this.
-STEP_SUM_TOL = 1e-9
-
 DEFAULT_MAX_BRANCHES = 10_000_000
-
-
-class _Walk:
-    """Shared bookkeeping for the recursive tree walks."""
-
-    def __init__(self, N: int, n: int, source: str, max_branches: int) -> None:
-        self.N = N
-        self.n = n
-        self.source = source
-        self.max_branches = max_branches
-        self.visited = 0
-        self.pruned = 0.0
-        self.support: dict[tuple[int, ...], float] = {}
-
-    def visit(self) -> None:
-        self.visited += 1
-        if self.visited > self.max_branches:
-            raise EnumerationBudgetError(
-                f"enumeration exceeded {self.max_branches} branches"
-            )
-
-    def leaf(self, sample, prob: float) -> None:
-        key = tuple(sorted(int(k) for k in sample))
-        self.support[key] = self.support.get(key, 0.0) + prob
-
-    def done(self) -> ExactDesignDistribution:
-        return ExactDesignDistribution(
-            support=self.support,
-            N=self.N,
-            n=self.n,
-            source=self.source,
-            pruned_mass=self.pruned,
-        )
-
-
-def _estimate_branches(kind: DesignKind, N: int, n: int) -> int:
-    if kind is DesignKind.SRSWOR:
-        return math.comb(N, n)
-    if kind is DesignKind.CHAO:
-        return (n + 1) ** (N - n)
-    if kind is DesignKind.TILLE_ELIMINATION:
-        return math.perm(N, N - n)
-    # Midzuno and Brewer both run at most n selection steps.
-    return math.perm(N, n)
 
 
 def enumerate_design(
@@ -107,12 +68,14 @@ def enumerate_design(
     N: int | None = None,
     max_branches: int = DEFAULT_MAX_BRANCHES,
 ) -> ExactDesignDistribution:
-    """Exact sample distribution of a design, by exhaustive tree walk.
+    """Exact sample distribution of a design, level by level over merged
+    states.
 
     Stream order for Chao is the population order.  Raises
-    EnumerationBudgetError when the worst-case branch count exceeds
-    ``max_branches`` and InvalidInputError for populations larger than
-    ``MAX_ENUM_N``.
+    EnumerationBudgetError when the enumeration needs more than
+    ``max_branches`` transitions (for SRSWOR, samples), and
+    InvalidInputError for populations larger than ``MAX_ENUM_N`` and for
+    an SRSWOR pi that is not n/N for every unit.
     """
     if pi is None and kind is not DesignKind.SRSWOR:
         if x is None or n is None:
@@ -121,6 +84,8 @@ def enumerate_design(
     if kind is DesignKind.SRSWOR:
         if pi is not None:
             N, n = pi.N, pi.n
+            if not pi.is_equal_probability():
+                raise InvalidInputError("srswor needs pi = n/N for every unit")
         if N is None or n is None:
             raise InvalidInputError("srswor needs N and n (or pi)")
     else:
@@ -131,31 +96,59 @@ def enumerate_design(
         raise InvalidInputError(
             f"exact enumeration supports N <= {MAX_ENUM_N}, got {N}"
         )
-    if _estimate_branches(kind, N, n) > max_branches:
-        raise EnumerationBudgetError(
-            f"{kind.value} enumeration needs more than {max_branches} branches"
-        )
-    walk = _Walk(N, n, f"{kind.value}(N={N},n={n})", max_branches)
-
+    source = f"{kind.value}(N={N},n={n})"
     if kind is DesignKind.SRSWOR:
-        p = 1.0 / math.comb(N, n)
-        for s in combinations(range(N), n):
-            walk.visit()
-            walk.leaf(s, p)
-        return walk.done()
+        count = math.comb(N, n)
+        if count > max_branches:
+            raise EnumerationBudgetError(
+                f"srswor enumeration needs more than {max_branches} branches"
+            )
+        support = dict.fromkeys(combinations(range(N), n), 1.0 / count)
+        return ExactDesignDistribution(support=support, N=N, n=n, source=source)
+    sizes = np.asarray(x if x is not None else pi.pi, dtype=float)
     if kind is DesignKind.CHAO:
-        _walk_chao(walk, np.asarray(x if x is not None else pi.pi, dtype=float), pi)
-        return walk.done()
-    if kind is DesignKind.TILLE_ELIMINATION:
-        _walk_tille(walk, np.asarray(x if x is not None else pi.pi, dtype=float), pi)
-        return walk.done()
-    if kind is DesignKind.GENERALIZED_MIDZUNO:
-        _walk_midzuno(walk, pi)
-        return walk.done()
-    if kind is DesignKind.BREWER:
-        _walk_brewer(walk, pi)
-        return walk.done()
-    raise InvalidInputError(f"unknown design kind {kind!r}")
+        chain = _chao_chain(sizes, n)
+    elif kind is DesignKind.TILLE_ELIMINATION:
+        chain = _tille_chain(sizes, n)
+    elif kind is DesignKind.GENERALIZED_MIDZUNO:
+        chain = _midzuno_chain(pi)
+    elif kind is DesignKind.BREWER:
+        chain = _brewer_chain(pi)
+    else:
+        raise InvalidInputError(f"unknown design kind {kind!r}")
+    support, pruned = _levels(*chain, max_branches)
+    return ExactDesignDistribution(
+        support=support, N=N, n=n, source=source, pruned_mass=pruned
+    )
+
+
+def _levels(start, steps: int, moves, leaf, max_branches: int):
+    """Law of ``leaf(state)`` after ``steps`` levels from ``start``, and
+    the pruned mass.
+
+    ``moves(j, state)`` lists the (next state, probability) pairs of step
+    j.  Each level holds every reachable state once, with the summed
+    probability of all the paths that reach it.
+    """
+    level = {start: 1.0}
+    pruned = 0.0
+    transitions = 0
+    for j in range(steps):
+        nxt: dict = {}
+        for state, prob in level.items():
+            out = moves(j, state)
+            transitions += len(out)
+            if transitions > max_branches:
+                raise EnumerationBudgetError(
+                    f"enumeration needs more than {max_branches} branches (transitions)"
+                )
+            for child, w in out:
+                if w < PRUNE_TOL:
+                    pruned += prob * w
+                else:
+                    nxt[child] = nxt.get(child, 0.0) + prob * w
+        level = nxt
+    return {leaf(state): p for state, p in level.items()}, pruned
 
 
 def _dense_steps(ladder: Ladder, name: str, what: str) -> list[np.ndarray]:
@@ -174,132 +167,93 @@ def _dense_steps(ladder: Ladder, name: str, what: str) -> list[np.ndarray]:
     return cols
 
 
-def _walk_chao(walk: _Walk, x: np.ndarray, pi: InclusionProbabilities) -> None:
-    plan = chao_plan(x, pi.n)
-    steps = walk.N - walk.n
-    # Dense rungs over the stream prefixes: ratios[j][k] is
-    # 1 - pi_k(t) / pi_k(t-1) for arrival t = n+1+j and k < t-1.
-    rungs = [plan.ladder.pi(s, walk.n + s) for s in range(steps + 1)]
+def _elimination_moves(cols: list[np.ndarray], context):
+    """Moves of an elimination ladder: the state is the tuple of units
+    still present, and step j removes unit k with probability
+    ``cols[j][k]``."""
+
+    def moves(j: int, alive: tuple[int, ...]):
+        w = _check_sum(cols[j][list(alive)], 1.0, context(j)).tolist()
+        return [(alive[:i] + alive[i + 1 :], w[i]) for i in range(len(alive))]
+
+    return moves
+
+
+def _chao_chain(x: np.ndarray, n: int):
+    """The state is the reservoir, a sorted tuple of stream positions;
+    arrival t = n+1+j is accepted with probability ``a`` and then evicts
+    member k with probability ``1 - pi_k(t) / pi_k(t-1)``."""
+    plan = chao_plan(x, n)
+    steps = plan.N - n
+    rungs = [plan.ladder.pi(s, n + s) for s in range(steps + 1)]
     ratios = [1.0 - rungs[j + 1][:-1] / rungs[j] for j in range(steps)]
 
-    def rec(j: int, reservoir: tuple[int, ...], prob: float) -> None:
-        walk.visit()
-        if j == steps:
-            walk.leaf(reservoir, prob)
-            return
+    def moves(j: int, reservoir: tuple[int, ...]):
         a = float(rungs[j + 1][-1])
-        w = _check_sum(ratios[j][list(reservoir)], a, f"chao step {walk.n + 1 + j}")
-        reject = 1.0 - a
-        if reject >= PRUNE_TOL:
-            rec(j + 1, reservoir, prob * reject)
-        elif reject > 0.0:
-            walk.pruned += prob * reject
-        for idx in range(len(reservoir)):
-            p = float(w[idx])
-            if p < PRUNE_TOL:
-                walk.pruned += prob * p
-                continue
-            nxt = reservoir[:idx] + (walk.n + j,) + reservoir[idx + 1 :]
-            rec(j + 1, nxt, prob * p)
+        w = _check_sum(ratios[j][list(reservoir)], a, f"chao step {n + 1 + j}").tolist()
+        arrival = (n + j,)
+        evict = [
+            (reservoir[:i] + reservoir[i + 1 :] + arrival, w[i])
+            for i in range(len(reservoir))
+        ]
+        return [(reservoir, 1.0 - a)] + evict
 
-    rec(0, tuple(range(walk.n)), 1.0)
+    return tuple(range(n)), steps, moves, lambda reservoir: reservoir
 
 
-def _walk_tille(walk: _Walk, sizes: np.ndarray, pi: InclusionProbabilities) -> None:
-    elim = _dense_steps(tille_plan(sizes, pi.n), "tille", "elimination")
-
-    def rec(j: int, alive: tuple[int, ...], prob: float) -> None:
-        walk.visit()
-        if j == len(elim):
-            walk.leaf(alive, prob)
-            return
-        w = elim[j][list(alive)]
-        if abs(float(w.sum()) - 1.0) > STEP_SUM_TOL:
-            raise ContractViolationError(
-                f"tille step i={walk.N - 1 - j}: elimination mass {w.sum()!r} != 1"
-            )
-        for idx, k in enumerate(alive):
-            p = float(w[idx])
-            if p < PRUNE_TOL:
-                walk.pruned += prob * p
-                continue
-            rec(j + 1, alive[:idx] + alive[idx + 1 :], prob * p)
-
-    rec(0, tuple(range(walk.N)), 1.0)
+def _tille_chain(sizes: np.ndarray, n: int):
+    elim = _dense_steps(tille_plan(sizes, n), "tille", "elimination")
+    N = sizes.size
+    moves = _elimination_moves(elim, lambda j: f"tille step i={N - 1 - j}")
+    return tuple(range(N)), len(elim), moves, lambda alive: alive
 
 
-def _walk_midzuno(walk: _Walk, pi: InclusionProbabilities) -> None:
+def _midzuno_chain(pi: InclusionProbabilities):
+    """Tille's moves on Midzuno's ladder over 1 - pi of the active
+    units: the units it eliminates are the ones Midzuno selects."""
     plan = midzuno_plan(pi)
-    certain = tuple(int(k) for k in plan.certain)
-    n_active = plan.n - len(certain)
+    certain = plan.certain.tolist()
+    active = plan.active.tolist()
 
-    if n_active == plan.active.size:
-        walk.visit()
-        walk.leaf(certain + tuple(int(k) for k in plan.active), 1.0)
-        return
-    if n_active == 0:
-        walk.visit()
-        walk.leaf(certain, 1.0)
-        return
+    def leaf(alive: tuple[int, ...]) -> tuple[int, ...]:
+        return tuple(certain + [k for i, k in enumerate(active) if i not in alive])
+
+    everyone = tuple(range(len(active)))
+    if plan.ladder is None:
+        # No draw is random: every active unit is selected, or none.
+        return (() if plan.n > len(certain) else everyone), 0, None, leaf
     select = _dense_steps(plan.ladder, "midzuno", "selection")
-
-    def rec(j: int, pool: tuple[int, ...], chosen: tuple[int, ...], prob: float) -> None:
-        walk.visit()
-        if j == len(select):
-            walk.leaf(certain + tuple(int(plan.active[c]) for c in chosen), prob)
-            return
-        w = select[j][list(pool)]
-        if abs(float(w.sum()) - 1.0) > STEP_SUM_TOL:
-            raise ContractViolationError(
-                f"midzuno step {j + 1}: selection mass {w.sum()!r} != 1"
-            )
-        for idx, k in enumerate(pool):
-            p = float(w[idx])
-            if p < PRUNE_TOL:
-                walk.pruned += prob * p
-                continue
-            rec(j + 1, pool[:idx] + pool[idx + 1 :], chosen + (k,), prob * p)
-
-    rec(0, tuple(range(plan.active.size)), (), 1.0)
+    moves = _elimination_moves(select, lambda j: f"midzuno step {j + 1}")
+    return everyone, len(select), moves, leaf
 
 
-def _walk_brewer(walk: _Walk, pi: InclusionProbabilities) -> None:
-    certain = tuple(int(k) for k in np.flatnonzero(pi.certain))
-    active0 = np.flatnonzero(~pi.certain)
-    p0 = pi.pi[active0]
-    draws = walk.n - len(certain)
+def _brewer_chain(pi: InclusionProbabilities):
+    """The state is the sorted tuple of active units drawn so far.
 
-    def rec(t: int, active: np.ndarray, cur: np.ndarray, chosen: tuple[int, ...], prob: float) -> None:
-        walk.visit()
-        if t > draws:
-            walk.leaf(certain + chosen, prob)
-            return
-        r = draws - t + 1
+    With d draws after the certainty units, drawing the set S leaves
+    every undrawn unit at ``p_k (d - |S|) / (d - sum_{j in S} p_j)``,
+    whatever the order of the draws, which is where step-by-step
+    rescaling by ``(r - 1) / (r - p_j)`` lands.
+    """
+    certain = np.flatnonzero(pi.certain).tolist()
+    active = np.flatnonzero(~pi.certain)
+    p = pi.pi[active]
+    d = pi.n - len(certain)
+
+    def moves(j: int, drawn: tuple[int, ...]):
+        r = d - j
+        left = np.ones(p.size, dtype=bool)
+        left[list(drawn)] = False
+        undrawn = np.flatnonzero(left)
+        cur = p[undrawn] * (r / (d - float(p[list(drawn)].sum())))
         w = cur * (r - cur) / (1.0 - cur)
-        total = float(w.sum())
-        if total <= 0.0:
-            raise ContractViolationError(f"brewer step {t}: no drawable unit")
-        alphas = w / total
-        for idx in range(active.size):
-            p = float(alphas[idx])
-            if p < PRUNE_TOL:
-                walk.pruned += prob * p
-                continue
-            keep = np.arange(cur.size) != idx
-            nxt = cur[keep] * ((r - 1.0) / (r - cur[idx]))
-            rec(
-                t + 1,
-                active[keep],
-                nxt,
-                chosen + (int(active[idx]),),
-                prob * p,
-            )
+        alphas = _check_sum(w / w.sum(), 1.0, f"brewer step {j + 1}").tolist()
+        return [
+            (tuple(sorted(drawn + (k,))), a)
+            for k, a in zip(undrawn.tolist(), alphas)
+        ]
 
-    if draws == 0:
-        walk.visit()
-        walk.leaf(certain, 1.0)
-    else:
-        rec(1, active0, p0, (), 1.0)
+    return (), d, moves, lambda drawn: tuple(certain + active[list(drawn)].tolist())
 
 
 # ---------------------------------------------------------------------------

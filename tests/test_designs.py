@@ -76,6 +76,12 @@ class TestCheckSum:
         with pytest.raises(ContractViolationError, match="sum"):
             _check_sum(np.array([0.6, 0.6]), 1.0, "ctx")
 
+    def test_rejects_nan_total(self):
+        # Weights normalized by a zero total, as Brewer's step would be
+        # with no drawable unit.
+        with pytest.raises(ContractViolationError, match="ctx: probabilities sum to"):
+            _check_sum(np.array([np.nan, 0.5]), 1.0, "ctx")
+
     def test_checks_every_row_of_a_block(self):
         good = np.array([[0.5, 0.5], [0.25, 0.75]])
         assert np.array_equal(_check_sum(good, 1.0, "ctx"), good)

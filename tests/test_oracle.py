@@ -26,7 +26,7 @@ from splitsamp import (
 )
 from splitsamp.oracle import DEFAULT_MAX_BRANCHES, MAX_ENUM_N, PRUNE_TOL
 
-from conftest import UNEQUAL_DESIGNS
+from conftest import UNEQUAL_DESIGNS, X_CERTAIN
 
 
 class TestEnumerateSrswor:
@@ -44,6 +44,13 @@ class TestEnumerateSrswor:
         dist = enumerate_design(DesignKind.SRSWOR, pi=pi)
         assert len(dist.support) == 6
 
+    def test_rejects_unequal_pi(self):
+        # Enumerating the uniform law here would leave the HT estimator
+        # with these pi biased.
+        pi = compute_pips(np.arange(1.0, 7.0), 3)
+        with pytest.raises(InvalidInputError, match="n/N"):
+            enumerate_design(DesignKind.SRSWOR, pi=pi)
+
 
 class TestEnumerateUnequal:
     @pytest.mark.parametrize("kind", UNEQUAL_DESIGNS, ids=lambda k: k.value)
@@ -59,6 +66,43 @@ class TestEnumerateUnequal:
     ):
         pi_hat, _ = first_second_order(enumerated_123456[kind])
         assert np.max(np.abs(pi_hat - pi123456.pi)) <= 1e-9
+
+    @pytest.mark.parametrize(
+        "kind, n",
+        [
+            (DesignKind.BREWER, 8),
+            (DesignKind.GENERALIZED_MIDZUNO, 8),
+            (DesignKind.TILLE_ELIMINATION, 2),
+        ],
+        ids=["brewer-8", "midzuno-8", "tille-2"],
+    )
+    def test_full_trees_at_n_10(self, kind, n):
+        # Ordered, these trees have perm(10, 8) = 1,814,400 paths.
+        x = np.linspace(1.0, 1.4, 10)
+        pi = compute_pips(x, n)
+        assert not pi.certain.any()
+        dist = enumerate_design(kind, x=x, pi=pi)
+        assert sum(dist.support.values()) == pytest.approx(1.0, abs=1e-12)
+        assert dist.fixed_size
+        pi_hat, _ = first_second_order(dist)
+        assert np.max(np.abs(pi_hat - pi.pi)) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "pi, sample",
+        [
+            (np.array([1.0, 1.0, 1e-10]), (0, 1)),
+            (np.array([1.0, 1.0 - 2e-12]), (0, 1)),
+        ],
+        ids=["no-active-draw", "every-active-drawn"],
+    )
+    def test_midzuno_without_random_draws(self, pi, sample):
+        # pi within the sum tolerance of the certainty units alone, or of
+        # every unit: no ladder, one sample.
+        from splitsamp import InclusionProbabilities
+
+        pi = InclusionProbabilities(pi=pi, n=len(sample))
+        dist = enumerate_design(DesignKind.GENERALIZED_MIDZUNO, pi=pi)
+        assert dist.support == {sample: 1.0}
 
     def test_designs_differ(self, enumerated_123456):
         # Same margins, different joint laws: the four supports are not
@@ -168,6 +212,71 @@ class TestComplementarity:
         assert midzuno_complementarity_tv(pi) <= 1e-9
 
 
+def _tille_by_recursion(x, n):
+    """Tille's law over every ordered elimination path, with each size's
+    capped shares taken straight from compute_pips."""
+    rungs = {i: compute_pips(x, i).pi for i in range(n, x.size + 1)}
+    support: dict[tuple[int, ...], float] = {}
+
+    def walk(alive, prob):
+        i = len(alive)
+        if i == n:
+            support[alive] = support.get(alive, 0.0) + prob
+            return
+        weights = [1.0 - rungs[i - 1][k] / rungs[i][k] for k in alive]
+        assert sum(weights) == pytest.approx(1.0, abs=1e-9)
+        for idx, w in enumerate(weights):
+            if w > 0.0:
+                walk(alive[:idx] + alive[idx + 1 :], prob * w)
+
+    walk(tuple(range(x.size)), 1.0)
+    return support
+
+
+def _midzuno_by_recursion(pi):
+    """Midzuno's law as the complement, among the active units, of
+    Tille's recursion on 1 - pi, with the certainty units added."""
+    certain = np.flatnonzero(pi.certain).tolist()
+    active = np.flatnonzero(~pi.certain).tolist()
+    kept = _tille_by_recursion(
+        1.0 - pi.pi[active], len(active) - (pi.n - len(certain))
+    )
+    return {
+        tuple(sorted(certain + [k for i, k in enumerate(active) if i not in s])): p
+        for s, p in kept.items()
+    }
+
+
+def _brewer_by_recursion(pi):
+    """Brewer's law over every ordered draw sequence, rescaling every
+    undrawn unit by (r - 1) / (r - p_j) after each draw."""
+    certain = np.flatnonzero(pi.certain).tolist()
+    support: dict[tuple[int, ...], float] = {}
+
+    def walk(cur, r, chosen, prob):
+        if r == 0:
+            key = tuple(sorted(certain + chosen))
+            support[key] = support.get(key, 0.0) + prob
+            return
+        w = {k: p * (r - p) / (1.0 - p) for k, p in cur.items()}
+        total = sum(w.values())
+        for k, pk in cur.items():
+            rest = {u: p * (r - 1) / (r - pk) for u, p in cur.items() if u != k}
+            walk(rest, r - 1, chosen + [k], prob * w[k] / total)
+
+    active = {k: float(pi.pi[k]) for k in np.flatnonzero(~pi.certain).tolist()}
+    walk(active, pi.n - len(certain), [], 1.0)
+    return support
+
+
+# x = 1..6 at n = 3, and 8 units of X_CERTAIN at n = 4, where unit 7
+# (size 40) is a certainty unit.
+RECURSION_CASES = [
+    (np.arange(1.0, 7.0), 3),
+    (X_CERTAIN[[0, 2, 4, 6, 8, 9, 10, 11]], 4),
+]
+
+
 class TestWalkerAgainstBruteForce:
     def test_chao_by_direct_recursion(self):
         # Independent re-enumeration of the reservoir walk written from
@@ -204,3 +313,25 @@ class TestWalkerAgainstBruteForce:
         assert set(support) == set(dist.support)
         for key, p in support.items():
             assert dist.support[key] == pytest.approx(p, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "kind, recursion",
+        [
+            (DesignKind.TILLE_ELIMINATION, lambda x, pi: _tille_by_recursion(x, pi.n)),
+            (DesignKind.GENERALIZED_MIDZUNO, lambda x, pi: _midzuno_by_recursion(pi)),
+            (DesignKind.BREWER, lambda x, pi: _brewer_by_recursion(pi)),
+        ],
+        ids=["tille", "midzuno", "brewer"],
+    )
+    @pytest.mark.parametrize("x, n", RECURSION_CASES, ids=["x123456", "certain"])
+    def test_by_ordered_paths(self, kind, recursion, x, n):
+        pi = compute_pips(x, n)
+        expected = recursion(x, pi)
+        dist = enumerate_design(kind, x=x, pi=pi)
+        assert set(expected) == set(dist.support)
+        for key, p in expected.items():
+            assert dist.support[key] == pytest.approx(p, abs=1e-12)
+
+    def test_certainty_case_has_a_certainty_unit(self):
+        x, n = RECURSION_CASES[1]
+        assert compute_pips(x, n).certain.tolist() == [False] * 7 + [True]
