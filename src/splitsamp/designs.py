@@ -38,8 +38,9 @@ from .population import CERTAINTY_TOL, InclusionProbabilities, compute_pips
 from .splitting import (
     RANGE_TOL,
     ZERO_ONE_TOL,
+    SplittingStep,
     SplittingTrace,
-    run_splitting,
+    run_splitting,  # not called here: bench/workloads.py patches designs.run_splitting
 )
 
 # Probabilities that must sum to one may miss by at most this much.
@@ -521,9 +522,9 @@ def chao_plan(x: np.ndarray, n: int, order: np.ndarray | None = None) -> ChaoPla
     if order is None:
         order = np.arange(N)
     else:
-        order = np.asarray(order, dtype=int)
-        if sorted(order.tolist()) != list(range(N)):
+        if sorted(np.asarray(order).tolist()) != list(range(N)):
             raise InvalidInputError("stream order must be a permutation of 0..N-1")
+        order = np.asarray(order, dtype=np.intp)
     if not 1 <= n <= N:
         raise InvalidSizeError(f"invalid size: n={n} outside 1..{N}")
     ladder, accept = _stream_ladder(x[order], n)
@@ -703,57 +704,25 @@ def sample_midzuno(pi: InclusionProbabilities, rng_seed: int) -> Sample:
 
 
 # ---------------------------------------------------------------------------
-# Brewer's procedure, expressed as a splitting rule.
+# Brewer's procedure.
 
 
-class BrewerRule:
-    """Splitting rule for Brewer's draw-by-draw procedure.
-
-    At step t with r draws outstanding, undecided unit k is drawn with
-    weight proportional to ``pi_k (r - pi_k) / (1 - pi_k)``; drawing k
-    raises it to one and rescales every other undecided unit by
-    ``(r - 1) / (r - pi_k)``.
-
-    ``alphas`` and ``delta`` of one step share its undecided units and
-    r, computed once per step.  They are kept for the last (t, pi) seen,
-    with pi compared by identity: ``run_splitting`` never changes a
-    probability vector in place.
-    """
-
-    def __init__(self) -> None:
-        self._step: tuple | None = None
-
-    def _undecided(self, t: int, pi: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-        step = self._step
-        if step is None or step[0] != t or step[1] is not pi:
-            a = np.flatnonzero((pi > ZERO_ONE_TOL) & (pi < 1.0 - ZERO_ONE_TOL))
-            p = pi[a]
-            step = self._step = (t, pi, a, p, float(round(float(p.sum()))))
-        return step[2:]
-
-    def alphas(self, t: int, pi: np.ndarray) -> np.ndarray:
-        _, p, r = self._undecided(t, pi)
-        w = p * (r - p) / (1.0 - p)
-        total = float(w.sum())
-        if total <= 0.0:
-            raise ContractViolationError(f"step {t}: no drawable unit")
-        return w / total
-
-    def delta(self, t: int, pi: np.ndarray, i: int) -> np.ndarray:
-        a, p, r = self._undecided(t, pi)
-        pk = p[i]
-        d = np.zeros(pi.size)
-        d[a] = -p * (1.0 - pk) / (r - pk)
-        d[a[i]] = 1.0 - pk
-        return d
+def _brewer_units(pi_vec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The certain units and the active ones, which Brewer's draws run
+    on.  A unit within ``ZERO_ONE_TOL`` of 1 is certain."""
+    certain = pi_vec >= 1.0 - ZERO_ONE_TOL
+    return np.flatnonzero(certain), np.flatnonzero(~certain)
 
 
-def _brewer_rows(pi_vec: np.ndarray, seeds: Sequence[int]) -> np.ndarray:
-    """One Brewer sample per seed, all rows drawing in lockstep with one
-    uniform per draw.  A unit within ``ZERO_ONE_TOL`` of 1 is certain, as
-    in the traced driver.
+def _brewer_steps(
+    p: np.ndarray, seeds: Sequence[int]
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    """Brewer's draws from the active probabilities ``p``, all rows in
+    lockstep with one uniform per draw.  Yields per draw its weights,
+    their total, each row's pick and ``cur`` after the rescale: the
+    kernel's own arrays, which the next draw overwrites.
 
-    The block is unit-major: one row per undecided unit, one column per
+    The block is unit-major: one row per active unit, one column per
     replicate, so sums and cumulative sums over the units run as
     whole-row adds in the units' original order.  A drawn unit stays in
     place at probability 0, which gives it weight 0, so the pick (the
@@ -761,15 +730,12 @@ def _brewer_rows(pi_vec: np.ndarray, seeds: Sequence[int]) -> np.ndarray:
     always an undrawn one.
     """
     R = len(seeds)
-    certain = np.flatnonzero(pi_vec >= 1.0 - ZERO_ONE_TOL)
-    active = np.flatnonzero(pi_vec < 1.0 - ZERO_ONE_TOL)
-    n_draws = int(round(float(pi_vec[active].sum())))
+    n_draws = int(round(float(p.sum())))
     u = _uniforms(seeds, n_draws)
     cols = np.arange(R)
-    cur = np.repeat(pi_vec[active, None], R, axis=1)
+    cur = np.repeat(p[:, None], R, axis=1)
     w = np.empty_like(cur)
     cum = np.empty_like(cur)
-    picks = np.empty((R, n_draws), dtype=np.intp)
     for t in range(1, n_draws + 1):
         r = n_draws - t + 1
         # w = cur (r - cur) / (1 - cur), in place.
@@ -792,7 +758,6 @@ def _brewer_rows(pi_vec: np.ndarray, seeds: Sequence[int]) -> np.ndarray:
             )
         # u < 1 makes u T < T, so some unit's cumulative weight passes u T.
         i = np.add.reduce(cum <= u[:, t - 1] * total, axis=0)
-        picks[:, t - 1] = i
         pj = cur[i, cols]
         cur[i, cols] = 0.0
         cur *= (r - 1.0) / (r - pj)
@@ -800,13 +765,20 @@ def _brewer_rows(pi_vec: np.ndarray, seeds: Sequence[int]) -> np.ndarray:
             raise ContractViolationError(
                 f"brewer step {t}: intermediate probability above 1"
             )
-    return np.hstack([np.tile(certain, (R, 1)), active[picks]])
+        yield w, total, i, cur
+
+
+def _brewer_rows(pi_vec: np.ndarray, seeds: Sequence[int]) -> np.ndarray:
+    """One Brewer sample per seed, all rows drawing in lockstep."""
+    R = len(seeds)
+    certain, active = _brewer_units(pi_vec)
+    picks = [i for _, _, i, _ in _brewer_steps(pi_vec[active], seeds)]
+    drawn = np.reshape(np.array(picks, dtype=np.intp), (len(picks), R)).T
+    return np.hstack([np.tile(certain, (R, 1)), active[drawn]])
 
 
 def sample_brewer(
-    pi: InclusionProbabilities,
-    rng_seed: int,
-    trace: str | bool | None = None,
+    pi: InclusionProbabilities, rng_seed: int, trace: str | None = None
 ) -> Sample | tuple[Sample, SplittingTrace]:
     """Brewer's procedure: n dependent draws, one unit per step.
 
@@ -814,18 +786,36 @@ def sample_brewer(
         pi: target inclusion probabilities (certainty units allowed;
             they are selected up front and the remaining draws run on
             the rest).
-        rng_seed: seed; one uniform is consumed per draw, so the same
-            seed yields the same sample whether or not a trace is kept.
-        trace: None for the plain sample; "realized" records the chosen
-            update per step; "full" (or True) records and validates all
-            candidate updates per step.  When set, returns
-            (sample, trace).
+        rng_seed: seed; one uniform is consumed per draw.
+        trace: None for the plain sample; "realized" returns (sample,
+            trace), with the splitting trace of the kernel's own state:
+            per draw, the weights over the undrawn active units, the pick
+            among them, and the update that raises the drawn unit to 1
+            and moves each other one from its ``cur`` to the next.  The
+            one kernel draws both, so a seed gives one sample either way.
     """
-    if trace in (None, False):
+    if trace is None:
         return Sampler(pi.N, partial(_brewer_rows, pi.pi))(rng_seed)
-    record = "full" if trace is True else str(trace)
-    tr = run_splitting(BrewerRule(), pi, _check_seed(rng_seed), record=record)
-    return Sample(selected=tr.selected, N=pi.N), tr
+    if trace != "realized":
+        raise InvalidInputError(f"trace must be None or 'realized', got {trace!r}")
+    certain, active = _brewer_units(pi.pi)
+    undrawn = np.ones(active.size, dtype=bool)
+    before = pi.pi[active]
+    steps = []
+    draws = _brewer_steps(before, [rng_seed])
+    for t, (w, total, i, after) in enumerate(draws, 1):
+        k = int(i[0])
+        alphas = w[undrawn, 0] / total[0]
+        chosen = int(np.count_nonzero(undrawn[:k]))
+        undrawn[k] = False
+        # The kernel parks a drawn unit at 0; the trace raises it to 1.
+        d = np.zeros(pi.N)
+        d[active] = after[:, 0] - before
+        d[active[k]] += 1.0
+        steps.append(SplittingStep(t, alphas, None, chosen, d))
+        before = after[:, 0].copy()
+    sample = Sample(selected=(*certain, *active[~undrawn]), N=pi.N)
+    return sample, SplittingTrace(pi.pi.copy(), tuple(steps), sample.indicator)
 
 
 # ---------------------------------------------------------------------------
@@ -844,19 +834,9 @@ def make_sampler(
     """Build a seed -> Sample sampler with all precomputation done once.
 
     Returns the sampler together with the target inclusion
-    probabilities (needed to expand study values).  ``pi`` may be
-    derived from ``x`` and ``n`` where the design is size-driven.
+    probabilities (needed to expand study values), from ``target_pi``.
     """
-    if pi is None:
-        if kind is DesignKind.SRSWOR:
-            if N is None or n is None:
-                raise InvalidInputError("srswor needs N and n (or pi)")
-            pi = InclusionProbabilities(pi=np.full(N, n / N), n=int(n))
-        else:
-            if x is None or n is None:
-                raise InvalidInputError(f"{kind.value} needs pi, or x and n")
-            pi = compute_pips(np.asarray(x, dtype=float), int(n))
-
+    pi = target_pi(kind, pi, x, n, N)
     if kind is DesignKind.SRSWOR:
         return Sampler(pi.N, partial(_srswor_rows, pi.N, pi.n)), pi
     if kind is DesignKind.CHAO:
@@ -870,6 +850,25 @@ def make_sampler(
     if kind is DesignKind.BREWER:
         return Sampler(pi.N, partial(_brewer_rows, pi.pi)), pi
     raise InvalidInputError(f"unknown design kind {kind!r}")
+
+
+def target_pi(
+    kind: DesignKind, pi: InclusionProbabilities | None, x, n: int | None, N: int | None
+) -> InclusionProbabilities:
+    """The inclusion probabilities a design runs on: ``pi``, else n/N per
+    unit for SRSWOR and ``compute_pips(x, n)`` for the other designs.  A
+    given ``n`` or ``N`` must agree with them."""
+    if pi is None and kind is DesignKind.SRSWOR:
+        if N is None or n is None:
+            raise InvalidInputError("srswor needs N and n (or pi)")
+        pi = InclusionProbabilities(pi=np.full(N, n / N), n=int(n))
+    elif pi is None:
+        if x is None or n is None:
+            raise InvalidInputError(f"{kind.value} needs pi, or x and n")
+        pi = compute_pips(np.asarray(x, dtype=float), int(n))
+    if n not in (None, pi.n) or N not in (None, pi.N):
+        raise InvalidInputError(f"pi has n={pi.n}, N={pi.N}, not n={n}, N={N}")
+    return pi
 
 
 def sizes_giving(

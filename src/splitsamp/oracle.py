@@ -35,6 +35,7 @@ from .designs import (
     chao_plan,
     midzuno_plan,
     sizes_giving,
+    target_pi,
     tille_plan,
 )
 from .distribution import (
@@ -74,28 +75,22 @@ def enumerate_design(
     Stream order for Chao is the population order.  Raises
     EnumerationBudgetError when the enumeration needs more than
     ``max_branches`` transitions (for SRSWOR, samples), and
-    InvalidInputError for populations larger than ``MAX_ENUM_N`` and for
+    InvalidInputError for populations larger than ``MAX_ENUM_N``, for an
+    ``n`` or ``N`` that the pi does not have (see ``target_pi``) and for
     an SRSWOR pi that is not n/N for every unit.
     """
-    if pi is None and kind is not DesignKind.SRSWOR:
-        if x is None or n is None:
-            raise InvalidInputError(f"{kind.value} needs pi, or x and n")
-        pi = compute_pips(np.asarray(x, dtype=float), int(n))
-    if kind is DesignKind.SRSWOR:
-        if pi is not None:
-            N, n = pi.N, pi.n
-            if not pi.is_equal_probability():
-                raise InvalidInputError("srswor needs pi = n/N for every unit")
-        if N is None or n is None:
-            raise InvalidInputError("srswor needs N and n (or pi)")
-    else:
-        N, n = pi.N, pi.n
-        if kind in (DesignKind.CHAO, DesignKind.TILLE_ELIMINATION) and x is not None:
-            sizes_giving(kind, pi, x)
-    if N > MAX_ENUM_N:
+    # Checked before target_pi, so that a huge SRSWOR N allocates nothing.
+    size = pi.N if pi is not None else N if N is not None else np.size(x)
+    if size > MAX_ENUM_N:
         raise InvalidInputError(
-            f"exact enumeration supports N <= {MAX_ENUM_N}, got {N}"
+            f"exact enumeration supports N <= {MAX_ENUM_N}, got {size}"
         )
+    pi = target_pi(kind, pi, x, n, N)
+    N, n = pi.N, pi.n
+    if kind is DesignKind.SRSWOR and not pi.is_equal_probability():
+        raise InvalidInputError("srswor needs pi = n/N for every unit")
+    if kind in (DesignKind.CHAO, DesignKind.TILLE_ELIMINATION) and x is not None:
+        sizes_giving(kind, pi, x)
     source = f"{kind.value}(N={N},n={n})"
     if kind is DesignKind.SRSWOR:
         count = math.comb(N, n)

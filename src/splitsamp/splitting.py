@@ -352,35 +352,30 @@ def draw_by_draw_distribution(
 ) -> "ExactDesignDistribution":
     """Exact distribution of the draw-by-draw representation.
 
-    Enumerates every ordered draw sequence with its probability and
-    aggregates by the resulting set.  Agreement with the input
-    distribution is what makes the representation valid.
+    Enumerated with the oracle's level loop: the state is the sorted set
+    of units drawn so far, since the next draw's law depends on that set
+    alone.  Agreement with the input distribution is what makes the
+    representation valid.
     """
     from .distribution import ExactDesignDistribution
+    from .oracle import DEFAULT_MAX_BRANCHES, _levels
 
     _require_fixed_size(dist)
     f = _subset_probs(dist)
     N, n = dist.N, dist.n
-    acc: dict[tuple[int, ...], float] = {}
 
-    def rec(drawn: tuple[int, ...], prob: float) -> None:
-        t = len(drawn)
-        if t == n:
-            key = tuple(sorted(drawn))
-            acc[key] = acc.get(key, 0.0) + prob
-            return
-        fJ = f.get(tuple(sorted(drawn)), 0.0)
-        for k in range(N):
-            if k in drawn:
-                continue
-            fJk = f.get(tuple(sorted(drawn + (k,))), 0.0)
-            if fJk <= 0.0:
-                continue
-            rec(drawn + (k,), prob * fJk / fJ / (n - t))
+    def moves(t: int, drawn: tuple[int, ...]):
+        fJ = f[drawn]
+        nxt = (tuple(sorted(drawn + (k,))) for k in range(N) if k not in drawn)
+        return [(key, f.get(key, 0.0) / fJ / (n - t)) for key in nxt]
 
-    rec((), 1.0)
+    support, pruned = _levels((), n, moves, lambda drawn: drawn, DEFAULT_MAX_BRANCHES)
     return ExactDesignDistribution(
-        support=acc, N=N, n=n, source=f"draw-by-draw({dist.source})"
+        support=support,
+        N=N,
+        n=n,
+        source=f"draw-by-draw({dist.source})",
+        pruned_mass=pruned,
     )
 
 

@@ -221,6 +221,16 @@ class TestChao:
         with pytest.raises(InvalidInputError, match="permutation"):
             sample_chao(pi_plain, x, rng_seed=0, stream_order=np.array([0, 1, 1, 2]))
 
+    def test_non_integer_stream_order(self, pi_plain):
+        x = np.array([1.0, 2.0, 3.0, 4.0])
+        with pytest.raises(InvalidInputError, match="permutation"):
+            sample_chao(pi_plain, x, rng_seed=0, stream_order=[0.2, 1.7, 2.1, 3])
+        order = np.array([3.0, 1.0, 0.0, 2.0])
+        assert (
+            sample_chao(pi_plain, x, rng_seed=9, stream_order=order).selected
+            == sample_chao(pi_plain, x, rng_seed=9, stream_order=[3, 1, 0, 2]).selected
+        )
+
     def test_pi_must_match_x(self, pi_plain):
         with pytest.raises(InvalidInputError, match="capped"):
             sample_chao(pi_plain, np.array([4.0, 3.0, 2.0, 1.0]), rng_seed=0)
@@ -308,13 +318,10 @@ class TestBrewer:
             sample = sample_brewer(pi_capped, rng_seed=seed)
             assert 3 in sample.selected and sample.size == 2
 
-    def test_trace_true_means_full(self, pi_plain):
-        _, tr = sample_brewer(pi_plain, rng_seed=0, trace=True)
-        assert all(s.deltas is not None for s in tr.steps)
-
     def test_bad_trace_mode(self, pi_plain):
-        with pytest.raises(InvalidInputError):
-            sample_brewer(pi_plain, rng_seed=0, trace="verbose")
+        for trace in ("verbose", "full", True):
+            with pytest.raises(InvalidInputError, match="trace must be"):
+                sample_brewer(pi_plain, rng_seed=0, trace=trace)
 
     def test_traced_and_plain_agree_near_certainty(self):
         # Criterion 04's population with unit 0 at pi = 1 - 1e-10 and the
@@ -368,6 +375,16 @@ class TestMakeSampler:
     def test_empty_batch(self, kind):
         draw, _ = make_sampler(kind, x=np.arange(1.0, 7.0), n=3, N=6)
         assert draw.rows([]).shape == (0, 3)
+
+    def test_rejects_n_or_N_that_pi_does_not_have(self):
+        # pi has n = 3 and N = 6; the conflicting n or N was once ignored.
+        pi = compute_pips(np.arange(1.0, 7.0), 3)
+        with pytest.raises(InvalidInputError, match="pi has n="):
+            make_sampler(DesignKind.BREWER, pi=pi, n=4)
+        equal = InclusionProbabilities(pi=np.full(6, 0.5), n=3)
+        with pytest.raises(InvalidInputError, match="pi has n="):
+            make_sampler(DesignKind.SRSWOR, pi=equal, N=10, n=5)
+        assert make_sampler(DesignKind.SRSWOR, pi=equal, N=6, n=3)[1] is equal
 
     def test_missing_inputs(self):
         with pytest.raises(InvalidInputError):

@@ -147,6 +147,14 @@ class TestEstimateTail:
         )
         assert len(small_tail.to_csv().splitlines()) == 1 + small_tail.eps.size
 
+    def test_rejects_n_that_pi_does_not_have(self):
+        pi = compute_pips(np.arange(1.0, 7.0), 3)
+        with pytest.raises(InvalidInputError, match="pi has n="):
+            estimate_tail(
+                DesignKind.GENERALIZED_MIDZUNO, y=np.ones(6), eps_grid=[0.1],
+                replicates=10, pi=pi, n=5,
+            )
+
     def test_validation(self):
         x = np.array([1.0, 2.0, 3.0, 4.0])
         pi = compute_pips(x, 2)

@@ -127,6 +127,14 @@ class TestBudget:
         with pytest.raises(InvalidInputError, match=str(MAX_ENUM_N)):
             enumerate_design(DesignKind.CHAO, x=x, n=2)
 
+    def test_rejects_n_or_N_that_pi_does_not_have(self):
+        x = np.arange(1.0, 7.0)
+        pi = compute_pips(x, 3)
+        with pytest.raises(InvalidInputError, match="pi has n="):
+            enumerate_design(DesignKind.TILLE_ELIMINATION, x=x, pi=pi, n=4)
+        with pytest.raises(InvalidInputError, match="pi has n="):
+            enumerate_design(DesignKind.BREWER, pi=pi, N=5)
+
     def test_default_budget_is_generous(self):
         assert DEFAULT_MAX_BRANCHES >= 10**6
         assert PRUNE_TOL <= 1e-12
