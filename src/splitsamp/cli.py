@@ -34,7 +34,7 @@ from .errors import (
     SplitsampError,
 )
 from .estimation import ht_estimate
-from .experiment import ExperimentConfig, experiment_csv, run_experiment
+from .experiment import ExperimentConfig, experiment_csv, overfull_units, run_experiment
 from .oracle import (
     DEFAULT_MAX_BRANCHES,
     check_csyg,
@@ -294,6 +294,12 @@ def cmd_experiment(args) -> int:
         eps_count=args.eps_count,
         seed=args.seed,
     )
+    for n, count, top in overfull_units(config):
+        print(
+            f"warning: n={n:g}: {count} units have pi = n x / sum(x) > 1 "
+            f"(max {top:.3g}); the experiment uses them uncapped",
+            file=sys.stderr,
+        )
     rows = run_experiment(config)
     _write_out(experiment_csv(rows), args.out)
     return 0

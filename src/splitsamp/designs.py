@@ -20,13 +20,16 @@ replicate, beyond adding each unit to the pick pool once.
 
 Each procedure's step is written once, over a batch of replicates: all
 rows take a step together as one array operation, and each row draws
-its uniforms from its own seed.  A single draw is the batch of one.
+its uniforms from its own seed.  A single draw is the batch of one,
+except Brewer's, which runs the same law in Python floats.
 """
 
 from __future__ import annotations
 
+import bisect
 import enum
 import heapq
+import math
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Iterator, Sequence
@@ -705,76 +708,260 @@ def sample_midzuno(pi: InclusionProbabilities, rng_seed: int) -> Sample:
 
 # ---------------------------------------------------------------------------
 # Brewer's procedure.
+#
+# With d draws after the certainty units, r of them still to make and S
+# the active units drawn so far, every undrawn unit sits at q_k = c p_k
+# with c = r / (sum(p) - sum_S p): Brewer's step-by-step rescale by
+# (r - 1) / (r - p_j) lands there in any draw order.  Its selection
+# weight is q g(q), g(q) = (r - q) / (1 - q), and g increases in q for
+# r >= 1.  So a pick proposes k with probability p_k / sum(p) from one
+# static cumulative sum, rejects it if drawn, and else accepts it with
+# probability g(q_k) / g(q_max), q_max the largest undrawn q: an exact
+# draw of k with probability proportional to its weight.  Since
+# g >= g(0) = r, a pick takes at most B = sum(p) g(q_max) / ((sum(p) -
+# sum_S p) r) trials on average; a row whose B exceeds _MAX_TRIALS takes
+# the step by inverse CDF over its own weights instead.  A trial spends
+# two uniforms of the row's stream, an inverse-CDF step one.
+
+_MAX_TRIALS = 4.0
+
+# Uniforms drawn up front per row and draw; a row that needs more draws
+# its stream again, twice as far.
+_UNIFORMS_PER_DRAW = 4
 
 
-def _brewer_units(pi_vec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The certain units and the active ones, which Brewer's draws run
-    on.  A unit within ``ZERO_ONE_TOL`` of 1 is certain."""
-    certain = pi_vec >= 1.0 - ZERO_ONE_TOL
-    return np.flatnonzero(certain), np.flatnonzero(~certain)
+@dataclass(frozen=True)
+class BrewerPlan:
+    """Brewer's draws over the active units, those below 1 - ZERO_ONE_TOL.
 
-
-def _brewer_steps(
-    p: np.ndarray, seeds: Sequence[int]
-) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
-    """Brewer's draws from the active probabilities ``p``, all rows in
-    lockstep with one uniform per draw.  Yields per draw its weights,
-    their total, each row's pick and ``cur`` after the rescale: the
-    kernel's own arrays, which the next draw overwrites.
-
-    The block is unit-major: one row per active unit, one column per
-    replicate, so sums and cumulative sums over the units run as
-    whole-row adds in the units' original order.  A drawn unit stays in
-    place at probability 0, which gives it weight 0, so the pick (the
-    first unit whose cumulative weight passes u times the total) is
-    always an undrawn one.
+    ``p`` holds their probabilities, ``cum`` the cumulative sums of p
+    (clamped at 0) that proposals search, ``order`` p's descending
+    order, ``total`` sum(p) and ``draws`` the number of draws; the
+    ``*_list`` fields repeat ``p``, ``cum`` and ``order`` as Python
+    lists for the one-row path.
     """
-    R = len(seeds)
-    n_draws = int(round(float(p.sum())))
-    u = _uniforms(seeds, n_draws)
-    cols = np.arange(R)
-    cur = np.repeat(p[:, None], R, axis=1)
-    w = np.empty_like(cur)
-    cum = np.empty_like(cur)
-    for t in range(1, n_draws + 1):
-        r = n_draws - t + 1
-        # w = cur (r - cur) / (1 - cur), in place.
-        np.subtract(r, cur, out=w)
-        w *= cur
-        w /= np.subtract(1.0, cur, out=cum)
-        lo = float(w.min(initial=0.0))
-        if lo < -RANGE_TOL:
-            raise ContractViolationError(
-                f"brewer step {t}: negative selection weight {lo!r}"
-            )
-        if lo < 0.0:
-            np.maximum(w, 0.0, out=w)
-        np.add.accumulate(w, axis=0, out=cum)
-        total = cum[-1]
-        bad = ~(np.isfinite(total) & (total > 0.0))
-        if bool(bad.any()):
-            raise ContractViolationError(
-                f"brewer step {t}: selection weights sum to {float(total[bad][0])!r}"
-            )
-        # u < 1 makes u T < T, so some unit's cumulative weight passes u T.
-        i = np.add.reduce(cum <= u[:, t - 1] * total, axis=0)
-        pj = cur[i, cols]
-        cur[i, cols] = 0.0
-        cur *= (r - 1.0) / (r - pj)
-        if float(cur.max(initial=0.0)) > 1.0 + PROB_SUM_TOL:
-            raise ContractViolationError(
-                f"brewer step {t}: intermediate probability above 1"
-            )
-        yield w, total, i, cur
+
+    certain: np.ndarray
+    active: np.ndarray
+    p: np.ndarray
+    cum: np.ndarray
+    order: np.ndarray
+    total: float
+    draws: int
+    p_list: list[float]
+    cum_list: list[float]
+    order_list: list[int]
+
+
+def brewer_plan(pi_vec: np.ndarray) -> BrewerPlan:
+    """Brewer's plan; checks the weights of the first draw, which every
+    row shares."""
+    pi_vec = np.asarray(pi_vec, dtype=float)
+    certain = pi_vec >= 1.0 - ZERO_ONE_TOL
+    active = np.flatnonzero(~certain)
+    p = pi_vec[active]
+    p_list = p.tolist()
+    total = math.fsum(p_list)
+    draws = round(total)
+    if draws > 0:
+        first = np.zeros((1, p.size), dtype=bool)
+        _brewer_weights(p, first, np.array([draws / total]), draws, 1)
+    cum = np.cumsum(np.maximum(p, 0.0))
+    order = np.argsort(-p, kind="stable")
+    return BrewerPlan(
+        certain=np.flatnonzero(certain),
+        active=active,
+        p=p,
+        cum=cum,
+        order=order,
+        total=total,
+        draws=draws,
+        p_list=p_list,
+        cum_list=cum.tolist(),
+        order_list=order.tolist(),
+    )
+
+
+def _g(q, r):
+    """A unit's selection weight over its probability q, with r draws to
+    make; floats and arrays alike."""
+    return (r - q) / (1.0 - q)
+
+
+def _by_rejection(q_max, g_max, left, total, r):
+    """Whether a step is drawn by rejection: q_max < 1 and the bound B on
+    its expected trials is at most ``_MAX_TRIALS``.  ``left`` is the
+    undrawn p-mass.  A NaN goes to the inverse CDF, whose checks raise."""
+    return (q_max < 1.0) & (total * g_max / (left * r) <= _MAX_TRIALS)
+
+
+def _brewer_weights(
+    p: np.ndarray, drawn: np.ndarray, c: np.ndarray, r: int, t: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Selection weights of step t, one row per row of ``drawn``: q g(q)
+    at q = c p over the undrawn units, 0 at the drawn ones, checked, and
+    their cumulative sums."""
+    q = c[:, None] * p
+    q[drawn] = 0.0
+    if t > 1 and float(q.max(initial=0.0)) > 1.0 + PROB_SUM_TOL:
+        raise ContractViolationError(
+            f"brewer step {t - 1}: intermediate probability above 1"
+        )
+    w = q * _g(q, r)
+    lo = float(w.min(initial=0.0))
+    if lo < -RANGE_TOL:
+        raise ContractViolationError(
+            f"brewer step {t}: negative selection weight {lo!r}"
+        )
+    if lo < 0.0:
+        np.maximum(w, 0.0, out=w)
+    cum = np.cumsum(w, axis=1)
+    total = cum[:, -1]
+    bad = ~(np.isfinite(total) & (total > 0.0))
+    if bool(bad.any()):
+        raise ContractViolationError(
+            f"brewer step {t}: selection weights sum to {float(total[bad][0])!r}"
+        )
+    return w, cum
+
+
+def _brewer_fallback(
+    p: np.ndarray, drawn: np.ndarray, c: np.ndarray, r: int, u: np.ndarray, t: int
+) -> np.ndarray:
+    """Inverse-CDF picks of step t for a block of rows, one uniform each:
+    the first unit whose cumulative weight passes u times the total.  A
+    drawn unit has weight 0, so it is never the pick."""
+    _, cum = _brewer_weights(p, drawn, c, r, t)
+    # u < 1 makes u T < T, so some unit's cumulative weight passes u T.
+    return np.count_nonzero(cum <= (u * cum[:, -1])[:, None], axis=1)
+
+
+def _brewer_row(plan: BrewerPlan, seed: int) -> list[int]:
+    """One row's picks, positions in ``plan.p``, in Python floats."""
+    rng = next(_streams([seed]))
+    p, cum, order = plan.p_list, plan.cum_list, plan.order_list
+    total, d = plan.total, plan.draws
+    u = rng.random(_UNIFORMS_PER_DRAW * d).tolist()
+    used = 0
+    drawn = bytearray(len(p))
+    s = 0.0
+    top = 0
+    picks = []
+    for t in range(1, d + 1):
+        r = d - t + 1
+        while drawn[order[top]]:
+            top += 1
+        left = total - s
+        c = r / left
+        q_max = c * p[order[top]]
+        g_max = _g(q_max, r)
+        if _by_rejection(q_max, g_max, left, total, r):
+            while True:
+                if used + 2 > len(u):
+                    u += rng.random(len(u)).tolist()
+                # u < 1 makes u T < T, so k is a unit.
+                k = bisect.bisect_right(cum, u[used] * cum[-1])
+                accept = u[used + 1] * g_max
+                used += 2
+                if not drawn[k] and accept < _g(c * p[k], r):
+                    break
+        else:
+            if used + 1 > len(u):
+                u += rng.random(len(u)).tolist()
+            block = np.frombuffer(drawn, dtype=bool)[None]
+            at = np.array(u[used : used + 1])
+            k = int(_brewer_fallback(plan.p, block, np.array([c]), r, at, t)[0])
+            used += 1
+        drawn[k] = 1
+        s += p[k]
+        picks.append(k)
+    return picks
+
+
+def _reserve(
+    u: np.ndarray,
+    have: np.ndarray,
+    used: np.ndarray,
+    seeds: Sequence[int],
+    rows: np.ndarray,
+    count: int,
+) -> np.ndarray:
+    """``u`` with at least ``count`` unused uniforms in each of ``rows``:
+    a row that runs short draws its stream again, twice as far."""
+    if int(used.max()) + count <= int(have.min()):
+        return u
+    short = rows[used[rows] + count > have[rows]]
+    if short.size:
+        width = 2 * int(used[short].max()) + 2 * count
+        if width > u.shape[1]:
+            u = np.hstack([u, np.empty((u.shape[0], width - u.shape[1]))])
+        u[short, :width] = _uniforms([seeds[i] for i in short.tolist()], width)
+        have[short] = width
+    return u
+
+
+def _brewer_batch(plan: BrewerPlan, seeds: Sequence[int]) -> np.ndarray:
+    """Each row's picks, positions in ``plan.p``, one column per draw:
+    the law of ``_brewer_row``, all rows in lockstep.  Per row the state
+    is a drawn mask, sum_S p and a pointer into p's descending order."""
+    R, M, d = len(seeds), plan.p.size, plan.draws
+    p, cum, order, total = plan.p, plan.cum, plan.order, plan.total
+    width = _UNIFORMS_PER_DRAW * d
+    u = _uniforms(seeds, width)
+    have = np.full(R, width)
+    used = np.zeros(R, dtype=np.intp)
+    drawn = np.zeros(R * M, dtype=bool)
+    base = np.arange(R) * M
+    s = np.zeros(R)
+    top = np.zeros(R, dtype=np.intp)
+    picks = np.empty((R, d), dtype=np.intp)
+    pick = np.full(R, -1)
+    for t in range(1, d + 1):
+        r = d - t + 1
+        # Only a row that drew its largest undrawn unit moves its pointer.
+        moved = np.flatnonzero(order[top] == pick)
+        while moved.size:
+            top[moved] += 1
+            moved = moved[drawn[base[moved] + order[top[moved]]]]
+        left = total - s
+        c = r / left
+        q_max = c * p[order[top]]
+        g_max = _g(q_max, r)
+        fast = _by_rejection(q_max, g_max, left, total, r)
+        slow = np.flatnonzero(~fast)
+        if slow.size:
+            u = _reserve(u, have, used, seeds, slow, 1)
+            block = drawn.reshape(R, M)[slow]
+            pick[slow] = _brewer_fallback(p, block, c[slow], r, u[slow, used[slow]], t)
+            used[slow] += 1
+        live = np.flatnonzero(fast)
+        while live.size:
+            u = _reserve(u, have, used, seeds, live, 2)
+            at = used[live]
+            k = np.searchsorted(cum, u[live, at] * cum[-1], side="right")
+            used[live] += 2
+            ok = u[live, at + 1] * g_max[live] < _g(c[live] * p[k], r)
+            ok &= ~drawn[base[live] + k]
+            pick[live[ok]] = k[ok]
+            live = live[~ok]
+        drawn[base + pick] = True
+        s += p[pick]
+        picks[:, t - 1] = pick
+    return picks
+
+
+def _brewer_plan_rows(plan: BrewerPlan, seeds: Sequence[int]) -> np.ndarray:
+    """One Brewer sample per seed: one row alone runs ``_brewer_row``."""
+    if len(seeds) == 1:
+        picks = np.array([_brewer_row(plan, seeds[0])], dtype=np.intp)
+    else:
+        picks = _brewer_batch(plan, seeds)
+    return np.hstack([np.tile(plan.certain, (len(seeds), 1)), plan.active[picks]])
 
 
 def _brewer_rows(pi_vec: np.ndarray, seeds: Sequence[int]) -> np.ndarray:
-    """One Brewer sample per seed, all rows drawing in lockstep."""
-    R = len(seeds)
-    certain, active = _brewer_units(pi_vec)
-    picks = [i for _, _, i, _ in _brewer_steps(pi_vec[active], seeds)]
-    drawn = np.reshape(np.array(picks, dtype=np.intp), (len(picks), R)).T
-    return np.hstack([np.tile(certain, (R, 1)), active[drawn]])
+    """One Brewer sample per seed, from the plan of ``pi_vec``."""
+    return _brewer_plan_rows(brewer_plan(pi_vec), seeds)
 
 
 def sample_brewer(
@@ -786,35 +973,40 @@ def sample_brewer(
         pi: target inclusion probabilities (certainty units allowed;
             they are selected up front and the remaining draws run on
             the rest).
-        rng_seed: seed; one uniform is consumed per draw.
+        rng_seed: seed; a draw spends two uniforms per rejection trial,
+            or one when it is drawn by inverse CDF.
         trace: None for the plain sample; "realized" returns (sample,
-            trace), with the splitting trace of the kernel's own state:
-            per draw, the weights over the undrawn active units, the pick
+            trace), with the splitting trace along the same picks: per
+            draw, the weights over the undrawn active units, the pick
             among them, and the update that raises the drawn unit to 1
-            and moves each other one from its ``cur`` to the next.  The
-            one kernel draws both, so a seed gives one sample either way.
+            and moves each other one from c p_k to the next step's
+            c' p_k.  The one-row kernel draws both, so a seed gives one
+            sample either way.
     """
     if trace is None:
         return Sampler(pi.N, partial(_brewer_rows, pi.pi))(rng_seed)
     if trace != "realized":
         raise InvalidInputError(f"trace must be None or 'realized', got {trace!r}")
-    certain, active = _brewer_units(pi.pi)
-    undrawn = np.ones(active.size, dtype=bool)
-    before = pi.pi[active]
+    plan = brewer_plan(pi.pi)
+    p, active = plan.p, plan.active
+    undrawn = np.ones(p.size, dtype=bool)
+    s = 0.0
     steps = []
-    draws = _brewer_steps(before, [rng_seed])
-    for t, (w, total, i, after) in enumerate(draws, 1):
-        k = int(i[0])
-        alphas = w[undrawn, 0] / total[0]
-        chosen = int(np.count_nonzero(undrawn[:k]))
-        undrawn[k] = False
-        # The kernel parks a drawn unit at 0; the trace raises it to 1.
+    for t, k in enumerate(_brewer_row(plan, rng_seed), 1):
+        r = plan.draws - t + 1
+        c = r / (plan.total - s)
+        pk = plan.p_list[k]
+        s += pk
+        rest = p[undrawn]
+        q = c * rest
+        w = q * _g(q, r)
         d = np.zeros(pi.N)
-        d[active] = after[:, 0] - before
-        d[active[k]] += 1.0
-        steps.append(SplittingStep(t, alphas, None, chosen, d))
-        before = after[:, 0].copy()
-    sample = Sample(selected=(*certain, *active[~undrawn]), N=pi.N)
+        d[active[undrawn]] = ((r - 1) / (plan.total - s) - c) * rest
+        d[active[k]] = 1.0 - c * pk
+        chosen = int(np.count_nonzero(undrawn[:k]))
+        steps.append(SplittingStep(t, w / w.sum(), None, chosen, d))
+        undrawn[k] = False
+    sample = Sample(selected=(*plan.certain, *active[~undrawn]), N=pi.N)
     return sample, SplittingTrace(pi.pi.copy(), tuple(steps), sample.indicator)
 
 
@@ -848,7 +1040,7 @@ def make_sampler(
     if kind is DesignKind.GENERALIZED_MIDZUNO:
         return Sampler(pi.N, partial(_midzuno_rows, midzuno_plan(pi))), pi
     if kind is DesignKind.BREWER:
-        return Sampler(pi.N, partial(_brewer_rows, pi.pi)), pi
+        return Sampler(pi.N, partial(_brewer_plan_rows, brewer_plan(pi.pi))), pi
     raise InvalidInputError(f"unknown design kind {kind!r}")
 
 

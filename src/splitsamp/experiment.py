@@ -151,6 +151,21 @@ def run_experiment(config: ExperimentConfig | None = None) -> list[ExperimentRow
     return rows
 
 
+def overfull_units(config: ExperimentConfig) -> list[tuple[float, int, float]]:
+    """The sample sizes at which some unit gets pi = n x / sum(x) > 1,
+    which ``run_experiment`` uses uncapped: per such n, the count of
+    those units and the largest pi."""
+    x, _ = generate_population(config)
+    x_total = float(x.sum())
+    found = []
+    for n in config.n_list:
+        pi = n * x / x_total
+        over = int(np.count_nonzero(pi > 1.0))
+        if over:
+            found.append((float(n), over, float(pi.max())))
+    return found
+
+
 def experiment_csv(rows: list[ExperimentRow]) -> str:
     lines = ["sigma,n,eps,diff,pop_mean"]
     for r in rows:

@@ -258,6 +258,19 @@ class TestExperiment:
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 4
 
+    def test_warns_of_pi_above_one(self, tmp_path, capsys):
+        # The default population: at n = 10^3.5, 59 units get
+        # pi = n x / sum(x) > 1; at n = 1000 none does.
+        rc = main(
+            ["experiment", "--sigmas", "0", "--ns", "1000,3162.2776601683795",
+             "--eps-count", "1", "--out", str(tmp_path / "curves.csv")]
+        )
+        assert rc == 0
+        assert capsys.readouterr().err.splitlines() == [
+            "warning: n=3162.28: 59 units have pi = n x / sum(x) > 1 (max 1.77); "
+            "the experiment uses them uncapped"
+        ]
+
     def test_bad_sigma_list(self, capsys):
         rc = main(
             ["experiment", "--N", "200", "--sigmas", "0,abc",

@@ -8,7 +8,9 @@ both codepaths end to end.
 """
 
 import bisect
+import collections
 import itertools
+import math
 import tracemalloc
 from functools import partial
 
@@ -36,13 +38,14 @@ from splitsamp import (
 from splitsamp.designs import (
     SEED_LIMIT,
     _brewer_rows,
+    _brewer_weights,
     _check_sum,
     _uniforms,
     chao_plan,
     midzuno_plan,
     tille_plan,
 )
-from splitsamp.splitting import ZERO_ONE_TOL, categorical_index
+from splitsamp.splitting import ZERO_ONE_TOL
 
 from conftest import UNEQUAL_DESIGNS, X_CERTAIN
 
@@ -344,6 +347,22 @@ class TestBrewer:
         with pytest.raises(ContractViolationError, match="brewer step 1: negative"):
             _brewer_rows(np.array([-0.1, 0.6, 0.5]), [0, 1, 2])
 
+    def test_kernel_checks_raise(self):
+        # pi = [0.75, 0.75] asks for two draws and puts both units at
+        # q = 2 * 0.75 / 1.5 = 1, where the weight q (r - q) / (1 - q) is
+        # infinite.
+        for seeds in ([0], [0, 1, 2]):
+            with np.errstate(divide="ignore"), pytest.raises(
+                ContractViolationError, match="brewer step 1: selection weights sum to inf"
+            ):
+                _brewer_rows(np.array([0.75, 0.75]), seeds)
+        # A unit at c p = 1.25 when step 3 starts.
+        drawn = np.zeros((1, 2), dtype=bool)
+        with pytest.raises(
+            ContractViolationError, match="brewer step 2: intermediate probability above 1"
+        ):
+            _brewer_weights(np.array([0.5, 0.4]), drawn, np.array([2.5]), 1, 3)
+
 
 class TestMakeSampler:
     def test_matches_direct_calls(self, pi_plain):
@@ -485,21 +504,60 @@ def reference_midzuno(plan, seed):
     return np.concatenate([plan.certain, plan.active[picked]])
 
 
-def reference_brewer(pi_vec, seed):
+def reference_brewer(pi_vec, seed, counts=None):
+    """Brewer's draws for one seed, one uniform per ``rng.random()``
+    call.  With r draws left and S drawn, an undrawn unit sits at
+    q = c p_k, c = r / (sum(p) - sum_S p), with weight q g(q),
+    g(q) = (r - q) / (1 - q).  A trial proposes k with probability
+    p_k / sum(p) and accepts it, if undrawn, with probability
+    g(c p_k) / g(c p_max); a step whose bound on the expected trials,
+    sum(p) g(c p_max) / ((sum(p) - sum_S p) r), exceeds 4 picks by
+    inverse CDF over the weights instead.  ``counts``, if given, adds up
+    the inverse-CDF steps and the uniforms spent."""
     rng = np.random.default_rng(seed)
-    active = np.flatnonzero(pi_vec < 1.0 - ZERO_ONE_TOL)
-    chosen = list(np.flatnonzero(pi_vec >= 1.0 - ZERO_ONE_TOL))
-    cur = pi_vec[active].copy()
-    n_draws = int(round(float(cur.sum())))
-    for t in range(1, n_draws + 1):
-        r = n_draws - t + 1
-        j = categorical_index(rng, cur * (r - cur) / (1.0 - cur))
-        pj = float(cur[j])
-        chosen.append(int(active[j]))
-        keep = np.arange(cur.size) != j
-        active = active[keep]
-        cur = cur[keep] * ((r - 1.0) / (r - pj))
-    return np.array(chosen)
+    chosen = [k for k, v in enumerate(pi_vec) if v >= 1.0 - ZERO_ONE_TOL]
+    active = [k for k, v in enumerate(pi_vec) if v < 1.0 - ZERO_ONE_TOL]
+    p = [float(pi_vec[k]) for k in active]
+    total = math.fsum(p)
+    draws = round(total)
+    cum = list(itertools.accumulate(max(v, 0.0) for v in p))
+
+    def g(q, r):
+        return (r - q) / (1.0 - q)
+
+    drawn = set()
+    s = 0.0
+    spent = inverse_cdf = 0
+    for t in range(draws):
+        r = draws - t
+        left = total - s
+        c = r / left
+        q_max = c * max(p[k] for k in range(len(p)) if k not in drawn)
+        g_max = g(q_max, r)
+        if q_max < 1.0 and total * g_max / (left * r) <= 4.0:
+            while True:
+                spent += 2
+                k = bisect.bisect_right(cum, rng.random() * cum[-1])
+                if rng.random() * g_max < g(c * p[k], r) and k not in drawn:
+                    break
+        else:
+            spent += 1
+            inverse_cdf += 1
+            w = [0.0 if j in drawn else c * p[j] * g(c * p[j], r) for j in range(len(p))]
+            cw = list(itertools.accumulate(w))
+            v = rng.random() * cw[-1]
+            k = sum(1 for a in cw if a <= v)
+        drawn.add(k)
+        s += p[k]
+        chosen.append(active[k])
+    if counts is not None:
+        counts["inverse_cdf"] += inverse_cdf
+        counts["uniforms"] = max(counts["uniforms"], spent / max(draws, 1))
+    return np.array(chosen, dtype=int)
+
+
+# Brewer's first draw at n = 3 has a trial bound above 4 here.
+INVERSE_CDF_X = np.array([0.2, 0.3, 0.5, 0.6, 1.0, 1.4, 2.0, 3.0, 3.7])
 
 
 class TestLockstepMatchesReferenceLoops:
@@ -531,6 +589,31 @@ class TestLockstepMatchesReferenceLoops:
                 assert draw(seed).selected == expect, (kind, seed)
                 assert tuple(rows[seed]) == expect, (kind, seed)
 
+    @pytest.mark.parametrize(
+        "x, n",
+        [
+            (INVERSE_CDF_X, 3),
+            (np.random.default_rng(3).lognormal(0.0, 1.5, size=300), 30),
+        ],
+        ids=["inverse-cdf", "second-budget"],
+    )
+    def test_brewer_pick_paths(self, x, n):
+        pi = compute_pips(x, n)
+        draw, _ = make_sampler(DesignKind.BREWER, pi=pi)
+        seeds = list(range(300))
+        rows = draw.rows(seeds)
+        counts = collections.Counter()
+        for seed in seeds:
+            expect = tuple(sorted(int(k) for k in reference_brewer(pi.pi, seed, counts)))
+            assert draw(seed).selected == expect == tuple(rows[seed]), seed
+        if x is INVERSE_CDF_X:
+            # Every sample's first draw has a trial bound above 4.
+            assert counts["inverse_cdf"] == len(seeds)
+        else:
+            # Some rows spend more than the 4 uniforms per draw that a
+            # batch draws up front, so they draw their streams again.
+            assert counts["uniforms"] > 4
+
 
 class TestRunnersMatchEnumeration:
     """Empirical frequencies of the stream runners against the exact
@@ -560,6 +643,22 @@ class TestRunnersMatchEnumeration:
         for key, p in dist.support.items():
             sigma = np.sqrt(p * (1 - p) / self.R)
             assert abs(freqs[key] - p) <= 4 * sigma + 1e-12, (kind, key)
+
+
+    def test_brewer_inverse_cdf_frequencies(self):
+        # 200,000 samples where every first draw takes the inverse CDF;
+        # |z| <= 4 for every support sample.
+        R = 200_000
+        pi = compute_pips(INVERSE_CDF_X, 3)
+        dist = enumerate_design(DesignKind.BREWER, pi=pi)
+        draw, _ = make_sampler(DesignKind.BREWER, pi=pi)
+        counts = collections.Counter()
+        for lo in range(0, R, 20_000):
+            counts.update(map(tuple, draw.rows(range(lo, lo + 20_000)).tolist()))
+        assert set(counts) <= set(dist.support)
+        for key, p in dist.support.items():
+            z = (counts[key] / R - p) / math.sqrt(p * (1.0 - p) / R)
+            assert abs(z) <= 4.0, (key, z)
 
 
 class TestEnumeratedInclusionProbabilities:

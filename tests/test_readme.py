@@ -1,0 +1,40 @@
+"""README examples: the samples they show are the samples the code draws,
+so a change to a seed's sample cannot leave the README stale."""
+
+import re
+import shlex
+from pathlib import Path
+
+from splitsamp.cli import main
+
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+
+
+def section(title: str) -> str:
+    start = README.index(f"\n## {title}\n")
+    end = README.find("\n## ", start + 1)
+    return README[start : end if end >= 0 else None]
+
+
+def blocks(text: str, lang: str = "") -> list[str]:
+    return re.findall(rf"```{lang}\n(.*?)```", text, flags=re.S)
+
+
+def test_drawing_samples_block():
+    code = blocks(section("Drawing samples"), "python")[0]
+    shown = re.search(r"^s = draw\(42\)\s+# (.+)$", code, flags=re.M).group(1)
+    namespace: dict = {}
+    exec(code, namespace)
+    assert repr(namespace["s"]) == shown
+
+
+def test_command_line_sample(tmp_path, monkeypatch, capsys):
+    # pop.csv: units u1..u6 with sizes 1..6.
+    block = next(b for b in blocks(section("Command line")) if "splitsamp sample" in b)
+    command, *shown = block.strip().splitlines()
+    args = shlex.split(command.removeprefix("$ splitsamp "))
+    rows = [f"u{k},{float(k)},{float(k)}" for k in range(1, 7)]
+    (tmp_path / "pop.csv").write_text("id,x,y\n" + "\n".join(rows) + "\n")
+    monkeypatch.chdir(tmp_path)
+    assert main(args) == 0
+    assert capsys.readouterr().out.splitlines() == shown

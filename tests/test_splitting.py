@@ -22,7 +22,7 @@ from splitsamp import (
     sequential_leaf_distribution,
     sequential_splitting_from_distribution,
 )
-from splitsamp.splitting import categorical_index
+from splitsamp.splitting import _validate_candidates, categorical_index
 
 
 class TestCategoricalIndex:
@@ -182,21 +182,27 @@ class TestRunSplitting:
 
 class TestKernelTrace:
     def test_equals_a_rule_that_recomputes(self):
-        # Criterion 04's population.  The reference recomputes every step
-        # through the generic driver and checks each candidate set: its
-        # weighted updates vanish and every candidate stays in [0, 1].
+        # Criterion 04's population.  Along each traced draw's picks, a
+        # rule that recomputes its undecided units and r from pi at every
+        # step gives the same weights and updates, and each step's
+        # candidate set has weighted updates that vanish and candidates
+        # that stay in [0, 1].
         x = -np.log1p(-np.random.default_rng(77).random(50))
         pi = compute_pips(x, 10)
+        rule = RecomputingBrewer()
         for seed in range(200):
             sample, got = sample_brewer(pi, seed, trace="realized")
-            want = run_splitting(RecomputingBrewer(), pi, seed, record="full")
-            assert len(got.steps) == len(want.steps) == 10
-            for a, b in zip(got.steps, want.steps):
-                assert a.t == b.t and a.chosen == b.chosen
-                assert np.max(np.abs(a.alphas - b.alphas)) <= 1e-12
-                assert np.max(np.abs(a.realized_delta - b.realized_delta)) <= 1e-12
-            assert np.array_equal(got.final, want.final)
-            assert sample.selected == want.selected
+            assert len(got.steps) == 10
+            cur = got.pi0.copy()
+            for step in got.steps:
+                alphas = rule.alphas(step.t, cur)
+                deltas = np.stack([rule.delta(step.t, cur, i) for i in range(len(alphas))])
+                _validate_candidates(step.t, cur, alphas, deltas)
+                assert np.max(np.abs(step.alphas - alphas)) <= 1e-12
+                assert np.max(np.abs(step.realized_delta - deltas[step.chosen])) <= 1e-12
+                cur = cur + deltas[step.chosen]
+            assert np.array_equal(np.where(cur > 0.5, 1, 0), got.final)
+            assert sample.selected == got.selected
 
 
 class TestDrawByDraw:
