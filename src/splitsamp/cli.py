@@ -84,6 +84,11 @@ def _resolve_pi(pop, pi_file, kind: DesignKind, n: int | None):
         if size is None:
             raise InvalidInputError("srswor needs --n")
         return InclusionProbabilities(pi=np.full(pop.N, size / pop.N), n=size)
+    return _pi_from_file(pop, pi_file, n)
+
+
+def _pi_from_file(pop, pi_file, n: int | None) -> InclusionProbabilities:
+    """The capped size shares at --n, else the pi the file carries."""
     if n is not None:
         return compute_pips(pop.x, n)
     if pi_file is not None:
@@ -120,12 +125,7 @@ def cmd_sample(args) -> int:
 def _bound_inputs_from_args(args) -> BoundInputs:
     if args.population is not None:
         pop, pi_file = load_population(args.population)
-        if args.n is not None:
-            pi = compute_pips(pop.x, args.n)
-        elif pi_file is not None:
-            pi = pi_file
-        else:
-            raise InvalidInputError("this population file carries sizes; pass --n")
+        pi = _pi_from_file(pop, pi_file, args.n)
         return BoundInputs.from_population(
             pop, pi, eps=args.eps or 0.0, M=args.M, c=args.c
         )

@@ -16,12 +16,16 @@ capped units per rung and the order in which units leave the cap:
 O(N) memory, built in O(N log N) time.  At a step, every unit below the
 cap has the same weight, so a step is one uniform pick among those units
 or a pick among the few units that leave the cap there: O(1) work per
-replicate, beyond adding each unit to the pick pool once.
+replicate, beyond adding each unit to the pick pool once.  All three
+walk the ladder as an elimination, one unit leaving per step; Chao's
+arrival is such a step, in which the arrival or one reservoir unit
+leaves.
 
 Each procedure's step is written once, over a batch of replicates: all
 rows take a step together as one array operation, and each row draws
-its uniforms from its own seed.  A single draw is the batch of one,
-except Brewer's, which runs the same law in Python floats.
+its uniforms from its own seed.  A single draw runs the same law for one
+row in Python: Brewer's picks in Python floats, the ladder designs' pool
+over a Python list.
 """
 
 from __future__ import annotations
@@ -290,11 +294,13 @@ class Ladder:
     ``capped[s]`` capped units sit at 1 and every other unit at
     ``lam[s] * x[k] < 1``.  Step j leads from rung j to rung j + 1.  The
     units present at rung 0 are all capped there (``lam[0]`` is
-    infinite); a unit that arrives later, in Chao's stream, is capped on
-    arrival or never.  A unit leaves the capped set, or crosses the cap,
-    at most once: ``cross[cross_at[j]:cross_at[j + 1]]`` are the units
-    that cross at step j, and ``cross[cross_at[-1]:]`` are still capped
-    at the last rung.
+    infinite); a unit that arrives later, in Chao's stream, counts as
+    capped before its arrival step, so an arrival that is uncapped on
+    arrival crosses the cap at its own step.  A unit leaves the capped
+    set, or crosses the cap, at most once:
+    ``cross[cross_at[j]:cross_at[j + 1]]`` are the units that cross at
+    step j, and ``cross[cross_at[-1]:]`` are still capped at the last
+    rung.
     """
 
     x: np.ndarray
@@ -350,14 +356,14 @@ def _elimination_ladder(x: np.ndarray, n: int) -> Ladder:
     return Ladder(x=x, lam=lam, capped=capped, cross=cross, cross_at=N - capped)
 
 
-def _stream_ladder(xs: np.ndarray, n: int) -> tuple[Ladder, np.ndarray]:
+def _stream_ladder(xs: np.ndarray, n: int) -> Ladder:
     """Ladder of capped shares at size n of the stream prefixes of
-    length n, n+1, ..., N, and the acceptance probability of each
-    arrival.
+    length n, n+1, ..., N.
 
-    A new unit may join the capped set on arrival; capped units leave it
-    smallest first as the prefix grows, so a min-heap of the capped units
-    builds the ladder in O(N log N) time and O(N) memory.
+    Step j brings in unit n + j at the cap; capped units, the arrival
+    among them, leave the cap smallest first as the prefix grows, so a
+    min-heap of the capped units builds the ladder in O(N log N) time
+    and O(N) memory.
     """
     N = xs.size
     sizes = xs.tolist()
@@ -366,41 +372,29 @@ def _stream_ladder(xs: np.ndarray, n: int) -> tuple[Ladder, np.ndarray]:
     lam = np.empty(N - n + 1)
     capped = np.empty(N - n + 1, dtype=np.intp)
     lam[0], capped[0] = np.inf, n
-    accept = np.empty(N - n)
     cross: list[int] = []
     cross_at = [0]
     rest = 0.0
     for j in range(N - n):
-        new = n + j
-        heapq.heappush(heap, (sizes[new], new))
-        new_capped = True
+        heapq.heappush(heap, (sizes[n + j], n + j))
         while heap and not _stays_capped(n, len(heap), heap[0][0], rest):
             size, k = heapq.heappop(heap)
             rest += size
-            if k == new:
-                new_capped = False
-            else:
-                cross.append(k)
+            cross.append(k)
         lam[j + 1], capped[j + 1] = (n - len(heap)) / rest, len(heap)
         cross_at.append(len(cross))
-        accept[j] = 1.0 if new_capped else lam[j + 1] * sizes[new]
     cross.extend(k for _, k in sorted(heap))
-    ladder = Ladder(
+    return Ladder(
         x=xs,
         lam=lam,
         capped=capped,
         cross=np.array(cross, dtype=np.intp),
         cross_at=np.array(cross_at, dtype=np.intp),
     )
-    return ladder, accept
 
 
 def _picks(
-    ladder: Ladder,
-    u: np.ndarray,
-    count: np.ndarray,
-    expected: np.ndarray,
-    context: Callable[[int], str],
+    ladder: Ladder, u: np.ndarray, count: np.ndarray, context: Callable[[int], str]
 ) -> np.ndarray:
     """Check the law of every step as scalars, then turn each row's
     uniform for step j, ``u[:, j]``, into its pick: a position in the
@@ -410,9 +404,9 @@ def _picks(
 
     At step j a crossing unit has weight ``1 - lam[j+1] x_k`` and a pool
     unit ``r = 1 - lam[j+1] / lam[j]``; they must be nonnegative and sum
-    to ``expected[j]``.  With that total T and the crossing mass M, u
-    picks a crossing unit by inverse CDF when u T falls below M, else
-    pool index floor((u T - M) / r).
+    to 1.  With that total T and the crossing mass M, u picks a crossing
+    unit by inverse CDF when u T falls below M, else pool index
+    floor((u T - M) / r).
     """
     lam = ladder.lam
     at = ladder.cross_at
@@ -438,12 +432,11 @@ def _picks(
         cums[j] = np.cumsum(w[at[j] : at[j + 1]])
         mass[j] = cums[j][-1]
     total = mass + count * r
-    off = np.abs(total - expected) > PROB_SUM_TOL
+    off = np.abs(total - 1.0) > PROB_SUM_TOL
     if bool(off.any()):
         j = int(np.argmax(off))
         raise ContractViolationError(
-            f"{context(j)}: probabilities sum to {total[j]!r}, "
-            f"expected {float(expected[j])!r}"
+            f"{context(j)}: probabilities sum to {total[j]!r}, expected 1.0"
         )
     v = u * total
     pooled = r > 0.0
@@ -469,19 +462,30 @@ def _eliminate(
 
     Each row keeps its live uncapped units in a pool.  A step appends
     the units that cross the cap there and swap-removes the picked unit,
-    O(1) per row beyond the appends.  Returns the picked units, one
-    column per step, and each row's uncapped survivors.
+    O(1) per row beyond the appends; one row alone walks a Python list.
+    Returns the picked units, one column per step, and each row's
+    uncapped survivors.
     """
     R, steps = len(seeds), ladder.steps
     at = ladder.cross_at
     # The pool starts empty, and a step adds its crossing units and
     # removes one.
     count = at[:-1] - np.arange(steps)
-    pos = _picks(ladder, _uniforms(seeds, steps), count, np.ones(steps), context)
-    rows = np.arange(R)
-    pool = np.empty((R, int(at[-1])), dtype=np.intp)
-    picked = np.empty((R, steps), dtype=np.intp)
+    pos = _picks(ladder, _uniforms(seeds, steps), count, context)
     at = at.tolist()
+    if R == 1:
+        cross = ladder.cross.tolist()
+        line: list[int] = []
+        gone = []
+        for j, p in enumerate(pos[0].tolist()):
+            line += cross[at[j] : at[j + 1]]
+            gone.append(line[p])
+            line[p] = line[-1]
+            line.pop()
+        return np.array([gone], dtype=np.intp), np.array([line], dtype=np.intp)
+    rows = np.arange(R)
+    pool = np.empty((R, at[-1]), dtype=np.intp)
+    picked = np.empty((R, steps), dtype=np.intp)
     for j in range(steps):
         lo, hi = at[j], at[j + 1]
         if hi > lo:
@@ -490,6 +494,16 @@ def _eliminate(
         picked[:, j] = pool[rows, p]
         pool[rows, p] = pool[:, hi - j - 1]
     return picked, pool[:, : at[-1] - steps]
+
+
+def _survivors(
+    ladder: Ladder, seeds: Sequence[int], context: Callable[[int], str]
+) -> np.ndarray:
+    """Each row's units left at the last rung of ``_eliminate``: its
+    uncapped survivors, then the units still capped there."""
+    _, kept = _eliminate(ladder, seeds, context)
+    capped = np.tile(ladder.cross[ladder.cross_at[-1] :], (len(seeds), 1))
+    return np.hstack([kept, capped])
 
 
 # ---------------------------------------------------------------------------
@@ -501,18 +515,19 @@ class ChaoPlan:
     """Stream-order ladder for Chao's procedure.
 
     Rung s of ``ladder`` holds the capped shares at size n of the first
-    n + s stream units, over stream positions.  ``accept[j]`` is the
-    updated probability of stream unit t = n+1+j at its own arrival.
-    When it is accepted it evicts reservoir member k with the joint
-    probability ``1 - pi_k(t) / pi_k(t-1)``: ``1 - lam_t x_k`` for a
-    unit that crosses the cap at t, ``1 - lam_t / lam_{t-1}`` for every
-    reservoir unit uncapped at t-1.
+    n + s stream units, over stream positions.  Step j is the arrival of
+    stream unit t = n+1+j, as an elimination: exactly one unit of the
+    reservoir and the arrival leaves, the arrival with probability
+    ``1 - pi_t(t)`` and reservoir member k with ``1 - pi_k(t) /
+    pi_k(t-1)``.  An arrival uncapped at t crosses the cap at its own
+    step, so both are ``1 - lam_t x_k`` for a unit that crosses the cap
+    at t and ``1 - lam_t / lam_{t-1}`` for every reservoir unit uncapped
+    at t-1.
     """
 
     order: np.ndarray
     n: int
     ladder: Ladder
-    accept: np.ndarray
 
     @property
     def N(self) -> int:
@@ -530,52 +545,15 @@ def chao_plan(x: np.ndarray, n: int, order: np.ndarray | None = None) -> ChaoPla
         order = np.asarray(order, dtype=np.intp)
     if not 1 <= n <= N:
         raise InvalidSizeError(f"invalid size: n={n} outside 1..{N}")
-    ladder, accept = _stream_ladder(x[order], n)
-    return ChaoPlan(order=order, n=n, ladder=ladder, accept=accept)
+    return ChaoPlan(order=order, n=n, ladder=_stream_ladder(x[order], n))
 
 
 def _chao_rows(plan: ChaoPlan, seeds: Sequence[int]) -> np.ndarray:
-    """One Chao sample per seed, all rows stepping through the stream
-    together.  A row spends its N-n acceptance uniforms first and then
-    one further uniform per eviction.
-
-    Each row keeps its reservoir units that are uncapped in a pool; the
-    capped ones are in every reservoir and are the plan's.  An arrival
-    first appends the units that cross the cap to every pool; a row that
-    accepts it then evicts one unit of this extended pool, picked as in
-    ``_eliminate``, and puts the arrival in its place.
-    """
-    N, n = plan.N, plan.n
-    ladder = plan.ladder
-    R = len(seeds)
-    u = _uniforms(seeds, 2 * (N - n))
-    enters = u[:, : N - n] <= plan.accept
-    # A row's k-th accepted arrival evicts with uniform N-n+k-1.
-    u_evict = np.take_along_axis(u, N - n - 1 + np.cumsum(enters, axis=1), axis=1)
-    # An arrival that is capped enters every reservoir and stays out of
-    # the pools; its eviction shrinks them by one.
-    joins = plan.accept == 1.0
-    at = ladder.cross_at
-    count = at[:-1] - np.cumsum(joins) + joins
-    pos = _picks(
-        ladder, u_evict, count, plan.accept, lambda j: f"chao step t={n + 1 + j}"
-    )
-    pool = np.empty((R, n), dtype=np.intp)
-    moves = enters.any(axis=0) | (at[1:] > at[:-1])
-    at = at.tolist()
-    for j in np.flatnonzero(moves).tolist():
-        lo, hi = at[j], at[j + 1]
-        size = int(count[j]) + hi - lo
-        if hi > lo:
-            pool[:, size - hi + lo : size] = ladder.cross[lo:hi]
-        rows = np.flatnonzero(enters[:, j])
-        if joins[j]:
-            pool[rows, pos[rows, j]] = pool[rows, size - 1]
-        elif rows.size:
-            pool[rows, pos[rows, j]] = n + j
-    size = at[-1] - int(joins.sum())
-    capped = np.tile(ladder.cross[at[-1] :], (R, 1))
-    return plan.order[np.hstack([pool[:, :size], capped])]
+    """One Chao sample per seed, all rows eliminating in lockstep with
+    one uniform per arrival: the reservoir left at the end, mapped from
+    stream positions to units."""
+    kept = _survivors(plan.ladder, seeds, lambda j: f"chao step t={plan.n + 1 + j}")
+    return plan.order[kept]
 
 
 def sample_chao(
@@ -590,9 +568,11 @@ def sample_chao(
     otherwise).  Arrival t is accepted with its own updated probability
     and, when accepted, evicts a current reservoir member k with
     probability proportional to how much k's updated probability fell.
-    Every reservoir unit below the cap fell by the same factor, so an
-    eviction is one uniform pick among them or a pick among the units
-    that leave the cap at t.
+    Taken together, one unit of the reservoir and the arrival leaves per
+    arrival, so a draw walks the stream ladder as an elimination with
+    one uniform per arrival: every reservoir unit below the cap fell by
+    the same factor, so a step is one uniform pick among them or a pick
+    among the units that leave the cap at t, the arrival among them.
     """
     draw, _ = make_sampler(DesignKind.CHAO, pi=pi, x=x, stream_order=stream_order)
     return draw(rng_seed)
@@ -621,9 +601,7 @@ def tille_plan(sizes: np.ndarray, n: int) -> Ladder:
 def _tille_rows(plan: Ladder, seeds: Sequence[int]) -> np.ndarray:
     """One Tille sample per seed, all rows eliminating in lockstep with
     one uniform per step."""
-    _, kept = _eliminate(plan, seeds, lambda j: f"tille step i={plan.N - 1 - j}")
-    capped = np.tile(plan.cross[plan.cross_at[-1] :], (len(seeds), 1))
-    return np.hstack([kept, capped])
+    return _survivors(plan, seeds, lambda j: f"tille step i={plan.N - 1 - j}")
 
 
 def sample_tille(
@@ -702,8 +680,8 @@ def sample_midzuno(pi: InclusionProbabilities, rng_seed: int) -> Sample:
     and shares its ladder and its step.  Certainty units are
     pre-selected.
     """
-    plan = midzuno_plan(pi)
-    return Sampler(plan.N, partial(_midzuno_rows, plan))(rng_seed)
+    draw, _ = make_sampler(DesignKind.GENERALIZED_MIDZUNO, pi=pi)
+    return draw(rng_seed)
 
 
 # ---------------------------------------------------------------------------
@@ -959,11 +937,6 @@ def _brewer_plan_rows(plan: BrewerPlan, seeds: Sequence[int]) -> np.ndarray:
     return np.hstack([np.tile(plan.certain, (len(seeds), 1)), plan.active[picks]])
 
 
-def _brewer_rows(pi_vec: np.ndarray, seeds: Sequence[int]) -> np.ndarray:
-    """One Brewer sample per seed, from the plan of ``pi_vec``."""
-    return _brewer_plan_rows(brewer_plan(pi_vec), seeds)
-
-
 def sample_brewer(
     pi: InclusionProbabilities, rng_seed: int, trace: str | None = None
 ) -> Sample | tuple[Sample, SplittingTrace]:
@@ -984,7 +957,8 @@ def sample_brewer(
             sample either way.
     """
     if trace is None:
-        return Sampler(pi.N, partial(_brewer_rows, pi.pi))(rng_seed)
+        draw, _ = make_sampler(DesignKind.BREWER, pi=pi)
+        return draw(rng_seed)
     if trace != "realized":
         raise InvalidInputError(f"trace must be None or 'realized', got {trace!r}")
     plan = brewer_plan(pi.pi)

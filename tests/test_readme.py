@@ -38,3 +38,15 @@ def test_command_line_sample(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     assert main(args) == 0
     assert capsys.readouterr().out.splitlines() == shown
+
+
+def test_monte_carlo_certification_block():
+    # The block certifies Chao on x, y and pi from the "Drawing samples"
+    # blocks; its last line shows the value that line evaluates to.
+    namespace: dict = {}
+    for code in blocks(section("Drawing samples"), "python")[:2]:
+        exec(code, namespace)
+    *body, last = blocks(section("Monte Carlo certification"), "python")[0].splitlines()
+    expr, shown = last.split("#")
+    exec("\n".join(body), namespace)
+    assert repr(eval(expr, namespace)) == shown.strip()
