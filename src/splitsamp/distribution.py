@@ -1,9 +1,14 @@
-"""Exact distributions over samples, represented as explicit support maps."""
+"""Exact distributions over samples, and the arrays the checks read.
+
+The support map takes each sample, a sorted tuple of units, to its
+probability.  ``support_arrays`` gives an int bitmask per sample (bit k
+for unit k) with its probability, and ``containment`` the table of
+P(A subset of S) for every set of units A, indexed by A's bitmask.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from itertools import combinations
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -15,6 +20,12 @@ PROB_FLOOR = -1e-15
 
 # Allowed |total probability - 1| after accounting for pruned mass.
 MASS_TOL = 1e-9
+
+# Largest population for a containment table: 2^20 floats, 8 MB.
+MAX_CONTAINMENT_N = 20
+
+# Masks are int64, so bitmask arrays hold at most this many units.
+MAX_MASK_N = 63
 
 
 @dataclass
@@ -72,13 +83,10 @@ class ExactDesignDistribution:
 
     def complement(self) -> "ExactDesignDistribution":
         """Distribution of the complementary sample U minus S."""
-        full = range(self.N)
-        supp = {
-            tuple(k for k in full if k not in set(s)): p
-            for s, p in self.support.items()
-        }
+        masks, probs = support_arrays(self)
+        full = (1 << self.N) - 1
         return ExactDesignDistribution(
-            support=supp,
+            support=dict(zip(map(mask_units, (full ^ masks).tolist()), probs.tolist())),
             N=self.N,
             n=self.N - self.n,
             source=f"complement({self.source})",
@@ -103,20 +111,44 @@ class ExactDesignDistribution:
         return "\n".join(lines) + "\n"
 
 
-def subset_probabilities(
-    dist: ExactDesignDistribution, max_size: int
-) -> dict[tuple[int, ...], float]:
-    """Pr(T subset of S) for every T with ``|T| <= max_size``.
+def mask_units(mask: int) -> tuple[int, ...]:
+    """The sorted units whose bits are set in ``mask``."""
+    return tuple(k for k in range(mask.bit_length()) if mask >> k & 1)
 
-    Only subsets with positive probability appear in the result; the
-    empty tuple maps to the total support mass.
+
+def support_arrays(
+    dist: ExactDesignDistribution,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The support as an int64 bitmask per sample and its probability."""
+    if dist.N > MAX_MASK_N:
+        raise InvalidInputError(
+            f"bitmask arrays hold N <= {MAX_MASK_N} units, got N={dist.N}"
+        )
+    count = len(dist.support)
+    masks = np.fromiter(
+        (sum(1 << k for k in s) for s in dist.support), np.int64, count
+    )
+    return masks, np.fromiter(dist.support.values(), float, count)
+
+
+def containment(dist: ExactDesignDistribution) -> np.ndarray:
+    """P(A subset of S) for all 2^N sets A, indexed by A's bitmask.
+
+    Starts from P(S = A) and, for each unit k, adds the entry of A + k
+    to that of every A without k (a superset-sum pass).  Entry 0 is the
+    total support mass.
     """
-    out: dict[tuple[int, ...], float] = {(): dist.total_mass()}
-    for s, p in dist.support.items():
-        for size in range(1, min(max_size, len(s)) + 1):
-            for sub in combinations(s, size):
-                out[sub] = out.get(sub, 0.0) + p
-    return out
+    if dist.N > MAX_CONTAINMENT_N:
+        raise InvalidInputError(
+            f"containment tables hold 2^N floats and support "
+            f"N <= {MAX_CONTAINMENT_N}, got N={dist.N}"
+        )
+    masks, probs = support_arrays(dist)
+    f = np.bincount(masks, weights=probs, minlength=1 << dist.N)
+    for k in range(dist.N):
+        half = f.reshape(-1, 2, 1 << k)
+        half[:, 0] += half[:, 1]
+    return f
 
 
 def first_second_order(
@@ -126,13 +158,9 @@ def first_second_order(
 
     Returns (pi1, pi2) with pi2 symmetric and its diagonal equal to pi1.
     """
-    pi1 = np.zeros(dist.N)
-    pi2 = np.zeros((dist.N, dist.N))
-    for s, p in dist.support.items():
-        for a in s:
-            pi1[a] += p
-        for a, b in combinations(s, 2):
-            pi2[a, b] += p
-            pi2[b, a] += p
+    masks, probs = support_arrays(dist)
+    member = (masks[:, None] >> np.arange(dist.N)) & 1
+    pi1 = probs @ member
+    pi2 = (member.T * probs) @ member
     np.fill_diagonal(pi2, pi1)
     return pi1, pi2

@@ -40,8 +40,9 @@ from .designs import (
 )
 from .distribution import (
     ExactDesignDistribution,
+    containment,
     first_second_order,
-    subset_probabilities,
+    mask_units,
 )
 from .errors import (
     ContractViolationError,
@@ -261,9 +262,11 @@ class CsygReport:
 
     ``max_violation`` is the largest value of
     pi_{kl|I} - pi_{k|I} pi_{l|I} over all conditioning sets I with
-    |I| <= n - 2 and pairs {k, l} outside I; nonpositive means the
-    inequality system holds.  ``max_violation_ratio`` is the equivalent
-    scan of pi_{k|I,l} - pi_{k|I}.  Conditioning sets with probability
+    |I| <= n - 2 and pairs {k, l} outside I, and ``witness`` is its
+    (I, k, l); nonpositive means the inequality system holds.
+    ``max_violation_ratio`` is the equivalent scan of
+    pi_{k|I,l} - pi_{k|I}, and ``witness_ratio`` its (I + l, k), with
+    both conditioning sets sorted.  Conditioning sets with probability
     at most the skip tolerance are skipped and counted.
     """
 
@@ -278,41 +281,42 @@ class CsygReport:
 def check_csyg(
     dist: ExactDesignDistribution, skip_tol: float = 1e-12
 ) -> CsygReport:
-    """Scan every conditional pairwise inequality of a fixed-size design."""
+    """Scan every conditional pairwise inequality of a fixed-size design,
+    one pair {k, l} at a time over all its conditioning sets."""
     if not dist.fixed_size:
         raise InvalidInputError("the conditional scan needs a fixed-size design")
-    N, n = dist.N, dist.n
-    f = subset_probabilities(dist, min(n, max(n - 2, 0) + 2))
-    max_v = -math.inf
-    max_r = -math.inf
+    f = containment(dist)
+    # size[A] = |A|: the sets with bit k are those below 2^k, plus one.
+    size = np.zeros(1, dtype=np.int64)
+    for _ in range(dist.N):
+        size = np.concatenate([size, size + 1])
+    eligible = size <= dist.n - 2
+    live = np.flatnonzero(eligible & (f > skip_tol))
+    max_v = max_r = -math.inf
     wit = wit_r = None
     checked = 0
-    skipped = 0
-    for p in range(0, max(n - 1, 0)):
-        for I in combinations(range(N), p):
-            fI = f.get(I, 0.0)
-            if fI <= skip_tol:
-                skipped += 1
-                continue
-            rest = [k for k in range(N) if k not in I]
-            for k, l in combinations(rest, 2):
-                fk = f.get(tuple(sorted(I + (k,))), 0.0)
-                fl = f.get(tuple(sorted(I + (l,))), 0.0)
-                fkl = f.get(tuple(sorted(I + (k, l))), 0.0)
-                v = fkl / fI - (fk / fI) * (fl / fI)
-                checked += 1
-                if v > max_v:
-                    max_v, wit = v, (I, k, l)
-                for a, b, fb in ((k, l, fl), (l, k, fk)):
-                    if fb > skip_tol:
-                        r = fkl / fb - (f.get(tuple(sorted(I + (a,))), 0.0) / fI)
-                        if r > max_r:
-                            max_r, wit_r = r, (I + (b,), a)
+    for k, l in combinations(range(dist.N), 2):
+        bk, bl = 1 << k, 1 << l
+        I = live[(live & (bk | bl)) == 0]
+        if I.size == 0:
+            continue
+        checked += I.size
+        fI, fk, fl, fkl = f[I], f[I | bk], f[I | bl], f[I | bk | bl]
+        v = fkl / fI - (fk / fI) * (fl / fI)
+        i = int(v.argmax())
+        if v[i] > max_v:
+            max_v, wit = float(v[i]), (mask_units(int(I[i])), k, l)
+        for a, b, fa, fb in ((k, bl, fk, fl), (l, bk, fl, fk)):
+            ok = fb > skip_tol
+            r = fkl[ok] / fb[ok] - fa[ok] / fI[ok]
+            if r.size and r.max() > max_r:
+                i = int(r.argmax())
+                max_r, wit_r = float(r[i]), (mask_units(int(I[ok][i]) | b), a)
     return CsygReport(
         max_violation=max_v,
         witness=wit,
         checked_count=checked,
-        skipped_sets=skipped,
+        skipped_sets=int(np.count_nonzero(eligible)) - live.size,
         max_violation_ratio=max_r,
         witness_ratio=wit_r,
     )
@@ -322,26 +326,21 @@ def check_pairwise_na(dist: ExactDesignDistribution) -> float:
     """Largest pairwise indicator covariance; nonpositive everywhere
     means negatively correlated inclusions."""
     pi1, pi2 = first_second_order(dist)
-    N = dist.N
-    worst = -math.inf
-    for k in range(N):
-        for l in range(k + 1, N):
-            worst = max(worst, pi2[k, l] - pi1[k] * pi1[l])
-    return worst
+    cov = pi2 - np.outer(pi1, pi1)
+    return float(cov[np.triu_indices(dist.N, 1)].max(initial=-math.inf))
 
 
 def unbiasedness_check(
     dist: ExactDesignDistribution, y: np.ndarray, pi: np.ndarray
 ) -> float:
-    """|E t_hat - t_y| under the exact distribution."""
+    """|E t_hat - t_y| under the exact distribution, where E t_hat is
+    the sum over units of y_k / pi_k times P(k in S)."""
     y = np.asarray(y, dtype=float)
     pi = np.asarray(pi, dtype=float)
     if y.size != dist.N or pi.size != dist.N:
         raise InvalidInputError("y and pi must have one entry per unit")
-    yc = y / pi
-    t_y = float(y.sum())
-    e = sum(p * float(yc[list(s)].sum()) for s, p in dist.support.items())
-    return abs(e - t_y)
+    pi1, _ = first_second_order(dist)
+    return abs(float(pi1 @ (y / pi)) - float(y.sum()))
 
 
 def midzuno_complementarity_tv(

@@ -18,20 +18,22 @@ estimator.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-from typing import TYPE_CHECKING, Protocol
+from typing import Protocol
 
 import numpy as np
 
+from .distribution import (
+    ExactDesignDistribution,
+    containment,
+    mask_units,
+    support_arrays,
+)
 from .errors import (
     ContractViolationError,
     InvalidInputError,
     RepresentationError,
     RunawayError,
 )
-
-if TYPE_CHECKING:
-    from .distribution import ExactDesignDistribution
 
 # Candidate weights must sum to one within this tolerance.
 ALPHA_SUM_TOL = 1e-10
@@ -104,11 +106,6 @@ class SplittingStep:
     @property
     def alpha_chosen(self) -> float:
         return float(self.alphas[self.chosen])
-
-    @property
-    def treated(self) -> np.ndarray:
-        """Indices whose probability actually moved at this step."""
-        return np.flatnonzero(self.realized_delta != 0.0)
 
     @property
     def increment_l1(self) -> float:
@@ -272,13 +269,7 @@ def ht_increments(trace: SplittingTrace, y_check) -> np.ndarray:
 # Representations built from an explicit distribution (oracle scale).
 
 
-def _subset_probs(dist: "ExactDesignDistribution") -> dict[tuple[int, ...], float]:
-    from .distribution import subset_probabilities
-
-    return subset_probabilities(dist, dist.n)
-
-
-def _require_fixed_size(dist: "ExactDesignDistribution") -> None:
+def _require_fixed_size(dist: ExactDesignDistribution) -> None:
     if not dist.fixed_size:
         raise RepresentationError(
             "distribution is not fixed-size; draw-by-draw needs every "
@@ -287,7 +278,7 @@ def _require_fixed_size(dist: "ExactDesignDistribution") -> None:
 
 
 def draw_by_draw_from_distribution(
-    dist: "ExactDesignDistribution", rng_seed: int
+    dist: ExactDesignDistribution, rng_seed: int
 ) -> SplittingTrace:
     """Run the draw-by-draw splitting representation of a fixed-size design.
 
@@ -298,38 +289,27 @@ def draw_by_draw_from_distribution(
     even when they move nothing (certainty units).
     """
     _require_fixed_size(dist)
-    f = _subset_probs(dist)
-    N, n = dist.N, dist.n
-    pi0 = np.zeros(N)
-    for (k,), p in ((s, p) for s, p in f.items() if len(s) == 1):
-        pi0[k] = p
+    f = containment(dist)
+    n = dist.n
+    bits = 1 << np.arange(dist.N)
+    pi = pi0 = f[bits]
     rng = np.random.default_rng(rng_seed)
-
-    pi = pi0.copy()
-    drawn: list[int] = []
+    drawn = 0
     steps: list[SplittingStep] = []
     for t in range(1, n + 1):
-        key = tuple(sorted(drawn))
-        fJ = f.get(key, 0.0)
+        fJ = f[drawn]
         if fJ <= 0.0:
             raise RepresentationError("conditioning event has zero probability")
-        remaining = [k for k in range(N) if k not in drawn]
-        cond = np.array(
-            [f.get(tuple(sorted(drawn + [k])), 0.0) / fJ for k in remaining]
-        )
-        live = [i for i in range(len(remaining)) if cond[i] > 1e-15]
-        alphas = np.array([cond[i] / (n - t + 1) for i in live])
-        deltas = np.zeros((len(live), N))
-        for row, i in enumerate(live):
-            unit = remaining[i]
-            keyi = tuple(sorted(drawn + [unit]))
-            fJi = f.get(keyi, 0.0)
-            for j, other in enumerate(remaining):
-                if other == unit:
-                    continue
-                after = f.get(tuple(sorted(drawn + [unit, other])), 0.0) / fJi
-                deltas[row, other] = after - cond[j]
-            deltas[row, unit] = 1.0 - cond[i]
+        remaining = np.flatnonzero((drawn & bits) == 0)
+        cond = f[drawn | bits[remaining]] / fJ
+        live = remaining[cond > 1e-15]
+        taken = drawn | bits[live]
+        alphas = f[taken] / fJ / (n - t + 1)
+        # Row i moves every undrawn unit to its conditional probability
+        # given drawn + live[i]; live[i] itself lands on f/f = 1.
+        deltas = np.zeros((live.size, dist.N))
+        after = f[taken[:, None] | bits[remaining]] / f[taken][:, None]
+        deltas[:, remaining] = after - cond
         _validate_candidates(t, pi, alphas, deltas)
         chosen = categorical_index(rng, alphas)
         d = deltas[chosen]
@@ -339,40 +319,39 @@ def draw_by_draw_from_distribution(
             )
         )
         pi = pi + d
-        drawn.append(remaining[live[chosen]])
+        drawn = int(taken[chosen])
     final = np.where(pi > 0.5, 1, 0)
     trace = SplittingTrace(pi0=pi0, steps=tuple(steps), final=final)
-    if sorted(trace.selected) != sorted(drawn):
+    if trace.selected != mask_units(drawn):
         raise ContractViolationError("draw-by-draw state diverged from draws")
     return trace
 
 
 def draw_by_draw_distribution(
-    dist: "ExactDesignDistribution",
-) -> "ExactDesignDistribution":
+    dist: ExactDesignDistribution,
+) -> ExactDesignDistribution:
     """Exact distribution of the draw-by-draw representation.
 
-    Enumerated with the oracle's level loop: the state is the sorted set
-    of units drawn so far, since the next draw's law depends on that set
-    alone.  Agreement with the input distribution is what makes the
+    Enumerated with the oracle's level loop: the state is the bitmask of
+    the units drawn so far, since the next draw's law depends on that
+    set alone.  Agreement with the input distribution is what makes the
     representation valid.
     """
-    from .distribution import ExactDesignDistribution
     from .oracle import DEFAULT_MAX_BRANCHES, _levels
 
     _require_fixed_size(dist)
-    f = _subset_probs(dist)
-    N, n = dist.N, dist.n
+    f = containment(dist)
+    n = dist.n
+    bits = 1 << np.arange(dist.N)
 
-    def moves(t: int, drawn: tuple[int, ...]):
-        fJ = f[drawn]
-        nxt = (tuple(sorted(drawn + (k,))) for k in range(N) if k not in drawn)
-        return [(key, f.get(key, 0.0) / fJ / (n - t)) for key in nxt]
+    def moves(t: int, drawn: int):
+        nxt = drawn | bits[(drawn & bits) == 0]
+        return list(zip(nxt.tolist(), (f[nxt] / f[drawn] / (n - t)).tolist()))
 
-    support, pruned = _levels((), n, moves, lambda drawn: drawn, DEFAULT_MAX_BRANCHES)
+    support, pruned = _levels(0, n, moves, mask_units, DEFAULT_MAX_BRANCHES)
     return ExactDesignDistribution(
         support=support,
-        N=N,
+        N=dist.N,
         n=n,
         source=f"draw-by-draw({dist.source})",
         pruned_mass=pruned,
@@ -404,7 +383,7 @@ class SequentialNode:
 
 
 def sequential_splitting_from_distribution(
-    dist: "ExactDesignDistribution",
+    dist: ExactDesignDistribution,
 ) -> SequentialNode:
     """Binary splitting tree deciding units one by one, in order.
 
@@ -414,51 +393,37 @@ def sequential_splitting_from_distribution(
     inclusion probability.  The leaf distribution reproduces the input.
     """
     N = dist.N
-    items = [(frozenset(s), p) for s, p in dist.support.items()]
+    units = np.arange(N)
 
-    def conditional(prefix_in: frozenset[int], t: int) -> tuple[float, np.ndarray]:
-        total = 0.0
-        pi = np.zeros(N)
-        for s, p in items:
-            if (s & _PREFIX[t]) != prefix_in:
-                continue
-            total += p
-            for k in s:
-                pi[k] += p
-        if total > 0.0:
-            pi /= total
-        for k in prefix_in:
-            pi[k] = 1.0
-        return total, pi
-
-    _PREFIX = [frozenset(range(t)) for t in range(N + 1)]
-
-    def build(t: int, prefix_in: frozenset[int], prob: float) -> SequentialNode:
-        total, pi = conditional(prefix_in, t)
+    def build(
+        t: int, masks: np.ndarray, probs: np.ndarray, prob: float
+    ) -> SequentialNode:
+        # The samples that agree with the decisions on units 0..t-1.
+        pi = probs @ ((masks[:, None] >> units) & 1) / probs.sum()
+        pi[:t] = (int(masks[0]) >> units[:t]) & 1
         node = SequentialNode(t=t, pi=pi, prob=prob)
         if t == N:
             return node
         alpha = float(pi[t])
         node.alpha_take = alpha
+        take = ((masks >> t) & 1) == 1
         if alpha > 1e-15:
-            child = build(t + 1, prefix_in | {t}, prob * alpha)
+            child = build(t + 1, masks[take], probs[take], prob * alpha)
             node.take = child
             node.delta_take = child.pi - pi
         if alpha < 1.0 - 1e-15:
-            child = build(t + 1, prefix_in, prob * (1.0 - alpha))
+            child = build(t + 1, masks[~take], probs[~take], prob * (1.0 - alpha))
             node.skip = child
             node.delta_skip = child.pi - pi
         return node
 
-    return build(0, frozenset(), 1.0)
+    return build(0, *support_arrays(dist), 1.0)
 
 
 def sequential_leaf_distribution(
     root: SequentialNode,
-) -> "ExactDesignDistribution":
+) -> ExactDesignDistribution:
     """Collect the leaves of a sequential splitting tree."""
-    from .distribution import ExactDesignDistribution
-
     acc: dict[tuple[int, ...], float] = {}
     stack = [root]
     N = root.pi.size

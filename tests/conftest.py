@@ -1,7 +1,15 @@
+from itertools import combinations
+from math import fsum
+
 import numpy as np
 import pytest
 
-from splitsamp import DesignKind, compute_pips, enumerate_design
+from splitsamp import (
+    DesignKind,
+    ExactDesignDistribution,
+    compute_pips,
+    enumerate_design,
+)
 
 UNEQUAL_DESIGNS = (
     DesignKind.CHAO,
@@ -35,3 +43,23 @@ def enumerated_123456(x123456, pi123456):
         kind: enumerate_design(kind, x=x123456, pi=pi123456, n=3)
         for kind in UNEQUAL_DESIGNS
     }
+
+
+def random_fixed_size(seed: int) -> ExactDesignDistribution:
+    """A seeded fixed-size distribution with 4 <= N <= 7: Dirichlet(0.3)
+    masses on a random third of the n-subsets, so that some conditioning
+    sets have probability zero."""
+    rng = np.random.default_rng(seed)
+    N = int(rng.integers(4, 8))
+    n = int(rng.integers(1, N + 1))
+    subsets = list(combinations(range(N), n))
+    keep = rng.permutation(len(subsets))[: max(1, len(subsets) // 3)]
+    masses = rng.dirichlet(np.full(keep.size, 0.3))
+    return ExactDesignDistribution(
+        support={subsets[i]: m for i, m in zip(keep, masses)}, N=N, n=n
+    )
+
+
+def contains(dist: ExactDesignDistribution, *units: int) -> float:
+    """P(units subset of S), summed over the support map."""
+    return fsum(p for s, p in dist.support.items() if set(units) <= set(s))

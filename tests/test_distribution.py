@@ -8,9 +8,12 @@ import pytest
 from splitsamp import (
     ExactDesignDistribution,
     InvalidInputError,
+    containment,
     first_second_order,
-    subset_probabilities,
 )
+from splitsamp.distribution import mask_units
+
+from conftest import contains, random_fixed_size
 
 
 def uniform_pairs(N):
@@ -109,15 +112,15 @@ def test_dump_rejects_bad_ids():
         d.dump(ids=("a",))
 
 
-def test_subset_probabilities_uniform_pairs():
+def test_containment_uniform_pairs():
     d = uniform_pairs(4)
-    f = subset_probabilities(d, 2)
-    assert f[()] == pytest.approx(1.0)
-    for k in range(4):
-        assert f[(k,)] == pytest.approx(0.5)
-    for key, p in f.items():
-        if len(key) == 2:
-            assert p == pytest.approx(1.0 / 6.0)
+    f = containment(d)
+    assert f.shape == (16,)
+    assert f[0] == pytest.approx(1.0)
+    for mask in range(1, 16):
+        size = bin(mask).count("1")
+        expected = {1: 0.5, 2: 1.0 / 6.0}.get(size, 0.0)
+        assert f[mask] == pytest.approx(expected), mask
 
 
 def test_first_second_order():
@@ -130,3 +133,22 @@ def test_first_second_order():
     assert np.allclose(pi2, pi2.T)
     # Row sums of pi2 relate to the fixed size: sum_l pi_kl = n pi_k.
     assert np.allclose(pi2.sum(axis=1), 2 * pi1)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_containment_matches_brute_force(seed):
+    d = random_fixed_size(seed)
+    f = containment(d)
+    assert f.shape == (2**d.N,)
+    for mask in range(2**d.N):
+        assert f[mask] == pytest.approx(contains(d, *mask_units(mask)), abs=1e-15)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_first_second_order_matches_brute_force(seed):
+    d = random_fixed_size(seed)
+    pi1, pi2 = first_second_order(d)
+    for k in range(d.N):
+        assert pi1[k] == pytest.approx(contains(d, k), abs=1e-15)
+        for l in range(d.N):
+            assert pi2[k, l] == pytest.approx(contains(d, k, l), abs=1e-15)

@@ -5,6 +5,7 @@ is pointed at a hand-built distribution that violates its property, so
 a checker that silently passes everything cannot survive this module.
 """
 
+from itertools import combinations
 from math import comb
 
 import numpy as np
@@ -26,7 +27,7 @@ from splitsamp import (
 )
 from splitsamp.oracle import DEFAULT_MAX_BRANCHES, MAX_ENUM_N, PRUNE_TOL
 
-from conftest import UNEQUAL_DESIGNS, X_CERTAIN
+from conftest import UNEQUAL_DESIGNS, X_CERTAIN, contains, random_fixed_size
 
 
 class TestEnumerateSrswor:
@@ -171,6 +172,96 @@ class TestCsyg:
         rpt = check_csyg(point)
         assert rpt.skipped_sets >= 1
         assert rpt.max_violation <= 0.0
+
+
+    def test_witnesses_are_sorted_and_attain_the_maxima(self):
+        # A 4-of-5 design whose ratio witness was once reported with its
+        # conditioning set unsorted, as ((1, 0), 2).
+        subsets = list(combinations(range(5), 4))
+        rng = np.random.default_rng(0)
+        for _ in range(985):
+            masses = rng.dirichlet(np.full(len(subsets), 0.3))
+        dist = ExactDesignDistribution(
+            support=dict(zip(subsets, masses)), N=5, n=4
+        )
+        rpt = check_csyg(dist)
+        I, k, l = rpt.witness
+        J, a = rpt.witness_ratio
+        assert list(I) == sorted(I) and list(J) == sorted(J)
+        fI = contains(dist, *I)
+        v = contains(dist, *I, k, l) / fI - (
+            contains(dist, *I, k) / fI
+        ) * (contains(dist, *I, l) / fI)
+        assert rpt.max_violation == pytest.approx(v, abs=1e-15)
+        # J is I plus the conditioning unit b; the scan's maximum is
+        # attained for one b in J and bounds the others.
+        ratio = max(
+            contains(dist, *J, a) / contains(dist, *J)
+            - contains(dist, *rest, a) / contains(dist, *rest)
+            for rest in combinations(J, len(J) - 1)
+        )
+        assert rpt.max_violation_ratio == pytest.approx(ratio, abs=1e-15)
+
+    def test_rejects_a_population_too_large_for_its_table(self):
+        census = ExactDesignDistribution(support={tuple(range(21)): 1.0}, N=21, n=21)
+        with pytest.raises(InvalidInputError, match="N <= 20"):
+            check_csyg(census)
+
+
+def brute_csyg(dist, skip_tol=1e-12):
+    """(checked, skipped, max violation, max ratio violation), looping
+    over conditioning sets and pairs with sums over the support map."""
+    checked = skipped = 0
+    max_v = max_r = -np.inf
+    for size in range(max(dist.n - 1, 0)):
+        for I in combinations(range(dist.N), size):
+            fI = contains(dist, *I)
+            if fI <= skip_tol:
+                skipped += 1
+                continue
+            rest = [k for k in range(dist.N) if k not in I]
+            for k, l in combinations(rest, 2):
+                fk, fl = contains(dist, *I, k), contains(dist, *I, l)
+                fkl = contains(dist, *I, k, l)
+                checked += 1
+                max_v = max(max_v, fkl / fI - (fk / fI) * (fl / fI))
+                for fa, fb in ((fk, fl), (fl, fk)):
+                    if fb > skip_tol:
+                        max_r = max(max_r, fkl / fb - fa / fI)
+    return checked, skipped, max_v, max_r
+
+
+@pytest.mark.parametrize("seed", range(12))
+class TestReference:
+    """Each check against a brute-force sum over a random support map."""
+
+    def test_csyg(self, seed):
+        dist = random_fixed_size(seed)
+        rpt = check_csyg(dist)
+        checked, skipped, max_v, max_r = brute_csyg(dist)
+        assert (rpt.checked_count, rpt.skipped_sets) == (checked, skipped)
+        assert rpt.max_violation == pytest.approx(max_v, abs=1e-14)
+        assert rpt.max_violation_ratio == pytest.approx(max_r, abs=1e-14)
+
+    def test_pairwise_na(self, seed):
+        dist = random_fixed_size(seed)
+        worst = max(
+            (
+                contains(dist, k, l) - contains(dist, k) * contains(dist, l)
+                for k, l in combinations(range(dist.N), 2)
+            ),
+            default=-np.inf,
+        )
+        assert check_pairwise_na(dist) == pytest.approx(worst, abs=1e-15)
+
+    def test_unbiasedness(self, seed):
+        dist = random_fixed_size(seed)
+        rng = np.random.default_rng(seed)
+        y = rng.uniform(0.5, 2.0, dist.N)
+        pi = rng.uniform(0.2, 1.0, dist.N)
+        mean = sum(p * sum(y[k] / pi[k] for k in s) for s, p in dist.support.items())
+        gap = abs(mean - y.sum())
+        assert unbiasedness_check(dist, y, pi) == pytest.approx(gap, abs=1e-12)
 
 
 class TestPairwise:

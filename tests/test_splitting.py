@@ -260,6 +260,14 @@ class TestDrawByDraw:
             draw_by_draw_from_distribution(d, rng_seed=0)
 
 
+    def test_rejects_a_population_too_large_for_its_table(self):
+        from splitsamp import ExactDesignDistribution, InvalidInputError
+
+        census = ExactDesignDistribution(support={tuple(range(21)): 1.0}, N=21, n=21)
+        with pytest.raises(InvalidInputError, match="N <= 20"):
+            draw_by_draw_distribution(census)
+
+
 class TestSequentialTree:
     def test_srswor_tree_probabilities(self):
         d = enumerate_design(DesignKind.SRSWOR, N=3, n=2)
