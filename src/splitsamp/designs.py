@@ -23,7 +23,10 @@ leaves.
 
 Each procedure's step is written once, over a batch of replicates: all
 rows take a step together as one array operation, and each row draws
-its uniforms from its own seed.  A single draw runs the same law for one
+its uniforms from its own seed's stream.  A stream is counter-based
+(SplitMix64 over a key hashed from the seed), so any block of any rows'
+streams is one array pass, and SRSWOR keeps the n units with the
+smallest of N uniforms.  A single draw runs the same law for one
 row in Python: Brewer's picks in Python floats, the ladder designs' pool
 over a Python list.
 """
@@ -104,10 +107,10 @@ class Sampler:
     one Sample, ``sampler.rows(seeds)`` draws one per seed in lockstep.
 
     ``draw_rows`` maps a seed sequence to an array with one row of unit
-    indices per seed.  Row r is built from the stream of
-    ``default_rng(seeds[r])`` alone, so it is the sample that
-    ``sampler(seeds[r])`` returns.  Seeds are integers in [0, 2**128);
-    any other seed raises ``InvalidInputError``.
+    indices per seed.  Row r reads only the uniforms of seed r's
+    counter-based stream (``_uniforms``), in stream order, so it is the
+    sample that ``sampler(seeds[r])`` returns.  Seeds are integers in
+    [0, 2**128); any other seed raises ``InvalidInputError``.
     """
 
     N: int
@@ -146,59 +149,38 @@ def _check_sum(weights: np.ndarray, expected: float, context: str) -> np.ndarray
 
 
 # ---------------------------------------------------------------------------
-# Per-seed streams: the state default_rng(seed) starts in, for a whole
-# batch of seeds at once.
-#
-# default_rng(seed) hashes the seed with numpy's SeedSequence into a pool
-# of four uint32 words and seeds PCG64 from that pool; NEP 19 keeps both
-# stable.  A seed below 2**128 fills at most the four pool words, and a
-# missing word hashes as a zero word would, so every such seed hashes as
-# its four little-endian words.  The hashes use a fixed chain of
-# constants, so they run here as array operations over all seeds.
+# Per-seed streams, counter-based: uniform i of seed s is
+# (mix(key(s) + (i + 1) GOLDEN) >> 11) 2**-53, the output of SplitMix64
+# (Steele, Lea & Flood 2014) i + 1 steps past state key(s).  The key
+# folds the seed's 64-bit words, key(s) = mix(lo ^ mix(hi)): mix is a
+# bijection with mix(0) = 0, so seeds below 2**64 get distinct keys, and
+# seeds that differ by a multiple of GOLDEN do not share a shifted
+# stream.  Any block of any rows' streams is one array pass.
 
 SEED_LIMIT = 1 << 128
 
-_MASK32 = (1 << 32) - 1
-_MASK128 = (1 << 128) - 1
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+# SplitMix64's increment and its finalizer's multipliers.
+GOLDEN = 0x9E3779B97F4A7C15
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
+MASK64 = (1 << 64) - 1
 
 
-def _hash_chain(init: int, mult: int, count: int) -> tuple[list[int], list[int]]:
-    """The (xor, multiplier) constants of ``count`` successive hashmix
-    calls: call k xors with h_k and multiplies by h_{k+1} = h_k * mult."""
-    h = [init]
-    for _ in range(count):
-        h.append(h[-1] * mult & _MASK32)
-    return h[:-1], h[1:]
+def splitmix(z: int) -> int:
+    """The SplitMix64 finalizer of a state z in [0, 2**64)."""
+    z = ((z ^ (z >> 30)) * _MIX1) & MASK64
+    z = ((z ^ (z >> 27)) * _MIX2) & MASK64
+    return z ^ (z >> 31)
 
 
-def _cross_hash(xor: list[int], mul: list[int], src: int) -> tuple[np.ndarray, ...]:
-    """Constants for hashing pool word ``src`` once for each other word,
-    in word order, as 4-wide rows with zeros at ``src``."""
-    cols = [k for k in range(4) if k != src]
-    pairs = (np.zeros(4, dtype=np.uint32), np.zeros(4, dtype=np.uint32))
-    for row, chain in zip(pairs, (xor, mul)):
-        row[cols] = chain[4 + 3 * src : 7 + 3 * src]
-    return pairs
-
-
-# Mixing the pool takes 4 hashes of the seed words, then 3 per pool word,
-# one for each other word; generating the state takes 8.
-_POOL_CHAIN = _hash_chain(0x43B0D7E5, 0x931E8875, 4 + 4 * 3)
-_POOL_HASH = tuple(np.array(c[:4], dtype=np.uint32) for c in _POOL_CHAIN)
-_CROSS_HASH = tuple(_cross_hash(*_POOL_CHAIN, src) for src in range(4))
-_STATE_HASH = tuple(
-    np.array(c, dtype=np.uint32) for c in _hash_chain(0x8B51F9DD, 0x58F38DED, 8)
-)
-_XSHIFT = np.uint32(16)
-_MIX_MULT_L = np.uint32(0xCA01F9DD)
-_MIX_MULT_R = np.uint32(0x4973F715)
-
-
-def _hashmix(v: np.ndarray, xor: np.ndarray, mul: np.ndarray) -> np.ndarray:
-    v = (v ^ xor) * mul
-    v ^= v >> _XSHIFT
-    return v
+def _mix(z: np.ndarray) -> np.ndarray:
+    """``splitmix`` in place on a uint64 array."""
+    z ^= z >> 30
+    z *= _MIX1
+    z ^= z >> 27
+    z *= _MIX2
+    z ^= z >> 31
+    return z
 
 
 def _check_seed(seed) -> int:
@@ -208,64 +190,20 @@ def _check_seed(seed) -> int:
     raise InvalidInputError(f"seed must be an integer in [0, 2**128), got {seed!r}")
 
 
-def _pcg64_states(seeds: Sequence[int]) -> list[tuple[int, int]]:
-    """The PCG64 (state, increment) of ``default_rng(seed)`` per seed.
-
-    Row r of the pool holds seed r's four words.  Pool word ``src`` is
-    hashed once for each other word and mixed into it; ``mix(x, y)`` is
-    ``L x - R y`` with an xor-shift, and the mix leaves word ``src``
-    itself as it was.  The pool then hashes into a 128-bit seed s and
-    stream i, and PCG64 starts from 0 with increment 2i + 1, steps, adds
-    s and steps again.
-    """
-    raw = b"".join(_check_seed(s).to_bytes(16, "little") for s in seeds)
-    pool = _hashmix(np.frombuffer(raw, dtype="<u4").reshape(-1, 4), *_POOL_HASH)
-    for src, consts in enumerate(_CROSS_HASH):
-        mixed = pool * _MIX_MULT_L
-        mixed -= _hashmix(pool[:, src, None], *consts) * _MIX_MULT_R
-        mixed ^= mixed >> _XSHIFT
-        mixed[:, src] = pool[:, src]
-        pool = mixed
-    words = _hashmix(np.tile(pool, 2), *_STATE_HASH)
-    # Little-endian word pairs make the 64-bit halves of the PCG64 seed
-    # and increment, high half first.
-    halves = words.astype("<u4").view("<u8").T.tolist()
-    states = []
-    for s_hi, s_lo, i_hi, i_lo in zip(*halves):
-        inc = ((i_hi << 65) | (i_lo << 1) | 1) & _MASK128
-        state = (((s_hi << 64) | s_lo) + inc) * _PCG64_MULT + inc
-        states.append((state & _MASK128, inc))
-    return states
+def _key(seed) -> int:
+    """The state a seed's stream starts from: mix(lo ^ mix(hi))."""
+    seed = _check_seed(seed)
+    return splitmix((seed & MASK64) ^ splitmix(seed >> 64))
 
 
-def _streams(seeds: Sequence[int]) -> Iterator[np.random.Generator]:
-    """Per seed, a generator in the state ``default_rng(seed)`` starts
-    in.  One generator serves all seeds: built from the first seed, it is
-    reset to each later seed's state in turn, so use it up before taking
-    the next."""
-    if len(seeds) == 0:
-        return
-    rng = np.random.default_rng(_check_seed(seeds[0]))
-    yield rng
-    if len(seeds) == 1:
-        return
-    for state, inc in _pcg64_states(seeds[1:]):
-        rng.bit_generator.state = {
-            "bit_generator": "PCG64",
-            "state": {"state": state, "inc": inc},
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        yield rng
-
-
-def _uniforms(seeds: Sequence[int], count: int) -> np.ndarray:
-    """Row r: the first ``count`` uniforms of ``default_rng(seeds[r])``,
-    the values that ``count`` successive ``rng.random()`` calls return."""
-    u = np.empty((len(seeds), count))
-    for row, rng in zip(u, _streams(seeds)):
-        rng.random(out=row)
-    return u
+def _uniforms(seeds: Sequence[int], count: int, start: int = 0) -> np.ndarray:
+    """Row r: uniforms ``start`` to ``start + count - 1`` of seed r's
+    stream, computed in place on one uint64 block."""
+    keys = np.array([_key(s) for s in seeds], dtype=np.uint64)
+    z = np.arange(start + 1, start + count + 1, dtype=np.uint64) * GOLDEN
+    z = _mix(keys[:, None] + z)
+    z >>= 11
+    return np.multiply(z, 2.0**-53, out=z.view(np.float64))
 
 
 def sample_srswor(N: int, n: int, rng_seed: int) -> Sample:
@@ -275,10 +213,9 @@ def sample_srswor(N: int, n: int, rng_seed: int) -> Sample:
 
 
 def _srswor_rows(N: int, n: int, seeds: Sequence[int]) -> np.ndarray:
-    rows = np.empty((len(seeds), n), dtype=np.intp)
-    for row, rng in zip(rows, _streams(seeds)):
-        row[:] = rng.choice(N, size=n, replace=False)
-    return rows
+    """Each row's units with the n smallest of its first N uniforms: a
+    uniform n-subset, up to ties of probability about N**2 2**-54."""
+    return np.argpartition(_uniforms(seeds, N), n - 1, axis=1)[:, :n]
 
 
 # ---------------------------------------------------------------------------
@@ -703,8 +640,8 @@ def sample_midzuno(pi: InclusionProbabilities, rng_seed: int) -> Sample:
 
 _MAX_TRIALS = 4.0
 
-# Uniforms drawn up front per row and draw; a row that needs more draws
-# its stream again, twice as far.
+# Uniforms drawn up front per row and draw; a row that needs more reads
+# its stream on.
 _UNIFORMS_PER_DRAW = 4
 
 
@@ -816,10 +753,9 @@ def _brewer_fallback(
 
 def _brewer_row(plan: BrewerPlan, seed: int) -> list[int]:
     """One row's picks, positions in ``plan.p``, in Python floats."""
-    rng = next(_streams([seed]))
     p, cum, order = plan.p_list, plan.cum_list, plan.order_list
     total, d = plan.total, plan.draws
-    u = rng.random(_UNIFORMS_PER_DRAW * d).tolist()
+    u = _uniforms([seed], _UNIFORMS_PER_DRAW * d)[0].tolist()
     used = 0
     drawn = bytearray(len(p))
     s = 0.0
@@ -836,7 +772,7 @@ def _brewer_row(plan: BrewerPlan, seed: int) -> list[int]:
         if _by_rejection(q_max, g_max, left, total, r):
             while True:
                 if used + 2 > len(u):
-                    u += rng.random(len(u)).tolist()
+                    u += _uniforms([seed], len(u), start=len(u))[0].tolist()
                 # u < 1 makes u T < T, so k is a unit.
                 k = bisect.bisect_right(cum, u[used] * cum[-1])
                 accept = u[used + 1] * g_max
@@ -845,7 +781,7 @@ def _brewer_row(plan: BrewerPlan, seed: int) -> list[int]:
                     break
         else:
             if used + 1 > len(u):
-                u += rng.random(len(u)).tolist()
+                u += _uniforms([seed], len(u), start=len(u))[0].tolist()
             block = np.frombuffer(drawn, dtype=bool)[None]
             at = np.array(u[used : used + 1])
             k = int(_brewer_fallback(plan.p, block, np.array([c]), r, at, t)[0])
@@ -857,25 +793,15 @@ def _brewer_row(plan: BrewerPlan, seed: int) -> list[int]:
 
 
 def _reserve(
-    u: np.ndarray,
-    have: np.ndarray,
-    used: np.ndarray,
-    seeds: Sequence[int],
-    rows: np.ndarray,
-    count: int,
+    u: np.ndarray, used: np.ndarray, seeds: Sequence[int], rows: np.ndarray, count: int
 ) -> np.ndarray:
     """``u`` with at least ``count`` unused uniforms in each of ``rows``:
-    a row that runs short draws its stream again, twice as far."""
-    if int(used.max()) + count <= int(have.min()):
+    when one runs short, every row reads its stream on, as far again."""
+    width = u.shape[1]
+    short = int(used[rows].max()) + count - width
+    if short <= 0:
         return u
-    short = rows[used[rows] + count > have[rows]]
-    if short.size:
-        width = 2 * int(used[short].max()) + 2 * count
-        if width > u.shape[1]:
-            u = np.hstack([u, np.empty((u.shape[0], width - u.shape[1]))])
-        u[short, :width] = _uniforms([seeds[i] for i in short.tolist()], width)
-        have[short] = width
-    return u
+    return np.hstack([u, _uniforms(seeds, max(short, width), start=width)])
 
 
 def _brewer_batch(plan: BrewerPlan, seeds: Sequence[int]) -> np.ndarray:
@@ -884,9 +810,7 @@ def _brewer_batch(plan: BrewerPlan, seeds: Sequence[int]) -> np.ndarray:
     is a drawn mask, sum_S p and a pointer into p's descending order."""
     R, M, d = len(seeds), plan.p.size, plan.draws
     p, cum, order, total = plan.p, plan.cum, plan.order, plan.total
-    width = _UNIFORMS_PER_DRAW * d
-    u = _uniforms(seeds, width)
-    have = np.full(R, width)
+    u = _uniforms(seeds, _UNIFORMS_PER_DRAW * d)
     used = np.zeros(R, dtype=np.intp)
     drawn = np.zeros(R * M, dtype=bool)
     base = np.arange(R) * M
@@ -908,13 +832,13 @@ def _brewer_batch(plan: BrewerPlan, seeds: Sequence[int]) -> np.ndarray:
         fast = _by_rejection(q_max, g_max, left, total, r)
         slow = np.flatnonzero(~fast)
         if slow.size:
-            u = _reserve(u, have, used, seeds, slow, 1)
+            u = _reserve(u, used, seeds, slow, 1)
             block = drawn.reshape(R, M)[slow]
             pick[slow] = _brewer_fallback(p, block, c[slow], r, u[slow, used[slow]], t)
             used[slow] += 1
         live = np.flatnonzero(fast)
         while live.size:
-            u = _reserve(u, have, used, seeds, live, 2)
+            u = _reserve(u, used, seeds, live, 2)
             at = used[live]
             k = np.searchsorted(cum, u[live, at] * cum[-1], side="right")
             used[live] += 2

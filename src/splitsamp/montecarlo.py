@@ -15,16 +15,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .designs import DesignKind, make_sampler
+from .designs import GOLDEN, MASK64, DesignKind, make_sampler, splitmix
 from .errors import InvalidInputError
 from .population import InclusionProbabilities
-
-_MASK64 = (1 << 64) - 1
-
-# splitmix64 increment and mixing multipliers (Steele, Lea, Flood 2014).
-_GOLDEN = 0x9E3779B97F4A7C15
-_MIX1 = 0xBF58476D1CE4E5B9
-_MIX2 = 0x94D049BB133111EB
 
 # One-sided 99% normal quantile for the Wilson limit.
 DEFAULT_Z = NormalDist().inv_cdf(0.99)
@@ -36,13 +29,14 @@ _CHUNK_CELLS = 1 << 17
 
 def derive_seed(master_seed: int, index: int) -> int:
     """Seed for replicate ``index``: splitmix64 output ``index + 1``
-    steps past ``master_seed``."""
+    steps past ``master_seed``, a state in [0, 2**64)."""
+    if not (isinstance(master_seed, (int, np.integer)) and 0 <= master_seed <= MASK64):
+        raise InvalidInputError(
+            f"master seed must be an integer in [0, 2**64), got {master_seed!r}"
+        )
     if index < 0:
         raise InvalidInputError("replicate index must be nonnegative")
-    z = (master_seed + (index + 1) * _GOLDEN) & _MASK64
-    z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
-    z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
-    return (z ^ (z >> 31)) & _MASK64
+    return splitmix((int(master_seed) + (index + 1) * GOLDEN) & MASK64)
 
 
 def wilson_upper(successes: int, trials: int, z: float = DEFAULT_Z) -> float:

@@ -45,6 +45,36 @@ def enumerated_123456(x123456, pi123456):
     }
 
 
+def splitmix64_reference(state):
+    """Textbook splitmix64, written independently of the library: the
+    next state and its output."""
+    mask = (1 << 64) - 1
+    state = (state + 0x9E3779B97F4A7C15) & mask
+    z = state
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+    return state, (z ^ (z >> 31)) & mask
+
+
+def splitmix64_mix(z):
+    """The splitmix64 finalizer alone: the output of the state z."""
+    return splitmix64_reference((z - 0x9E3779B97F4A7C15) % (1 << 64))[1]
+
+
+class ReferenceStream:
+    """A seed's uniforms in pure Python, one per ``random()`` call: the
+    splitmix64 walk from the key mix(lo ^ mix(hi)) of the seed's 64-bit
+    words, each output's top 53 bits scaled to [0, 1)."""
+
+    def __init__(self, seed: int):
+        mask = (1 << 64) - 1
+        self.state = splitmix64_mix((seed & mask) ^ splitmix64_mix(seed >> 64))
+
+    def random(self) -> float:
+        self.state, out = splitmix64_reference(self.state)
+        return (out >> 11) * 2.0**-53
+
+
 def random_fixed_size(seed: int) -> ExactDesignDistribution:
     """A seeded fixed-size distribution with 4 <= N <= 7: Dirichlet(0.3)
     masses on a random third of the n-subsets, so that some conditioning

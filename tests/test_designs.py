@@ -35,6 +35,7 @@ from splitsamp import (
     sample_srswor,
     sample_tille,
 )
+from splitsamp import designs
 from splitsamp.designs import (
     SEED_LIMIT,
     _brewer_weights,
@@ -47,7 +48,7 @@ from splitsamp.designs import (
 )
 from splitsamp.splitting import ZERO_ONE_TOL
 
-from conftest import UNEQUAL_DESIGNS, X_CERTAIN
+from conftest import UNEQUAL_DESIGNS, X_CERTAIN, ReferenceStream
 
 
 class TestSample:
@@ -114,45 +115,110 @@ class TestSrswor:
             sample_srswor(3, 4, 0)
 
 
-# Seeds where the 32-bit words of a seed change count or wrap, and the
-# ends of the seed domain.
+# Seeds where the 32-bit and 64-bit words of a seed change count or
+# wrap, and the ends of the seed domain.
 EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1, 2**64, 2**128 - 1]
 
 
+def reference_uniforms(seed, count, start=0):
+    stream = ReferenceStream(seed)
+    for _ in range(start):
+        stream.random()
+    return [stream.random() for _ in range(count)]
+
+
 class TestStreams:
-    """Each row of a batch draws exactly the stream ``default_rng(seed)``
-    draws, whether the seed opens the batch or sits inside it."""
+    """Each seed's uniforms are one counter-based stream: the pure-Python
+    splitmix64 walk from the seed's key, whichever block of it a call
+    asks for and wherever the seed sits in a batch."""
 
     SEEDS = EDGE_SEEDS + [derive_seed(11, r) for r in range(2000)]
 
+    def test_known_answers(self):
+        # Seed 0 has key 0, so its stream is the splitmix64 walk from
+        # state 0, whose outputs TestDeriveSeed pins.
+        first = [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4]
+        assert _uniforms([0], 2)[0].tolist() == [(z >> 11) * 2.0**-53 for z in first]
+        u = _uniforms(EDGE_SEEDS, 40, start=5)
+        for seed, row in zip(EDGE_SEEDS, u):
+            assert row.tolist() == reference_uniforms(seed, 40, start=5), seed
+
+    def test_blocks_are_columns_of_a_longer_call(self):
+        seeds = self.SEEDS[:300]
+        u = _uniforms(seeds, 320)
+        for start, count in ((0, 1), (1, 40), (160, 160), (319, 1), (100, 0)):
+            block = _uniforms(seeds, count, start)
+            assert np.array_equal(block, u[:, start : start + count]), (start, count)
+
     @pytest.mark.parametrize("count", [1, 40, 320])
-    def test_rows_equal_default_rng(self, count):
-        expect = {s: np.random.default_rng(s).random(count) for s in self.SEEDS}
-        for seed in self.SEEDS:
-            assert np.array_equal(_uniforms([seed], count)[0], expect[seed]), seed
+    def test_rows_equal_single_seed_calls(self, count):
+        expect = {s: _uniforms([s], count)[0] for s in self.SEEDS}
         # The edge seeds sit inside the first 655-row block.
         seeds = self.SEEDS[8:300] + self.SEEDS[:8] + self.SEEDS[300:]
         for start in range(0, len(seeds), 655):
             block = seeds[start : start + 655]
-            u = _uniforms(block, count)
-            for seed, row in zip(block, u):
+            for seed, row in zip(block, _uniforms(block, count)):
                 assert np.array_equal(row, expect[seed]), seed
 
     @pytest.mark.parametrize("N, n", [(200, 40), (2000, 200), (10, 10)])
-    def test_srswor_rows_equal_default_rng_choice(self, N, n):
+    def test_srswor_rows_are_the_smallest_uniforms(self, N, n):
         draw, _ = make_sampler(DesignKind.SRSWOR, N=N, n=n)
         seeds = [derive_seed(5, r) for r in range(150)] + EDGE_SEEDS
         rows = draw.rows(seeds)
         for seed, row in zip(seeds, rows):
-            expect = np.sort(np.random.default_rng(seed).choice(N, n, replace=False))
-            assert np.array_equal(row, expect), seed
+            u = reference_uniforms(seed, N)
+            assert row.tolist() == sorted(sorted(range(N), key=u.__getitem__)[:n]), seed
         for seed in EDGE_SEEDS:
             assert draw(seed).selected == tuple(rows[seeds.index(seed)])
 
+    def test_consecutive_seeds_look_independent(self):
+        # The first uniform of seeds 0..4999: mean, variance and the
+        # correlation of adjacent seeds within 4 standard errors.
+        R = 5000
+        u = _uniforms(range(R), 1)[:, 0]
+        assert abs(u.mean() - 0.5) <= 4.0 * math.sqrt(1.0 / 12.0 / R)
+        assert abs(u.var() - 1.0 / 12.0) <= 4.0 * math.sqrt(1.0 / 180.0 / R)
+        assert abs(np.corrcoef(u[:-1], u[1:])[0, 1]) <= 4.0 / math.sqrt(R - 1)
+
+    @pytest.mark.parametrize("kind", list(DesignKind), ids=lambda k: k.value)
+    def test_draw_equals_its_batch_row(self, kind):
+        pi = compute_pips(X_CERTAIN, 4)
+        if kind is DesignKind.SRSWOR:
+            draw, _ = make_sampler(kind, N=pi.N, n=pi.n)
+        else:
+            draw, _ = make_sampler(kind, pi=pi, x=X_CERTAIN)
+        seeds = self.SEEDS[8:1000] + self.SEEDS[:8] + self.SEEDS[1000:]
+        rows = np.vstack([draw.rows(seeds[i : i + 655]) for i in range(0, len(seeds), 655)])
+        assert np.array_equal(rows, draw.rows(seeds[::-1])[::-1])
+        for seed, row in zip(seeds, rows):
+            assert draw(seed).selected == tuple(row), seed
+
+
+def test_numpy_generators_are_never_used(monkeypatch):
+    """Every sampling path reads its uniforms from ``_uniforms`` alone."""
+    pi = compute_pips(X_CERTAIN, 4)
+    inverse_cdf = compute_pips(INVERSE_CDF_X, 3)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a sampling path used a numpy generator")
+
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    monkeypatch.setattr(np.random, "Generator", refuse)
+    for kind in DesignKind:
+        if kind is DesignKind.SRSWOR:
+            draw, _ = make_sampler(kind, N=pi.N, n=pi.n)
+        else:
+            draw, _ = make_sampler(kind, pi=pi, x=X_CERTAIN)
+        assert draw(7).size == 4
+        assert draw.rows(range(50)).shape == (50, 4)
+    for target in (pi, inverse_cdf):
+        sample, _ = sample_brewer(target, 7, trace="realized")
+        assert sample == sample_brewer(target, 7)
+
 
 class TestSeedDomain:
-    """Seeds are integers in [0, 2**128): the range whose streams the
-    batched seeding reproduces.  Anything else is rejected up front."""
+    """Seeds are integers in [0, 2**128): the two 64-bit words that a
+    stream's key folds.  Anything else is rejected up front."""
 
     BAD = [-1, SEED_LIMIT, 2**200, 1.5, "3", None]
 
@@ -469,7 +535,7 @@ def reference_eliminate(ladder, rng):
 
 
 def reference_tille(plan, seed):
-    _, kept = reference_eliminate(plan, np.random.default_rng(seed))
+    _, kept = reference_eliminate(plan, ReferenceStream(seed))
     return np.array(kept + plan.cross[plan.cross_at[-1] :].tolist(), dtype=int)
 
 
@@ -484,7 +550,7 @@ def reference_midzuno(plan, seed):
     if plan.ladder is None:
         forced = plan.n - plan.certain.size == plan.active.size
         return np.concatenate([plan.certain, plan.active if forced else []])
-    picked, _ = reference_eliminate(plan.ladder, np.random.default_rng(seed))
+    picked, _ = reference_eliminate(plan.ladder, ReferenceStream(seed))
     return np.concatenate([plan.certain, plan.active[picked]])
 
 
@@ -498,7 +564,7 @@ def reference_brewer(pi_vec, seed, counts=None):
     sum(p) g(c p_max) / ((sum(p) - sum_S p) r), exceeds 4 picks by
     inverse CDF over the weights instead.  ``counts``, if given, adds up
     the inverse-CDF steps and the uniforms spent."""
-    rng = np.random.default_rng(seed)
+    rng = ReferenceStream(seed)
     chosen = [k for k, v in enumerate(pi_vec) if v >= 1.0 - ZERO_ONE_TOL]
     active = [k for k, v in enumerate(pi_vec) if v < 1.0 - ZERO_ONE_TOL]
     p = [float(pi_vec[k]) for k in active]
@@ -584,10 +650,19 @@ class TestLockstepMatchesReferenceLoops:
         ],
         ids=["inverse-cdf", "second-budget"],
     )
-    def test_brewer_pick_paths(self, x, n):
+    def test_brewer_pick_paths(self, x, n, monkeypatch):
         pi = compute_pips(x, n)
         draw, _ = make_sampler(DesignKind.BREWER, pi=pi)
         seeds = list(range(300))
+        # The calls that read a stream on past its first block.
+        refills = collections.Counter()
+
+        def uniforms(seeds, count, start=0):
+            refills["batch" if len(seeds) > 1 else "row"] += start > 0
+            return read(seeds, count, start)
+
+        read = designs._uniforms
+        monkeypatch.setattr(designs, "_uniforms", uniforms)
         rows = draw.rows(seeds)
         counts = collections.Counter()
         for seed in seeds:
@@ -597,9 +672,10 @@ class TestLockstepMatchesReferenceLoops:
             # Every sample's first draw has a trial bound above 4.
             assert counts["inverse_cdf"] == len(seeds)
         else:
-            # Some rows spend more than the 4 uniforms per draw that a
-            # batch draws up front, so they draw their streams again.
+            # Some rows spend more than the 4 uniforms per draw read up
+            # front, so the batch and those rows alone read on.
             assert counts["uniforms"] > 4
+            assert refills["batch"] > 0 and refills["row"] > 0
 
 
 class TestRunnersMatchEnumeration:

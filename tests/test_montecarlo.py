@@ -20,17 +20,7 @@ from splitsamp import (
 from splitsamp import designs, montecarlo
 from splitsamp.montecarlo import DEFAULT_Z
 
-from conftest import X_CERTAIN
-
-
-def splitmix64_reference(state):
-    """Textbook splitmix64, written independently of the library."""
-    mask = (1 << 64) - 1
-    state = (state + 0x9E3779B97F4A7C15) & mask
-    z = state
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
-    return state, (z ^ (z >> 31)) & mask
+from conftest import X_CERTAIN, splitmix64_reference
 
 
 class TestDeriveSeed:
@@ -59,6 +49,20 @@ class TestDeriveSeed:
     def test_64_bit_range(self):
         s = derive_seed(2**64 - 1, 3)
         assert 0 <= s < 2**64
+
+    @pytest.mark.parametrize("master", [-1, 2**64, 2**64 + 7, 1.5, "3", None])
+    def test_master_seed_outside_64_bits(self, master):
+        # Masked to 64 bits, 2**64 would replay master 0 and -1 would
+        # replay 2**64 - 1, each recorded under another seed.
+        with pytest.raises(InvalidInputError, match="master seed"):
+            derive_seed(master, 0)
+
+    def test_estimate_tail_rejects_aliasing_master_seed(self):
+        args = dict(y=np.arange(1.0, 7.0), eps_grid=[0.1], replicates=10, N=6, n=3)
+        tail = estimate_tail(DesignKind.SRSWOR, master_seed=2**64 - 1, **args)
+        assert tail.master_seed == 2**64 - 1
+        with pytest.raises(InvalidInputError, match="master seed"):
+            estimate_tail(DesignKind.SRSWOR, master_seed=2**64, **args)
 
 
 class TestWilsonUpper:
