@@ -45,13 +45,7 @@ import numpy as np
 
 from .errors import ContractViolationError, InvalidInputError, InvalidSizeError
 from .population import CERTAINTY_TOL, InclusionProbabilities, compute_pips
-from .splitting import (
-    RANGE_TOL,
-    ZERO_ONE_TOL,
-    SplittingStep,
-    SplittingTrace,
-    run_splitting,  # not called here: bench/workloads.py patches designs.run_splitting
-)
+from .splitting import RANGE_TOL, SplittingStep, SplittingTrace
 
 # Probabilities that must sum to one may miss by at most this much.
 PROB_SUM_TOL = 1e-9
@@ -647,7 +641,7 @@ _UNIFORMS_PER_DRAW = 4
 
 @dataclass(frozen=True)
 class BrewerPlan:
-    """Brewer's draws over the active units, those below 1 - ZERO_ONE_TOL.
+    """Brewer's draws over the active units, those below 1 - CERTAINTY_TOL.
 
     ``p`` holds their probabilities, ``cum`` the cumulative sums of p
     (clamped at 0) that proposals search, ``order`` p's descending
@@ -672,7 +666,7 @@ def brewer_plan(pi_vec: np.ndarray) -> BrewerPlan:
     """Brewer's plan; checks the weights of the first draw, which every
     row shares."""
     pi_vec = np.asarray(pi_vec, dtype=float)
-    certain = pi_vec >= 1.0 - ZERO_ONE_TOL
+    certain = pi_vec >= 1.0 - CERTAINTY_TOL
     active = np.flatnonzero(~certain)
     p = pi_vec[active]
     p_list = p.tolist()
@@ -861,6 +855,37 @@ def _brewer_plan_rows(plan: BrewerPlan, seeds: Sequence[int]) -> np.ndarray:
     return np.hstack([np.tile(plan.certain, (len(seeds), 1)), plan.active[picks]])
 
 
+def run_splitting(plan: BrewerPlan, seed: int, pi0: np.ndarray) -> SplittingTrace:
+    """Brewer's splitting trace from ``pi0`` along ``_brewer_row``'s
+    picks for ``seed``: per draw, the weights over the undrawn active
+    units, the pick among them, and the update that raises the drawn
+    unit to 1 and moves each other one from c p_k to the next step's
+    c' p_k."""
+    p, active = plan.p, plan.active
+    N = len(pi0)
+    undrawn = np.ones(p.size, dtype=bool)
+    s = 0.0
+    steps = []
+    for t, k in enumerate(_brewer_row(plan, seed), 1):
+        r = plan.draws - t + 1
+        c = r / (plan.total - s)
+        pk = plan.p_list[k]
+        s += pk
+        rest = p[undrawn]
+        q = c * rest
+        w = q * _g(q, r)
+        d = np.zeros(N)
+        d[active[undrawn]] = ((r - 1) / (plan.total - s) - c) * rest
+        d[active[k]] = 1.0 - c * pk
+        chosen = int(np.count_nonzero(undrawn[:k]))
+        steps.append(SplittingStep(t, w / w.sum(), None, chosen, d))
+        undrawn[k] = False
+    final = np.zeros(N, dtype=int)
+    final[plan.certain] = 1
+    final[active[~undrawn]] = 1
+    return SplittingTrace(np.array(pi0, dtype=float), tuple(steps), final)
+
+
 def sample_brewer(
     pi: InclusionProbabilities, rng_seed: int, trace: str | None = None
 ) -> Sample | tuple[Sample, SplittingTrace]:
@@ -873,39 +898,17 @@ def sample_brewer(
         rng_seed: seed; a draw spends two uniforms per rejection trial,
             or one when it is drawn by inverse CDF.
         trace: None for the plain sample; "realized" returns (sample,
-            trace), with the splitting trace along the same picks: per
-            draw, the weights over the undrawn active units, the pick
-            among them, and the update that raises the drawn unit to 1
-            and moves each other one from c p_k to the next step's
-            c' p_k.  The one-row kernel draws both, so a seed gives one
-            sample either way.
+            trace), with the splitting trace of ``run_splitting``.  The
+            one-row kernel draws both, so a seed gives one sample either
+            way.
     """
     if trace is None:
         draw, _ = make_sampler(DesignKind.BREWER, pi=pi)
         return draw(rng_seed)
     if trace != "realized":
         raise InvalidInputError(f"trace must be None or 'realized', got {trace!r}")
-    plan = brewer_plan(pi.pi)
-    p, active = plan.p, plan.active
-    undrawn = np.ones(p.size, dtype=bool)
-    s = 0.0
-    steps = []
-    for t, k in enumerate(_brewer_row(plan, rng_seed), 1):
-        r = plan.draws - t + 1
-        c = r / (plan.total - s)
-        pk = plan.p_list[k]
-        s += pk
-        rest = p[undrawn]
-        q = c * rest
-        w = q * _g(q, r)
-        d = np.zeros(pi.N)
-        d[active[undrawn]] = ((r - 1) / (plan.total - s) - c) * rest
-        d[active[k]] = 1.0 - c * pk
-        chosen = int(np.count_nonzero(undrawn[:k]))
-        steps.append(SplittingStep(t, w / w.sum(), None, chosen, d))
-        undrawn[k] = False
-    sample = Sample(selected=(*plan.certain, *active[~undrawn]), N=pi.N)
-    return sample, SplittingTrace(pi.pi.copy(), tuple(steps), sample.indicator)
+    tr = run_splitting(brewer_plan(pi.pi), rng_seed, pi.pi)
+    return Sample(selected=tr.selected, N=pi.N), tr
 
 
 # ---------------------------------------------------------------------------

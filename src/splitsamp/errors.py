@@ -27,10 +27,6 @@ class ContractViolationError(SplitsampError, RuntimeError):
     """
 
 
-class RunawayError(SplitsampError, RuntimeError):
-    """The splitting driver exceeded its step budget without finishing."""
-
-
 class RepresentationError(SplitsampError, ValueError):
     """A distribution cannot back the requested representation."""
 

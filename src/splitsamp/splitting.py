@@ -1,13 +1,13 @@
-"""Generic splitting driver and splitting representations of designs.
+"""Splitting traces and the splitting representations of designs.
 
 A splitting procedure turns a vector of inclusion probabilities into a
 0/1 indicator vector through a sequence of randomized steps.  Each step
 offers M candidate updates ``delta^i`` with selection weights
 ``alpha^i`` satisfying three constraints: the weights sum to one, the
 weighted candidate updates sum to zero componentwise (the martingale
-property), and every candidate keeps all components inside [0, 1].  The
-driver draws one candidate per step by inverse CDF over the weights,
-using a single uniform draw, and stops once every component is 0 or 1.
+property), and every candidate keeps all components inside [0, 1].  One
+candidate is drawn per step, and the process stops once every component
+is 0 or 1.
 
 The recorded trace is the whole point: its per-step realized increments
 are the martingale differences that the tail bounds control, and
@@ -18,7 +18,6 @@ estimator.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Protocol
 
 import numpy as np
 
@@ -28,12 +27,7 @@ from .distribution import (
     mask_units,
     support_arrays,
 )
-from .errors import (
-    ContractViolationError,
-    InvalidInputError,
-    RepresentationError,
-    RunawayError,
-)
+from .errors import ContractViolationError, InvalidInputError, RepresentationError
 
 # Candidate weights must sum to one within this tolerance.
 ALPHA_SUM_TOL = 1e-10
@@ -44,49 +38,9 @@ MARTINGALE_TOL = 1e-10
 # Components may leave [0, 1] by at most this much.
 RANGE_TOL = 1e-12
 
-# A component within this distance of 0 or 1 counts as settled.
-ZERO_ONE_TOL = 1e-9
-
 # Reconstruction tolerance: pi0 plus all increments must equal the final
 # indicator within this.
 FINAL_TOL = 1e-9
-
-
-def categorical_index(rng: np.random.Generator, weights: np.ndarray) -> int:
-    """Single inverse-CDF draw over nonnegative weights, in given order.
-
-    Weights in [-RANGE_TOL, 0) are clamped to zero before normalizing;
-    anything more negative is an error.
-    """
-    w = np.asarray(weights, dtype=float)
-    if w.ndim != 1 or w.size == 0:
-        raise ContractViolationError("empty candidate set")
-    lo = float(w.min())
-    if lo < -RANGE_TOL:
-        raise ContractViolationError(f"negative selection weight {lo!r}")
-    if lo < 0.0:
-        w = np.clip(w, 0.0, None)
-    total = float(w.sum())
-    if total <= 0.0:
-        raise ContractViolationError("selection weights carry no mass")
-    cum = np.cumsum(w / total)
-    i = int(np.searchsorted(cum, rng.random(), side="right"))
-    return min(i, w.size - 1)
-
-
-class SplitRule(Protocol):
-    """Per-step candidate generator for ``run_splitting``.
-
-    Implementations must be pure functions of (t, pi): ``alphas`` returns
-    the selection weights of the M candidates at step t in a fixed
-    order, and ``delta(t, pi, i)`` materializes the i-th candidate
-    update as a dense vector.  Statelessness keeps runs replayable and
-    safe to share across threads.
-    """
-
-    def alphas(self, t: int, pi: np.ndarray) -> np.ndarray: ...
-
-    def delta(self, t: int, pi: np.ndarray, i: int) -> np.ndarray: ...
 
 
 @dataclass
@@ -102,10 +56,6 @@ class SplittingStep:
     deltas: np.ndarray | None
     chosen: int
     realized_delta: np.ndarray
-
-    @property
-    def alpha_chosen(self) -> float:
-        return float(self.alphas[self.chosen])
 
     @property
     def increment_l1(self) -> float:
@@ -151,13 +101,6 @@ class SplittingTrace:
         if not np.all((self.final == 0) | (self.final == 1)):
             raise ContractViolationError("final vector is not an indicator")
 
-    def dump(self) -> str:
-        """One line per step: ``t;alpha_chosen;l1_increment``."""
-        lines = [
-            f"{s.t};{s.alpha_chosen!r};{s.increment_l1!r}" for s in self.steps
-        ]
-        return "\n".join(lines) + ("\n" if lines else "")
-
 
 def _validate_candidates(
     t: int, pi: np.ndarray, alphas: np.ndarray, deltas: np.ndarray
@@ -175,77 +118,6 @@ def _validate_candidates(
         raise ContractViolationError(
             f"step {t}: a candidate leaves the [0, 1] range"
         )
-
-
-def run_splitting(
-    rule: SplitRule,
-    pi0,
-    rng_seed: int,
-    record: str = "full",
-) -> SplittingTrace:
-    """Drive a splitting rule from pi0 to a 0/1 vector and record it.
-
-    Args:
-        rule: candidate generator (see SplitRule).
-        pi0: starting probabilities; InclusionProbabilities or vector.
-        rng_seed: seed for the single-uniform-per-step branch draws.
-        record: "full" keeps every candidate update per step and checks
-            the martingale and range constraints before drawing;
-            "realized" keeps only the realized branch (cheaper, used for
-            long runs) and checks what it can.
-
-    Returns:
-        SplittingTrace whose ``final`` is the sampled indicator vector.
-    """
-    if record not in ("full", "realized"):
-        raise InvalidInputError(f"record must be 'full' or 'realized', got {record!r}")
-    pi = np.array(getattr(pi0, "pi", pi0), dtype=float)
-    if pi.ndim != 1 or pi.size == 0:
-        raise InvalidInputError("pi0 must be a non-empty vector")
-    start = pi.copy()
-    rng = np.random.default_rng(rng_seed)
-    N = pi.size
-    budget = N * max(int(round(float(pi.sum()))), 1) + N
-    steps: list[SplittingStep] = []
-    t = 0
-    while True:
-        unfinished = (pi > ZERO_ONE_TOL) & (pi < 1.0 - ZERO_ONE_TOL)
-        if not unfinished.any():
-            break
-        t += 1
-        if t > budget:
-            raise RunawayError(
-                f"splitting did not finish within {budget} steps"
-            )
-        alphas = np.asarray(rule.alphas(t, pi), dtype=float)
-        if abs(float(alphas.sum()) - 1.0) > ALPHA_SUM_TOL:
-            raise ContractViolationError(
-                f"step {t}: weights sum to {alphas.sum()!r}, expected 1"
-            )
-        if record == "full":
-            deltas = np.stack(
-                [np.asarray(rule.delta(t, pi, i), dtype=float) for i in range(alphas.size)]
-            )
-            _validate_candidates(t, pi, alphas, deltas)
-            chosen = categorical_index(rng, alphas)
-            d = deltas[chosen]
-        else:
-            deltas = None
-            chosen = categorical_index(rng, alphas)
-            d = np.asarray(rule.delta(t, pi, chosen), dtype=float)
-            nxt = pi + d
-            if nxt.min() < -RANGE_TOL or nxt.max() > 1.0 + RANGE_TOL:
-                raise ContractViolationError(
-                    f"step {t}: realized update leaves [0, 1]"
-                )
-        steps.append(
-            SplittingStep(
-                t=t, alphas=alphas, deltas=deltas, chosen=chosen, realized_delta=d
-            )
-        )
-        pi = pi + d
-    final = np.where(pi > 0.5, 1, 0)
-    return SplittingTrace(pi0=start, steps=tuple(steps), final=final)
 
 
 def ht_increments(trace: SplittingTrace, y_check) -> np.ndarray:
@@ -286,14 +158,18 @@ def draw_by_draw_from_distribution(
     ``pi_{k|drawn} / (n - t + 1)``; the candidate update raises the
     drawn unit to 1 and lowers every other undrawn unit from its old to
     its new conditional inclusion probability.  Exactly n steps run,
-    even when they move nothing (certainty units).
+    even when they move nothing (certainty units).  Step t picks by
+    inverse CDF with uniform t - 1 of the seed's stream (see
+    ``designs._uniforms``).
     """
+    from .designs import _check_sum, _uniforms
+
     _require_fixed_size(dist)
     f = containment(dist)
     n = dist.n
     bits = 1 << np.arange(dist.N)
     pi = pi0 = f[bits]
-    rng = np.random.default_rng(rng_seed)
+    u = _uniforms([rng_seed], n)[0]
     drawn = 0
     steps: list[SplittingStep] = []
     for t in range(1, n + 1):
@@ -304,14 +180,16 @@ def draw_by_draw_from_distribution(
         cond = f[drawn | bits[remaining]] / fJ
         live = remaining[cond > 1e-15]
         taken = drawn | bits[live]
-        alphas = f[taken] / fJ / (n - t + 1)
+        alphas = _check_sum(f[taken] / fJ / (n - t + 1), 1.0, f"draw-by-draw step {t}")
         # Row i moves every undrawn unit to its conditional probability
         # given drawn + live[i]; live[i] itself lands on f/f = 1.
         deltas = np.zeros((live.size, dist.N))
         after = f[taken[:, None] | bits[remaining]] / f[taken][:, None]
         deltas[:, remaining] = after - cond
         _validate_candidates(t, pi, alphas, deltas)
-        chosen = categorical_index(rng, alphas)
+        cum = np.cumsum(alphas)
+        # u < 1 makes u T < T, so the pick is a candidate.
+        chosen = int(np.searchsorted(cum, u[t - 1] * cum[-1], side="right"))
         d = deltas[chosen]
         steps.append(
             SplittingStep(

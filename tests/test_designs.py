@@ -26,6 +26,7 @@ from splitsamp import (
     Sample,
     compute_pips,
     derive_seed,
+    draw_by_draw_from_distribution,
     enumerate_design,
     estimate_tail,
     make_sampler,
@@ -46,7 +47,7 @@ from splitsamp.designs import (
     midzuno_plan,
     tille_plan,
 )
-from splitsamp.splitting import ZERO_ONE_TOL
+from splitsamp.population import CERTAINTY_TOL
 
 from conftest import UNEQUAL_DESIGNS, X_CERTAIN, ReferenceStream
 
@@ -198,6 +199,7 @@ def test_numpy_generators_are_never_used(monkeypatch):
     """Every sampling path reads its uniforms from ``_uniforms`` alone."""
     pi = compute_pips(X_CERTAIN, 4)
     inverse_cdf = compute_pips(INVERSE_CDF_X, 3)
+    dist = enumerate_design(DesignKind.BREWER, pi=inverse_cdf)
 
     def refuse(*args, **kwargs):
         raise AssertionError("a sampling path used a numpy generator")
@@ -214,6 +216,7 @@ def test_numpy_generators_are_never_used(monkeypatch):
     for target in (pi, inverse_cdf):
         sample, _ = sample_brewer(target, 7, trace="realized")
         assert sample == sample_brewer(target, 7)
+    assert len(draw_by_draw_from_distribution(dist, 7).selected) == 3
 
 
 class TestSeedDomain:
@@ -240,6 +243,7 @@ class TestSeedDomain:
 
     def test_sample_functions(self, pi_plain):
         x = np.array([1.0, 2.0, 3.0, 4.0])
+        dist = enumerate_design(DesignKind.GENERALIZED_MIDZUNO, pi=pi_plain)
         calls = [
             lambda seed: sample_srswor(4, 2, seed),
             lambda seed: sample_chao(pi_plain, x, seed),
@@ -247,6 +251,7 @@ class TestSeedDomain:
             lambda seed: sample_midzuno(pi_plain, seed),
             lambda seed: sample_brewer(pi_plain, seed),
             lambda seed: sample_brewer(pi_plain, seed, trace="realized")[0],
+            lambda seed: Sample(draw_by_draw_from_distribution(dist, seed).selected, 4),
         ]
         for call in calls:
             assert call(SEED_LIMIT - 1).size == 2
@@ -389,10 +394,21 @@ class TestBrewer:
             with pytest.raises(InvalidInputError, match="trace must be"):
                 sample_brewer(pi_plain, rng_seed=0, trace=trace)
 
+    @pytest.mark.parametrize("gap, certain", [(1e-13, [0]), (1e-10, [])])
+    def test_certain_within_the_package_tolerance(self, gap, certain):
+        # Unit 0 is certain for Brewer's plan exactly when it is for
+        # InclusionProbabilities: within CERTAINTY_TOL of 1.
+        raw = np.array([1.0 - gap, 0.4, 0.3, 0.3 + gap])
+        pi = InclusionProbabilities(pi=raw, n=2)
+        assert np.flatnonzero(pi.certain).tolist() == certain
+        for vec in (raw, pi.pi):
+            assert brewer_plan(vec).certain.tolist() == certain
+
     def test_traced_and_plain_agree_near_certainty(self):
         # Criterion 04's population with unit 0 at pi = 1 - 1e-10 and the
-        # rest rescaled to sum 9 + 1e-10: both paths must take unit 0 as
-        # certain, so a seed gives one sample with or without a trace.
+        # rest rescaled to sum 9 + 1e-10.  Unit 0 is not certain, so both
+        # paths draw it as an active unit, and a seed gives one sample
+        # with or without a trace.
         x = -np.log1p(-np.random.default_rng(77).random(50))
         near = compute_pips(x, 10).pi.copy()
         near[0] = 1.0 - 1e-10
@@ -565,8 +581,8 @@ def reference_brewer(pi_vec, seed, counts=None):
     inverse CDF over the weights instead.  ``counts``, if given, adds up
     the inverse-CDF steps and the uniforms spent."""
     rng = ReferenceStream(seed)
-    chosen = [k for k, v in enumerate(pi_vec) if v >= 1.0 - ZERO_ONE_TOL]
-    active = [k for k, v in enumerate(pi_vec) if v < 1.0 - ZERO_ONE_TOL]
+    chosen = [k for k, v in enumerate(pi_vec) if v >= 1.0 - CERTAINTY_TOL]
+    active = [k for k, v in enumerate(pi_vec) if v < 1.0 - CERTAINTY_TOL]
     p = [float(pi_vec[k]) for k in active]
     total = math.fsum(p)
     draws = round(total)

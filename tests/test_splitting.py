@@ -1,7 +1,7 @@
-"""The splitting driver, its invariants, and the two representations
+"""Splitting traces, their invariants, and the two representations
 every fixed-size design admits (draw-by-draw and unit-by-unit)."""
 
-import re
+import collections
 
 import numpy as np
 import pytest
@@ -11,50 +11,41 @@ from splitsamp import (
     DesignKind,
     InclusionProbabilities,
     RepresentationError,
-    RunawayError,
     compute_pips,
     draw_by_draw_distribution,
     draw_by_draw_from_distribution,
     enumerate_design,
     ht_increments,
-    run_splitting,
     sample_brewer,
     sequential_leaf_distribution,
     sequential_splitting_from_distribution,
 )
-from splitsamp.splitting import _validate_candidates, categorical_index
+from splitsamp import designs
+from splitsamp.splitting import _validate_candidates
 
 
-class TestCategoricalIndex:
-    def test_inverse_cdf_boundaries(self):
-        class FakeRng:
-            def __init__(self, u):
-                self.u = u
+class TestValidateCandidates:
+    """The per-step check of draw-by-draw and of ``TestKernelTrace``."""
 
-            def random(self):
-                return self.u
+    PI = np.array([0.5, 0.5])
+    ALPHAS = np.array([0.5, 0.5])
 
-        w = np.array([0.2, 0.3, 0.5])
-        assert categorical_index(FakeRng(0.0), w) == 0
-        assert categorical_index(FakeRng(0.19), w) == 0
-        assert categorical_index(FakeRng(0.2), w) == 1
-        assert categorical_index(FakeRng(0.49), w) == 1
-        assert categorical_index(FakeRng(0.5), w) == 2
-        assert categorical_index(FakeRng(0.999999), w) == 2
+    def test_martingale_drift_detected(self):
+        # Both candidates push the same way: the weighted sum is not 0.
+        deltas = np.array([[0.1, 0.0], [0.1, 0.0]])
+        with pytest.raises(ContractViolationError, match="step 3: weighted updates drift"):
+            _validate_candidates(3, self.PI, self.ALPHAS, deltas)
 
-    def test_tiny_negative_weight_clamped(self):
-        rng = np.random.default_rng(0)
-        assert categorical_index(rng, np.array([-1e-13, 1.0])) == 1
+    def test_range_escape_detected(self):
+        # Mean zero, but each candidate takes unit 0 outside [0, 1].
+        deltas = np.array([[0.7, 0.0], [-0.7, 0.0]])
+        with pytest.raises(ContractViolationError, match=r"a candidate leaves the \[0, 1\]"):
+            _validate_candidates(1, self.PI, self.ALPHAS, deltas)
 
-    def test_negative_weight_rejected(self):
-        rng = np.random.default_rng(0)
-        with pytest.raises(ContractViolationError, match="negative"):
-            categorical_index(rng, np.array([-0.1, 1.1]))
-
-    def test_no_mass_rejected(self):
-        rng = np.random.default_rng(0)
-        with pytest.raises(ContractViolationError):
-            categorical_index(rng, np.zeros(3))
+    def test_shape_mismatch_detected(self):
+        for deltas in (np.zeros((3, 2)), np.zeros((2, 3)), np.zeros(2)):
+            with pytest.raises(ContractViolationError, match="candidate shape mismatch"):
+                _validate_candidates(1, self.PI, self.ALPHAS, deltas)
 
 
 class RecomputingBrewer:
@@ -80,10 +71,23 @@ class RecomputingBrewer:
 
 
 class TestRunSplitting:
+    """``designs.run_splitting``: the traced Brewer path."""
+
     def test_already_settled_vector_takes_no_steps(self):
-        tr = run_splitting(RecomputingBrewer(), np.array([1.0, 0.0, 1.0]), rng_seed=1)
+        pi = InclusionProbabilities(pi=np.array([1.0, 1.0, 1.0]), n=3)
+        sample, tr = sample_brewer(pi, rng_seed=1, trace="realized")
         assert len(tr.steps) == 0
-        assert tr.selected == (0, 2)
+        assert tr.selected == sample.selected == (0, 1, 2)
+        tr.validate()
+
+    def test_sample_brewer_calls_the_module_function(self, monkeypatch):
+        # bench/workloads.py times traced draws by patching this name.
+        real = designs.run_splitting
+        calls = []
+        monkeypatch.setattr(designs, "run_splitting", lambda *a: calls.append(a) or real(*a))
+        pi = InclusionProbabilities(pi=np.array([0.6, 0.8, 0.6]), n=2)
+        sample, tr = sample_brewer(pi, rng_seed=3, trace="realized")
+        assert len(calls) == 1 and tr.selected == sample.selected
 
     def test_brewer_step1_weights(self):
         # pi = [0.6, 0.8, 0.6], two draws outstanding: weights
@@ -134,50 +138,6 @@ class TestRunSplitting:
             traced, tr = sample_brewer(pi, rng_seed=seed, trace="realized")
             assert plain.selected == traced.selected == tr.selected
             assert all(s.deltas is None for s in tr.steps)
-
-    def test_runaway_rule_hits_budget(self):
-        class Stuck:
-            def alphas(self, t, pi):
-                return np.array([1.0])
-
-            def delta(self, t, pi, i):
-                return np.zeros(pi.size)
-
-        with pytest.raises(RunawayError):
-            run_splitting(Stuck(), np.array([0.5, 0.5]), rng_seed=0)
-
-    def test_martingale_drift_detected(self):
-        class Drifting:
-            def alphas(self, t, pi):
-                return np.array([0.5, 0.5])
-
-            def delta(self, t, pi, i):
-                # Both candidates push the same way: weighted sum is not 0.
-                d = np.zeros(pi.size)
-                d[0] = 0.1
-                return d
-
-        with pytest.raises(ContractViolationError, match="drift"):
-            run_splitting(Drifting(), np.array([0.5, 0.5]), rng_seed=0)
-
-    def test_range_escape_detected(self):
-        class Escaping:
-            def alphas(self, t, pi):
-                return np.array([0.5, 0.5])
-
-            def delta(self, t, pi, i):
-                d = np.zeros(pi.size)
-                d[0] = 0.7 if i == 0 else -0.7
-                return d
-
-        with pytest.raises(ContractViolationError, match="range|\\[0, 1\\]"):
-            run_splitting(Escaping(), np.array([0.5, 0.5]), rng_seed=0)
-
-    def test_dump_format(self):
-        pi = InclusionProbabilities(pi=np.array([0.6, 0.8, 0.6]), n=2)
-        _, tr = sample_brewer(pi, rng_seed=11, trace="realized")
-        for line in tr.dump().strip().split("\n"):
-            assert re.fullmatch(r"\d+;[0-9.eE+-]+;[0-9.eE+-]+", line)
 
 
 class TestKernelTrace:
@@ -251,6 +211,22 @@ class TestDrawByDraw:
             assert len(tr.steps) == 3
             assert len(tr.selected) == 3
             assert np.all(tr.increment_l1 <= 2.0 + 1e-12)
+
+    def test_sampled_frequencies_match_the_distribution(self):
+        # 2,000 draws from Brewer's law at N = 5, n = 2 (ten samples):
+        # every sample's frequency lies within 5 standard errors of its
+        # exact probability.
+        x = np.array([2.0, 1.0, 4.0, 3.0, 5.0])
+        d = enumerate_design(DesignKind.BREWER, pi=compute_pips(x, 2))
+        draws = 2000
+        counts = collections.Counter(
+            draw_by_draw_from_distribution(d, rng_seed=seed).selected
+            for seed in range(draws)
+        )
+        assert set(counts) <= set(d.support)
+        for sample, prob in d.support.items():
+            se = np.sqrt(prob * (1.0 - prob) / draws)
+            assert abs(counts[sample] / draws - prob) <= 5.0 * se, sample
 
     def test_requires_fixed_size(self):
         from splitsamp import ExactDesignDistribution
