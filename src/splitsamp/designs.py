@@ -38,14 +38,14 @@ import enum
 import heapq
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from .errors import ContractViolationError, InvalidInputError, InvalidSizeError
 from .population import CERTAINTY_TOL, InclusionProbabilities, compute_pips
-from .splitting import RANGE_TOL, SplittingStep, SplittingTrace
+from .splitting import RANGE_TOL, FactorSteps, SplittingTrace
 
 # Probabilities that must sum to one may miss by at most this much.
 PROB_SUM_TOL = 1e-9
@@ -857,33 +857,33 @@ def _brewer_plan_rows(plan: BrewerPlan, seeds: Sequence[int]) -> np.ndarray:
 
 def run_splitting(plan: BrewerPlan, seed: int, pi0: np.ndarray) -> SplittingTrace:
     """Brewer's splitting trace from ``pi0`` along ``_brewer_row``'s
-    picks for ``seed``: per draw, the weights over the undrawn active
-    units, the pick among them, and the update that raises the drawn
-    unit to 1 and moves each other one from c p_k to the next step's
-    c' p_k."""
-    p, active = plan.p, plan.active
-    N = len(pi0)
-    undrawn = np.ones(p.size, dtype=bool)
-    s = 0.0
-    steps = []
-    for t, k in enumerate(_brewer_row(plan, seed), 1):
-        r = plan.draws - t + 1
-        c = r / (plan.total - s)
-        pk = plan.p_list[k]
-        s += pk
-        rest = p[undrawn]
-        q = c * rest
-        w = q * _g(q, r)
-        d = np.zeros(N)
-        d[active[undrawn]] = ((r - 1) / (plan.total - s) - c) * rest
-        d[active[k]] = 1.0 - c * pk
-        chosen = int(np.count_nonzero(undrawn[:k]))
-        steps.append(SplittingStep(t, w / w.sum(), None, chosen, d))
-        undrawn[k] = False
-    final = np.zeros(N, dtype=int)
+    picks for ``seed``.  Step t draws with c_t = r / (sum(p) - s_{t-1}),
+    s_t the p-mass drawn by then, and moves each undrawn unit from
+    c_t p_k to c_{t+1} p_k; the trace keeps the picks and the c_t
+    (``FactorSteps``), whose weights over the undrawn units are q g(q)."""
+    picks = np.array(_brewer_row(plan, seed), dtype=np.intp)
+    d = picks.size
+    # One sequential cumsum: the floats of the sampler's running s += p_k.
+    drawn_before = np.concatenate(([0.0], np.cumsum(plan.p[picks])[:-1]))
+    c = np.append(np.arange(d, 0, -1) / (plan.total - drawn_before), 0.0)
+    final = np.zeros(len(pi0), dtype=int)
     final[plan.certain] = 1
-    final[active[~undrawn]] = 1
-    return SplittingTrace(np.array(pi0, dtype=float), tuple(steps), final)
+    final[plan.active[picks]] = 1
+    steps = FactorSteps(len(pi0), plan.active, plan.p, picks, c, _selection_weight)
+    return SplittingTrace(np.array(pi0, dtype=float), steps, final)
+
+
+def _selection_weight(q: np.ndarray, r: np.ndarray) -> np.ndarray:
+    return q * _g(q, r)
+
+
+@lru_cache(maxsize=1)
+def _traced_plan(key: bytes) -> BrewerPlan:
+    """The plan of the last pi traced, keyed on its bytes.  Its traces
+    share ``p`` and ``active``, so those are read-only."""
+    plan = brewer_plan(np.frombuffer(key))
+    plan.p.flags.writeable = plan.active.flags.writeable = False
+    return plan
 
 
 def sample_brewer(
@@ -907,7 +907,7 @@ def sample_brewer(
         return draw(rng_seed)
     if trace != "realized":
         raise InvalidInputError(f"trace must be None or 'realized', got {trace!r}")
-    tr = run_splitting(brewer_plan(pi.pi), rng_seed, pi.pi)
+    tr = run_splitting(_traced_plan(pi.pi.tobytes()), rng_seed, pi.pi)
     return Sample(selected=tr.selected, N=pi.N), tr
 
 

@@ -12,12 +12,18 @@ is 0 or 1.
 The recorded trace is the whole point: its per-step realized increments
 are the martingale differences that the tail bounds control, and
 ``ht_increments`` maps them to the increments of the Horvitz-Thompson
-estimator.
+estimator.  A trace's ``steps`` is a sequence whose items may be built
+on access: Brewer's traced draws store each step as one common factor
+plus the drawn unit (``FactorSteps``), and build a step's dense
+``alphas`` and ``realized_delta`` only when it is read.
 """
 
 from __future__ import annotations
 
+import bisect
+from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -45,7 +51,8 @@ FINAL_TOL = 1e-9
 
 @dataclass
 class SplittingStep:
-    """One executed splitting step.
+    """One executed splitting step: ``alphas`` weighs the candidates, and
+    ``realized_delta``, a dense N-vector, is the drawn candidate's update.
 
     ``deltas`` holds all candidate updates (one row per candidate) when
     the run recorded full candidate sets, else None.
@@ -62,12 +69,94 @@ class SplittingStep:
         return float(np.abs(self.realized_delta).sum())
 
 
+@dataclass(eq=False)
+class FactorSteps(Sequence):
+    """Steps that each move every undrawn unit by one common factor and
+    raise the drawn unit to 1, stored in O(M + d).
+
+    Before step t (0-based) every undrawn unit k sits at ``c[t] * p[k]``;
+    the step draws ``picks[t]`` and moves the others to ``c[t + 1] *
+    p[k]``, and ``c[d] = 0``.  ``units`` maps positions in ``p`` to the
+    N-vector, whose other units never move.  ``weight(q, r)`` gives,
+    elementwise, the selection weight of an undrawn unit at q = c[t] p
+    with r draws left.  An item is a ``SplittingStep`` built on access, in O(N + d);
+    iteration builds the items block by block.
+    """
+
+    N: int
+    units: np.ndarray
+    p: np.ndarray
+    picks: np.ndarray
+    c: np.ndarray
+    weight: Callable[[np.ndarray, np.ndarray], np.ndarray]
+
+    def __len__(self) -> int:
+        return self.picks.size
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(self[j] for j in range(len(self))[i])
+        i = range(len(self))[i]
+        return self._block(i, i + 1)[0]
+
+    def __iter__(self):
+        # Blocks of about 2**16 dense entries bound the memory a pass holds.
+        size = max(1, 2**16 // self.N)
+        for start in range(0, len(self), size):
+            yield from self._block(start, min(start + size, len(self)))
+
+    def _block(self, i0: int, i1: int) -> list[SplittingStep]:
+        """Steps i0..i1-1, each with the floats of its own per-step
+        expressions: a row's weights are normalized by their own sum."""
+        t = np.arange(i0, i1)
+        d, picks = len(self), self.picks[i0:i1]
+        c, c_next = self.c[i0:i1, None], self.c[i0 + 1 : i1 + 1, None]
+        # Over the N units: base values, 0 for a unit that never moves,
+        # and the step that draws each unit, d for one never drawn and -1
+        # for one that never moves.
+        p = np.zeros(self.N)
+        p[self.units] = self.p
+        drawn_at = np.full(self.N, -1)
+        drawn_at[self.units] = d
+        drawn_at[self.units[self.picks]] = np.arange(d)
+        undrawn = drawn_at >= t[:, None]
+        sizes = self.p.size - t
+        w = self.weight(np.compress(undrawn.ravel(), c * p), np.repeat(d - t, sizes))
+        dense = np.where(undrawn, (c_next - c) * p, 0.0)
+        dense[np.arange(t.size), self.units[picks]] = 1.0 - c[:, 0] * self.p[picks]
+        # A pick's place among the undrawn units is k less the earlier
+        # picks below it.
+        earlier = sorted(self.picks[:i0].tolist())
+        sums, steps, end = [], [], 0
+        for b, (k, m) in enumerate(zip(picks.tolist(), sizes.tolist())):
+            row = w[end : end + m]
+            end += m
+            sums.append(np.add.reduce(row))
+            chosen = k - bisect.bisect_left(earlier, k)
+            bisect.insort(earlier, k)
+            steps.append(SplittingStep(i0 + b + 1, row, None, chosen, dense[b]))
+        # Each step's weights are a view of w, normalized here in place.
+        w /= np.repeat(sums, sizes)
+        return steps
+
+    def ht_increments(self, yc: np.ndarray) -> np.ndarray:
+        """xi_t = (c[t + 1] - c[t]) (sum of y_check p over the units
+        undrawn after step t) + y_check_j (1 - c[t] p_j), j the pick."""
+        yu = yc[self.units]
+        yp = yu * self.p
+        drawn = yp[self.picks]
+        after = np.add.reduce(yp) - np.cumsum(drawn)
+        c = self.c
+        return np.diff(c) * after + yu[self.picks] - c[:-1] * drawn
+
+
 @dataclass
 class SplittingTrace:
-    """Full record of one splitting run."""
+    """Full record of one splitting run.  ``steps`` is a sequence whose
+    items may be built on access (``FactorSteps``)."""
 
     pi0: np.ndarray
-    steps: tuple[SplittingStep, ...]
+    steps: Sequence[SplittingStep]
     final: np.ndarray
 
     @property
@@ -76,7 +165,7 @@ class SplittingTrace:
 
     @property
     def selected(self) -> tuple[int, ...]:
-        return tuple(int(k) for k in np.flatnonzero(self.final == 1))
+        return tuple(np.flatnonzero(self.final == 1).tolist())
 
     def validate(self) -> None:
         """Re-check every recorded invariant; raises on violation."""
@@ -121,7 +210,9 @@ def _validate_candidates(
 
 
 def ht_increments(trace: SplittingTrace, y_check) -> np.ndarray:
-    """Estimator increments xi(t) = sum_k y_check_k * delta_k(t).
+    """Estimator increments xi(t) = sum_k y_check_k * delta_k(t), in
+    closed form for ``FactorSteps`` and by one dot product per step
+    otherwise.
 
     Their sum telescopes to the Horvitz-Thompson error: HT(final) minus
     the population total (when pi0 matches the probabilities used to
@@ -132,6 +223,8 @@ def ht_increments(trace: SplittingTrace, y_check) -> np.ndarray:
         raise InvalidInputError(
             f"y_check has shape {yc.shape}, trace expects {np.asarray(trace.pi0).shape}"
         )
+    if isinstance(trace.steps, FactorSteps):
+        return trace.steps.ht_increments(yc)
     if not trace.steps:
         return np.zeros(0)
     return np.array([float(s.realized_delta @ yc) for s in trace.steps])

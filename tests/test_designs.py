@@ -394,6 +394,23 @@ class TestBrewer:
             with pytest.raises(InvalidInputError, match="trace must be"):
                 sample_brewer(pi_plain, rng_seed=0, trace=trace)
 
+    def test_traced_plan_follows_pi(self):
+        # Traced draws keep the plan of the last pi; two pi of equal N and
+        # n, drawn alternately, each give their own sampler's samples.
+        x = np.random.default_rng(8).uniform(1.0, 2.0, size=(2, 30))
+        pis = [compute_pips(row, 6) for row in x]
+        draws = [make_sampler(DesignKind.BREWER, pi=pi)[0] for pi in pis]
+        assert not np.array_equal(pis[0].pi, pis[1].pi)
+        for seed in range(40):
+            for pi, draw in zip(pis, draws):
+                traced, _ = sample_brewer(pi, seed, trace="realized")
+                assert traced.selected == draw(seed).selected, seed
+        # The two differ on some seed, so a stale plan would show.
+        assert any(draws[0](s).selected != draws[1](s).selected for s in range(40))
+        # Traces share the kept plan's arrays, which are read-only.
+        _, tr = sample_brewer(pis[0], 0, trace="realized")
+        assert not tr.steps.p.flags.writeable and not tr.steps.units.flags.writeable
+
     @pytest.mark.parametrize("gap, certain", [(1e-13, [0]), (1e-10, [])])
     def test_certain_within_the_package_tolerance(self, gap, certain):
         # Unit 0 is certain for Brewer's plan exactly when it is for

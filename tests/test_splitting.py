@@ -2,6 +2,7 @@
 every fixed-size design admits (draw-by-draw and unit-by-unit)."""
 
 import collections
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -163,6 +164,115 @@ class TestKernelTrace:
                 cur = cur + deltas[step.chosen]
             assert np.array_equal(np.where(cur > 0.5, 1, 0), got.final)
             assert sample.selected == got.selected
+
+
+def reference_run_splitting(plan, seed, pi0):
+    """The traced Brewer path as one dense loop: per step the weights
+    over the undrawn units and an N-vector update, with s += p_k."""
+    p, active = plan.p, plan.active
+    undrawn = np.ones(p.size, dtype=bool)
+    s = 0.0
+    steps = []
+    for t, k in enumerate(designs._brewer_row(plan, seed), 1):
+        r = plan.draws - t + 1
+        c = r / (plan.total - s)
+        pk = plan.p_list[k]
+        s += pk
+        rest = p[undrawn]
+        q = c * rest
+        w = q * designs._g(q, r)
+        d = np.zeros(len(pi0))
+        d[active[undrawn]] = ((r - 1) / (plan.total - s) - c) * rest
+        d[active[k]] = 1.0 - c * pk
+        steps.append((t, w / w.sum(), int(np.count_nonzero(undrawn[:k])), d))
+        undrawn[k] = False
+    final = np.zeros(len(pi0), dtype=int)
+    final[plan.certain] = 1
+    final[active[~undrawn]] = 1
+    return steps, final
+
+
+def near_certain_lognormal():
+    """Lognormal sizes (sigma 1.5) with certainty units, and one active
+    unit moved to pi = 1 - 1e-10, the other active units rescaled."""
+    x = np.random.default_rng(15).lognormal(0.0, 1.5, 80)
+    pi = compute_pips(x, 16).pi.copy()
+    free = np.flatnonzero(pi < 1.0)
+    assert 0 < free.size < pi.size
+    pi[free[0]] = 1.0 - 1e-10
+    rest = free[1:]
+    pi[rest] *= (16 - (pi.size - free.size) - pi[free[0]]) / pi[rest].sum()
+    return InclusionProbabilities(pi=pi, n=16)
+
+
+def compact_instances():
+    rng = np.random.default_rng(20260819)
+    x = -np.log1p(-np.random.default_rng(77).random(50))
+    return [
+        pytest.param(compute_pips(rng.uniform(1.0, 2.0, size=200), 40), 50, id="criterion-05"),
+        pytest.param(compute_pips(x, 10), 50, id="criterion-04"),
+        pytest.param(near_certain_lognormal(), 50, id="near-certain-lognormal"),
+        # Iteration takes 2**16 // 1000 = 65 steps per block: three blocks.
+        pytest.param(
+            compute_pips(np.random.default_rng(9).lognormal(0.0, 1.0, 1000), 150),
+            10,
+            id="three-blocks",
+        ),
+    ]
+
+
+class TestCompactTrace:
+    """Brewer's trace stores each step as a factor and the drawn unit;
+    its dense steps equal those of the dense loop bit for bit."""
+
+    @pytest.mark.parametrize("pi, seeds", compact_instances())
+    def test_equals_the_dense_loop(self, pi, seeds):
+        plan = designs.brewer_plan(pi.pi)
+        y = np.random.default_rng(3).uniform(-1.0, 2.0, pi.N)
+        yc = y / pi.pi
+        scale = 1e-12 * (1.0 + np.abs(yc).sum())
+        for seed in range(seeds):
+            ref, final = reference_run_splitting(plan, seed, pi.pi)
+            _, tr = sample_brewer(pi, seed, trace="realized")
+            assert np.array_equal(tr.final, final)
+            assert len(tr.steps) == len(ref) == plan.draws
+            # Iteration builds the steps block by block, indexing one by one.
+            for i, (step, (t, alphas, chosen, d)) in enumerate(zip(tr.steps, ref)):
+                for got in (step, tr.steps[i]):
+                    assert got.t == t and got.chosen == chosen and got.deltas is None
+                    assert np.array_equal(got.alphas, alphas)
+                    assert np.array_equal(got.realized_delta, d)
+            dense = np.array([d @ yc for _, _, _, d in ref])
+            assert np.all(np.abs(ht_increments(tr, yc) - dense) <= scale)
+
+    def test_indexing(self):
+        pi = compute_pips(np.array([1.0, 3.0, 2.0, 5.0, 4.0, 3.5]), 3)
+        _, tr = sample_brewer(pi, 4, trace="realized")
+        steps = list(tr.steps)
+        assert [s.t for s in tr.steps[-2:]] == [s.t for s in steps[-2:]] == [2, 3]
+        assert np.array_equal(tr.steps[-1].realized_delta, steps[2].realized_delta)
+        with pytest.raises(IndexError):
+            tr.steps[3]
+
+    def test_one_draw_at_scale_holds_little_memory(self):
+        # N = 20,000, n = 2,000: dense steps would hold about 305 MB of
+        # updates; the compact trace, the plan and the increments stay
+        # under 5 MB.
+        rng = np.random.default_rng(5)
+        pi = compute_pips(rng.uniform(1.0, 2.0, 20_000), 2_000)
+        y = rng.uniform(0.0, 1.0, 20_000)
+        yc = y / pi.pi
+        tracemalloc.start()
+        try:
+            sample, tr = sample_brewer(pi, 11, trace="realized")
+            xi = ht_increments(tr, yc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 2**20
+        assert len(xi) == 2_000
+        err = yc[list(sample.selected)].sum() - y.sum()
+        assert abs(xi.sum() - err) <= 1e-9 * (1.0 + np.abs(yc).sum())
 
 
 class TestDrawByDraw:
