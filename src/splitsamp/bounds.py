@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -307,21 +307,7 @@ class TailBoundReport:
     dominance_eps_limit: float | None
 
     def to_json(self) -> str:
-        payload = {
-            "eps": self.eps,
-            "two_sided_factor_applied": self.two_sided_factor_applied,
-            "cna": self.cna,
-            "bernstein": self.bernstein,
-            "lipschitz": self.lipschitz,
-            "cna_raw": self.cna_raw,
-            "bernstein_raw": self.bernstein_raw,
-            "lipschitz_raw": self.lipschitz_raw,
-            "cna_mc": self.cna_mc,
-            "eps_star": self.eps_star,
-            "dominance_regime": self.dominance_regime,
-            "dominance_eps_limit": self.dominance_eps_limit,
-        }
-        return json.dumps(payload, indent=2)
+        return json.dumps(asdict(self), indent=2)
 
 
 def evaluate_bounds(

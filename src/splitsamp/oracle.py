@@ -4,15 +4,16 @@ Every procedure in this package makes a finite sequence of discrete
 random choices, and its next choice depends only on the set of units
 it has kept, eliminated or drawn so far, whatever the order.  So on
 small populations its distribution over samples is computed exactly
-one level at a time: a level maps each reachable state to its
-probability, every state is expanded by its design's moves, and states
-that coincide are merged.  The enumeration budget counts transitions,
-one per move out of a state.  The checks below compare the resulting
-distribution against what the theory promises: correct first-order
-inclusion probabilities, fixed sample size, conditional
-negative-dependence inequalities, nonpositive pairwise indicator
-covariances, design unbiasedness of the Horvitz-Thompson estimator,
-and the complementarity between the Midzuno and elimination
+one level at a time.  A state is an int bitmask of population units,
+and a level is an array of distinct states with their probabilities.
+One array pass expands a whole level by its design's moves, one row per
+state, and merges the children that coincide.  The enumeration budget
+counts transitions, one per move out of a state.  The checks below
+compare the resulting distribution against what the theory promises:
+correct first-order inclusion probabilities, fixed sample size,
+conditional negative-dependence inequalities, nonpositive pairwise
+indicator covariances, design unbiasedness of the Horvitz-Thompson
+estimator, and the complementarity between the Midzuno and elimination
 procedures.
 
 The step laws are built here from the plans' rungs and from Brewer's
@@ -43,6 +44,7 @@ from .distribution import (
     containment,
     first_second_order,
     mask_units,
+    support_arrays,
 )
 from .errors import (
     ContractViolationError,
@@ -112,144 +114,146 @@ def enumerate_design(
         chain = _brewer_chain(pi)
     else:
         raise InvalidInputError(f"unknown design kind {kind!r}")
-    support, pruned = _levels(*chain, max_branches)
+    start, steps, moves, flip = chain
+    masks, probs, pruned = _levels(start, steps, moves, max_branches)
+    return _exact(masks ^ flip, probs, pruned, N, n, source)
+
+
+def _levels(start: int, steps: int, moves, max_branches: int):
+    """Level reached after ``steps`` steps from the state ``start``: its
+    bitmask states, their probabilities, and the pruned mass.
+
+    ``moves(j, masks)`` gives step j's children and their probabilities
+    as two blocks with one row per state, a child of -1 with probability
+    0 where a state has no such move.  Each level holds every reachable
+    state once, with the summed probability of all the paths that reach
+    it.
+    """
+    masks, probs = np.array([start], dtype=np.int64), np.ones(1)
+    pruned = 0.0
+    transitions = 0
+    for j in range(steps):
+        children, w = moves(j, masks)
+        transitions += int(np.count_nonzero(children >= 0))
+        if transitions > max_branches:
+            raise EnumerationBudgetError(
+                f"enumeration needs more than {max_branches} branches (transitions)"
+            )
+        mass = probs[:, None] * w
+        small = w < PRUNE_TOL
+        pruned += float(mass[small].sum())
+        masks, merged = np.unique(children[~small], return_inverse=True)
+        probs = np.bincount(merged, weights=mass[~small])
+    return masks, probs, pruned
+
+
+def _exact(masks, probs, pruned: float, N: int, n: int, source: str):
+    """The distribution of a level whose states are samples of n units."""
+    units = np.nonzero((masks[:, None] >> np.arange(N)) & 1)[1].reshape(masks.size, n)
+    support = dict(zip(map(tuple, units.tolist()), probs.tolist()))
     return ExactDesignDistribution(
         support=support, N=N, n=n, source=source, pruned_mass=pruned
     )
 
 
-def _levels(start, steps: int, moves, leaf, max_branches: int):
-    """Law of ``leaf(state)`` after ``steps`` levels from ``start``, and
-    the pruned mass.
-
-    ``moves(j, state)`` lists the (next state, probability) pairs of step
-    j.  Each level holds every reachable state once, with the summed
-    probability of all the paths that reach it.
-    """
-    level = {start: 1.0}
-    pruned = 0.0
-    transitions = 0
-    for j in range(steps):
-        nxt: dict = {}
-        for state, prob in level.items():
-            out = moves(j, state)
-            transitions += len(out)
-            if transitions > max_branches:
-                raise EnumerationBudgetError(
-                    f"enumeration needs more than {max_branches} branches (transitions)"
-                )
-            for child, w in out:
-                if w < PRUNE_TOL:
-                    pruned += prob * w
-                else:
-                    nxt[child] = nxt.get(child, 0.0) + prob * w
-        level = nxt
-    return {leaf(state): p for state, p in level.items()}, pruned
+def _dense_steps(ladder: Ladder, name: str, what: str) -> np.ndarray:
+    """Dense per-unit law of each step of an elimination ladder, one row
+    per step: ``1 - min(1, lam_i x) / min(1, lam_{i+1} x)`` for every
+    unit, built from the plan's rungs independently of the sampler's
+    pick."""
+    rungs = np.array([ladder.pi(s) for s in range(ladder.steps + 1)])
+    cols = 1.0 - rungs[1:] / rungs[:-1]
+    bad = np.flatnonzero(cols.min(axis=1) < -1e-12)
+    if bad.size:
+        raise ContractViolationError(
+            f"{name} ladder: negative {what} probability at i={ladder.N - 1 - bad[0]}"
+        )
+    return np.clip(cols, 0.0, None)
 
 
-def _dense_steps(ladder: Ladder, name: str, what: str) -> list[np.ndarray]:
-    """Dense per-unit law of each step of an elimination ladder,
-    ``1 - min(1, lam_i x) / min(1, lam_{i+1} x)`` for every unit, built
-    from the plan's rungs independently of the sampler's pick."""
-    rungs = [ladder.pi(s) for s in range(ladder.steps + 1)]
-    cols = []
-    for j in range(ladder.steps):
-        col = 1.0 - rungs[j + 1] / rungs[j]
-        if float(col.min()) < -1e-12:
-            raise ContractViolationError(
-                f"{name} ladder: negative {what} probability at i={ladder.N - 1 - j}"
-            )
-        cols.append(np.clip(col, 0.0, None))
-    return cols
-
-
-def _elimination_moves(cols: list[np.ndarray], context):
-    """Moves of an elimination ladder: the state is the tuple of units
-    still present, and step j removes unit k with probability
-    ``cols[j][k]``."""
-
-    def moves(j: int, alive: tuple[int, ...]):
-        w = _check_sum(cols[j][list(alive)], 1.0, context(j)).tolist()
-        return [(alive[:i] + alive[i + 1 :], w[i]) for i in range(len(alive))]
-
-    return moves
+def _remove(masks: np.ndarray, col: np.ndarray, context: str, expected: float = 1.0):
+    """Moves that remove one unit k present in the state, with
+    probability ``col[k]``; the present units' law must sum to
+    ``expected``."""
+    bits = 1 << np.arange(col.size)
+    present = (masks[:, None] & bits) != 0
+    w = _check_sum(np.where(present, col, 0.0), expected, context)
+    return np.where(present, masks[:, None] ^ bits, -1), w
 
 
 def _chao_chain(x: np.ndarray, n: int):
-    """The state is the reservoir, a sorted tuple of stream positions;
-    arrival t = n+1+j is accepted with probability ``a`` and then evicts
-    member k with probability ``1 - pi_k(t) / pi_k(t-1)``."""
-    plan = chao_plan(x, n)
-    steps = plan.N - n
-    rungs = [plan.ladder.pi(s, n + s) for s in range(steps + 1)]
-    ratios = [1.0 - rungs[j + 1][:-1] / rungs[j] for j in range(steps)]
+    """The state is the reservoir of stream positions.  Arrival t = n+j
+    joins it, and then it leaves with probability ``1 - a``, ``a`` its
+    capped share, or member k leaves with probability ``1 - pi_k(t) /
+    pi_k(t-1)``; the members' law sums to ``a``."""
+    ladder = chao_plan(x, n).ladder
+    # A unit counts as capped before its arrival, so its ratio is 0 there.
+    rungs = np.array([ladder.pi(s) for s in range(ladder.steps + 1)])
+    ratios = 1.0 - rungs[1:] / rungs[:-1]
 
-    def moves(j: int, reservoir: tuple[int, ...]):
-        a = float(rungs[j + 1][-1])
-        w = _check_sum(ratios[j][list(reservoir)], a, f"chao step {n + 1 + j}").tolist()
-        arrival = (n + j,)
-        evict = [
-            (reservoir[:i] + reservoir[i + 1 :] + arrival, w[i])
-            for i in range(len(reservoir))
-        ]
-        return [(reservoir, 1.0 - a)] + evict
+    def moves(j: int, masks: np.ndarray):
+        t, a = n + j, float(rungs[j + 1, n + j])
+        kids, w = _remove(masks, ratios[j, :t], f"chao step {t + 1}", a)
+        stay = np.full((masks.size, 1), 1.0 - a)
+        return np.hstack([kids | (1 << t), masks[:, None]]), np.hstack([w, stay])
 
-    return tuple(range(n)), steps, moves, lambda reservoir: reservoir
+    return (1 << n) - 1, ladder.steps, moves, 0
 
 
 def _tille_chain(sizes: np.ndarray, n: int):
+    """The state is the units still present; step j removes one."""
     elim = _dense_steps(tille_plan(sizes, n), "tille", "elimination")
     N = sizes.size
-    moves = _elimination_moves(elim, lambda j: f"tille step i={N - 1 - j}")
-    return tuple(range(N)), len(elim), moves, lambda alive: alive
+
+    def moves(j: int, masks: np.ndarray):
+        return _remove(masks, elim[j], f"tille step i={N - 1 - j}")
+
+    return (1 << N) - 1, len(elim), moves, 0
 
 
 def _midzuno_chain(pi: InclusionProbabilities):
     """Tille's moves on Midzuno's ladder over 1 - pi of the active
-    units: the units it eliminates are the ones Midzuno selects."""
+    units: the state is the active units still present, and the ones
+    it eliminates are the ones Midzuno selects, so the sample is the
+    state XOR (active | certain)."""
     plan = midzuno_plan(pi)
-    certain = plan.certain.tolist()
-    active = plan.active.tolist()
-
-    def leaf(alive: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple(certain + [k for i, k in enumerate(active) if i not in alive])
-
-    everyone = tuple(range(len(active)))
+    active = int(np.sum(1 << plan.active))
+    flip = active | int(np.sum(1 << plan.certain))
     if plan.ladder is None:
         # No draw is random: every active unit is selected, or none.
-        return (() if plan.n > len(certain) else everyone), 0, None, leaf
-    select = _dense_steps(plan.ladder, "midzuno", "selection")
-    moves = _elimination_moves(select, lambda j: f"midzuno step {j + 1}")
-    return everyone, len(select), moves, leaf
+        return (0 if plan.n > plan.certain.size else active), 0, None, flip
+    select = np.zeros((plan.ladder.steps, pi.N))
+    select[:, plan.active] = _dense_steps(plan.ladder, "midzuno", "selection")
+
+    def moves(j: int, masks: np.ndarray):
+        return _remove(masks, select[j], f"midzuno step {j + 1}")
+
+    return active, len(select), moves, flip
 
 
 def _brewer_chain(pi: InclusionProbabilities):
-    """The state is the sorted tuple of active units drawn so far.
+    """The state is the drawn set, starting at the certainty units.
 
-    With d draws after the certainty units, drawing the set S leaves
-    every undrawn unit at ``p_k (d - |S|) / (d - sum_{j in S} p_j)``,
-    whatever the order of the draws, which is where step-by-step
-    rescaling by ``(r - 1) / (r - p_j)`` lands.
+    With d draws after the certainty units, drawing the set S of active
+    units leaves every undrawn unit at ``p_k (d - |S|) / (d - sum_{j in
+    S} p_j)``, whatever the order of the draws, which is where
+    step-by-step rescaling by ``(r - 1) / (r - p_j)`` lands.
     """
-    certain = np.flatnonzero(pi.certain).tolist()
-    active = np.flatnonzero(~pi.certain)
-    p = pi.pi[active]
-    d = pi.n - len(certain)
+    bits = 1 << np.arange(pi.N)
+    p = np.where(pi.certain, 0.0, pi.pi)
+    d = pi.n - int(np.count_nonzero(pi.certain))
 
-    def moves(j: int, drawn: tuple[int, ...]):
+    def moves(j: int, masks: np.ndarray):
         r = d - j
-        left = np.ones(p.size, dtype=bool)
-        left[list(drawn)] = False
-        undrawn = np.flatnonzero(left)
-        cur = p[undrawn] * (r / (d - float(p[list(drawn)].sum())))
+        drawn = (masks[:, None] & bits) != 0
+        undrawn = ~drawn & ~pi.certain
+        cur = undrawn * p * (r / (d - (drawn * p).sum(axis=1, keepdims=True)))
         w = cur * (r - cur) / (1.0 - cur)
-        alphas = _check_sum(w / w.sum(), 1.0, f"brewer step {j + 1}").tolist()
-        return [
-            (tuple(sorted(drawn + (k,))), a)
-            for k, a in zip(undrawn.tolist(), alphas)
-        ]
+        w /= w.sum(axis=1, keepdims=True)
+        alphas = _check_sum(w, 1.0, f"brewer step {j + 1}")
+        return np.where(undrawn, masks[:, None] | bits, -1), alphas
 
-    return (), d, moves, lambda drawn: tuple(certain + active[list(drawn)].tolist())
+    return int(np.sum(bits[pi.certain])), d, moves, 0
 
 
 # ---------------------------------------------------------------------------
@@ -351,6 +355,14 @@ def midzuno_complementarity_tv(
 
     The two should coincide exactly; certainty units are held out of the
     complementary run and reinserted into every sample.
+
+    Both sides step through the same ladder: ``midzuno_plan`` builds
+    ``_elimination_ladder(1 - pi_active, N' - n')``, and the
+    complementary run reaches the same call through ``tille_plan``.  So
+    a nonzero distance shows a divergence between the two enumeration
+    paths (Midzuno's chain with its XOR to the sample, against Tille's
+    chain and the complement), not a wrong Midzuno law, which both
+    sides would share.
     """
     mid = enumerate_design(
         DesignKind.GENERALIZED_MIDZUNO, pi=pi, max_branches=max_branches
@@ -360,29 +372,19 @@ def midzuno_complementarity_tv(
     n_active = pi.n - certain.size
     if n_active == 0 or n_active == active.size:
         # No randomness; Midzuno already is the unique sample.
-        only = tuple(sorted(int(k) for k in certain)) if n_active == 0 else tuple(
-            sorted(int(k) for k in np.concatenate([certain, active]))
-        )
+        only = certain if n_active == 0 else np.arange(pi.N)
         other = ExactDesignDistribution(
-            support={only: 1.0}, N=pi.N, n=pi.n, source="degenerate"
+            support={tuple(only.tolist()): 1.0}, N=pi.N, n=pi.n, source="degenerate"
         )
         return mid.tv_distance(other)
     comp_sizes = 1.0 - pi.pi[active]
-    m = active.size - n_active
-    sub_pi = compute_pips(comp_sizes, m)
+    sub_pi = compute_pips(comp_sizes, active.size - n_active)
     sub = enumerate_design(
         DesignKind.TILLE_ELIMINATION, x=comp_sizes, pi=sub_pi, max_branches=max_branches
     )
-    support: dict[tuple[int, ...], float] = {}
-    base = tuple(int(k) for k in certain)
-    for s, p in sub.complement().support.items():
-        key = tuple(sorted(base + tuple(int(active[k]) for k in s)))
-        support[key] = support.get(key, 0.0) + p
-    mapped = ExactDesignDistribution(
-        support=support,
-        N=pi.N,
-        n=pi.n,
-        source=f"complement-elimination({sub.source})",
-        pruned_mass=sub.pruned_mass,
-    )
-    return mid.tv_distance(mapped)
+    # Bit i of a complementary sample is active unit i.
+    comp, probs = support_arrays(sub.complement())
+    chosen = (comp[:, None] >> np.arange(active.size)) & 1
+    masks = chosen @ (1 << active) | int(np.sum(1 << certain))
+    source = f"complement-elimination({sub.source})"
+    return mid.tv_distance(_exact(masks, probs, sub.pruned_mass, pi.N, pi.n, source))

@@ -308,25 +308,21 @@ def draw_by_draw_distribution(
     set alone.  Agreement with the input distribution is what makes the
     representation valid.
     """
-    from .oracle import DEFAULT_MAX_BRANCHES, _levels
+    from .oracle import DEFAULT_MAX_BRANCHES, _exact, _levels
 
     _require_fixed_size(dist)
     f = containment(dist)
     n = dist.n
     bits = 1 << np.arange(dist.N)
 
-    def moves(t: int, drawn: int):
-        nxt = drawn | bits[(drawn & bits) == 0]
-        return list(zip(nxt.tolist(), (f[nxt] / f[drawn] / (n - t)).tolist()))
+    def moves(t: int, drawn: np.ndarray):
+        free = (drawn[:, None] & bits) == 0
+        nxt = drawn[:, None] | bits
+        w = np.where(free, f[nxt] / f[drawn][:, None] / (n - t), 0.0)
+        return np.where(free, nxt, -1), w
 
-    support, pruned = _levels(0, n, moves, mask_units, DEFAULT_MAX_BRANCHES)
-    return ExactDesignDistribution(
-        support=support,
-        N=dist.N,
-        n=n,
-        source=f"draw-by-draw({dist.source})",
-        pruned_mass=pruned,
-    )
+    level = _levels(0, n, moves, DEFAULT_MAX_BRANCHES)
+    return _exact(*level, dist.N, n, f"draw-by-draw({dist.source})")
 
 
 @dataclass

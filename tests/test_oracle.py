@@ -30,6 +30,29 @@ from splitsamp.oracle import DEFAULT_MAX_BRANCHES, MAX_ENUM_N, PRUNE_TOL
 from conftest import UNEQUAL_DESIGNS, X_CERTAIN, contains, random_fixed_size
 
 
+def _random_case(seed, N, certain):
+    """Sizes from U(1, 2) at n = N // 2, with ``certain`` units made
+    large enough to be certainty units, at seeded positions.  At these
+    n no U(1, 2) size is capped at the start."""
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(1.0, 2.0, N)
+    x[:certain] = 10.0 * x[certain:].sum()
+    return rng.permutation(x), N // 2
+
+
+# x = 1..6 at n = 3, 8 units of X_CERTAIN at n = 4, where unit 7 (size
+# 40) is a certainty unit, and seeded random instances with N from 6 to
+# 10, with and without certainty units.
+RANDOM_SHAPES = [(6, 0), (7, 1), (8, 0), (9, 2), (10, 1)]
+RECURSION_CASES = [
+    (np.arange(1.0, 7.0), 3),
+    (X_CERTAIN[[0, 2, 4, 6, 8, 9, 10, 11]], 4),
+] + [_random_case(seed, N, c) for seed, (N, c) in enumerate(RANDOM_SHAPES)]
+RECURSION_IDS = ["x123456", "certain"] + [
+    f"random-N{N}-certain{c}" for N, c in RANDOM_SHAPES
+]
+
+
 class TestEnumerateSrswor:
     def test_uniform_support(self):
         dist = enumerate_design(DesignKind.SRSWOR, N=4, n=2)
@@ -122,6 +145,20 @@ class TestBudget:
             enumerate_design(
                 DesignKind.TILLE_ELIMINATION, x=x, n=3, max_branches=10
             )
+
+    @pytest.mark.parametrize(
+        "case, counts",
+        [(0, (32, 36, 36, 96)), (1, (135, 147, 101, 154))],
+        ids=RECURSION_IDS[:2],
+    )
+    def test_budget_counts_every_move(self, case, counts):
+        # One transition per move out of a state, those of probability
+        # zero included, for Chao, Tille, Midzuno and Brewer.
+        x, n = RECURSION_CASES[case]
+        for kind, count in zip(UNEQUAL_DESIGNS, counts):
+            enumerate_design(kind, x=x, n=n, max_branches=count)
+            with pytest.raises(EnumerationBudgetError, match="branches"):
+                enumerate_design(kind, x=x, n=n, max_branches=count - 1)
 
     def test_population_cap(self):
         x = np.ones(MAX_ENUM_N + 1)
@@ -368,21 +405,16 @@ def _brewer_by_recursion(pi):
     return support
 
 
-# x = 1..6 at n = 3, and 8 units of X_CERTAIN at n = 4, where unit 7
-# (size 40) is a certainty unit.
-RECURSION_CASES = [
-    (np.arange(1.0, 7.0), 3),
-    (X_CERTAIN[[0, 2, 4, 6, 8, 9, 10, 11]], 4),
-]
-
-
 class TestWalkerAgainstBruteForce:
-    def test_chao_by_direct_recursion(self):
+    @pytest.mark.parametrize(
+        "x, n",
+        [(np.array([1.0, 2.0, 3.0, 4.0, 5.0]), 2)] + RECURSION_CASES,
+        ids=["x12345"] + RECURSION_IDS,
+    )
+    def test_chao_by_direct_recursion(self, x, n):
         # Independent re-enumeration of the reservoir walk written from
         # scratch against the packaged one, with each prefix's capped
         # shares taken straight from compute_pips.
-        x = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
-        n = 2
         rungs = [compute_pips(x[:t], n).pi for t in range(n, x.size + 1)]
         support: dict[tuple[int, ...], float] = {}
 
@@ -422,7 +454,7 @@ class TestWalkerAgainstBruteForce:
         ],
         ids=["tille", "midzuno", "brewer"],
     )
-    @pytest.mark.parametrize("x, n", RECURSION_CASES, ids=["x123456", "certain"])
+    @pytest.mark.parametrize("x, n", RECURSION_CASES, ids=RECURSION_IDS)
     def test_by_ordered_paths(self, kind, recursion, x, n):
         pi = compute_pips(x, n)
         expected = recursion(x, pi)
@@ -434,3 +466,8 @@ class TestWalkerAgainstBruteForce:
     def test_certainty_case_has_a_certainty_unit(self):
         x, n = RECURSION_CASES[1]
         assert compute_pips(x, n).certain.tolist() == [False] * 7 + [True]
+
+    def test_random_cases_have_their_certainty_units(self):
+        for (x, n), (N, c) in zip(RECURSION_CASES[2:], RANDOM_SHAPES):
+            assert (x.size, n) == (N, N // 2)
+            assert np.count_nonzero(compute_pips(x, n).certain) == c

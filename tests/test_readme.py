@@ -50,3 +50,18 @@ def test_monte_carlo_certification_block():
     expr, shown = last.split("#")
     exec("\n".join(body), namespace)
     assert repr(eval(expr, namespace)) == shown.strip()
+
+
+def test_exact_verification_block():
+    # The block checks Tille on x and pi from the "Drawing samples"
+    # blocks; each line with a comment shows the value it evaluates to,
+    # as print shows it.
+    namespace: dict = {}
+    for code in blocks(section("Drawing samples"), "python")[:2]:
+        exec(code, namespace)
+    for line in blocks(section("Exact verification"), "python")[0].splitlines():
+        code, _, shown = line.partition("  # ")
+        if shown:
+            assert str(eval(code, namespace)) == shown.strip(), line
+        else:
+            exec(code, namespace)

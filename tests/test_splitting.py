@@ -296,6 +296,25 @@ class TestDrawByDraw:
         assert len(dd.support) == len(d.support)
         assert d.tv_distance(dd) <= 1e-12
 
+    def test_random_distribution_reproduced(self):
+        # Dirichlet(0.5) masses on a seeded half of the 4-of-9 subsets,
+        # no design's law: the representation holds for every fixed-size
+        # distribution.
+        from itertools import combinations
+
+        from splitsamp import ExactDesignDistribution
+
+        rng = np.random.default_rng(9)
+        subsets = list(combinations(range(9), 4))
+        keep = rng.permutation(len(subsets))[: len(subsets) // 2]
+        masses = rng.dirichlet(np.full(keep.size, 0.5))
+        d = ExactDesignDistribution(
+            support={subsets[i]: m for i, m in zip(keep, masses)}, N=9, n=4
+        )
+        dd = draw_by_draw_distribution(d)
+        assert set(dd.support) == set(d.support)
+        assert d.tv_distance(dd) <= 1e-12
+
     def test_first_step_weights_are_pi_over_n(self):
         d = enumerate_design(DesignKind.SRSWOR, N=3, n=2)
         tr = draw_by_draw_from_distribution(d, rng_seed=0)
