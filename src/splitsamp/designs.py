@@ -19,7 +19,10 @@ or a pick among the few units that leave the cap there: O(1) work per
 replicate, beyond adding each unit to the pick pool once.  All three
 walk the ladder as an elimination, one unit leaving per step; Chao's
 arrival is such a step, in which the arrival or one reservoir unit
-leaves.
+leaves.  Every step's pick is found before the walk, in array passes
+whose number does not grow with the steps: one cumulative sum per
+distinct count of units crossing the cap at a step, and one bisection
+over all picks of a crossing unit.
 
 Each procedure's step is written once, over a batch of replicates: all
 rows take a step together as one array operation, and each row draws
@@ -111,7 +114,7 @@ class Sampler:
     draw_rows: Callable[[Sequence[int]], np.ndarray]
 
     def __call__(self, seed: int) -> Sample:
-        return Sample(selected=tuple(self.rows([seed])[0]), N=self.N)
+        return Sample(selected=self.rows([seed])[0].tolist(), N=self.N)
 
     def rows(self, seeds: Sequence[int]) -> np.ndarray:
         """Samples as an R x n array, each row sorted as in ``Sample``."""
@@ -338,6 +341,14 @@ def _picks(
     to 1.  With that total T and the crossing mass M, u picks a crossing
     unit by inverse CDF when u T falls below M, else pool index
     floor((u T - M) / r).
+
+    The cost does not grow with the number of steps: the cumulative
+    crossing weights take one row-wise ``cumsum`` per distinct crossing
+    count, and the inverse CDF of every (row, step) pair that picks a
+    crossing unit is one bisection over all of them, in as many rounds
+    as the largest crossing count has bits.  A row is added up in
+    order, so each step's floats and picks are those of a ``cumsum``
+    and a ``searchsorted(side="right")`` of that step alone.
     """
     lam = ladder.lam
     at = ladder.cross_at
@@ -353,15 +364,15 @@ def _picks(
                 f"{float(weights[bad[0]])!r}"
             )
     w, r = np.maximum(w, 0.0), np.maximum(r, 0.0)
-    # A step's crossing mass: the unit's weight when one unit crosses,
-    # the last of the cumulative weights when several do.
+    # Each step's cumulative crossing weights, in w's layout, and its
+    # crossing mass, the last of them.
+    cum = w.copy()
+    for c in np.unique(m[m > 1]).tolist():
+        block = at[:-1][m == c, None] + np.arange(c)
+        cum[block] = np.cumsum(w[block], axis=1)
     mass = np.zeros(ladder.steps)
-    single = np.flatnonzero(m == 1)
-    mass[single] = w[at[single]]
-    cums = {}
-    for j in np.flatnonzero(m > 1).tolist():
-        cums[j] = np.cumsum(w[at[j] : at[j + 1]])
-        mass[j] = cums[j][-1]
+    crossing = m > 0
+    mass[crossing] = cum[at[1:][crossing] - 1]
     total = mass + count * r
     off = np.abs(total - 1.0) > PROB_SUM_TOL
     if bool(off.any()):
@@ -374,14 +385,23 @@ def _picks(
     q = (v - mass) / np.where(pooled, r, 1.0)
     pos = np.minimum(q, count - 1).astype(np.intp)
     # A lone crossing unit is picked when u T falls below its weight.
+    single = np.flatnonzero(m == 1)
     lone = (v[:, single] < mass[single]) | ~pooled[single]
     pos[:, single] = np.where(lone, count[single], pos[:, single])
-    for j, cum in cums.items():
-        k = np.searchsorted(cum, v[:, j], side="right")
-        if pooled[j]:
-            pos[:, j] = np.where(k < m[j], count[j] + k, pos[:, j])
-        else:
-            pos[:, j] = count[j] + np.minimum(k, m[j] - 1)
+    # Where several cross, a row picks one when u T falls below their
+    # mass or the step has no pool: the k-th, k the count of cumulative
+    # weights at most u T, found by binary lifting over the step's
+    # slice of cum.
+    multi = np.flatnonzero(m > 1)
+    rows, col = np.nonzero((v[:, multi] < mass[multi]) | ~pooled[multi])
+    j = multi[col]
+    target, base, mj = v[rows, j], at[j], m[j]
+    k = np.zeros(j.size, dtype=np.intp)
+    for b in reversed(range(int(m.max(initial=0)).bit_length())):
+        nxt = k + (1 << b)
+        below = cum[base + np.minimum(nxt, mj) - 1] <= target
+        k = np.where((nxt <= mj) & below, nxt, k)
+    pos[rows, j] = count[j] + np.minimum(k, mj - 1)
     return pos
 
 
@@ -391,11 +411,12 @@ def _eliminate(
     """Walk an elimination ladder down, one unit leaving per step and
     row, all rows in lockstep with one uniform per step.
 
-    Each row keeps its live uncapped units in a pool.  A step appends
-    the units that cross the cap there and swap-removes the picked unit,
-    O(1) per row beyond the appends; one row alone walks a Python list.
-    Returns the picked units, one column per step, and each row's
-    uncapped survivors.
+    Each row keeps its live uncapped units in a pool.  ``_picks`` turns
+    every row's uniforms into pool positions for all steps at once; the
+    walk then appends the units that cross the cap at a step and
+    swap-removes the picked unit, O(1) per row beyond the appends; one
+    row alone walks a Python list.  Returns the picked units, one column
+    per step, and each row's uncapped survivors.
     """
     R, steps = len(seeds), ladder.steps
     at = ladder.cross_at

@@ -642,6 +642,20 @@ def reference_brewer(pi_vec, seed, counts=None):
 # Brewer's first draw at n = 3 has a trial bound above 4 here.
 INVERSE_CDF_X = np.array([0.2, 0.3, 0.5, 0.6, 1.0, 1.4, 2.0, 3.0, 3.7])
 
+# Ladder shapes at the edges of the crossing picks.  Equal sizes: every
+# unit crosses at step 0, where no ladder has a pool.  Groups of 9, 8 and
+# 7 equal sizes cross 2**k + 1, 2**k and 2**k - 1 at once (k = 3), at
+# the edges of the pick's bisection.
+EQUAL_X = (np.ones(16), 5)
+BISECTION_X = (np.repeat([1.0, 2.0, 4.0], [9, 8, 7]), 6)
+# The large-frame benchmark's shape, with 33 certainty units.
+LARGE_FRAME_X = (np.random.default_rng(31).lognormal(0.0, 1.5, size=2000), 200)
+
+
+def crossings(ladder):
+    """Per step: the count of units crossing the cap and the pool size."""
+    return np.diff(ladder.cross_at), ladder.cross_at[:-1] - np.arange(ladder.steps)
+
 
 class TestLockstepMatchesReferenceLoops:
     @pytest.mark.parametrize(
@@ -650,11 +664,12 @@ class TestLockstepMatchesReferenceLoops:
             (np.array([1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0, 4.5, 5.0, 5.5, 6.0, 40.0]), 4),
             (np.random.default_rng(5).lognormal(0.0, 1.0, size=30), 9),
             (np.array([1.0, 2.0, 3.0]), 3),
-            # The large-frame benchmark's shape, with 33 certainty units:
-            # one row walks the pool as a Python list, a batch as arrays.
-            (np.random.default_rng(31).lognormal(0.0, 1.5, size=2000), 200),
+            EQUAL_X,
+            BISECTION_X,
+            # One row walks the pool as a Python list, a batch as arrays.
+            LARGE_FRAME_X,
         ],
-        ids=["certainty", "lognormal", "census", "large-frame"],
+        ids=["certainty", "lognormal", "census", "equal", "bisection", "large-frame"],
     )
     def test_same_sample_for_each_seed(self, x, n):
         pi = compute_pips(x, n)
@@ -674,6 +689,69 @@ class TestLockstepMatchesReferenceLoops:
                 expect = tuple(sorted(int(k) for k in reference(seed)))
                 assert draw(seed).selected == expect, (kind, seed)
                 assert tuple(rows[seed]) == expect, (kind, seed)
+
+    def test_edge_shapes(self):
+        # Tille's first step holds all 16 units, Chao's the 5 reservoir
+        # units and the arrival.
+        equal = ((tille_plan(*EQUAL_X), 16), (chao_plan(*EQUAL_X).ladder, 6))
+        for ladder, first in equal:
+            m, count = crossings(ladder)
+            assert m[0] == first and count[0] == 0
+        midzuno = midzuno_plan(compute_pips(*BISECTION_X)).ladder
+        for ladder in (tille_plan(*BISECTION_X), midzuno):
+            assert {7, 8, 9} <= set(crossings(ladder)[0].tolist())
+
+    def test_steps_without_pool_weight(self):
+        # A hand-built ladder: three units cross at step 0, with no pool,
+        # one of them at weight 0; three more at step 1, where the rung
+        # does not move, so the two pool units have weight r = 0; the
+        # pool of four then shares step 2.  The picks run on the crossing
+        # weights alone, as in the reference, whatever u T rounds to.
+        ladder = designs.Ladder(
+            x=np.array([0.5, 1.0, 1.5, 1.2, 1.0, 0.8]),
+            lam=np.array([np.inf, 2 / 3, 2 / 3, 0.5]),
+            capped=np.array([6, 3, 0, 0]),
+            cross=np.arange(6),
+            cross_at=np.array([0, 3, 6, 6]),
+        )
+        m, count = crossings(ladder)
+        assert m.tolist() == [3, 3, 0] and count.tolist() == [0, 2, 4]
+        # Uniforms on the cumulative weights pick as searchsorted's
+        # right side does: step 0's total is 1.0, so u = 2/3 ties.
+        steps = list(reference_steps(ladder))
+        ties = [c for _, w, _ in steps for c in itertools.accumulate(w)]
+        grid = np.linspace(0.0, 1.0, 64, endpoint=False)
+        u = np.unique(np.r_[grid, ties, 1 - 2**-53])
+        u = u[u < 1.0]
+        pos = designs._picks(ladder, np.tile(u[:, None], (1, 3)), count, str)
+        for i, v in enumerate(u.tolist()):
+            pools = ([0] * int(c) for c in count)
+            expect = [reference_step(v, p, *step) for p, step in zip(pools, steps)]
+            assert pos[i].tolist() == expect, v
+        seeds = list(range(300))
+        rows = designs._eliminate(ladder, seeds, str)
+        for seed in seeds:
+            expect = reference_eliminate(ladder, ReferenceStream(seed))
+            one = designs._eliminate(ladder, [seed], str)
+            for got in (one, (rows[0][seed : seed + 1], rows[1][seed : seed + 1])):
+                assert [part[0].tolist() for part in got] == list(expect), seed
+
+    def test_one_draw_makes_no_call_per_crossing_step(self, monkeypatch):
+        # A per-step loop over the steps where several units cross would
+        # make one cumsum or searchsorted call per such step.
+        plan = tille_plan(*LARGE_FRAME_X)
+        m, _ = crossings(plan)
+        assert plan.steps == 1800 and np.sum(m > 1) > 500
+        calls = collections.Counter()
+        for name in ("cumsum", "searchsorted"):
+            def counting(*args, _name=name, _f=getattr(np, name), **kwargs):
+                calls[_name] += 1
+                return _f(*args, **kwargs)
+            monkeypatch.setattr(np, name, counting)
+        draw, _ = make_sampler(DesignKind.TILLE_ELIMINATION, x=LARGE_FRAME_X[0], n=200)
+        assert draw(7).size == 200
+        # One cumsum per distinct crossing count here: 6 calls.
+        assert 0 < sum(calls.values()) < np.sum(m > 1) / 10
 
     @pytest.mark.parametrize(
         "x, n",

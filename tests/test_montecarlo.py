@@ -252,6 +252,41 @@ class TestLockstepReplicates:
                 replicates=50, master_seed=3, x=X_CERTAIN, n=4,
             )
 
+    @pytest.mark.parametrize(
+        "kind, build, step",
+        [
+            (DesignKind.TILLE_ELIMINATION, "tille_plan", "i=133"),
+            (DesignKind.CHAO, "chao_plan", "t=87"),
+            (DesignKind.GENERALIZED_MIDZUNO, "midzuno_plan", "1"),
+        ],
+        ids=["tille", "chao", "midzuno"],
+    )
+    def test_negative_crossing_weight_rejected(self, monkeypatch, kind, build, step):
+        # Scale every rung's lam up by 1%.  Here 120 units of size 3 cross
+        # the cap together near 1 (Tille's and Midzuno's ladders; 47 of
+        # them at Chao's), so their weights 1 - lam x turn negative at a
+        # step where several units cross; both paths name that step.
+        original = getattr(designs, build)
+
+        def corrupted(*args, **kwargs):
+            plan = original(*args, **kwargs)
+            if isinstance(plan, designs.Ladder):
+                return dataclasses.replace(plan, lam=plan.lam * 1.01)
+            ladder = dataclasses.replace(plan.ladder, lam=plan.ladder.lam * 1.01)
+            return dataclasses.replace(plan, ladder=ladder)
+
+        monkeypatch.setattr(designs, build, corrupted)
+        x = np.repeat([1.0, 3.0], [40, 120])
+        match = f"{kind.value} step {step}: negative probability -"
+        draw, _ = make_sampler(kind, x=x, n=60)
+        with pytest.raises(ContractViolationError, match=match):
+            draw(derive_seed(3, 0))
+        with pytest.raises(ContractViolationError, match=match):
+            estimate_tail(
+                kind, y=np.ones(x.size), eps_grid=[0.1],
+                replicates=50, master_seed=3, x=x, n=60,
+            )
+
 
 class TestCertify:
     def test_trivial_bound_passes(self, small_tail):
