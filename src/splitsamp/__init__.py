@@ -40,7 +40,6 @@ from .distribution import (
     ExactDesignDistribution,
     containment,
     first_second_order,
-    support_arrays,
 )
 from .errors import (
     ContractViolationError,
@@ -169,7 +168,6 @@ __all__ = [
     "solve_confidence_radius",
     "solve_sample_size",
     "study_vector",
-    "support_arrays",
     "unbiasedness_check",
     "wilson_upper",
 ]

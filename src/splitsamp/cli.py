@@ -235,7 +235,7 @@ def cmd_verify(args) -> int:
 
     lines = [
         f"design={kind.value} N={pi.N} n={pi.n} "
-        f"support={len(dist.support)} pruned_mass={dist.pruned_mass!r}"
+        f"support={dist.masks.size} pruned_mass={dist.pruned_mass!r}"
     ]
     ok = True
 

@@ -355,7 +355,7 @@ def _picks(
     m = np.diff(at)
     step_of = np.repeat(np.arange(ladder.steps), m)
     w = 1.0 - lam[1:][step_of] * ladder.x[ladder.cross[: at[-1]]]
-    r = np.where(count > 0, 1.0 - lam[1:] / lam[:-1], 0.0)
+    r = 1.0 - np.divide(lam[1:], lam[:-1], out=np.ones(ladder.steps), where=count > 0)
     for weights, step in ((w, step_of), (r, np.arange(ladder.steps))):
         bad = np.flatnonzero(weights < -RANGE_TOL)
         if bad.size:

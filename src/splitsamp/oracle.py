@@ -44,10 +44,10 @@ from .distribution import (
     containment,
     first_second_order,
     mask_units,
-    support_arrays,
+    members,
+    set_sizes,
 )
 from .errors import (
-    ContractViolationError,
     EnumerationBudgetError,
     InvalidInputError,
 )
@@ -101,8 +101,8 @@ def enumerate_design(
             raise EnumerationBudgetError(
                 f"srswor enumeration needs more than {max_branches} branches"
             )
-        support = dict.fromkeys(combinations(range(N), n), 1.0 / count)
-        return ExactDesignDistribution(support=support, N=N, n=n, source=source)
+        masks = np.flatnonzero(set_sizes(N) == n)
+        return ExactDesignDistribution(masks, np.full(count, 1.0 / count), N, n, source)
     sizes = np.asarray(x if x is not None else pi.pi, dtype=float)
     if kind is DesignKind.CHAO:
         chain = _chao_chain(sizes, n)
@@ -116,7 +116,7 @@ def enumerate_design(
         raise InvalidInputError(f"unknown design kind {kind!r}")
     start, steps, moves, flip = chain
     masks, probs, pruned = _levels(start, steps, moves, max_branches)
-    return _exact(masks ^ flip, probs, pruned, N, n, source)
+    return ExactDesignDistribution(masks ^ flip, probs, N, n, source, pruned)
 
 
 def _levels(start: int, steps: int, moves, max_branches: int):
@@ -147,28 +147,16 @@ def _levels(start: int, steps: int, moves, max_branches: int):
     return masks, probs, pruned
 
 
-def _exact(masks, probs, pruned: float, N: int, n: int, source: str):
-    """The distribution of a level whose states are samples of n units."""
-    units = np.nonzero((masks[:, None] >> np.arange(N)) & 1)[1].reshape(masks.size, n)
-    support = dict(zip(map(tuple, units.tolist()), probs.tolist()))
-    return ExactDesignDistribution(
-        support=support, N=N, n=n, source=source, pruned_mass=pruned
-    )
-
-
-def _dense_steps(ladder: Ladder, name: str, what: str) -> np.ndarray:
-    """Dense per-unit law of each step of an elimination ladder, one row
-    per step: ``1 - min(1, lam_i x) / min(1, lam_{i+1} x)`` for every
-    unit, built from the plan's rungs independently of the sampler's
-    pick."""
+def _rung_ratios(ladder: Ladder) -> tuple[np.ndarray, np.ndarray]:
+    """The dense rungs of an elimination ladder, one row per rung, and
+    the per-unit law of each step, ``1 - pi_k(s+1) / pi_k(s)``, built
+    from the plan's rungs apart from the sampler's pick.  A unit already
+    at 0 gets 0, as no state with mass holds it; ``_remove`` checks the
+    law of the units a state holds."""
     rungs = np.array([ladder.pi(s) for s in range(ladder.steps + 1)])
-    cols = 1.0 - rungs[1:] / rungs[:-1]
-    bad = np.flatnonzero(cols.min(axis=1) < -1e-12)
-    if bad.size:
-        raise ContractViolationError(
-            f"{name} ladder: negative {what} probability at i={ladder.N - 1 - bad[0]}"
-        )
-    return np.clip(cols, 0.0, None)
+    ratios = np.ones((ladder.steps, ladder.N))
+    np.divide(rungs[1:], rungs[:-1], out=ratios, where=rungs[:-1] > 0)
+    return rungs, 1.0 - ratios
 
 
 def _remove(masks: np.ndarray, col: np.ndarray, context: str, expected: float = 1.0):
@@ -188,8 +176,7 @@ def _chao_chain(x: np.ndarray, n: int):
     pi_k(t-1)``; the members' law sums to ``a``."""
     ladder = chao_plan(x, n).ladder
     # A unit counts as capped before its arrival, so its ratio is 0 there.
-    rungs = np.array([ladder.pi(s) for s in range(ladder.steps + 1)])
-    ratios = 1.0 - rungs[1:] / rungs[:-1]
+    rungs, ratios = _rung_ratios(ladder)
 
     def moves(j: int, masks: np.ndarray):
         t, a = n + j, float(rungs[j + 1, n + j])
@@ -202,7 +189,7 @@ def _chao_chain(x: np.ndarray, n: int):
 
 def _tille_chain(sizes: np.ndarray, n: int):
     """The state is the units still present; step j removes one."""
-    elim = _dense_steps(tille_plan(sizes, n), "tille", "elimination")
+    elim = _rung_ratios(tille_plan(sizes, n))[1]
     N = sizes.size
 
     def moves(j: int, masks: np.ndarray):
@@ -223,7 +210,7 @@ def _midzuno_chain(pi: InclusionProbabilities):
         # No draw is random: every active unit is selected, or none.
         return (0 if plan.n > plan.certain.size else active), 0, None, flip
     select = np.zeros((plan.ladder.steps, pi.N))
-    select[:, plan.active] = _dense_steps(plan.ladder, "midzuno", "selection")
+    select[:, plan.active] = _rung_ratios(plan.ladder)[1]
 
     def moves(j: int, masks: np.ndarray):
         return _remove(masks, select[j], f"midzuno step {j + 1}")
@@ -290,11 +277,7 @@ def check_csyg(
     if not dist.fixed_size:
         raise InvalidInputError("the conditional scan needs a fixed-size design")
     f = containment(dist)
-    # size[A] = |A|: the sets with bit k are those below 2^k, plus one.
-    size = np.zeros(1, dtype=np.int64)
-    for _ in range(dist.N):
-        size = np.concatenate([size, size + 1])
-    eligible = size <= dist.n - 2
+    eligible = set_sizes(dist.N) <= dist.n - 2
     live = np.flatnonzero(eligible & (f > skip_tol))
     max_v = max_r = -math.inf
     wit = wit_r = None
@@ -371,20 +354,18 @@ def midzuno_complementarity_tv(
     active = np.flatnonzero(~pi.certain)
     n_active = pi.n - certain.size
     if n_active == 0 or n_active == active.size:
-        # No randomness; Midzuno already is the unique sample.
-        only = certain if n_active == 0 else np.arange(pi.N)
-        other = ExactDesignDistribution(
-            support={tuple(only.tolist()): 1.0}, N=pi.N, n=pi.n, source="degenerate"
-        )
-        return mid.tv_distance(other)
+        # No randomness: Midzuno selects the certainty units, or all units.
+        only = int(np.sum(1 << (certain if n_active == 0 else np.arange(pi.N))))
+        return mid.tv_distance(ExactDesignDistribution([only], [1.0], pi.N, pi.n))
     comp_sizes = 1.0 - pi.pi[active]
     sub_pi = compute_pips(comp_sizes, active.size - n_active)
     sub = enumerate_design(
         DesignKind.TILLE_ELIMINATION, x=comp_sizes, pi=sub_pi, max_branches=max_branches
     )
     # Bit i of a complementary sample is active unit i.
-    comp, probs = support_arrays(sub.complement())
-    chosen = (comp[:, None] >> np.arange(active.size)) & 1
-    masks = chosen @ (1 << active) | int(np.sum(1 << certain))
+    comp = members(((1 << active.size) - 1) ^ sub.masks, active.size)
+    masks = comp @ (1 << active) | int(np.sum(1 << certain))
     source = f"complement-elimination({sub.source})"
-    return mid.tv_distance(_exact(masks, probs, sub.pruned_mass, pi.N, pi.n, source))
+    return mid.tv_distance(
+        ExactDesignDistribution(masks, sub.probs, pi.N, pi.n, source, sub.pruned_mass)
+    )

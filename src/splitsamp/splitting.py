@@ -27,12 +27,7 @@ from typing import Callable
 
 import numpy as np
 
-from .distribution import (
-    ExactDesignDistribution,
-    containment,
-    mask_units,
-    support_arrays,
-)
+from .distribution import ExactDesignDistribution, containment, mask_units, members
 from .errors import ContractViolationError, InvalidInputError, RepresentationError
 
 # Candidate weights must sum to one within this tolerance.
@@ -308,7 +303,7 @@ def draw_by_draw_distribution(
     set alone.  Agreement with the input distribution is what makes the
     representation valid.
     """
-    from .oracle import DEFAULT_MAX_BRANCHES, _exact, _levels
+    from .oracle import DEFAULT_MAX_BRANCHES, _levels
 
     _require_fixed_size(dist)
     f = containment(dist)
@@ -321,8 +316,9 @@ def draw_by_draw_distribution(
         w = np.where(free, f[nxt] / f[drawn][:, None] / (n - t), 0.0)
         return np.where(free, nxt, -1), w
 
-    level = _levels(0, n, moves, DEFAULT_MAX_BRANCHES)
-    return _exact(*level, dist.N, n, f"draw-by-draw({dist.source})")
+    masks, probs, pruned = _levels(0, n, moves, DEFAULT_MAX_BRANCHES)
+    source = f"draw-by-draw({dist.source})"
+    return ExactDesignDistribution(masks, probs, dist.N, n, source, pruned)
 
 
 @dataclass
@@ -360,14 +356,13 @@ def sequential_splitting_from_distribution(
     inclusion probability.  The leaf distribution reproduces the input.
     """
     N = dist.N
-    units = np.arange(N)
 
     def build(
         t: int, masks: np.ndarray, probs: np.ndarray, prob: float
     ) -> SequentialNode:
         # The samples that agree with the decisions on units 0..t-1.
-        pi = probs @ ((masks[:, None] >> units) & 1) / probs.sum()
-        pi[:t] = (int(masks[0]) >> units[:t]) & 1
+        pi = probs @ members(masks, N) / probs.sum()
+        pi[:t] = members(masks[:1], t)[0]
         node = SequentialNode(t=t, pi=pi, prob=prob)
         if t == N:
             return node
@@ -384,26 +379,21 @@ def sequential_splitting_from_distribution(
             node.delta_skip = child.pi - pi
         return node
 
-    return build(0, *support_arrays(dist), 1.0)
+    return build(0, dist.masks, dist.probs, 1.0)
 
 
 def sequential_leaf_distribution(
     root: SequentialNode,
 ) -> ExactDesignDistribution:
     """Collect the leaves of a sequential splitting tree."""
-    acc: dict[tuple[int, ...], float] = {}
-    stack = [root]
-    N = root.pi.size
-    n = 0
+    leaves, stack = [], [root]
     while stack:
         node = stack.pop()
+        stack += [child for child in (node.take, node.skip) if child is not None]
         if node.is_leaf:
-            key = tuple(int(k) for k in np.flatnonzero(node.pi > 0.5))
-            acc[key] = acc.get(key, 0.0) + node.prob
-            n = max(n, len(key))
-        else:
-            if node.take is not None:
-                stack.append(node.take)
-            if node.skip is not None:
-                stack.append(node.skip)
-    return ExactDesignDistribution(support=acc, N=N, n=n, source="sequential-tree")
+            leaves.append(node)
+    member = np.array([leaf.pi > 0.5 for leaf in leaves])
+    masks = member @ (1 << np.arange(root.pi.size))
+    probs = [leaf.prob for leaf in leaves]
+    n = int(member.sum(axis=1).max())
+    return ExactDesignDistribution(masks, probs, root.pi.size, n, "sequential-tree")

@@ -85,7 +85,7 @@ def random_fixed_size(seed: int) -> ExactDesignDistribution:
     subsets = list(combinations(range(N), n))
     keep = rng.permutation(len(subsets))[: max(1, len(subsets) // 3)]
     masses = rng.dirichlet(np.full(keep.size, 0.3))
-    return ExactDesignDistribution(
+    return ExactDesignDistribution.from_support(
         support={subsets[i]: m for i, m in zip(keep, masses)}, N=N, n=n
     )
 

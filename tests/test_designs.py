@@ -12,6 +12,7 @@ import collections
 import itertools
 import math
 import tracemalloc
+import warnings
 from functools import partial
 
 import numpy as np
@@ -818,6 +819,26 @@ class TestRunnersMatchEnumeration:
             sigma = np.sqrt(p * (1 - p) / self.R)
             assert abs(freqs[key] - p) <= 4 * sigma + 1e-12, (kind, key)
 
+
+    @pytest.mark.parametrize(
+        "kind", [DesignKind.CHAO, DesignKind.TILLE_ELIMINATION], ids=lambda k: k.value
+    )
+    def test_zero_rung_frequencies(self, kind):
+        # At size 3 the three unit-size units fill every slot, so lam is
+        # 0 on that rung and the tiny units sit at 0 there; the next rung
+        # lifts them above 0 again.  No step may divide by the 0 rung.
+        x = np.array([1e-13, 1e-13, 1.0, 1.0, 1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            dist = enumerate_design(kind, x=x, n=2)
+            draw, _ = make_sampler(kind, x=x, n=2)
+            freqs = self.frequencies(draw, dist)
+        assert dict(dist.support) == pytest.approx(
+            {(2, 3): 1 / 3, (2, 4): 1 / 3, (3, 4): 1 / 3}, abs=1e-12
+        )
+        for key, p in dist.support.items():
+            sigma = np.sqrt(p * (1 - p) / self.R)
+            assert abs(freqs[key] - p) <= 4 * sigma, (kind, key)
 
     def test_brewer_inverse_cdf_frequencies(self):
         # 200,000 samples where every first draw takes the inverse CDF;

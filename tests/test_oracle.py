@@ -5,6 +5,7 @@ is pointed at a hand-built distribution that violates its property, so
 a checker that silently passes everything cannot survive this module.
 """
 
+import dataclasses
 from itertools import combinations
 from math import comb
 
@@ -128,6 +129,33 @@ class TestEnumerateUnequal:
         dist = enumerate_design(DesignKind.GENERALIZED_MIDZUNO, pi=pi)
         assert dist.support == {sample: 1.0}
 
+    @pytest.mark.parametrize(
+        "kind",
+        [DesignKind.TILLE_ELIMINATION, DesignKind.GENERALIZED_MIDZUNO],
+        ids=lambda k: k.value,
+    )
+    def test_rising_rung_rejected(self, monkeypatch, kind):
+        # Rung 2 at 1.1 times rung 1 raises every uncapped unit's
+        # probability at step 1: a negative elimination (Midzuno:
+        # selection) law there, whichever unit a state still holds.
+        from splitsamp import ContractViolationError, oracle
+
+        def rise(ladder):
+            lam = ladder.lam.copy()
+            lam[2] = 1.1 * lam[1]
+            return dataclasses.replace(ladder, lam=lam)
+
+        def midzuno_plan(pi):
+            plan = midzuno(pi)
+            return dataclasses.replace(plan, ladder=rise(plan.ladder))
+
+        tille, midzuno = oracle.tille_plan, oracle.midzuno_plan
+        monkeypatch.setattr(oracle, "tille_plan", lambda x, n: rise(tille(x, n)))
+        monkeypatch.setattr(oracle, "midzuno_plan", midzuno_plan)
+        x = np.arange(1.0, 7.0)
+        with pytest.raises(ContractViolationError, match="negative"):
+            enumerate_design(kind, x=x, n=3)
+
     def test_designs_differ(self, enumerated_123456):
         # Same margins, different joint laws: the four supports are not
         # all identical as distributions.
@@ -193,7 +221,7 @@ class TestCsyg:
     def test_detects_violation(self):
         # Two disjoint pairs, each with mass 1/2: pi_k = 1/2 for all k,
         # pi_01 = 1/2 > pi_0 pi_1 = 1/4 already at I = ().
-        bad = ExactDesignDistribution(
+        bad = ExactDesignDistribution.from_support(
             support={(0, 1): 0.5, (2, 3): 0.5}, N=4, n=2
         )
         rpt = check_csyg(bad)
@@ -205,7 +233,7 @@ class TestCsyg:
 
     def test_skips_thin_conditioning_sets(self):
         # Conditioning on unit 3 has probability 0 and must be skipped.
-        point = ExactDesignDistribution(support={(0, 1, 2): 1.0}, N=4, n=3)
+        point = ExactDesignDistribution.from_support(support={(0, 1, 2): 1.0}, N=4, n=3)
         rpt = check_csyg(point)
         assert rpt.skipped_sets >= 1
         assert rpt.max_violation <= 0.0
@@ -218,7 +246,7 @@ class TestCsyg:
         rng = np.random.default_rng(0)
         for _ in range(985):
             masses = rng.dirichlet(np.full(len(subsets), 0.3))
-        dist = ExactDesignDistribution(
+        dist = ExactDesignDistribution.from_support(
             support=dict(zip(subsets, masses)), N=5, n=4
         )
         rpt = check_csyg(dist)
@@ -240,7 +268,9 @@ class TestCsyg:
         assert rpt.max_violation_ratio == pytest.approx(ratio, abs=1e-15)
 
     def test_rejects_a_population_too_large_for_its_table(self):
-        census = ExactDesignDistribution(support={tuple(range(21)): 1.0}, N=21, n=21)
+        census = ExactDesignDistribution.from_support(
+            support={tuple(range(21)): 1.0}, N=21, n=21
+        )
         with pytest.raises(InvalidInputError, match="N <= 20"):
             check_csyg(census)
 
@@ -307,7 +337,7 @@ class TestPairwise:
             assert check_pairwise_na(enumerated_123456[kind]) < 0.0, kind
 
     def test_positive_on_clustered_design(self):
-        bad = ExactDesignDistribution(
+        bad = ExactDesignDistribution.from_support(
             support={(0, 1): 0.5, (2, 3): 0.5}, N=4, n=2
         )
         assert check_pairwise_na(bad) == pytest.approx(0.25, abs=1e-12)

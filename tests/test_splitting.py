@@ -308,7 +308,7 @@ class TestDrawByDraw:
         subsets = list(combinations(range(9), 4))
         keep = rng.permutation(len(subsets))[: len(subsets) // 2]
         masses = rng.dirichlet(np.full(keep.size, 0.5))
-        d = ExactDesignDistribution(
+        d = ExactDesignDistribution.from_support(
             support={subsets[i]: m for i, m in zip(keep, masses)}, N=9, n=4
         )
         dd = draw_by_draw_distribution(d)
@@ -324,7 +324,7 @@ class TestDrawByDraw:
         # A deterministic census: both steps are forced and move nothing.
         from splitsamp import ExactDesignDistribution
 
-        d = ExactDesignDistribution(support={(0, 1): 1.0}, N=2, n=2)
+        d = ExactDesignDistribution.from_support(support={(0, 1): 1.0}, N=2, n=2)
         tr = draw_by_draw_from_distribution(d, rng_seed=0)
         assert len(tr.steps) == 2
         assert all(s.increment_l1 == 0.0 for s in tr.steps)
@@ -360,7 +360,9 @@ class TestDrawByDraw:
     def test_requires_fixed_size(self):
         from splitsamp import ExactDesignDistribution
 
-        d = ExactDesignDistribution(support={(0,): 0.5, (0, 1): 0.5}, N=2, n=1)
+        d = ExactDesignDistribution.from_support(
+            support={(0,): 0.5, (0, 1): 0.5}, N=2, n=1
+        )
         with pytest.raises(RepresentationError):
             draw_by_draw_from_distribution(d, rng_seed=0)
 
@@ -368,7 +370,9 @@ class TestDrawByDraw:
     def test_rejects_a_population_too_large_for_its_table(self):
         from splitsamp import ExactDesignDistribution, InvalidInputError
 
-        census = ExactDesignDistribution(support={tuple(range(21)): 1.0}, N=21, n=21)
+        census = ExactDesignDistribution.from_support(
+            support={tuple(range(21)): 1.0}, N=21, n=21
+        )
         with pytest.raises(InvalidInputError, match="N <= 20"):
             draw_by_draw_distribution(census)
 
