@@ -88,12 +88,12 @@ from .population import (
     study_vector,
 )
 from .splitting import (
+    SplittingLevel,
     SplittingStep,
     SplittingTrace,
     draw_by_draw_distribution,
     draw_by_draw_from_distribution,
     ht_increments,
-    sequential_leaf_distribution,
     sequential_splitting_from_distribution,
 )
 
@@ -124,6 +124,7 @@ __all__ = [
     "Sample",
     "Sampler",
     "SplitsampError",
+    "SplittingLevel",
     "SplittingStep",
     "SplittingTrace",
     "StudyVector",
@@ -163,7 +164,6 @@ __all__ = [
     "sample_midzuno",
     "sample_srswor",
     "sample_tille",
-    "sequential_leaf_distribution",
     "sequential_splitting_from_distribution",
     "solve_confidence_radius",
     "solve_sample_size",

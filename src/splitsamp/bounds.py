@@ -32,9 +32,6 @@ from .population import InclusionProbabilities, Population, StudyVector, study_v
 # Grid size for dominance scans over an epsilon range.
 DOMINANCE_GRID = 512
 
-# Equality of floats derived from the same statistics.
-EQ_TOL = 1e-12
-
 _SMALL_COEF = (math.log(2.0) * 8.0 / 9.0) ** (1.0 / 3.0)
 _LARGE_COEF = math.log(2.0) * 8.0 / 9.0
 _EPS_LIMIT_COEF = 3.0 - math.sqrt(2.0)

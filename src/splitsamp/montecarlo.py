@@ -124,11 +124,16 @@ def estimate_tail(
     lockstep; each row still uses only its own seed, so ``errors[r]`` is
     exactly the error of ``draw(derive_seed(master_seed, r))``.
     """
-    if replicates < 1:
-        raise InvalidInputError("replicates must be positive")
+    if not isinstance(replicates, (int, np.integer)) or replicates < 1:
+        raise InvalidInputError(
+            f"replicates must be a positive integer, got {replicates!r}"
+        )
     eps = np.asarray(eps_grid, dtype=float)
-    if eps.size == 0 or float(eps.min()) < 0:
-        raise InvalidInputError("eps grid must be nonempty and nonnegative")
+    # NaN fails >= 0, so a NaN point is rejected with the negative ones.
+    if eps.ndim != 1 or eps.size == 0 or not np.all(eps >= 0):
+        raise InvalidInputError(
+            "eps grid must be a nonempty 1-D array of nonnegative numbers"
+        )
     draw, pi = make_sampler(kind, pi=pi, x=x, n=n, N=N, stream_order=stream_order)
     y = np.asarray(y, dtype=float)
     if y.size != pi.N:

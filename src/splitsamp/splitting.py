@@ -16,6 +16,11 @@ estimator.  A trace's ``steps`` is a sequence whose items may be built
 on access: Brewer's traced draws store each step as one common factor
 plus the drawn unit (``FactorSteps``), and build a step's dense
 ``alphas`` and ``realized_delta`` only when it is read.
+
+Every fixed-size design has two splitting representations, built here
+from its exact distribution: draw-by-draw, one unit drawn per step, and
+the unit-by-unit tree, unit t decided at depth t and stored as N + 1
+levels of arrays (``SplittingLevel``).
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from __future__ import annotations
 import bisect
 from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -321,79 +326,44 @@ def draw_by_draw_distribution(
     return ExactDesignDistribution(masks, probs, dist.N, n, source, pruned)
 
 
-@dataclass
-class SequentialNode:
-    """Node of the unit-by-unit binary splitting tree.
+class SplittingLevel(NamedTuple):
+    """Level t of the unit-by-unit splitting tree, one row per node: a
+    decision on units 0..t-1 that has positive mass.
 
-    ``t`` is the 0-based unit decided at this node; leaves have t == N.
-    ``pi`` holds the conditional inclusion probabilities given the
-    decisions on units 0..t-1, and ``prob`` the probability of reaching
-    this node.  A branch whose probability is zero is absent (None).
+    ``masks`` (sorted) holds the units each node takes, ``probs`` the
+    probability of reaching it, and ``pi`` (nodes x N) the conditional
+    inclusion probabilities given the decisions, decided units exactly
+    0 or 1.  Node i takes unit t with weight ``pi[i, t]``; its take child
+    is the row of level t + 1 with mask ``masks[i] | 1 << t``, its skip
+    child the row with mask ``masks[i]``.
     """
 
-    t: int
+    masks: np.ndarray
+    probs: np.ndarray
     pi: np.ndarray
-    prob: float
-    alpha_take: float = 0.0
-    delta_take: np.ndarray | None = None
-    delta_skip: np.ndarray | None = None
-    take: "SequentialNode | None" = None
-    skip: "SequentialNode | None" = None
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.take is None and self.skip is None
 
 
 def sequential_splitting_from_distribution(
     dist: ExactDesignDistribution,
-) -> SequentialNode:
-    """Binary splitting tree deciding units one by one, in order.
+) -> tuple[SplittingLevel, ...]:
+    """The N + 1 levels of the binary splitting tree that decides units
+    one by one, in order.
 
-    At each node the take-branch weight is the conditional probability
-    that the current unit enters the sample given all earlier decisions;
-    both branch updates move every undecided unit to its new conditional
-    inclusion probability.  The leaf distribution reproduces the input.
+    Each level is one pass over the samples: group them by their
+    decisions on units 0..t-1, and sum the masses and weighted
+    memberships per group.  A branch update moves every undecided unit to
+    its new conditional inclusion probability.  The last level is the
+    input's masks and probabilities.
     """
     N = dist.N
-
-    def build(
-        t: int, masks: np.ndarray, probs: np.ndarray, prob: float
-    ) -> SequentialNode:
-        # The samples that agree with the decisions on units 0..t-1.
-        pi = probs @ members(masks, N) / probs.sum()
-        pi[:t] = members(masks[:1], t)[0]
-        node = SequentialNode(t=t, pi=pi, prob=prob)
-        if t == N:
-            return node
-        alpha = float(pi[t])
-        node.alpha_take = alpha
-        take = ((masks >> t) & 1) == 1
-        if alpha > 1e-15:
-            child = build(t + 1, masks[take], probs[take], prob * alpha)
-            node.take = child
-            node.delta_take = child.pi - pi
-        if alpha < 1.0 - 1e-15:
-            child = build(t + 1, masks[~take], probs[~take], prob * (1.0 - alpha))
-            node.skip = child
-            node.delta_skip = child.pi - pi
-        return node
-
-    return build(0, dist.masks, dist.probs, 1.0)
-
-
-def sequential_leaf_distribution(
-    root: SequentialNode,
-) -> ExactDesignDistribution:
-    """Collect the leaves of a sequential splitting tree."""
-    leaves, stack = [], [root]
-    while stack:
-        node = stack.pop()
-        stack += [child for child in (node.take, node.skip) if child is not None]
-        if node.is_leaf:
-            leaves.append(node)
-    member = np.array([leaf.pi > 0.5 for leaf in leaves])
-    masks = member @ (1 << np.arange(root.pi.size))
-    probs = [leaf.prob for leaf in leaves]
-    n = int(member.sum(axis=1).max())
-    return ExactDesignDistribution(masks, probs, root.pi.size, n, "sequential-tree")
+    weighted = (dist.probs[:, None] * members(dist.masks, N)).ravel()
+    levels = []
+    for t in range(N + 1):
+        masks, node = np.unique(dist.masks & ((1 << t) - 1), return_inverse=True)
+        probs = np.bincount(node, weights=dist.probs)
+        cells = (node[:, None] * N + np.arange(N)).ravel()
+        pi = np.bincount(cells, weights=weighted)
+        pi = pi.reshape(-1, N) / probs[:, None]
+        pi[:, :t] = members(masks, t)
+        levels.append(SplittingLevel(masks, probs, pi))
+    return tuple(levels)

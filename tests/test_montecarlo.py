@@ -178,6 +178,30 @@ class TestEstimateTail:
                 replicates=5, pi=pi,
             )
 
+    @pytest.mark.parametrize(
+        "grid",
+        [[0.0, np.nan], [[0.0, 0.1], [0.2, 0.3]], 0.1],
+        ids=["nan_point", "2d_grid", "scalar_grid"],
+    )
+    def test_rejects_a_grid_that_is_not_1d_and_nonnegative(self, grid):
+        # A NaN point would count 0 exceedances and pass any bound in
+        # certify; a 2-D grid would make certify raise TypeError.
+        pi = compute_pips(np.array([1.0, 2.0, 3.0, 4.0]), 2)
+        with pytest.raises(InvalidInputError, match="eps grid"):
+            estimate_tail(
+                DesignKind.BREWER, y=np.ones(4), eps_grid=grid,
+                replicates=5, pi=pi,
+            )
+
+    @pytest.mark.parametrize("replicates", [2.5, 5.0, "5"])
+    def test_rejects_replicates_that_are_not_integers(self, replicates):
+        pi = compute_pips(np.array([1.0, 2.0, 3.0, 4.0]), 2)
+        with pytest.raises(InvalidInputError, match="positive integer"):
+            estimate_tail(
+                DesignKind.BREWER, y=np.ones(4), eps_grid=[0.1],
+                replicates=replicates, pi=pi,
+            )
+
 
 CHAO_ORDER = np.array([11, 3, 0, 7, 1, 9, 4, 10, 2, 8, 6, 5])
 

@@ -2,6 +2,8 @@
 every fixed-size design admits (draw-by-draw and unit-by-unit)."""
 
 import collections
+import itertools
+import time
 import tracemalloc
 
 import numpy as np
@@ -10,6 +12,7 @@ import pytest
 from splitsamp import (
     ContractViolationError,
     DesignKind,
+    ExactDesignDistribution,
     InclusionProbabilities,
     RepresentationError,
     compute_pips,
@@ -18,7 +21,6 @@ from splitsamp import (
     enumerate_design,
     ht_increments,
     sample_brewer,
-    sequential_leaf_distribution,
     sequential_splitting_from_distribution,
 )
 from splitsamp import designs
@@ -377,41 +379,123 @@ class TestDrawByDraw:
             draw_by_draw_distribution(census)
 
 
+def branches(levels, t):
+    """Take weights of the nodes at depth t, and the rows of their take
+    and skip children in level t + 1 (-1 where a branch is absent)."""
+    node, nxt = levels[t], levels[t + 1]
+    rows = []
+    for child in (node.masks | 1 << t, node.masks):
+        i = np.minimum(np.searchsorted(nxt.masks, child), nxt.masks.size - 1)
+        rows.append(np.where(nxt.masks[i] == child, i, -1))
+    return node.pi[:, t], rows[0], rows[1]
+
+
+def tree_instances(seed=16, count=8):
+    """Seeded (x, n) with N in 5..10; every other x has two large units,
+    which the pips cap to certainty units."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        N = int(rng.integers(5, 11))
+        n = int(rng.integers(2, N - 1))
+        x = rng.lognormal(0.0, 1.0, N)
+        if i % 2:
+            x[:2] *= 50.0
+        yield x, n
+
+
+@pytest.fixture(scope="module")
+def tree_16():
+    """All 12,870 8-of-16 samples with seeded Dirichlet masses, built
+    directly (past the enumeration cap), its levels, and the seconds the
+    levels took to build."""
+    masks = [sum(1 << k for k in c) for c in itertools.combinations(range(16), 8)]
+    probs = np.random.default_rng(16).dirichlet(np.ones(len(masks)))
+    dist = ExactDesignDistribution(masks, probs, 16, 8, "dirichlet")
+    start = time.perf_counter()
+    levels = sequential_splitting_from_distribution(dist)
+    return dist, levels, time.perf_counter() - start
+
+
 class TestSequentialTree:
     def test_srswor_tree_probabilities(self):
         d = enumerate_design(DesignKind.SRSWOR, N=3, n=2)
-        root = sequential_splitting_from_distribution(d)
-        assert root.alpha_take == pytest.approx(2 / 3)
-        # Conditional on taking unit 0, one of the remaining two is drawn.
-        assert root.take.alpha_take == pytest.approx(1 / 2)
+        levels = sequential_splitting_from_distribution(d)
+        assert len(levels) == 4
+        root, depth1 = levels[0], levels[1]
+        np.testing.assert_allclose(root.pi[0], [2 / 3] * 3)
+        # Row 0 skipped unit 0 (mask 0), row 1 took it (mask 1).
+        np.testing.assert_array_equal(depth1.masks, [0, 1])
+        np.testing.assert_allclose(depth1.probs, [1 / 3, 2 / 3])
         # Conditional on skipping unit 0, both remaining units are forced.
-        assert root.skip.alpha_take == pytest.approx(1.0)
-        leaf = sequential_leaf_distribution(root)
-        assert d.tv_distance(leaf) <= 1e-9
+        np.testing.assert_allclose(depth1.pi[0], [0.0, 1.0, 1.0])
+        # Conditional on taking unit 0, one of the remaining two is drawn.
+        np.testing.assert_allclose(depth1.pi[1], [1.0, 0.5, 0.5])
+        np.testing.assert_array_equal(levels[-1].masks, d.masks)
+        np.testing.assert_array_equal(levels[-1].probs, d.probs)
 
-    def test_branch_updates_are_martingale(self):
-        x = np.array([1.0, 2.0, 3.0, 4.0])
-        pi = compute_pips(x, 2)
-        d = enumerate_design(DesignKind.GENERALIZED_MIDZUNO, pi=pi, n=2)
-        root = sequential_splitting_from_distribution(d)
-        stack = [root]
-        while stack:
-            node = stack.pop()
-            if node.is_leaf:
-                continue
-            a = node.alpha_take
-            drift = np.zeros(node.pi.size)
-            if node.delta_take is not None:
-                drift += a * node.delta_take
-            if node.delta_skip is not None:
-                drift += (1 - a) * node.delta_skip
+    @pytest.mark.parametrize(
+        "kind",
+        [
+            DesignKind.SRSWOR,
+            DesignKind.CHAO,
+            DesignKind.TILLE_ELIMINATION,
+            DesignKind.GENERALIZED_MIDZUNO,
+        ],
+        ids=["srswor", "chao", "tille", "midzuno"],
+    )
+    def test_cna_branch_lengths(self, kind):
+        """Conditional negative association given the in/out decisions
+        on units 0..t-1: taking unit t lowers every other undecided unit,
+        by 1 - alpha in all, so |delta|_1 = 2(1 - alpha); skipping it
+        gives 2 alpha.  The paper does not claim this for Brewer."""
+        for x, n in tree_instances():
+            if kind is DesignKind.SRSWOR:
+                d = enumerate_design(kind, N=x.size, n=n)
+            else:
+                d = enumerate_design(kind, x=x, n=n)
+            levels = sequential_splitting_from_distribution(d)
+            np.testing.assert_array_equal(levels[-1].masks, d.masks)
+            np.testing.assert_array_equal(levels[-1].probs, d.probs)
+            for t in range(x.size):
+                alpha, take, skip = branches(levels, t)
+                for rows, length in ((take, 2 * (1 - alpha)), (skip, 2 * alpha)):
+                    has = rows >= 0
+                    delta = levels[t + 1].pi[rows[has]] - levels[t].pi[has]
+                    np.testing.assert_allclose(
+                        np.abs(delta).sum(axis=1), length[has], rtol=0, atol=1e-12
+                    )
+
+    def test_n16_builds_in_under_a_second(self, tree_16):
+        dist, levels, seconds = tree_16
+        assert seconds < 1.0
+        assert len(levels) == 17 and levels[0].masks.tolist() == [0]
+        np.testing.assert_array_equal(levels[-1].masks, dist.masks)
+        np.testing.assert_array_equal(levels[-1].probs, dist.probs)
+        for t, level in enumerate(levels):
+            assert level.pi.shape == (level.masks.size, 16)
+            assert np.all((level.pi[:, :t] == 0) | (level.pi[:, :t] == 1))
+
+    def test_n16_branch_probabilities(self, tree_16):
+        _, levels, _ = tree_16
+        for t in range(16):
+            alpha, take, skip = branches(levels, t)
+            node, nxt = levels[t], levels[t + 1]
+            # Every node of level t + 1 is one node's take or skip child.
+            children = np.count_nonzero(take >= 0) + np.count_nonzero(skip >= 0)
+            assert children == nxt.masks.size
+            for rows, weight in ((take, alpha), (skip, 1 - alpha)):
+                child = np.where(rows >= 0, nxt.probs[rows], 0.0)
+                np.testing.assert_allclose(
+                    child, node.probs * weight, rtol=1e-12, atol=1e-15
+                )
+
+    def test_n16_branch_updates_are_martingale(self, tree_16):
+        _, levels, _ = tree_16
+        for t in range(16):
+            alpha, take, skip = branches(levels, t)
+            node, nxt = levels[t], levels[t + 1]
+            drift = np.zeros_like(node.pi)
+            for rows, weight in ((take, alpha), (skip, 1 - alpha)):
+                delta = np.where((rows >= 0)[:, None], nxt.pi[rows] - node.pi, 0.0)
+                drift += weight[:, None] * delta
             assert np.max(np.abs(drift)) <= 1e-10
-            for child in (node.take, node.skip):
-                if child is not None:
-                    stack.append(child)
-
-    def test_leaf_distribution_matches_for_all_designs(self, enumerated_123456):
-        for kind, d in enumerated_123456.items():
-            root = sequential_splitting_from_distribution(d)
-            leaf = sequential_leaf_distribution(root)
-            assert d.tv_distance(leaf) <= 1e-9, kind
