@@ -337,10 +337,9 @@ def evaluate_bounds(
     )
 
 
-def dominance_grid(upper: float, points: int = DOMINANCE_GRID) -> np.ndarray:
-    """Log-spaced eps grid on (0, upper] for dominance scans."""
+def dominance_grid(upper: float) -> np.ndarray:
+    """Log-spaced eps grid of ``DOMINANCE_GRID`` points on (0, upper]
+    for dominance scans."""
     if upper <= 0:
         raise InvalidInputError("grid upper end must be positive")
-    if points < 1:
-        raise InvalidInputError("grid needs at least one point")
-    return np.logspace(math.log10(upper) - 6.0, math.log10(upper), points)
+    return np.logspace(math.log10(upper) - 6.0, math.log10(upper), DOMINANCE_GRID)

@@ -214,7 +214,6 @@ def cmd_verify(args) -> int:
         N, n = args.N, args.n
         if n is None:
             raise InvalidInputError("verification needs --n")
-        x = np.ones(N)
         pi = InclusionProbabilities(pi=np.full(N, n / N), n=n)
         y = np.arange(1.0, N + 1.0)
         dist = enumerate_design(

@@ -19,10 +19,10 @@ or a pick among the few units that leave the cap there: O(1) work per
 replicate, beyond adding each unit to the pick pool once.  All three
 walk the ladder as an elimination, one unit leaving per step; Chao's
 arrival is such a step, in which the arrival or one reservoir unit
-leaves.  Every step's pick is found before the walk, in array passes
-whose number does not grow with the steps: one cumulative sum per
-distinct count of units crossing the cap at a step, and one bisection
-over all picks of a crossing unit.
+leaves, and its stream is the population in order.  Every step's pick
+is found before the walk, in array passes whose number does not grow
+with the steps: one cumulative sum per distinct count of units crossing
+the cap at a step, and one bisection over all picks of a crossing unit.
 
 Each procedure's step is written once, over a batch of replicates: all
 rows take a step together as one array operation, and each row draws
@@ -42,7 +42,7 @@ import heapq
 import math
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -290,43 +290,6 @@ def _elimination_ladder(x: np.ndarray, n: int) -> Ladder:
     return Ladder(x=x, lam=lam, capped=capped, cross=cross, cross_at=N - capped)
 
 
-def _stream_ladder(xs: np.ndarray, n: int) -> Ladder:
-    """Ladder of capped shares at size n of the stream prefixes of
-    length n, n+1, ..., N.
-
-    Step j brings in unit n + j at the cap; capped units, the arrival
-    among them, leave the cap smallest first as the prefix grows, so a
-    min-heap of the capped units builds the ladder in O(N log N) time
-    and O(N) memory.
-    """
-    N = xs.size
-    sizes = xs.tolist()
-    heap = [(sizes[k], k) for k in range(n)]
-    heapq.heapify(heap)
-    lam = np.empty(N - n + 1)
-    capped = np.empty(N - n + 1, dtype=np.intp)
-    lam[0], capped[0] = np.inf, n
-    cross: list[int] = []
-    cross_at = [0]
-    rest = 0.0
-    for j in range(N - n):
-        heapq.heappush(heap, (sizes[n + j], n + j))
-        while heap and not _stays_capped(n, len(heap), heap[0][0], rest):
-            size, k = heapq.heappop(heap)
-            rest += size
-            cross.append(k)
-        lam[j + 1], capped[j + 1] = (n - len(heap)) / rest, len(heap)
-        cross_at.append(len(cross))
-    cross.extend(k for _, k in sorted(heap))
-    return Ladder(
-        x=xs,
-        lam=lam,
-        capped=capped,
-        cross=np.array(cross, dtype=np.intp),
-        cross_at=np.array(cross_at, dtype=np.intp),
-    )
-
-
 def _picks(
     ladder: Ladder, u: np.ndarray, count: np.ndarray, context: Callable[[int], str]
 ) -> np.ndarray:
@@ -462,71 +425,68 @@ def _survivors(
 # Chao's reservoir procedure.
 
 
-@dataclass(frozen=True)
-class ChaoPlan:
-    """Stream-order ladder for Chao's procedure.
+def chao_plan(x: np.ndarray, n: int) -> Ladder:
+    """Chao's ladder: rung s holds the capped shares at size n of the
+    first n + s units of the stream, which is the population in order.
 
-    Rung s of ``ladder`` holds the capped shares at size n of the first
-    n + s stream units, over stream positions.  Step j is the arrival of
-    stream unit t = n+1+j, as an elimination: exactly one unit of the
-    reservoir and the arrival leaves, the arrival with probability
-    ``1 - pi_t(t)`` and reservoir member k with ``1 - pi_k(t) /
-    pi_k(t-1)``.  An arrival uncapped at t crosses the cap at its own
-    step, so both are ``1 - lam_t x_k`` for a unit that crosses the cap
-    at t and ``1 - lam_t / lam_{t-1}`` for every reservoir unit uncapped
-    at t-1.
+    Step j is the arrival of unit t = n+1+j, as an elimination: exactly
+    one unit of the reservoir and the arrival leaves, the arrival with
+    probability ``1 - pi_t(t)`` and reservoir member k with ``1 -
+    pi_k(t) / pi_k(t-1)``.  An arrival uncapped at t crosses the cap at
+    its own step, so both are ``1 - lam_t x_k`` for a unit that crosses
+    the cap at t and ``1 - lam_t / lam_{t-1}`` for every reservoir unit
+    uncapped at t-1.
+
+    Capped units, the arrival among them, leave the cap smallest first as
+    the prefix grows, so a min-heap of the capped units builds the ladder
+    in O(N log N) time and O(N) memory.
     """
-
-    order: np.ndarray
-    n: int
-    ladder: Ladder
-
-    @property
-    def N(self) -> int:
-        return self.order.size
-
-
-def chao_plan(x: np.ndarray, n: int, order: np.ndarray | None = None) -> ChaoPlan:
     x = np.asarray(x, dtype=float)
     N = x.size
-    if order is None:
-        order = np.arange(N)
-    else:
-        if sorted(np.asarray(order).tolist()) != list(range(N)):
-            raise InvalidInputError("stream order must be a permutation of 0..N-1")
-        order = np.asarray(order, dtype=np.intp)
     if not 1 <= n <= N:
         raise InvalidSizeError(f"invalid size: n={n} outside 1..{N}")
-    return ChaoPlan(order=order, n=n, ladder=_stream_ladder(x[order], n))
+    sizes = x.tolist()
+    heap = [(sizes[k], k) for k in range(n)]
+    heapq.heapify(heap)
+    lam = np.empty(N - n + 1)
+    capped = np.empty(N - n + 1, dtype=np.intp)
+    lam[0], capped[0] = np.inf, n
+    cross: list[int] = []
+    cross_at = [0]
+    rest = 0.0
+    for j in range(N - n):
+        heapq.heappush(heap, (sizes[n + j], n + j))
+        while heap and not _stays_capped(n, len(heap), heap[0][0], rest):
+            size, k = heapq.heappop(heap)
+            rest += size
+            cross.append(k)
+        lam[j + 1], capped[j + 1] = (n - len(heap)) / rest, len(heap)
+        cross_at.append(len(cross))
+    cross.extend(k for _, k in sorted(heap))
+    return Ladder(
+        x=x,
+        lam=lam,
+        capped=capped,
+        cross=np.array(cross, dtype=np.intp),
+        cross_at=np.array(cross_at, dtype=np.intp),
+    )
 
 
-def _chao_rows(plan: ChaoPlan, seeds: Sequence[int]) -> np.ndarray:
-    """One Chao sample per seed, all rows eliminating in lockstep with
-    one uniform per arrival: the reservoir left at the end, mapped from
-    stream positions to units."""
-    kept = _survivors(plan.ladder, seeds, lambda j: f"chao step t={plan.n + 1 + j}")
-    return plan.order[kept]
-
-
-def sample_chao(
-    pi: InclusionProbabilities,
-    x: np.ndarray,
-    rng_seed: int,
-    stream_order: np.ndarray | None = None,
-) -> Sample:
+def sample_chao(pi: InclusionProbabilities, x: np.ndarray, rng_seed: int) -> Sample:
     """Chao's reservoir procedure for capped pi-proportional-to-size.
 
-    Units arrive one at a time (file order unless ``stream_order`` says
-    otherwise).  Arrival t is accepted with its own updated probability
-    and, when accepted, evicts a current reservoir member k with
-    probability proportional to how much k's updated probability fell.
+    Units arrive one at a time, in population order; to stream in
+    another order, permute the population and map the drawn units back.
+    Arrival t is accepted with its own updated probability and, when
+    accepted, evicts a current reservoir member k with probability
+    proportional to how much k's updated probability fell.
     Taken together, one unit of the reservoir and the arrival leaves per
     arrival, so a draw walks the stream ladder as an elimination with
     one uniform per arrival: every reservoir unit below the cap fell by
     the same factor, so a step is one uniform pick among them or a pick
     among the units that leave the cap at t, the arrival among them.
     """
-    draw, _ = make_sampler(DesignKind.CHAO, pi=pi, x=x, stream_order=stream_order)
+    draw, _ = make_sampler(DesignKind.CHAO, pi=pi, x=x)
     return draw(rng_seed)
 
 
@@ -548,12 +508,6 @@ def tille_plan(sizes: np.ndarray, n: int) -> Ladder:
     if not 1 <= n <= N:
         raise InvalidSizeError(f"invalid size: n={n} outside 1..{N}")
     return _elimination_ladder(sizes, n)
-
-
-def _tille_rows(plan: Ladder, seeds: Sequence[int]) -> np.ndarray:
-    """One Tille sample per seed, all rows eliminating in lockstep with
-    one uniform per step."""
-    return _survivors(plan, seeds, lambda j: f"tille step i={plan.N - 1 - j}")
 
 
 def sample_tille(
@@ -943,7 +897,6 @@ def make_sampler(
     x: np.ndarray | None = None,
     n: int | None = None,
     N: int | None = None,
-    stream_order: np.ndarray | None = None,
 ) -> tuple[Sampler, InclusionProbabilities]:
     """Build a seed -> Sample sampler with all precomputation done once.
 
@@ -954,11 +907,17 @@ def make_sampler(
     if kind is DesignKind.SRSWOR:
         return Sampler(pi.N, partial(_srswor_rows, pi.N, pi.n)), pi
     if kind is DesignKind.CHAO:
-        plan = chao_plan(sizes_giving(kind, pi, x), pi.n, order=stream_order)
-        return Sampler(plan.N, partial(_chao_rows, plan)), pi
+        ladder = chao_plan(sizes_giving(kind, pi, x), pi.n)
+        rows = partial(
+            _survivors, ladder, context=lambda j: f"chao step t={pi.n + 1 + j}"
+        )
+        return Sampler(pi.N, rows), pi
     if kind is DesignKind.TILLE_ELIMINATION:
-        plan = tille_plan(sizes_giving(kind, pi, x), pi.n)
-        return Sampler(plan.N, partial(_tille_rows, plan)), pi
+        ladder = tille_plan(sizes_giving(kind, pi, x), pi.n)
+        rows = partial(
+            _survivors, ladder, context=lambda j: f"tille step i={pi.N - 1 - j}"
+        )
+        return Sampler(pi.N, rows), pi
     if kind is DesignKind.GENERALIZED_MIDZUNO:
         return Sampler(pi.N, partial(_midzuno_rows, midzuno_plan(pi))), pi
     if kind is DesignKind.BREWER:

@@ -126,18 +126,13 @@ class ExactDesignDistribution:
             pruned_mass=self.pruned_mass,
         )
 
-    def dump(self, ids: tuple[str, ...] | None = None) -> str:
+    def dump(self) -> str:
         """CSV dump, one sample per row in sorted-tuple order:
-        ``sample;probability``.
-
-        Samples are hyphen-joined sorted ids (indices when no ids given).
-        """
-        if ids is not None and len(ids) != self.N:
-            raise InvalidInputError("ids length must equal N")
+        ``sample;probability``, a sample as its hyphen-joined sorted unit
+        indices."""
         lines = ["sample;probability"]
         for s, p in sorted(self.support.items()):
-            label = "-".join(ids[k] if ids is not None else str(k) for k in s)
-            lines.append(f"{label};{p!r}")
+            lines.append(f"{'-'.join(map(str, s))};{p!r}")
         return "\n".join(lines) + "\n"
 
 

@@ -22,10 +22,14 @@ import numpy as np
 
 from .bounds import BoundInputs, bernstein_bound, cna_bound
 from .errors import InvalidInputError
+from .population import StudyVector
 
 DEFAULT_SIGMAS = (0.0, 0.5, 1.0, 5.0)
 DEFAULT_NS = (100.0, 10.0**2.5, 1000.0, 10.0**3.5)
 DEFAULT_SEED = 987654321
+
+# The eps grid reaches this multiple of the population mean.
+_EPS_UPPER_FACTOR = 2.0
 
 
 @dataclass(frozen=True)
@@ -33,15 +37,13 @@ class ExperimentConfig:
     """Grid specification for the bound-difference curves.
 
     The eps grid is linear with ``eps_count`` points on
-    (0, eps_upper_factor * pop_mean], where pop_mean = mean(y) depends
-    on sigma.
+    (0, 2 pop_mean], where pop_mean = mean(y) depends on sigma.
     """
 
     N: int = 10_000
     sigma_list: tuple[float, ...] = DEFAULT_SIGMAS
     n_list: tuple[float, ...] = DEFAULT_NS
     eps_count: int = 200
-    eps_upper_factor: float = 2.0
     seed: int = DEFAULT_SEED
 
     def __post_init__(self) -> None:
@@ -53,8 +55,6 @@ class ExperimentConfig:
             raise InvalidInputError("sample sizes must lie in (0, N]")
         if self.eps_count < 1:
             raise InvalidInputError("eps grid needs at least one point")
-        if self.eps_upper_factor <= 0:
-            raise InvalidInputError("eps grid upper factor must be positive")
 
 
 @dataclass(frozen=True)
@@ -121,20 +121,12 @@ def run_experiment(config: ExperimentConfig | None = None) -> list[ExperimentRow
                 f"sigma={sigma}: population mean {pop_mean} is not positive; "
                 "the eps grid upper end would be empty"
             )
-        upper = config.eps_upper_factor * pop_mean
+        upper = _EPS_UPPER_FACTOR * pop_mean
         eps_grid = upper * np.arange(1, config.eps_count + 1) / config.eps_count
         for n in config.n_list:
             pi = n * x / x_total
-            y_check = y / pi
-            inputs = BoundInputs(
-                N=config.N,
-                n=float(n),
-                eps=0.0,
-                sup_ycheck=float(np.max(np.abs(y_check))),
-                sum_sq_ycheck=float(np.sum(y_check * y_check)),
-                sup_y=float(np.max(np.abs(y))),
-                sup_y2_over_pi=float(np.max(y * y / pi)),
-            )
+            sv = StudyVector(y_check=y / pi, _y=y, _pi=pi)
+            inputs = BoundInputs.from_study(sv, n=float(n), eps=0.0)
             for eps in eps_grid:
                 diff = bernstein_bound(inputs, float(eps)) - cna_bound(
                     inputs, float(eps)

@@ -39,13 +39,15 @@ def derive_seed(master_seed: int, index: int) -> int:
     return splitmix((int(master_seed) + (index + 1) * GOLDEN) & MASK64)
 
 
-def wilson_upper(successes: int, trials: int, z: float = DEFAULT_Z) -> float:
-    """Upper Wilson score confidence limit for a binomial proportion."""
+def wilson_upper(successes: int, trials: int) -> float:
+    """Upper Wilson score confidence limit for a binomial proportion, at
+    the one-sided 99% quantile ``DEFAULT_Z``."""
     if trials <= 0:
         raise InvalidInputError("trials must be positive")
     if not 0 <= successes <= trials:
         raise InvalidInputError("successes outside 0..trials")
     p = successes / trials
+    z = DEFAULT_Z
     z2 = z * z
     denom = 1.0 + z2 / trials
     center = (p + z2 / (2.0 * trials)) / denom
@@ -80,14 +82,14 @@ class TailEstimate:
     def freq_two(self) -> np.ndarray:
         return self.count_two / self.replicates
 
-    def wilson_one(self, z: float = DEFAULT_Z) -> np.ndarray:
+    def wilson_one(self) -> np.ndarray:
         return np.array(
-            [wilson_upper(int(c), self.replicates, z) for c in self.count_one]
+            [wilson_upper(int(c), self.replicates) for c in self.count_one]
         )
 
-    def wilson_two(self, z: float = DEFAULT_Z) -> np.ndarray:
+    def wilson_two(self) -> np.ndarray:
         return np.array(
-            [wilson_upper(int(c), self.replicates, z) for c in self.count_two]
+            [wilson_upper(int(c), self.replicates) for c in self.count_two]
         )
 
     def to_csv(self) -> str:
@@ -114,7 +116,6 @@ def estimate_tail(
     x: np.ndarray | None = None,
     n: int | None = None,
     N: int | None = None,
-    stream_order: np.ndarray | None = None,
 ) -> TailEstimate:
     """Estimate the error tail of a design by repeated sampling.
 
@@ -122,7 +123,8 @@ def estimate_tail(
     Horvitz-Thompson error is normalized by N, and exceedance counts are
     taken on the grid.  Replicates are drawn in chunks that step in
     lockstep; each row still uses only its own seed, so ``errors[r]`` is
-    exactly the error of ``draw(derive_seed(master_seed, r))``.
+    exactly the error of ``draw(derive_seed(master_seed, r))``.  Chao
+    streams the population in order.
     """
     if not isinstance(replicates, (int, np.integer)) or replicates < 1:
         raise InvalidInputError(
@@ -134,7 +136,7 @@ def estimate_tail(
         raise InvalidInputError(
             "eps grid must be a nonempty 1-D array of nonnegative numbers"
         )
-    draw, pi = make_sampler(kind, pi=pi, x=x, n=n, N=N, stream_order=stream_order)
+    draw, pi = make_sampler(kind, pi=pi, x=x, n=n, N=N)
     y = np.asarray(y, dtype=float)
     if y.size != pi.N:
         raise InvalidInputError("y must have one entry per unit")
@@ -180,7 +182,6 @@ def certify(
     bound: Callable[[float], float] | Sequence[float] | np.ndarray,
     *,
     two_sided: bool = False,
-    z: float = DEFAULT_Z,
 ) -> list[CertRow]:
     """Check an analytic tail bound against the empirical estimate.
 
@@ -196,7 +197,7 @@ def certify(
         if values.size != tail.eps.size:
             raise InvalidInputError("bound vector does not match the eps grid")
     freq = tail.freq_two if two_sided else tail.freq_one
-    wilson = tail.wilson_two(z) if two_sided else tail.wilson_one(z)
+    wilson = tail.wilson_two() if two_sided else tail.wilson_one()
     rows = []
     for i in range(tail.eps.size):
         margin = float(wilson[i] - freq[i])

@@ -60,6 +60,10 @@ MAX_ENUM_N = 10
 # audited.
 PRUNE_TOL = 1e-15
 
+# The conditional scan skips conditioning sets of at most this
+# probability.
+_SKIP_TOL = 1e-12
+
 DEFAULT_MAX_BRANCHES = 10_000_000
 
 
@@ -170,11 +174,12 @@ def _remove(masks: np.ndarray, col: np.ndarray, context: str, expected: float = 
 
 
 def _chao_chain(x: np.ndarray, n: int):
-    """The state is the reservoir of stream positions.  Arrival t = n+j
-    joins it, and then it leaves with probability ``1 - a``, ``a`` its
-    capped share, or member k leaves with probability ``1 - pi_k(t) /
-    pi_k(t-1)``; the members' law sums to ``a``."""
-    ladder = chao_plan(x, n).ladder
+    """The state is the reservoir; units arrive in population order.
+    Arrival t = n+j joins it, and then it leaves with probability
+    ``1 - a``, ``a`` its capped share, or member k leaves with
+    probability ``1 - pi_k(t) / pi_k(t-1)``; the members' law sums to
+    ``a``."""
+    ladder = chao_plan(x, n)
     # A unit counts as capped before its arrival, so its ratio is 0 there.
     rungs, ratios = _rung_ratios(ladder)
 
@@ -258,7 +263,7 @@ class CsygReport:
     ``max_violation_ratio`` is the equivalent scan of
     pi_{k|I,l} - pi_{k|I}, and ``witness_ratio`` its (I + l, k), with
     both conditioning sets sorted.  Conditioning sets with probability
-    at most the skip tolerance are skipped and counted.
+    at most 1e-12 are skipped and counted.
     """
 
     max_violation: float
@@ -269,16 +274,14 @@ class CsygReport:
     witness_ratio: tuple | None
 
 
-def check_csyg(
-    dist: ExactDesignDistribution, skip_tol: float = 1e-12
-) -> CsygReport:
+def check_csyg(dist: ExactDesignDistribution) -> CsygReport:
     """Scan every conditional pairwise inequality of a fixed-size design,
     one pair {k, l} at a time over all its conditioning sets."""
     if not dist.fixed_size:
         raise InvalidInputError("the conditional scan needs a fixed-size design")
     f = containment(dist)
     eligible = set_sizes(dist.N) <= dist.n - 2
-    live = np.flatnonzero(eligible & (f > skip_tol))
+    live = np.flatnonzero(eligible & (f > _SKIP_TOL))
     max_v = max_r = -math.inf
     wit = wit_r = None
     checked = 0
@@ -294,7 +297,7 @@ def check_csyg(
         if v[i] > max_v:
             max_v, wit = float(v[i]), (mask_units(int(I[i])), k, l)
         for a, b, fa, fb in ((k, bl, fk, fl), (l, bk, fl, fk)):
-            ok = fb > skip_tol
+            ok = fb > _SKIP_TOL
             r = fkl[ok] / fb[ok] - fa[ok] / fI[ok]
             if r.size and r.max() > max_r:
                 i = int(r.argmax())

@@ -330,11 +330,6 @@ class TestDominanceGrid:
         assert g[0] > 0
         assert np.all(np.diff(g) > 0)
 
-    def test_point_count_override(self):
-        assert dominance_grid(2.0, points=16).size == 16
-
     def test_validation(self):
         with pytest.raises(InvalidInputError):
             dominance_grid(0.0)
-        with pytest.raises(InvalidInputError):
-            dominance_grid(1.0, points=0)

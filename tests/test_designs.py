@@ -285,26 +285,28 @@ class TestChao:
         for seed in range(40):
             assert 3 in sample_chao(pi_capped, x, rng_seed=seed).selected
 
-    def test_stream_order_is_a_relabeling(self, pi_plain):
-        x = np.array([1.0, 2.0, 3.0, 4.0])
-        order = np.array([3, 1, 0, 2])
-        s = sample_chao(pi_plain, x, rng_seed=9, stream_order=order)
-        assert s.size == 2
-
-    def test_bad_stream_order(self, pi_plain):
-        x = np.array([1.0, 2.0, 3.0, 4.0])
-        with pytest.raises(InvalidInputError, match="permutation"):
-            sample_chao(pi_plain, x, rng_seed=0, stream_order=np.array([0, 1, 1, 2]))
-
-    def test_non_integer_stream_order(self, pi_plain):
-        x = np.array([1.0, 2.0, 3.0, 4.0])
-        with pytest.raises(InvalidInputError, match="permutation"):
-            sample_chao(pi_plain, x, rng_seed=0, stream_order=[0.2, 1.7, 2.1, 3])
-        order = np.array([3.0, 1.0, 0.0, 2.0])
-        assert (
-            sample_chao(pi_plain, x, rng_seed=9, stream_order=order).selected
-            == sample_chao(pi_plain, x, rng_seed=9, stream_order=[3, 1, 0, 2]).selected
-        )
+    def test_stream_order_is_a_relabeling(self):
+        # Chao streams the population in order; another stream order is
+        # a permuted population whose drawn units are mapped back.  The
+        # design changes with the order, its inclusion probabilities not.
+        x = np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
+        order = np.array([5, 2, 0, 4, 1, 3])
+        plain = enumerate_design(DesignKind.CHAO, x=x, n=3)
+        streamed = enumerate_design(DesignKind.CHAO, x=x[order], n=3)
+        relabeled = {
+            tuple(sorted(order[list(s)].tolist())): p
+            for s, p in streamed.support.items()
+        }
+        margins = np.zeros(x.size)
+        for s, p in relabeled.items():
+            margins[list(s)] += p
+        assert np.max(np.abs(margins - compute_pips(x, 3).pi)) <= 1e-12
+        gap = sum(abs(p - plain.support.get(s, 0.0)) for s, p in relabeled.items())
+        assert gap > 1e-3
+        pi = compute_pips(x[order], 3)
+        for seed in range(40):
+            s = sample_chao(pi, x[order], rng_seed=seed).selected
+            assert tuple(sorted(order[list(s)].tolist())) in relabeled
 
     def test_pi_must_match_x(self, pi_plain):
         with pytest.raises(InvalidInputError, match="capped"):
@@ -312,8 +314,7 @@ class TestChao:
 
     def test_plan_ladder_shapes(self):
         x = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
-        plan = chao_plan(x, 2)
-        ladder = plan.ladder
+        ladder = chao_plan(x, 2)
         # One rung per stream prefix of 2..5 units; the first caps both.
         assert ladder.lam.size == 4 and ladder.capped[0] == 2
         assert ladder.cross_at.tolist()[0] == 0 and ladder.cross_at.size == 4
@@ -573,13 +574,6 @@ def reference_tille(plan, seed):
     return np.array(kept + plan.cross[plan.cross_at[-1] :].tolist(), dtype=int)
 
 
-def reference_chao(plan, seed):
-    """Chao's arrivals as eliminations on the stream ladder: at each,
-    the arrival or one reservoir unit leaves.  The survivors are stream
-    positions; ``plan.order`` maps them to units."""
-    return plan.order[reference_tille(plan.ladder, seed)]
-
-
 def reference_midzuno(plan, seed):
     if plan.ladder is None:
         forced = plan.n - plan.certain.size == plan.active.size
@@ -674,17 +668,19 @@ class TestLockstepMatchesReferenceLoops:
     )
     def test_same_sample_for_each_seed(self, x, n):
         pi = compute_pips(x, n)
-        order = np.random.default_rng(1).permutation(x.size)
-        references = {
-            DesignKind.CHAO: partial(reference_chao, chao_plan(x, n, order=order)),
-            DesignKind.TILLE_ELIMINATION: partial(reference_tille, tille_plan(x, n)),
-            DesignKind.GENERALIZED_MIDZUNO: partial(reference_midzuno, midzuno_plan(pi)),
-            DesignKind.BREWER: partial(reference_brewer, pi.pi),
+        # Chao runs on a permuted population, so that its stream is not
+        # the order of the sizes.  Its arrivals are eliminations on the
+        # stream ladder: at each, the arrival or one reservoir unit leaves.
+        xs = x[np.random.default_rng(1).permutation(x.size)]
+        cases = {
+            DesignKind.CHAO: (xs, partial(reference_tille, chao_plan(xs, n))),
+            DesignKind.TILLE_ELIMINATION: (x, partial(reference_tille, tille_plan(x, n))),
+            DesignKind.GENERALIZED_MIDZUNO: (x, partial(reference_midzuno, midzuno_plan(pi))),
+            DesignKind.BREWER: (x, partial(reference_brewer, pi.pi)),
         }
         seeds = list(range(20 if x.size > 1000 else 300))
-        for kind, reference in references.items():
-            extra = {"stream_order": order} if kind is DesignKind.CHAO else {}
-            draw, _ = make_sampler(kind, pi=pi, x=x, **extra)
+        for kind, (sizes, reference) in cases.items():
+            draw, _ = make_sampler(kind, x=sizes, n=n)
             rows = draw.rows(seeds)
             for seed in seeds:
                 expect = tuple(sorted(int(k) for k in reference(seed)))
@@ -694,7 +690,7 @@ class TestLockstepMatchesReferenceLoops:
     def test_edge_shapes(self):
         # Tille's first step holds all 16 units, Chao's the 5 reservoir
         # units and the arrival.
-        equal = ((tille_plan(*EQUAL_X), 16), (chao_plan(*EQUAL_X).ladder, 6))
+        equal = ((tille_plan(*EQUAL_X), 16), (chao_plan(*EQUAL_X), 6))
         for ladder, first in equal:
             m, count = crossings(ladder)
             assert m[0] == first and count[0] == 0
@@ -937,12 +933,11 @@ class TestLadders:
 
     @pytest.mark.parametrize("x, n", ladder_instances(), ids=LADDER_IDS)
     def test_chao_prefix_rungs_match_compute_pips(self, x, n):
-        order = np.random.default_rng(4).permutation(x.size)
-        plan = chao_plan(x, n, order=order)
-        xs = x[order]
-        for s in range(plan.ladder.steps + 1):
+        xs = x[np.random.default_rng(4).permutation(x.size)]
+        ladder = chao_plan(xs, n)
+        for s in range(ladder.steps + 1):
             ref = compute_pips(xs[: n + s], n).pi
-            self.check_rung(plan.ladder, s, xs[: n + s], ref)
+            self.check_rung(ladder, s, xs[: n + s], ref)
 
     @pytest.mark.parametrize("x, n", ladder_instances(), ids=LADDER_IDS)
     def test_step_laws_match_dense_columns(self, x, n):
@@ -955,11 +950,11 @@ class TestLadders:
             prev = cur
         # Chao's step j removes one of the n + j + 1 units: the arrival
         # with 1 - pi_t(t), as if it were at 1 before, or a reservoir unit.
-        plan = chao_plan(x, n)
+        ladder = chao_plan(x, n)
         prev = compute_pips(x[:n], n).pi
-        for j in range(plan.ladder.steps):
+        for j in range(ladder.steps):
             cur = compute_pips(x[: n + 1 + j], n).pi
-            law = structured_law(plan.ladder, j, n + j + 1)
+            law = structured_law(ladder, j, n + j + 1)
             assert np.max(np.abs(law - (1.0 - cur / np.append(prev, 1.0)))) <= 1e-12, j
             prev = cur
 

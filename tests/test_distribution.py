@@ -140,11 +140,10 @@ def test_dump_format():
     d = ExactDesignDistribution.from_support(
         support={(1, 2): 0.25, (0, 1): 0.75}, N=3, n=2
     )
-    text = d.dump(ids=("a", "b", "c"))
-    lines = text.strip().split("\n")
+    lines = d.dump().strip().split("\n")
     assert lines[0] == "sample;probability"
-    assert lines[1] == "a-b;0.75"
-    assert lines[2] == "b-c;0.25"
+    assert lines[1] == "0-1;0.75"
+    assert lines[2] == "1-2;0.25"
 
 
 def test_dump_rows_in_tuple_order_not_mask_order():
@@ -152,12 +151,6 @@ def test_dump_rows_in_tuple_order_not_mask_order():
     d = ExactDesignDistribution.from_support({(1, 2): 0.25, (0, 3): 0.75}, N=4, n=2)
     assert d.masks.tolist() == [6, 9]
     assert d.dump() == "sample;probability\n0-3;0.75\n1-2;0.25\n"
-
-
-def test_dump_rejects_bad_ids():
-    d = uniform_pairs(3)
-    with pytest.raises(InvalidInputError):
-        d.dump(ids=("a",))
 
 
 def test_containment_uniform_pairs():
