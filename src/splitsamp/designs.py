@@ -107,7 +107,8 @@ class Sampler:
     indices per seed.  Row r reads only the uniforms of seed r's
     counter-based stream (``_uniforms``), in stream order, so it is the
     sample that ``sampler(seeds[r])`` returns.  Seeds are integers in
-    [0, 2**128); any other seed raises ``InvalidInputError``.
+    [0, 2**128); any other seed raises ``InvalidInputError``.  A uint64
+    array of seeds is keyed in one array pass.
     """
 
     N: int
@@ -152,7 +153,11 @@ def _check_sum(weights: np.ndarray, expected: float, context: str) -> np.ndarray
 # folds the seed's 64-bit words, key(s) = mix(lo ^ mix(hi)): mix is a
 # bijection with mix(0) = 0, so seeds below 2**64 get distinct keys, and
 # seeds that differ by a multiple of GOLDEN do not share a shifted
-# stream.  Any block of any rows' streams is one array pass.
+# stream.  Any block of any rows' streams is one array pass.  A seed
+# below 2**64 has key mix(seed), so a uint64 seed array (a Monte Carlo
+# chunk) is keyed in one array pass too; any other seed sequence is
+# checked and keyed seed by seed in Python, which is faster for the one
+# seed of a single draw.
 
 SEED_LIMIT = 1 << 128
 
@@ -193,10 +198,18 @@ def _key(seed) -> int:
     return splitmix((seed & MASK64) ^ splitmix(seed >> 64))
 
 
+def _keys(seeds: Sequence[int]) -> np.ndarray:
+    """Each seed's key as a uint64 array.  A uint64 array holds only
+    seeds below 2**64, whose key is mix(seed): one array pass."""
+    if isinstance(seeds, np.ndarray) and seeds.dtype == np.uint64:
+        return _mix(seeds.copy())
+    return np.array([_key(s) for s in seeds], dtype=np.uint64)
+
+
 def _uniforms(seeds: Sequence[int], count: int, start: int = 0) -> np.ndarray:
     """Row r: uniforms ``start`` to ``start + count - 1`` of seed r's
     stream, computed in place on one uint64 block."""
-    keys = np.array([_key(s) for s in seeds], dtype=np.uint64)
+    keys = _keys(seeds)
     z = np.arange(start + 1, start + count + 1, dtype=np.uint64) * GOLDEN
     z = _mix(keys[:, None] + z)
     z >>= 11

@@ -2,9 +2,12 @@
 
 Replicates are driven by per-replicate seeds derived from one master
 seed with a splitmix64 step, so runs are reproducible and independent of
-replicate order.  Empirical tail frequencies carry a Wilson score upper
-confidence limit; a bound is certified against the estimate only when
-the frequency exceeds it by more than that statistical margin.
+replicate order.  ``derive_seed`` defines a replicate's seed; the Monte
+Carlo loop computes a whole chunk's seeds as one uint64 array with the
+same bits, and the samplers key that array in one more pass, so no
+Python runs per replicate.  Empirical tail frequencies carry a Wilson
+score upper confidence limit; a bound is certified against the estimate
+only when the frequency exceeds it by more than that statistical margin.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .designs import GOLDEN, MASK64, DesignKind, make_sampler, splitmix
+from .designs import GOLDEN, MASK64, DesignKind, _mix, make_sampler, splitmix
 from .errors import InvalidInputError
 from .population import InclusionProbabilities
 
@@ -37,6 +40,14 @@ def derive_seed(master_seed: int, index: int) -> int:
     if index < 0:
         raise InvalidInputError("replicate index must be nonnegative")
     return splitmix((int(master_seed) + (index + 1) * GOLDEN) & MASK64)
+
+
+def _chunk_seeds(master_seed: int, start: int, stop: int) -> np.ndarray:
+    """``derive_seed(master_seed, r)`` for r in [start, stop), as one
+    uint64 array.  Array arithmetic wraps mod 2**64 without a warning."""
+    z = np.arange(start + 1, stop + 1, dtype=np.uint64) * GOLDEN
+    z += np.uint64(master_seed)
+    return _mix(z)
 
 
 def wilson_upper(successes: int, trials: int) -> float:
@@ -123,9 +134,12 @@ def estimate_tail(
     Horvitz-Thompson error is normalized by N, and exceedance counts are
     taken on the grid.  Replicates are drawn in chunks that step in
     lockstep; each row still uses only its own seed, so ``errors[r]`` is
-    exactly the error of ``draw(derive_seed(master_seed, r))``.  Chao
-    streams the population in order.
+    exactly the error of ``draw(derive_seed(master_seed, r))``.  A
+    chunk's seeds are one uint64 array, computed in one pass with the
+    bits of ``derive_seed``.  Chao streams the population in order.
     """
+    # Rejects a master seed outside [0, 2**64) before any draw.
+    derive_seed(master_seed, 0)
     if not isinstance(replicates, (int, np.integer)) or replicates < 1:
         raise InvalidInputError(
             f"replicates must be a positive integer, got {replicates!r}"
@@ -147,7 +161,7 @@ def estimate_tail(
     chunk = max(1, _CHUNK_CELLS // pi.N)
     for start in range(0, replicates, chunk):
         stop = min(start + chunk, replicates)
-        seeds = [derive_seed(master_seed, r) for r in range(start, stop)]
+        seeds = _chunk_seeds(master_seed, start, stop)
         errors[start:stop] = (y_check[draw.rows(seeds)].sum(axis=1) - t_y) / scale
     signed = np.sort(errors)
     absolute = np.sort(np.abs(errors))

@@ -122,6 +122,10 @@ class TestSrswor:
 EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1, 2**64, 2**128 - 1]
 
 
+# Criterion 04's frame, drawn at n = 10.
+EXPONENTIAL_X = -np.log1p(-np.random.default_rng(77).random(50))
+
+
 def reference_uniforms(seed, count, start=0):
     stream = ReferenceStream(seed)
     for _ in range(start):
@@ -181,6 +185,43 @@ class TestStreams:
         assert abs(u.mean() - 0.5) <= 4.0 * math.sqrt(1.0 / 12.0 / R)
         assert abs(u.var() - 1.0 / 12.0) <= 4.0 * math.sqrt(1.0 / 180.0 / R)
         assert abs(np.corrcoef(u[:-1], u[1:])[0, 1]) <= 4.0 / math.sqrt(R - 1)
+
+    def test_uint64_seed_array_equals_seed_list(self):
+        # A uint64 array is keyed in one array pass, a list seed by seed.
+        seeds = [s for s in self.SEEDS if s < 2**64]
+        for start, count in ((1, 40), (5, 320), (319, 1)):
+            block = _uniforms(np.array(seeds, dtype=np.uint64), count, start)
+            assert np.array_equal(block, _uniforms(seeds, count, start)), start
+
+    @pytest.mark.parametrize("kind", list(DesignKind), ids=lambda k: k.value)
+    @pytest.mark.parametrize("x, n", [(X_CERTAIN, 4), (EXPONENTIAL_X, 10)],
+                             ids=["certain", "exponential"])
+    def test_rows_of_uint64_seed_array(self, kind, x, n, monkeypatch):
+        calls = collections.Counter()
+        fallback, read = designs._brewer_fallback, designs._uniforms
+
+        def counting_fallback(*args):
+            calls["inverse_cdf"] += 1
+            return fallback(*args)
+
+        def uniforms(seeds, count, start=0):
+            calls["array_refill"] += start > 0 and isinstance(seeds, np.ndarray)
+            return read(seeds, count, start)
+
+        monkeypatch.setattr(designs, "_brewer_fallback", counting_fallback)
+        monkeypatch.setattr(designs, "_uniforms", uniforms)
+        pi = compute_pips(x, n)
+        if kind is DesignKind.SRSWOR:
+            draw, _ = make_sampler(kind, N=pi.N, n=pi.n)
+        else:
+            draw, _ = make_sampler(kind, pi=pi, x=x)
+        seeds = [s for s in self.SEEDS if s < 2**64][:1000]
+        rows = draw.rows(np.array(seeds, dtype=np.uint64))
+        assert np.array_equal(rows, draw.rows(seeds))
+        if kind is DesignKind.BREWER and x is EXPONENTIAL_X:
+            # Criterion 04's frame: Brewer takes the inverse-CDF pick, and
+            # the batch reads the array's streams on past the first block.
+            assert calls["inverse_cdf"] > 0 and calls["array_refill"] > 0
 
     @pytest.mark.parametrize("kind", list(DesignKind), ids=lambda k: k.value)
     def test_draw_equals_its_batch_row(self, kind):

@@ -1,6 +1,8 @@
 """Replicate seeding, Wilson limits, tail estimation and certification."""
 
+import collections
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -63,6 +65,87 @@ class TestDeriveSeed:
         assert tail.master_seed == 2**64 - 1
         with pytest.raises(InvalidInputError, match="master seed"):
             estimate_tail(DesignKind.SRSWOR, master_seed=2**64, **args)
+
+
+class TestChunkSeeds:
+    """``estimate_tail`` computes each chunk's seeds in one uint64 pass,
+    with the bits of ``derive_seed``."""
+
+    def seeds_drawn(self, monkeypatch, master, replicates):
+        # Every seed array that estimate_tail hands to draw.rows.
+        blocks = []
+        real = montecarlo.make_sampler
+
+        def make_sampler(kind, **kwargs):
+            draw, pi = real(kind, **kwargs)
+
+            def rows(seeds):
+                blocks.append(seeds)
+                return draw.rows(seeds)
+
+            return dataclasses.replace(draw, draw_rows=rows), pi
+
+        monkeypatch.setattr(montecarlo, "make_sampler", make_sampler)
+        estimate_tail(
+            DesignKind.SRSWOR, y=np.arange(1.0, 7.0), eps_grid=[0.1],
+            replicates=replicates, master_seed=master, N=6, n=3,
+        )
+        return blocks
+
+    @pytest.mark.parametrize("master", [0, 5, 2**63 + 7, 2**64 - 1])
+    def test_chunk_seeds_equal_derived_seeds(self, monkeypatch, master):
+        # 100,000 replicates at N = 6: chunks of 21,845 rows, the last
+        # one partial.  The top master wraps mod 2**64 at once.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            blocks = self.seeds_drawn(monkeypatch, master, 100_000)
+        assert len(blocks) == 5 and {b.dtype for b in blocks} == {np.dtype(np.uint64)}
+        seeds = np.concatenate(blocks).tolist()
+        assert seeds == [derive_seed(master, r) for r in range(100_000)]
+
+    @pytest.mark.parametrize("kind", list(DesignKind), ids=lambda k: k.value)
+    def test_no_python_call_per_replicate(self, monkeypatch, kind):
+        # Seeds and stream keys come from array passes: the per-seed
+        # Python functions run a fixed number of times, whatever the
+        # replicate count.  Chunks of 100 rows.
+        monkeypatch.setattr(montecarlo, "_CHUNK_CELLS", 100 * X_CERTAIN.size)
+        calls = collections.Counter()
+        for module, name in ((montecarlo, "derive_seed"), (designs, "_key")):
+            def counting(*args, _f=getattr(module, name), _name=name):
+                calls[_name] += 1
+                return _f(*args)
+            monkeypatch.setattr(module, name, counting)
+        sizes = dict(x=X_CERTAIN, n=4)
+        if kind is DesignKind.SRSWOR:
+            sizes = dict(N=X_CERTAIN.size, n=4)
+        counts = []
+        for replicates in (500, 5000):
+            calls.clear()
+            estimate_tail(
+                kind, y=np.ones(X_CERTAIN.size), eps_grid=[0.1],
+                replicates=replicates, master_seed=3, **sizes,
+            )
+            counts.append(dict(calls))
+        assert counts[0] == counts[1]
+        assert counts[1].get("derive_seed", 0) <= 1 and counts[1].get("_key", 0) == 0
+
+    @pytest.mark.parametrize("master", [-1, 2**64, 1.5, "3", None])
+    def test_estimate_tail_checks_master_seed_before_drawing(self, monkeypatch, master):
+        def refuse(*args, **kwargs):
+            raise AssertionError("drew before checking the master seed")
+
+        monkeypatch.setattr(montecarlo, "make_sampler", refuse)
+        with pytest.raises(InvalidInputError, match="master seed"):
+            estimate_tail(
+                DesignKind.SRSWOR, y=np.arange(1.0, 7.0), eps_grid=[0.1],
+                replicates=10, master_seed=master, N=6, n=3,
+            )
+
+    def test_estimate_tail_accepts_numpy_master_seed(self):
+        args = dict(y=np.arange(1.0, 7.0), eps_grid=[0.1], replicates=10, N=6, n=3)
+        tail = estimate_tail(DesignKind.SRSWOR, master_seed=np.uint64(2**64 - 1), **args)
+        again = estimate_tail(DesignKind.SRSWOR, master_seed=2**64 - 1, **args)
+        assert np.array_equal(tail.errors, again.errors)
 
 
 class TestWilsonUpper:
