@@ -24,6 +24,13 @@ is found before the walk, in array passes whose number does not grow
 with the steps: one cumulative sum per distinct count of units crossing
 the cap at a step, and one bisection over all picks of a crossing unit.
 
+Brewer's plan is one cumulative sum of the probabilities.  A step
+proposes from it and accepts by rejection; when that would take more
+than four trials on average, it picks by composition instead: the
+heaviest undrawn units by their exact weights, the rest by rejection
+under an envelope.  Either way a step costs a bisection per trial plus
+a pass over those heaviest units, not over the population.
+
 Each procedure's step is written once, over a batch of replicates: all
 rows take a step together as one array operation, and each row draws
 its uniforms from its own seed's stream.  A stream is counter-based
@@ -616,9 +623,26 @@ def sample_midzuno(pi: InclusionProbabilities, rng_seed: int) -> Sample:
 # probability g(q_k) / g(q_max), q_max the largest undrawn q: an exact
 # draw of k with probability proportional to its weight.  Since
 # g >= g(0) = r, a pick takes at most B = sum(p) g(q_max) / ((sum(p) -
-# sum_S p) r) trials on average; a row whose B exceeds _MAX_TRIALS takes
-# the step by inverse CDF over its own weights instead.  A trial spends
-# two uniforms of the row's stream, an inverse-CDF step one.
+# sum_S p) r) trials on average.
+#
+# A step whose B exceeds _MAX_TRIALS picks by composition (Devroye 1986,
+# ch. II) instead.  The envelope G = _MAX_TRIALS r (sum(p) - sum_S p) /
+# sum(p) is g(q*) at q* = (G - r) / (G - 1).  The head, the undrawn units
+# with q >= q*, is a prefix of p's descending order from the largest
+# undrawn unit; it keeps its exact weights, which sum to E_head.  Every
+# unit, drawn or not, gets the envelope c p G, which sums to E_tail =
+# c G sum(p).  A trial takes v = u_0 (E_head + E_tail): below E_head, v
+# picks a head unit by inverse CDF over the head weights; else it
+# proposes k from the static cumulative sum and accepts it with
+# probability g(q_k) / G, unless k is drawn or in the head.  The tail
+# alone would take at most _MAX_TRIALS trials on average, so a step takes
+# at most _MAX_TRIALS + 1, for O(|head|) work plus a bisection per trial.
+# A step with G <= r has no q* above 0 (its drawn mass is at least
+# 1 - 1 / _MAX_TRIALS of sum(p)), and one with q_max >= 1 (or NaN) is
+# outside g's domain [0, 1): only these take the inverse CDF over every
+# unit's weight (``_brewer_fallback``), an O(M) pass whose checks raise
+# on a NaN.  A trial spends two uniforms of the row's stream, an inverse-CDF
+# step one.
 
 _MAX_TRIALS = 4.0
 
@@ -733,13 +757,43 @@ def _brewer_fallback(
     return np.count_nonzero(cum <= (u * cum[:, -1])[:, None], axis=1)
 
 
+def _brewer_heads(
+    plan: BrewerPlan,
+    drawn: np.ndarray,
+    base: np.ndarray,
+    top: np.ndarray,
+    c: np.ndarray,
+    q_star: np.ndarray,
+    r: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's head as one padded block: the units from ``top`` on in
+    p's descending order while c p >= q*, and their cumulative weights
+    q g(q), added up in order, where a drawn unit and the padding past a
+    row's head weigh 0.  Row i's drawn mask is
+    ``drawn[base[i]:base[i] + M]``."""
+    p, order, M = plan.p, plan.order, plan.p.size
+    # c p falls along p's descending order, so a head is a prefix of the
+    # block; the block doubles until every head ends inside it.
+    width = 8
+    while True:
+        pos = top[:, None] + np.arange(width)
+        units = order[np.minimum(pos, M - 1)]
+        q = c[:, None] * p[units]
+        head = (q >= q_star[:, None]) & (pos < M)
+        if width >= M or not head[:, -1].any():
+            break
+        width *= 2
+    q[~head | drawn[base[:, None] + units]] = 0.0
+    return units, np.cumsum(q * _g(q, r), axis=1)
+
+
 def _brewer_row(plan: BrewerPlan, seed: int) -> list[int]:
     """One row's picks, positions in ``plan.p``, in Python floats."""
     p, cum, order = plan.p_list, plan.cum_list, plan.order_list
-    total, d = plan.total, plan.draws
+    total, d, M = plan.total, plan.draws, len(p)
     u = _uniforms([seed], _UNIFORMS_PER_DRAW * d)[0].tolist()
     used = 0
-    drawn = bytearray(len(p))
+    drawn = bytearray(M)
     s = 0.0
     top = 0
     picks = []
@@ -761,6 +815,36 @@ def _brewer_row(plan: BrewerPlan, seed: int) -> list[int]:
                 used += 2
                 if not drawn[k] and accept < _g(c * p[k], r):
                     break
+        elif q_max < 1.0 and (G := _MAX_TRIALS * r * left / total) > r:
+            q_star = (G - r) / (G - 1.0)
+            head, head_cum = [], []
+            e_head = 0.0
+            i = top
+            while i < M and c * p[order[i]] >= q_star:
+                k = order[i]
+                if not drawn[k]:
+                    q = c * p[k]
+                    e_head += q * _g(q, r)
+                    head.append(k)
+                    head_cum.append(e_head)
+                i += 1
+            cg = c * G
+            e_all = e_head + cg * cum[-1]
+            while True:
+                if used + 2 > len(u):
+                    u += _uniforms([seed], len(u), start=len(u))[0].tolist()
+                v = u[used] * e_all
+                accept = u[used + 1] * G
+                used += 2
+                if v < e_head:
+                    k = head[bisect.bisect_right(head_cum, v)]
+                    break
+                # Rounding may carry the target past cum[-1]: no unit.
+                k = bisect.bisect_right(cum, (v - e_head) / cg)
+                if k < M and not drawn[k]:
+                    q = c * p[k]
+                    if q < q_star and accept < _g(q, r):
+                        break
         else:
             if used + 1 > len(u):
                 u += _uniforms([seed], len(u), start=len(u))[0].tolist()
@@ -784,6 +868,62 @@ def _reserve(
     if short <= 0:
         return u
     return np.hstack([u, _uniforms(seeds, max(short, width), start=width)])
+
+
+def _brewer_compose(
+    plan: BrewerPlan,
+    seeds: Sequence[int],
+    u: np.ndarray,
+    used: np.ndarray,
+    drawn: np.ndarray,
+    rows: np.ndarray,
+    base: np.ndarray,
+    top: np.ndarray,
+    c: np.ndarray,
+    G: np.ndarray,
+    r: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Composition picks of one step for ``rows`` of a batch, with
+    ``base``, ``top``, ``c`` and the envelope ``G`` given per entry of
+    ``rows``: the trials of ``_brewer_row``, two uniforms each, until
+    every row accepts.  Advances ``used`` and returns ``u``, read on
+    where a row ran short, with the picks."""
+    p, cum, M = plan.p, plan.cum, plan.p.size
+    q_star = (G - r) / (G - 1.0)
+    head, head_cum = _brewer_heads(plan, drawn, base, top, c, q_star, r)
+    e_head = head_cum[:, -1]
+    cg = c * G
+    e_all = e_head + cg * cum[-1]
+    picks = np.empty(rows.size, dtype=np.intp)
+    # A round takes each live row's next int(_MAX_TRIALS) trials at once
+    # and keeps the first that accepts.
+    trials = 2 * np.arange(int(_MAX_TRIALS))
+    live = np.arange(rows.size)
+    while live.size:
+        at_row = rows[live]
+        u = _reserve(u, used, seeds, at_row, 2 * trials.size)
+        at = used[at_row, None] + trials
+        v = u[at_row[:, None], at] * e_all[live, None]
+        hit = v < e_head[live, None]
+        k = np.searchsorted(cum, (v - e_head[live, None]) / cg[live, None], side="right")
+        ok = k < M
+        k[~ok] = 0
+        q = c[live, None] * p[k]
+        ok &= ~drawn[base[live, None] + k] & (q < q_star[live, None])
+        q[~ok] = 0.0
+        ok &= u[at_row[:, None], at + 1] * G[live, None] < _g(q, r)
+        done = hit | ok
+        first = done.argmax(axis=1)
+        took = done[np.arange(live.size), first]
+        used[at_row] += np.where(took, 2 * first + 2, 2 * trials.size)
+        i, f = np.flatnonzero(took), first[took]
+        by_head = hit[i, f]
+        h, fh = i[by_head], f[by_head]
+        j = np.count_nonzero(head_cum[live[h]] <= v[h, fh, None], axis=1)
+        picks[live[h]] = head[live[h], j]
+        picks[live[i[~by_head]]] = k[i[~by_head], f[~by_head]]
+        live = live[~took]
+    return u, picks
 
 
 def _brewer_batch(plan: BrewerPlan, seeds: Sequence[int]) -> np.ndarray:
@@ -814,10 +954,21 @@ def _brewer_batch(plan: BrewerPlan, seeds: Sequence[int]) -> np.ndarray:
         fast = _by_rejection(q_max, g_max, left, total, r)
         slow = np.flatnonzero(~fast)
         if slow.size:
-            u = _reserve(u, used, seeds, slow, 1)
-            block = drawn.reshape(R, M)[slow]
-            pick[slow] = _brewer_fallback(p, block, c[slow], r, u[slow, used[slow]], t)
-            used[slow] += 1
+            G = _MAX_TRIALS * r * left[slow] / total
+            composed = (q_max[slow] < 1.0) & (G > r)
+            guard = slow[~composed]
+            if guard.size:
+                u = _reserve(u, used, seeds, guard, 1)
+                block = drawn.reshape(R, M)[guard]
+                at = u[guard, used[guard]]
+                pick[guard] = _brewer_fallback(p, block, c[guard], r, at, t)
+                used[guard] += 1
+            rows = slow[composed]
+            if rows.size:
+                u, pick[rows] = _brewer_compose(
+                    plan, seeds, u, used, drawn, rows,
+                    base[rows], top[rows], c[rows], G[composed], r,
+                )
         live = np.flatnonzero(fast)
         while live.size:
             u = _reserve(u, used, seeds, live, 2)
@@ -883,8 +1034,8 @@ def sample_brewer(
         pi: target inclusion probabilities (certainty units allowed;
             they are selected up front and the remaining draws run on
             the rest).
-        rng_seed: seed; a draw spends two uniforms per rejection trial,
-            or one when it is drawn by inverse CDF.
+        rng_seed: seed; a draw spends two uniforms per rejection or
+            composition trial, or one when it is drawn by inverse CDF.
         trace: None for the plain sample; "realized" returns (sample,
             trace), with the splitting trace of ``run_splitting``.  The
             one-row kernel draws both, so a seed gives one sample either

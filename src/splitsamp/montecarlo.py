@@ -30,16 +30,23 @@ DEFAULT_Z = NormalDist().inv_cdf(0.99)
 _CHUNK_CELLS = 1 << 17
 
 
+def _is_integer(value) -> bool:
+    """Whether ``value`` is a Python or numpy integer; a bool is not."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def derive_seed(master_seed: int, index: int) -> int:
     """Seed for replicate ``index``: splitmix64 output ``index + 1``
     steps past ``master_seed``, a state in [0, 2**64)."""
-    if not (isinstance(master_seed, (int, np.integer)) and 0 <= master_seed <= MASK64):
+    if not (_is_integer(master_seed) and 0 <= master_seed <= MASK64):
         raise InvalidInputError(
             f"master seed must be an integer in [0, 2**64), got {master_seed!r}"
         )
-    if index < 0:
-        raise InvalidInputError("replicate index must be nonnegative")
-    return splitmix((int(master_seed) + (index + 1) * GOLDEN) & MASK64)
+    if not (_is_integer(index) and index >= 0):
+        raise InvalidInputError(
+            f"replicate index must be a nonnegative integer, got {index!r}"
+        )
+    return splitmix((int(master_seed) + (int(index) + 1) * GOLDEN) & MASK64)
 
 
 def _chunk_seeds(master_seed: int, start: int, stop: int) -> np.ndarray:
@@ -140,7 +147,7 @@ def estimate_tail(
     """
     # Rejects a master seed outside [0, 2**64) before any draw.
     derive_seed(master_seed, 0)
-    if not isinstance(replicates, (int, np.integer)) or replicates < 1:
+    if not _is_integer(replicates) or replicates < 1:
         raise InvalidInputError(
             f"replicates must be a positive integer, got {replicates!r}"
         )

@@ -124,6 +124,8 @@ EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1, 2**64, 2**128 - 1]
 
 # Criterion 04's frame, drawn at n = 10.
 EXPONENTIAL_X = -np.log1p(-np.random.default_rng(77).random(50))
+# Criterion 05's frame and sample size.
+CRITERION_05_X = (np.random.default_rng(20260819).uniform(1.0, 2.0, size=200), 40)
 
 
 def reference_uniforms(seed, count, start=0):
@@ -198,17 +200,17 @@ class TestStreams:
                              ids=["certain", "exponential"])
     def test_rows_of_uint64_seed_array(self, kind, x, n, monkeypatch):
         calls = collections.Counter()
-        fallback, read = designs._brewer_fallback, designs._uniforms
+        heads, read = designs._brewer_heads, designs._uniforms
 
-        def counting_fallback(*args):
-            calls["inverse_cdf"] += 1
-            return fallback(*args)
+        def counting_heads(*args):
+            calls["composition"] += 1
+            return heads(*args)
 
         def uniforms(seeds, count, start=0):
             calls["array_refill"] += start > 0 and isinstance(seeds, np.ndarray)
             return read(seeds, count, start)
 
-        monkeypatch.setattr(designs, "_brewer_fallback", counting_fallback)
+        monkeypatch.setattr(designs, "_brewer_heads", counting_heads)
         monkeypatch.setattr(designs, "_uniforms", uniforms)
         pi = compute_pips(x, n)
         if kind is DesignKind.SRSWOR:
@@ -219,9 +221,9 @@ class TestStreams:
         rows = draw.rows(np.array(seeds, dtype=np.uint64))
         assert np.array_equal(rows, draw.rows(seeds))
         if kind is DesignKind.BREWER and x is EXPONENTIAL_X:
-            # Criterion 04's frame: Brewer takes the inverse-CDF pick, and
+            # Criterion 04's frame: Brewer takes the composition pick, and
             # the batch reads the array's streams on past the first block.
-            assert calls["inverse_cdf"] > 0 and calls["array_refill"] > 0
+            assert calls["composition"] > 0 and calls["array_refill"] > 0
 
     @pytest.mark.parametrize("kind", list(DesignKind), ids=lambda k: k.value)
     def test_draw_equals_its_batch_row(self, kind):
@@ -627,12 +629,24 @@ def reference_brewer(pi_vec, seed, counts=None):
     """Brewer's draws for one seed, one uniform per ``rng.random()``
     call.  With r draws left and S drawn, an undrawn unit sits at
     q = c p_k, c = r / (sum(p) - sum_S p), with weight q g(q),
-    g(q) = (r - q) / (1 - q).  A trial proposes k with probability
-    p_k / sum(p) and accepts it, if undrawn, with probability
-    g(c p_k) / g(c p_max); a step whose bound on the expected trials,
-    sum(p) g(c p_max) / ((sum(p) - sum_S p) r), exceeds 4 picks by
-    inverse CDF over the weights instead.  ``counts``, if given, adds up
-    the inverse-CDF steps and the uniforms spent."""
+    g(q) = (r - q) / (1 - q).
+
+    - Rejection, when q_max < 1 and the bound on the expected trials,
+      sum(p) g(q_max) / ((sum(p) - sum_S p) r), is at most 4: a trial
+      proposes k with probability p_k / sum(p) and accepts it, if
+      undrawn, with probability g(q_k) / g(q_max).
+    - Composition, when q_max < 1 and G = 4 r (sum(p) - sum_S p) / sum(p)
+      exceeds r: the head H is the undrawn units with q >= q*, g(q*) = G,
+      in descending p.  A trial takes v = u (sum_H q g(q) + c G sum(p)).
+      Below the head mass, v picks the head unit where the head's
+      running weight first exceeds v.  Above it, the unit where the
+      running p first exceeds (v - head mass) / (c G) is accepted with
+      probability g(q) / G if it is undrawn and outside H.
+    - Otherwise, the guard: inverse CDF over all units' weights.
+
+    A trial spends two uniforms, an inverse-CDF step one.  ``counts``, if
+    given, adds up the steps of each kind (``rejection``, ``head``,
+    ``tail``, ``guard``) and keeps the most uniforms spent per draw."""
     rng = ReferenceStream(seed)
     chosen = [k for k, v in enumerate(pi_vec) if v >= 1.0 - CERTAINTY_TOL]
     active = [k for k, v in enumerate(pi_vec) if v < 1.0 - CERTAINTY_TOL]
@@ -646,22 +660,44 @@ def reference_brewer(pi_vec, seed, counts=None):
 
     drawn = set()
     s = 0.0
-    spent = inverse_cdf = 0
+    spent = 0
+    kinds = collections.Counter()
     for t in range(draws):
         r = draws - t
         left = total - s
         c = r / left
-        q_max = c * max(p[k] for k in range(len(p)) if k not in drawn)
+        undrawn = [k for k in range(len(p)) if k not in drawn]
+        q_max = c * max(p[k] for k in undrawn)
         g_max = g(q_max, r)
+        G = 4.0 * r * left / total
         if q_max < 1.0 and total * g_max / (left * r) <= 4.0:
+            kinds["rejection"] += 1
             while True:
                 spent += 2
                 k = bisect.bisect_right(cum, rng.random() * cum[-1])
                 if rng.random() * g_max < g(c * p[k], r) and k not in drawn:
                     break
+        elif q_max < 1.0 and G > r:
+            q_star = (G - r) / (G - 1.0)
+            head = sorted((k for k in undrawn if c * p[k] >= q_star), key=lambda k: -p[k])
+            head_cum = list(itertools.accumulate(c * p[k] * g(c * p[k], r) for k in head))
+            mass = head_cum[-1] if head else 0.0
+            while True:
+                spent += 2
+                v = rng.random() * (mass + c * G * cum[-1])
+                accept = rng.random() * G
+                if v < mass:
+                    kinds["head"] += 1
+                    k = head[sum(1 for a in head_cum if a <= v)]
+                    break
+                k = bisect.bisect_right(cum, (v - mass) / (c * G))
+                if k < len(p) and k not in drawn and k not in head:
+                    if accept < g(c * p[k], r):
+                        kinds["tail"] += 1
+                        break
         else:
             spent += 1
-            inverse_cdf += 1
+            kinds["guard"] += 1
             w = [0.0 if j in drawn else c * p[j] * g(c * p[j], r) for j in range(len(p))]
             cw = list(itertools.accumulate(w))
             v = rng.random() * cw[-1]
@@ -670,13 +706,19 @@ def reference_brewer(pi_vec, seed, counts=None):
         s += p[k]
         chosen.append(active[k])
     if counts is not None:
-        counts["inverse_cdf"] += inverse_cdf
+        counts.update(kinds)
         counts["uniforms"] = max(counts["uniforms"], spent / max(draws, 1))
     return np.array(chosen, dtype=int)
 
 
 # Brewer's first draw at n = 3 has a trial bound above 4 here.
 INVERSE_CDF_X = np.array([0.2, 0.3, 0.5, 0.6, 1.0, 1.4, 2.0, 3.0, 3.7])
+# One certainty unit, three at pi = 0.67 to 0.86 and six small ones:
+# first draws by composition, with head and tail picks.
+TEN_UNITS_X = (np.array([0.05, 0.1, 0.3, 0.4, 0.6, 1.0, 2.5, 3.0, 3.2, 6.0]), 4)
+# Five units at pi = 0.95: once four are drawn, a quarter of the p-mass
+# or less is left undrawn, where a step takes the guard's inverse CDF.
+NEAR_ONE_X = (np.array([19.0] * 5 + [1.0] * 5), 5)
 
 # Ladder shapes at the edges of the crossing picks.  Equal sizes: every
 # unit crosses at step 0, where no ladder has a pool.  Groups of 9, 8 and
@@ -795,36 +837,96 @@ class TestLockstepMatchesReferenceLoops:
         "x, n",
         [
             (INVERSE_CDF_X, 3),
+            TEN_UNITS_X,
             (np.random.default_rng(3).lognormal(0.0, 1.5, size=300), 30),
+            NEAR_ONE_X,
         ],
-        ids=["inverse-cdf", "second-budget"],
+        ids=["inverse-cdf", "ten-units", "second-budget", "near-one"],
     )
     def test_brewer_pick_paths(self, x, n, monkeypatch):
         pi = compute_pips(x, n)
         draw, _ = make_sampler(DesignKind.BREWER, pi=pi)
         seeds = list(range(300))
-        # The calls that read a stream on past its first block.
+        # The calls that read a stream on past its first block, and the
+        # inverse-CDF picks.
         refills = collections.Counter()
 
         def uniforms(seeds, count, start=0):
             refills["batch" if len(seeds) > 1 else "row"] += start > 0
             return read(seeds, count, start)
 
-        read = designs._uniforms
+        def counting_fallback(*args):
+            refills["fallback"] += 1
+            return fallback(*args)
+
+        read, fallback = designs._uniforms, designs._brewer_fallback
         monkeypatch.setattr(designs, "_uniforms", uniforms)
+        monkeypatch.setattr(designs, "_brewer_fallback", counting_fallback)
         rows = draw.rows(seeds)
         counts = collections.Counter()
         for seed in seeds:
             expect = tuple(sorted(int(k) for k in reference_brewer(pi.pi, seed, counts)))
             assert draw(seed).selected == expect == tuple(rows[seed]), seed
-        if x is INVERSE_CDF_X:
-            # Every sample's first draw has a trial bound above 4.
-            assert counts["inverse_cdf"] == len(seeds)
+        assert counts["rejection"] > 0
+        if x is INVERSE_CDF_X or x is TEN_UNITS_X[0]:
+            # Every sample's first draw has a trial bound above 4, and
+            # takes the composition pick: a head or a tail unit.
+            assert counts["head"] + counts["tail"] == len(seeds)
+            assert counts["head"] > 0 and counts["tail"] > 0
+            assert counts["guard"] == refills["fallback"] == 0
+        elif x is NEAR_ONE_X[0]:
+            # Late draws, after the units near 1, leave at most a quarter
+            # of the p-mass undrawn: the guard's inverse CDF.
+            assert counts["guard"] > 0 and refills["fallback"] > 0
+            assert counts["head"] + counts["tail"] > 0
         else:
             # Some rows spend more than the 4 uniforms per draw read up
             # front, so the batch and those rows alone read on.
             assert counts["uniforms"] > 4
             assert refills["batch"] > 0 and refills["row"] > 0
+
+    @pytest.mark.parametrize("x, n", [LARGE_FRAME_X, (EXPONENTIAL_X, 10)],
+                             ids=["large-frame", "criterion-04"])
+    def test_skewed_frames_take_no_inverse_cdf(self, x, n, monkeypatch):
+        # Every step whose trial bound exceeds 4 takes the composition
+        # pick here, never the O(M) inverse CDF; draw, batch row and
+        # traced draw agree seed for seed.
+        calls = collections.Counter()
+        fallback = designs._brewer_fallback
+
+        def counting_fallback(*args):
+            calls["inverse_cdf"] += 1
+            return fallback(*args)
+
+        monkeypatch.setattr(designs, "_brewer_fallback", counting_fallback)
+        pi = compute_pips(x, n)
+        draw, _ = make_sampler(DesignKind.BREWER, pi=pi)
+        seeds = list(range(20))
+        rows = draw.rows(seeds)
+        for seed in seeds:
+            traced, _ = sample_brewer(pi, seed, trace="realized")
+            assert draw(seed).selected == tuple(rows[seed]) == traced.selected, seed
+        assert calls["inverse_cdf"] == 0
+
+    def test_criterion_05_frame_draws_by_rejection_alone(self, monkeypatch):
+        # No step there has a trial bound above 4, so no seed's sample
+        # depends on the composition pick or the inverse CDF.
+        calls = collections.Counter()
+        for name in ("_brewer_heads", "_brewer_fallback"):
+            def counting(*args, _name=name, _f=getattr(designs, name)):
+                calls[_name] += 1
+                return _f(*args)
+            monkeypatch.setattr(designs, name, counting)
+        x, n = CRITERION_05_X
+        pi = compute_pips(x, n)
+        draw, _ = make_sampler(DesignKind.BREWER, pi=pi)
+        assert draw.rows(range(3000)).shape == (3000, n)
+        assert sum(calls.values()) == 0
+        counts = collections.Counter()
+        for seed in range(100):
+            expect = tuple(sorted(int(k) for k in reference_brewer(pi.pi, seed, counts)))
+            assert draw(seed).selected == expect, seed
+        assert counts.keys() == {"rejection", "uniforms"}
 
 
 class TestRunnersMatchEnumeration:
@@ -877,11 +979,11 @@ class TestRunnersMatchEnumeration:
             sigma = np.sqrt(p * (1 - p) / self.R)
             assert abs(freqs[key] - p) <= 4 * sigma, (kind, key)
 
-    def test_brewer_inverse_cdf_frequencies(self):
-        # 200,000 samples where every first draw takes the inverse CDF;
-        # |z| <= 4 for every support sample.
+    def check_brewer_frequencies(self, x, n):
+        """200,000 samples from batches; |z| <= 4 for every support
+        sample against the enumerated law."""
         R = 200_000
-        pi = compute_pips(INVERSE_CDF_X, 3)
+        pi = compute_pips(x, n)
         dist = enumerate_design(DesignKind.BREWER, pi=pi)
         draw, _ = make_sampler(DesignKind.BREWER, pi=pi)
         counts = collections.Counter()
@@ -891,6 +993,17 @@ class TestRunnersMatchEnumeration:
         for key, p in dist.support.items():
             z = (counts[key] / R - p) / math.sqrt(p * (1.0 - p) / R)
             assert abs(z) <= 4.0, (key, z)
+
+    def test_brewer_inverse_cdf_frequencies(self):
+        # Every first draw has a trial bound above 4 and takes the
+        # composition pick, by a head or a tail unit.
+        self.check_brewer_frequencies(INVERSE_CDF_X, 3)
+
+    @pytest.mark.parametrize("x, n", [TEN_UNITS_X, NEAR_ONE_X], ids=["ten-units", "near-one"])
+    def test_brewer_composition_frequencies(self, x, n):
+        # Head and tail picks on both, and the guard's inverse CDF on the
+        # second: test_brewer_pick_paths counts them.
+        self.check_brewer_frequencies(x, n)
 
 
 class TestEnumeratedInclusionProbabilities:

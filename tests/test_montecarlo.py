@@ -48,6 +48,15 @@ class TestDeriveSeed:
         with pytest.raises(InvalidInputError, match="nonnegative"):
             derive_seed(0, -1)
 
+    @pytest.mark.parametrize("index", [1.5, "3", True, None])
+    def test_index_that_is_not_an_integer(self, index):
+        with pytest.raises(InvalidInputError, match="replicate index"):
+            derive_seed(5, index)
+
+    def test_numpy_integer_index(self):
+        # numpy integer arithmetic would overflow on the 64-bit step.
+        assert derive_seed(5, np.int64(3)) == derive_seed(5, np.uint64(3)) == derive_seed(5, 3)
+
     def test_64_bit_range(self):
         s = derive_seed(2**64 - 1, 3)
         assert 0 <= s < 2**64
@@ -283,6 +292,19 @@ class TestEstimateTail:
             estimate_tail(
                 DesignKind.BREWER, y=np.ones(4), eps_grid=[0.1],
                 replicates=replicates, pi=pi,
+            )
+
+    def test_rejects_boolean_replicates_before_any_draw(self, monkeypatch):
+        # True passes an integer test and would reach np.empty.
+        def refuse(*args, **kwargs):
+            raise AssertionError("estimate_tail built a sampler")
+
+        monkeypatch.setattr(montecarlo, "make_sampler", refuse)
+        pi = compute_pips(np.array([1.0, 2.0, 3.0, 4.0]), 2)
+        with pytest.raises(InvalidInputError, match="positive integer"):
+            estimate_tail(
+                DesignKind.BREWER, y=np.ones(4), eps_grid=[0.1],
+                replicates=True, pi=pi,
             )
 
 
