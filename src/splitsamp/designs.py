@@ -19,10 +19,12 @@ or a pick among the few units that leave the cap there: O(1) work per
 replicate, beyond adding each unit to the pick pool once.  All three
 walk the ladder as an elimination, one unit leaving per step; Chao's
 arrival is such a step, in which the arrival or one reservoir unit
-leaves, and its stream is the population in order.  Every step's pick
-is found before the walk, in array passes whose number does not grow
-with the steps: one cumulative sum per distinct count of units crossing
-the cap at a step, and one bisection over all picks of a crossing unit.
+leaves, and its stream is the population in order.  A step's law
+depends only on the ladder, so it is built and checked on the ladder's
+first draw and kept (``Ladder.law``): one cumulative sum per distinct
+count of units crossing the cap at a step.  Every step's pick is then
+found before the walk, in array passes whose number does not grow with
+the steps, one bisection over all picks of a crossing unit among them.
 
 Brewer's plan is one cumulative sum of the probabilities.  A step
 proposes from it and accepts by rejection; when that would take more
@@ -38,7 +40,8 @@ its uniforms from its own seed's stream.  A stream is counter-based
 streams is one array pass, and SRSWOR keeps the n units with the
 smallest of N uniforms.  A single draw runs the same law for one
 row in Python: Brewer's picks in Python floats, the ladder designs' pool
-over a Python list.
+over a Python list, which keeps only what the design returns (the
+survivors for Chao and Tille, the picked units for Midzuno).
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ import enum
 import heapq
 import math
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache, partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -192,9 +195,14 @@ def _mix(z: np.ndarray) -> np.ndarray:
     return z
 
 
+def _is_integer(value) -> bool:
+    """Whether ``value`` is a Python or numpy integer; a bool is not."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _check_seed(seed) -> int:
     """A seed as a Python int, which must lie in [0, 2**128)."""
-    if isinstance(seed, (int, np.integer)) and 0 <= seed < SEED_LIMIT:
+    if _is_integer(seed) and 0 <= seed < SEED_LIMIT:
         return int(seed)
     raise InvalidInputError(f"seed must be an integer in [0, 2**128), got {seed!r}")
 
@@ -240,6 +248,32 @@ def _srswor_rows(N: int, n: int, seeds: Sequence[int]) -> np.ndarray:
 
 
 @dataclass(frozen=True)
+class StepLaw:
+    """The law of every step of a ladder, as ``Ladder.law`` keeps it.
+
+    At step j the ``count[j]`` live uncapped units (the pool) each weigh
+    ``r[j]`` and the units crossing the cap weigh ``1 - lam[j+1] x_k``,
+    both clamped at 0.  ``cum`` holds each step's cumulative crossing
+    weights, in ``cross``'s layout; ``mass[j]`` is the last of them
+    (0 when no unit crosses) and ``total[j] = mass[j] + count[j] r[j]``.
+    ``single`` and ``multi`` are the steps where one unit and several
+    units cross, and ``bits`` is the bit length of the largest crossing
+    count.  ``fault`` is the first contract breach found, as (step,
+    message), or None.
+    """
+
+    count: np.ndarray
+    cum: np.ndarray
+    mass: np.ndarray
+    total: np.ndarray
+    r: np.ndarray
+    single: np.ndarray
+    multi: np.ndarray
+    bits: int
+    fault: tuple[int, str] | None
+
+
+@dataclass(frozen=True)
 class Ladder:
     """Capped size-proportional probabilities along a run of rungs, in
     O(N) memory.
@@ -254,7 +288,7 @@ class Ladder:
     set, or crosses the cap, at most once:
     ``cross[cross_at[j]:cross_at[j + 1]]`` are the units that cross at
     step j, and ``cross[cross_at[-1]:]`` are still capped at the last
-    rung.
+    rung.  ``law`` is the law of every step, built on first use.
     """
 
     x: np.ndarray
@@ -278,6 +312,59 @@ class Ladder:
         capped = self.cross[self.cross_at[s] :]
         p[capped[capped < x.size]] = 1.0
         return p
+
+    @cached_property
+    def law(self) -> StepLaw:
+        """Every step's law, built on first use and kept, so that a draw
+        pays only for its uniforms: O(steps + crossing units) memory.
+
+        Step j's weights must be nonnegative and sum to 1.  They are
+        checked in this order: the crossing weights, the pool weights
+        ``r = 1 - lam[j+1] / lam[j]``, then the sums.  The first breach
+        is kept in ``fault``, and every draw raises it.  A step's
+        weights are added up in order, by one row-wise ``cumsum`` per
+        distinct crossing count, so its floats are those of a
+        ``cumsum`` of that step alone.
+        """
+        lam, at, steps = self.lam, self.cross_at, self.steps
+        # The pool starts empty, and a step adds its crossing units and
+        # removes one.
+        count = at[:-1] - np.arange(steps)
+        m = np.diff(at)
+        step_of = np.repeat(np.arange(steps), m)
+        w = 1.0 - lam[1:][step_of] * self.x[self.cross[: at[-1]]]
+        r = 1.0 - np.divide(lam[1:], lam[:-1], out=np.ones(steps), where=count > 0)
+        fault = None
+        for weights, step in ((w, step_of), (r, np.arange(steps))):
+            bad = np.flatnonzero(weights < -RANGE_TOL)
+            if bad.size and fault is None:
+                fault = (
+                    int(step[bad[0]]),
+                    f"negative probability {float(weights[bad[0]])!r}",
+                )
+        cum, r = np.maximum(w, 0.0), np.maximum(r, 0.0)
+        for c in np.unique(m[m > 1]).tolist():
+            block = at[:-1][m == c, None] + np.arange(c)
+            cum[block] = np.cumsum(cum[block], axis=1)
+        mass = np.zeros(steps)
+        crossing = m > 0
+        mass[crossing] = cum[at[1:][crossing] - 1]
+        total = mass + count * r
+        off = np.flatnonzero(np.abs(total - 1.0) > PROB_SUM_TOL)
+        if off.size and fault is None:
+            j = int(off[0])
+            fault = (j, f"probabilities sum to {total[j]!r}, expected 1.0")
+        return StepLaw(
+            count=count,
+            cum=cum,
+            mass=mass,
+            total=total,
+            r=r,
+            single=np.flatnonzero(m == 1),
+            multi=np.flatnonzero(m > 1),
+            bits=int(m.max(initial=0)).bit_length(),
+            fault=fault,
+        )
 
 
 def _stays_capped(free: float, c: int, size: float, rest: float) -> bool:
@@ -311,86 +398,59 @@ def _elimination_ladder(x: np.ndarray, n: int) -> Ladder:
 
 
 def _picks(
-    ladder: Ladder, u: np.ndarray, count: np.ndarray, context: Callable[[int], str]
+    ladder: Ladder, u: np.ndarray, context: Callable[[int], str]
 ) -> np.ndarray:
-    """Check the law of every step as scalars, then turn each row's
-    uniform for step j, ``u[:, j]``, into its pick: a position in the
-    step's extended pool, where the ``count[j]`` live uncapped units (the
-    pool) sit at 0..count[j]-1 and the units crossing the cap follow at
-    count[j] + k.
+    """Turn each row's uniform for step j, ``u[:, j]``, into its pick: a
+    position in the step's extended pool, where the ``count[j]`` live
+    uncapped units (the pool) sit at 0..count[j]-1 and the units
+    crossing the cap follow at count[j] + k.  A ladder whose law breaks
+    the contract raises on every call, naming the step by ``context``.
 
-    At step j a crossing unit has weight ``1 - lam[j+1] x_k`` and a pool
-    unit ``r = 1 - lam[j+1] / lam[j]``; they must be nonnegative and sum
-    to 1.  With that total T and the crossing mass M, u picks a crossing
-    unit by inverse CDF when u T falls below M, else pool index
-    floor((u T - M) / r).
-
-    The cost does not grow with the number of steps: the cumulative
-    crossing weights take one row-wise ``cumsum`` per distinct crossing
-    count, and the inverse CDF of every (row, step) pair that picks a
+    With the step's total T and crossing mass M (``Ladder.law``), u picks
+    a crossing unit by inverse CDF when u T falls below M, else pool
+    index floor((u T - M) / r).  Only these per-uniform passes run per
+    call: the inverse CDF of every (row, step) pair that picks a
     crossing unit is one bisection over all of them, in as many rounds
-    as the largest crossing count has bits.  A row is added up in
-    order, so each step's floats and picks are those of a ``cumsum``
-    and a ``searchsorted(side="right")`` of that step alone.
+    as the largest crossing count has bits, and its picks are those of
+    a ``searchsorted(side="right")`` of that step alone.
     """
-    lam = ladder.lam
-    at = ladder.cross_at
-    m = np.diff(at)
-    step_of = np.repeat(np.arange(ladder.steps), m)
-    w = 1.0 - lam[1:][step_of] * ladder.x[ladder.cross[: at[-1]]]
-    r = 1.0 - np.divide(lam[1:], lam[:-1], out=np.ones(ladder.steps), where=count > 0)
-    for weights, step in ((w, step_of), (r, np.arange(ladder.steps))):
-        bad = np.flatnonzero(weights < -RANGE_TOL)
-        if bad.size:
-            raise ContractViolationError(
-                f"{context(int(step[bad[0]]))}: negative probability "
-                f"{float(weights[bad[0]])!r}"
-            )
-    w, r = np.maximum(w, 0.0), np.maximum(r, 0.0)
-    # Each step's cumulative crossing weights, in w's layout, and its
-    # crossing mass, the last of them.
-    cum = w.copy()
-    for c in np.unique(m[m > 1]).tolist():
-        block = at[:-1][m == c, None] + np.arange(c)
-        cum[block] = np.cumsum(w[block], axis=1)
-    mass = np.zeros(ladder.steps)
-    crossing = m > 0
-    mass[crossing] = cum[at[1:][crossing] - 1]
-    total = mass + count * r
-    off = np.abs(total - 1.0) > PROB_SUM_TOL
-    if bool(off.any()):
-        j = int(np.argmax(off))
-        raise ContractViolationError(
-            f"{context(j)}: probabilities sum to {total[j]!r}, expected 1.0"
-        )
-    v = u * total
+    law = ladder.law
+    if law.fault is not None:
+        step, message = law.fault
+        raise ContractViolationError(f"{context(step)}: {message}")
+    count, mass, r = law.count, law.mass, law.r
+    v = u * law.total
     pooled = r > 0.0
     q = (v - mass) / np.where(pooled, r, 1.0)
     pos = np.minimum(q, count - 1).astype(np.intp)
     # A lone crossing unit is picked when u T falls below its weight.
-    single = np.flatnonzero(m == 1)
+    single = law.single
     lone = (v[:, single] < mass[single]) | ~pooled[single]
     pos[:, single] = np.where(lone, count[single], pos[:, single])
     # Where several cross, a row picks one when u T falls below their
     # mass or the step has no pool: the k-th, k the count of cumulative
     # weights at most u T, found by binary lifting over the step's
     # slice of cum.
-    multi = np.flatnonzero(m > 1)
+    multi = law.multi
     rows, col = np.nonzero((v[:, multi] < mass[multi]) | ~pooled[multi])
     j = multi[col]
-    target, base, mj = v[rows, j], at[j], m[j]
+    target, base = v[rows, j], ladder.cross_at[j]
+    mj = ladder.cross_at[j + 1] - base
     k = np.zeros(j.size, dtype=np.intp)
-    for b in reversed(range(int(m.max(initial=0)).bit_length())):
+    for b in reversed(range(law.bits)):
         nxt = k + (1 << b)
-        below = cum[base + np.minimum(nxt, mj) - 1] <= target
+        below = law.cum[base + np.minimum(nxt, mj) - 1] <= target
         k = np.where((nxt <= mj) & below, nxt, k)
     pos[rows, j] = count[j] + np.minimum(k, mj - 1)
     return pos
 
 
 def _eliminate(
-    ladder: Ladder, seeds: Sequence[int], context: Callable[[int], str]
-) -> tuple[np.ndarray, np.ndarray]:
+    ladder: Ladder,
+    seeds: Sequence[int],
+    context: Callable[[int], str],
+    survivors: bool,
+) -> np.ndarray:
     """Walk an elimination ladder down, one unit leaving per step and
     row, all rows in lockstep with one uniform per step.
 
@@ -398,37 +458,41 @@ def _eliminate(
     every row's uniforms into pool positions for all steps at once; the
     walk then appends the units that cross the cap at a step and
     swap-removes the picked unit, O(1) per row beyond the appends; one
-    row alone walks a Python list.  Returns the picked units, one column
-    per step, and each row's uncapped survivors.
+    row alone walks a Python list.  Returns each row's uncapped
+    survivors if ``survivors``, else its picked units, one column per
+    step; the walk keeps only what it returns.
     """
     R, steps = len(seeds), ladder.steps
-    at = ladder.cross_at
-    # The pool starts empty, and a step adds its crossing units and
-    # removes one.
-    count = at[:-1] - np.arange(steps)
-    pos = _picks(ladder, _uniforms(seeds, steps), count, context)
-    at = at.tolist()
+    pos = _picks(ladder, _uniforms(seeds, steps), context)
+    at = ladder.cross_at.tolist()
     if R == 1:
         cross = ladder.cross.tolist()
         line: list[int] = []
+        if survivors:
+            for p, lo, hi in zip(pos[0].tolist(), at, at[1:]):
+                line += cross[lo:hi]
+                line[p] = line[-1]
+                line.pop()
+            return np.array([line], dtype=np.intp)
         gone = []
-        for j, p in enumerate(pos[0].tolist()):
-            line += cross[at[j] : at[j + 1]]
+        for p, lo, hi in zip(pos[0].tolist(), at, at[1:]):
+            line += cross[lo:hi]
             gone.append(line[p])
             line[p] = line[-1]
             line.pop()
-        return np.array([gone], dtype=np.intp), np.array([line], dtype=np.intp)
+        return np.array([gone], dtype=np.intp)
     rows = np.arange(R)
     pool = np.empty((R, at[-1]), dtype=np.intp)
-    picked = np.empty((R, steps), dtype=np.intp)
+    picked = np.empty((R, 0 if survivors else steps), dtype=np.intp)
     for j in range(steps):
         lo, hi = at[j], at[j + 1]
         if hi > lo:
             pool[:, lo - j : hi - j] = ladder.cross[lo:hi]
         p = pos[:, j]
-        picked[:, j] = pool[rows, p]
+        if not survivors:
+            picked[:, j] = pool[rows, p]
         pool[rows, p] = pool[:, hi - j - 1]
-    return picked, pool[:, : at[-1] - steps]
+    return pool[:, : at[-1] - steps] if survivors else picked
 
 
 def _survivors(
@@ -436,7 +500,7 @@ def _survivors(
 ) -> np.ndarray:
     """Each row's units left at the last rung of ``_eliminate``: its
     uncapped survivors, then the units still capped there."""
-    _, kept = _eliminate(ladder, seeds, context)
+    kept = _eliminate(ladder, seeds, context, survivors=True)
     capped = np.tile(ladder.cross[ladder.cross_at[-1] :], (len(seeds), 1))
     return np.hstack([kept, capped])
 
@@ -588,7 +652,9 @@ def _midzuno_rows(plan: MidzunoPlan, seeds: Sequence[int]) -> np.ndarray:
     one uniform per step."""
     R = len(seeds)
     if plan.ladder is not None:
-        picked, _ = _eliminate(plan.ladder, seeds, lambda j: f"midzuno step {j + 1}")
+        picked = _eliminate(
+            plan.ladder, seeds, lambda j: f"midzuno step {j + 1}", survivors=False
+        )
         chosen = plan.active[picked]
     elif plan.n - plan.certain.size == plan.active.size:
         chosen = np.tile(plan.active, (R, 1))

@@ -18,7 +18,15 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .designs import GOLDEN, MASK64, DesignKind, _mix, make_sampler, splitmix
+from .designs import (
+    GOLDEN,
+    MASK64,
+    DesignKind,
+    _is_integer,
+    _mix,
+    make_sampler,
+    splitmix,
+)
 from .errors import InvalidInputError
 from .population import InclusionProbabilities
 
@@ -28,11 +36,6 @@ DEFAULT_Z = NormalDist().inv_cdf(0.99)
 # Replicates per lockstep chunk times population size: keeps each
 # chunk's per-step weight block near 1 MB.
 _CHUNK_CELLS = 1 << 17
-
-
-def _is_integer(value) -> bool:
-    """Whether ``value`` is a Python or numpy integer; a bool is not."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def derive_seed(master_seed: int, index: int) -> int:

@@ -9,6 +9,7 @@ both codepaths end to end.
 
 import bisect
 import collections
+import dataclasses
 import itertools
 import math
 import tracemalloc
@@ -284,6 +285,23 @@ class TestSeedDomain:
                 draw(seed)
             with pytest.raises(InvalidInputError, match="seed must be an integer"):
                 draw.rows([0, 1, seed])
+
+    def test_bool_seed(self):
+        # Python counts True as 1, but a bool is no seed, as it is no
+        # master seed or replicate index for derive_seed.
+        x = np.arange(1.0, 7.0)
+        pi = compute_pips(x, 3)
+        calls = [
+            lambda seed: sample_brewer(pi, seed),
+            lambda seed: sample_brewer(pi, seed, trace="realized"),
+        ]
+        for kind in DesignKind:
+            draw, _ = make_sampler(kind, x=x, n=3, N=6)
+            calls += [draw, partial(lambda draw, seed: draw.rows([seed, 1]), draw)]
+        for call in calls:
+            for seed in (True, False, np.True_):
+                with pytest.raises(InvalidInputError, match="seed must be an integer"):
+                    call(seed)
 
     def test_sample_functions(self, pi_plain):
         x = np.array([1.0, 2.0, 3.0, 4.0])
@@ -803,17 +821,18 @@ class TestLockstepMatchesReferenceLoops:
         grid = np.linspace(0.0, 1.0, 64, endpoint=False)
         u = np.unique(np.r_[grid, ties, 1 - 2**-53])
         u = u[u < 1.0]
-        pos = designs._picks(ladder, np.tile(u[:, None], (1, 3)), count, str)
+        pos = designs._picks(ladder, np.tile(u[:, None], (1, 3)), str)
         for i, v in enumerate(u.tolist()):
             pools = ([0] * int(c) for c in count)
             expect = [reference_step(v, p, *step) for p, step in zip(pools, steps)]
             assert pos[i].tolist() == expect, v
+        # The picked units, then the survivors.
         seeds = list(range(300))
-        rows = designs._eliminate(ladder, seeds, str)
+        rows = [designs._eliminate(ladder, seeds, str, kept) for kept in (False, True)]
         for seed in seeds:
             expect = reference_eliminate(ladder, ReferenceStream(seed))
-            one = designs._eliminate(ladder, [seed], str)
-            for got in (one, (rows[0][seed : seed + 1], rows[1][seed : seed + 1])):
+            one = [designs._eliminate(ladder, [seed], str, kept) for kept in (False, True)]
+            for got in (one, [part[seed : seed + 1] for part in rows]):
                 assert [part[0].tolist() for part in got] == list(expect), seed
 
     def test_one_draw_makes_no_call_per_crossing_step(self, monkeypatch):
@@ -832,6 +851,58 @@ class TestLockstepMatchesReferenceLoops:
         assert draw(7).size == 200
         # One cumsum per distinct crossing count here: 6 calls.
         assert 0 < sum(calls.values()) < np.sum(m > 1) / 10
+
+    @pytest.mark.parametrize("corrupt", [False, True], ids=["valid", "corrupted"])
+    def test_step_law_built_once_per_ladder(self, monkeypatch, corrupt):
+        # The step law depends only on the ladder: the first draw builds
+        # it, and later draws and batches of the same sampler reuse it.
+        # A ladder whose law breaks the contract fails every draw, not
+        # only the one that built the law.
+        original = designs.tille_plan
+
+        def plan(*args):
+            ladder = original(*args)
+            return dataclasses.replace(ladder, lam=ladder.lam * 0.99) if corrupt else ladder
+
+        monkeypatch.setattr(designs, "tille_plan", plan)
+        draw, _ = make_sampler(DesignKind.TILLE_ELIMINATION, x=LARGE_FRAME_X[0], n=200)
+
+        def run(call):
+            if not corrupt:
+                return call()
+            with pytest.raises(ContractViolationError, match="tille step i=.*: probabilities sum to"):
+                call()
+
+        first = run(lambda: draw(7))
+        calls = collections.Counter()
+        cumsum = np.cumsum
+
+        def counting(*args, **kwargs):
+            calls["cumsum"] += 1
+            return cumsum(*args, **kwargs)
+
+        monkeypatch.setattr(np, "cumsum", counting)
+        assert run(lambda: draw(7)) == first
+        rows = run(lambda: draw.rows([7, 8, 9]))
+        if not corrupt:
+            assert rows[0].tolist() == list(first.selected)
+        assert calls["cumsum"] == 0
+
+    @pytest.mark.parametrize("build", ["tille", "chao", "midzuno"])
+    def test_step_law_memory(self, build):
+        # The kept law is numpy arrays of O(steps + crossing units) floats
+        # and ints, not O(N**2) and not Python lists.
+        x, n = LARGE_FRAME_X
+        ladder = {
+            "tille": lambda: tille_plan(x, n),
+            "chao": lambda: chao_plan(x, n),
+            "midzuno": lambda: midzuno_plan(compute_pips(x, n)).ladder,
+        }[build]()
+        values = [getattr(ladder.law, f.name) for f in dataclasses.fields(ladder.law)]
+        arrays = [v for v in values if isinstance(v, np.ndarray)]
+        assert [type(v) for v in values if not isinstance(v, np.ndarray)] == [int, type(None)]
+        assert all(a.dtype != object for a in arrays)
+        assert sum(a.nbytes for a in arrays) <= 64 * (ladder.steps + ladder.cross_at[-1])
 
     @pytest.mark.parametrize(
         "x, n",
