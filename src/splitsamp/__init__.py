@@ -31,10 +31,6 @@ from .designs import (
     Sampler,
     make_sampler,
     sample_brewer,
-    sample_chao,
-    sample_midzuno,
-    sample_srswor,
-    sample_tille,
 )
 from .distribution import (
     ExactDesignDistribution,
@@ -91,7 +87,6 @@ from .splitting import (
     SplittingLevel,
     SplittingStep,
     SplittingTrace,
-    draw_by_draw_distribution,
     draw_by_draw_from_distribution,
     ht_increments,
     sequential_splitting_from_distribution,
@@ -142,7 +137,6 @@ __all__ = [
     "derive_seed",
     "dominance_grid",
     "dominance_regime",
-    "draw_by_draw_distribution",
     "draw_by_draw_from_distribution",
     "enumerate_design",
     "eps_star",
@@ -160,10 +154,6 @@ __all__ = [
     "polar_normals",
     "run_experiment",
     "sample_brewer",
-    "sample_chao",
-    "sample_midzuno",
-    "sample_srswor",
-    "sample_tille",
     "sequential_splitting_from_distribution",
     "solve_confidence_radius",
     "solve_sample_size",

@@ -42,6 +42,10 @@ smallest of N uniforms.  A single draw runs the same law for one
 row in Python: Brewer's picks in Python floats, the ladder designs' pool
 over a Python list, which keeps only what the design returns (the
 survivors for Chao and Tille, the picked units for Midzuno).
+
+Every design draws through ``make_sampler``, which builds its plan
+once.  ``sample_brewer`` adds Brewer's traced draw; its plain and traced
+paths read one kept plan, that of the last pi drawn.
 """
 
 from __future__ import annotations
@@ -57,7 +61,12 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ContractViolationError, InvalidInputError, InvalidSizeError
-from .population import CERTAINTY_TOL, InclusionProbabilities, compute_pips
+from .population import (
+    CERTAINTY_TOL,
+    InclusionProbabilities,
+    _as_readonly,
+    compute_pips,
+)
 from .splitting import RANGE_TOL, FactorSteps, SplittingTrace
 
 # Probabilities that must sum to one may miss by at most this much.
@@ -125,6 +134,8 @@ class Sampler:
     draw_rows: Callable[[Sequence[int]], np.ndarray]
 
     def __call__(self, seed: int) -> Sample:
+        # Sample sorts again, but a sorted row takes Timsort one pass; an
+        # unsorted row costs more there than np.sort does here.
         return Sample(selected=self.rows([seed])[0].tolist(), N=self.N)
 
     def rows(self, seeds: Sequence[int]) -> np.ndarray:
@@ -229,12 +240,6 @@ def _uniforms(seeds: Sequence[int], count: int, start: int = 0) -> np.ndarray:
     z = _mix(keys[:, None] + z)
     z >>= 11
     return np.multiply(z, 2.0**-53, out=z.view(np.float64))
-
-
-def sample_srswor(N: int, n: int, rng_seed: int) -> Sample:
-    """Simple random sampling without replacement, uniform over subsets."""
-    draw, _ = make_sampler(DesignKind.SRSWOR, N=N, n=n)
-    return draw(rng_seed)
 
 
 def _srswor_rows(N: int, n: int, seeds: Sequence[int]) -> np.ndarray:
@@ -512,20 +517,26 @@ def _survivors(
 def chao_plan(x: np.ndarray, n: int) -> Ladder:
     """Chao's ladder: rung s holds the capped shares at size n of the
     first n + s units of the stream, which is the population in order.
+    To stream in another order, permute the population and map the drawn
+    units back.
 
-    Step j is the arrival of unit t = n+1+j, as an elimination: exactly
-    one unit of the reservoir and the arrival leaves, the arrival with
-    probability ``1 - pi_t(t)`` and reservoir member k with ``1 -
-    pi_k(t) / pi_k(t-1)``.  An arrival uncapped at t crosses the cap at
-    its own step, so both are ``1 - lam_t x_k`` for a unit that crosses
-    the cap at t and ``1 - lam_t / lam_{t-1}`` for every reservoir unit
-    uncapped at t-1.
+    Chao's procedure accepts arrival t with its own updated probability
+    and, when it is accepted, evicts reservoir member k with probability
+    proportional to how much k's updated probability fell.  Taken
+    together, step j, the arrival of unit t = n+1+j, is an elimination:
+    exactly one unit of the reservoir and the arrival leaves, the
+    arrival with probability ``1 - pi_t(t)`` and reservoir member k with
+    ``1 - pi_k(t) / pi_k(t-1)``.  An arrival uncapped at t crosses the
+    cap at its own step, so both are ``1 - lam_t x_k`` for a unit that
+    crosses the cap at t and ``1 - lam_t / lam_{t-1}`` for every
+    reservoir unit uncapped at t-1.
 
     Capped units, the arrival among them, leave the cap smallest first as
     the prefix grows, so a min-heap of the capped units builds the ladder
-    in O(N log N) time and O(N) memory.
+    in O(N log N) time and O(N) memory.  The ladder keeps a read-only
+    copy of x, so a later write to the caller's array changes no draw.
     """
-    x = np.asarray(x, dtype=float)
+    x = _as_readonly(x)
     N = x.size
     if not 1 <= n <= N:
         raise InvalidSizeError(f"invalid size: n={n} outside 1..{N}")
@@ -556,24 +567,6 @@ def chao_plan(x: np.ndarray, n: int) -> Ladder:
     )
 
 
-def sample_chao(pi: InclusionProbabilities, x: np.ndarray, rng_seed: int) -> Sample:
-    """Chao's reservoir procedure for capped pi-proportional-to-size.
-
-    Units arrive one at a time, in population order; to stream in
-    another order, permute the population and map the drawn units back.
-    Arrival t is accepted with its own updated probability and, when
-    accepted, evicts a current reservoir member k with probability
-    proportional to how much k's updated probability fell.
-    Taken together, one unit of the reservoir and the arrival leaves per
-    arrival, so a draw walks the stream ladder as an elimination with
-    one uniform per arrival: every reservoir unit below the cap fell by
-    the same factor, so a step is one uniform pick among them or a pick
-    among the units that leave the cap at t, the arrival among them.
-    """
-    draw, _ = make_sampler(DesignKind.CHAO, pi=pi, x=x)
-    return draw(rng_seed)
-
-
 # ---------------------------------------------------------------------------
 # Tille's elimination procedure.
 
@@ -582,32 +575,19 @@ def tille_plan(sizes: np.ndarray, n: int) -> Ladder:
     """Tille's ladder: rung s holds the capped shares of ``sizes`` at
     sample size N - s, for s = 0..N-n, and step j eliminates one unit.
 
-    Restricted to the units still present, the elimination probability
-    ``1 - pi_k(i) / pi_k(i+1)`` is ``1 - lam_i x_k`` for a unit that
+    Tille's procedure walks i from N-1 down to n and eliminates one of
+    the still-present units with probability ``1 - pi_k(i) /
+    pi_k(i+1)``; the n survivors form the sample.  Restricted to the
+    units still present, that is ``1 - lam_i x_k`` for a unit that
     crosses the cap between rungs i+1 and i, ``1 - lam_i / lam_{i+1}``
-    for every unit uncapped at rung i+1, and 0 for the rest.
+    for every unit uncapped at rung i+1, and 0 for the rest.  The ladder
+    keeps a read-only copy of ``sizes``.
     """
-    sizes = np.asarray(sizes, dtype=float)
+    sizes = _as_readonly(sizes)
     N = sizes.size
     if not 1 <= n <= N:
         raise InvalidSizeError(f"invalid size: n={n} outside 1..{N}")
     return _elimination_ladder(sizes, n)
-
-
-def sample_tille(
-    pi: InclusionProbabilities, x: np.ndarray, rng_seed: int
-) -> Sample:
-    """Tille's elimination procedure.
-
-    Walking i from N-1 down to n, eliminates exactly one of the
-    still-present units with probability 1 - pi_k(i)/pi_k(i+1), where
-    pi(i) are the capped shares of x at size i.  The n survivors form
-    the sample.  Every unit below the cap at i+1 shares one elimination
-    probability, so a step is one uniform pick among those units or a
-    pick among the units that leave the cap at i.
-    """
-    draw, _ = make_sampler(DesignKind.TILLE_ELIMINATION, pi=pi, x=x)
-    return draw(rng_seed)
 
 
 # ---------------------------------------------------------------------------
@@ -632,6 +612,11 @@ class MidzunoPlan:
 
 
 def midzuno_plan(pi: InclusionProbabilities) -> MidzunoPlan:
+    """The generalized Midzuno procedure's plan.  It pre-selects the
+    certainty units and selects the other n' units one at a time, with
+    selection probabilities from the capped shares of 1 - pi: the
+    complement of Tille elimination on 1 - pi, sharing its ladder and
+    its step."""
     certain = np.flatnonzero(pi.certain)
     active = np.flatnonzero(~pi.certain)
     n_active = pi.n - certain.size
@@ -661,19 +646,6 @@ def _midzuno_rows(plan: MidzunoPlan, seeds: Sequence[int]) -> np.ndarray:
     else:
         chosen = np.empty((R, 0), dtype=np.intp)
     return np.hstack([np.tile(plan.certain, (R, 1)), chosen])
-
-
-def sample_midzuno(pi: InclusionProbabilities, rng_seed: int) -> Sample:
-    """Generalized Midzuno procedure.
-
-    Selects n units one at a time; the selection probabilities come from
-    the capped shares of the complementary probabilities 1 - pi, so the
-    procedure is the complement of Tille elimination applied to 1 - pi
-    and shares its ladder and its step.  Certainty units are
-    pre-selected.
-    """
-    draw, _ = make_sampler(DesignKind.GENERALIZED_MIDZUNO, pi=pi)
-    return draw(rng_seed)
 
 
 # ---------------------------------------------------------------------------
@@ -1083,9 +1055,10 @@ def _selection_weight(q: np.ndarray, r: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=1)
-def _traced_plan(key: bytes) -> BrewerPlan:
-    """The plan of the last pi traced, keyed on its bytes.  Its traces
-    share ``p`` and ``active``, so those are read-only."""
+def _last_plan(key: bytes) -> BrewerPlan:
+    """The plan of the last pi that ``sample_brewer`` drew, keyed on its
+    bytes.  Its traces share ``p`` and ``active``, so those are
+    read-only."""
     plan = brewer_plan(np.frombuffer(key))
     plan.p.flags.writeable = plan.active.flags.writeable = False
     return plan
@@ -1106,13 +1079,16 @@ def sample_brewer(
             trace), with the splitting trace of ``run_splitting``.  The
             one-row kernel draws both, so a seed gives one sample either
             way.
+
+    Plain and traced calls read one kept plan, that of the last pi
+    drawn, so repeated draws on one pi build it once.
     """
-    if trace is None:
-        draw, _ = make_sampler(DesignKind.BREWER, pi=pi)
-        return draw(rng_seed)
-    if trace != "realized":
+    if trace not in (None, "realized"):
         raise InvalidInputError(f"trace must be None or 'realized', got {trace!r}")
-    tr = run_splitting(_traced_plan(pi.pi.tobytes()), rng_seed, pi.pi)
+    plan = _last_plan(pi.pi.tobytes())
+    if trace is None:
+        return Sampler(pi.N, partial(_brewer_plan_rows, plan))(rng_seed)
+    tr = run_splitting(plan, rng_seed, pi.pi)
     return Sample(selected=tr.selected, N=pi.N), tr
 
 

@@ -17,10 +17,11 @@ on access: Brewer's traced draws store each step as one common factor
 plus the drawn unit (``FactorSteps``), and build a step's dense
 ``alphas`` and ``realized_delta`` only when it is read.
 
-Every fixed-size design has two splitting representations, built here
-from its exact distribution: draw-by-draw, one unit drawn per step, and
-the unit-by-unit tree, unit t decided at depth t and stored as N + 1
-levels of arrays (``SplittingLevel``).
+Every fixed-size design has two splitting representations, run here
+from its exact distribution: draw-by-draw, one unit drawn per step
+(``draw_by_draw_from_distribution``, a reference sampler), and the
+unit-by-unit tree, unit t decided at depth t and stored as N + 1 levels
+of arrays (``SplittingLevel``).
 """
 
 from __future__ import annotations
@@ -234,14 +235,6 @@ def ht_increments(trace: SplittingTrace, y_check) -> np.ndarray:
 # Representations built from an explicit distribution (oracle scale).
 
 
-def _require_fixed_size(dist: ExactDesignDistribution) -> None:
-    if not dist.fixed_size:
-        raise RepresentationError(
-            "distribution is not fixed-size; draw-by-draw needs every "
-            "support element to have the target size"
-        )
-
-
 def draw_by_draw_from_distribution(
     dist: ExactDesignDistribution, rng_seed: int
 ) -> SplittingTrace:
@@ -257,7 +250,11 @@ def draw_by_draw_from_distribution(
     """
     from .designs import _check_sum, _uniforms
 
-    _require_fixed_size(dist)
+    if not dist.fixed_size:
+        raise RepresentationError(
+            "distribution is not fixed-size; draw-by-draw needs every "
+            "support element to have the target size"
+        )
     f = containment(dist)
     n = dist.n
     bits = 1 << np.arange(dist.N)
@@ -296,34 +293,6 @@ def draw_by_draw_from_distribution(
     if trace.selected != mask_units(drawn):
         raise ContractViolationError("draw-by-draw state diverged from draws")
     return trace
-
-
-def draw_by_draw_distribution(
-    dist: ExactDesignDistribution,
-) -> ExactDesignDistribution:
-    """Exact distribution of the draw-by-draw representation.
-
-    Enumerated with the oracle's level loop: the state is the bitmask of
-    the units drawn so far, since the next draw's law depends on that
-    set alone.  Agreement with the input distribution is what makes the
-    representation valid.
-    """
-    from .oracle import DEFAULT_MAX_BRANCHES, _levels
-
-    _require_fixed_size(dist)
-    f = containment(dist)
-    n = dist.n
-    bits = 1 << np.arange(dist.N)
-
-    def moves(t: int, drawn: np.ndarray):
-        free = (drawn[:, None] & bits) == 0
-        nxt = drawn[:, None] | bits
-        w = np.where(free, f[nxt] / f[drawn][:, None] / (n - t), 0.0)
-        return np.where(free, nxt, -1), w
-
-    masks, probs, pruned = _levels(0, n, moves, DEFAULT_MAX_BRANCHES)
-    source = f"draw-by-draw({dist.source})"
-    return ExactDesignDistribution(masks, probs, dist.N, n, source, pruned)
 
 
 class SplittingLevel(NamedTuple):

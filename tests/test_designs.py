@@ -33,10 +33,6 @@ from splitsamp import (
     estimate_tail,
     make_sampler,
     sample_brewer,
-    sample_chao,
-    sample_midzuno,
-    sample_srswor,
-    sample_tille,
 )
 from splitsamp import designs
 from splitsamp.designs import (
@@ -107,15 +103,16 @@ class TestDesignKind:
 
 class TestSrswor:
     def test_size_and_range(self):
-        s = sample_srswor(10, 4, rng_seed=0)
+        s = make_sampler(DesignKind.SRSWOR, N=10, n=4)[0](0)
         assert s.size == 4 and s.N == 10
 
     def test_deterministic(self):
-        assert sample_srswor(10, 4, 7).selected == sample_srswor(10, 4, 7).selected
+        a, b = (make_sampler(DesignKind.SRSWOR, N=10, n=4)[0](7) for _ in range(2))
+        assert a.selected == b.selected
 
     def test_invalid_size(self):
         with pytest.raises(InvalidSizeError, match="invalid size"):
-            sample_srswor(3, 4, 0)
+            make_sampler(DesignKind.SRSWOR, N=3, n=4)[0](0)
 
 
 # Seeds where the 32-bit and 64-bit words of a seed change count or
@@ -307,10 +304,10 @@ class TestSeedDomain:
         x = np.array([1.0, 2.0, 3.0, 4.0])
         dist = enumerate_design(DesignKind.GENERALIZED_MIDZUNO, pi=pi_plain)
         calls = [
-            lambda seed: sample_srswor(4, 2, seed),
-            lambda seed: sample_chao(pi_plain, x, seed),
-            lambda seed: sample_tille(pi_plain, x, seed),
-            lambda seed: sample_midzuno(pi_plain, seed),
+            make_sampler(DesignKind.SRSWOR, N=4, n=2)[0],
+            make_sampler(DesignKind.CHAO, pi=pi_plain, x=x)[0],
+            make_sampler(DesignKind.TILLE_ELIMINATION, pi=pi_plain, x=x)[0],
+            make_sampler(DesignKind.GENERALIZED_MIDZUNO, pi=pi_plain)[0],
             lambda seed: sample_brewer(pi_plain, seed),
             lambda seed: sample_brewer(pi_plain, seed, trace="realized")[0],
             lambda seed: Sample(draw_by_draw_from_distribution(dist, seed).selected, 4),
@@ -337,14 +334,15 @@ def pi_capped():
 class TestChao:
     def test_fixed_size_and_determinism(self, pi_plain):
         x = np.array([1.0, 2.0, 3.0, 4.0])
-        a = sample_chao(pi_plain, x, rng_seed=5)
-        b = sample_chao(pi_plain, x, rng_seed=5)
+        kind = DesignKind.CHAO
+        a, b = (make_sampler(kind, pi=pi_plain, x=x)[0](5) for _ in range(2))
         assert a.selected == b.selected and a.size == 2
 
     def test_certainty_unit_always_sampled(self, pi_capped):
         x = np.array([1.0, 1.0, 1.0, 10.0])
+        draw = make_sampler(DesignKind.CHAO, pi=pi_capped, x=x)[0]
         for seed in range(40):
-            assert 3 in sample_chao(pi_capped, x, rng_seed=seed).selected
+            assert 3 in draw(seed).selected
 
     def test_stream_order_is_a_relabeling(self):
         # Chao streams the population in order; another stream order is
@@ -365,13 +363,15 @@ class TestChao:
         gap = sum(abs(p - plain.support.get(s, 0.0)) for s, p in relabeled.items())
         assert gap > 1e-3
         pi = compute_pips(x[order], 3)
+        draw = make_sampler(DesignKind.CHAO, pi=pi, x=x[order])[0]
         for seed in range(40):
-            s = sample_chao(pi, x[order], rng_seed=seed).selected
+            s = draw(seed).selected
             assert tuple(sorted(order[list(s)].tolist())) in relabeled
 
     def test_pi_must_match_x(self, pi_plain):
+        x = np.array([4.0, 3.0, 2.0, 1.0])
         with pytest.raises(InvalidInputError, match="capped"):
-            sample_chao(pi_plain, np.array([4.0, 3.0, 2.0, 1.0]), rng_seed=0)
+            make_sampler(DesignKind.CHAO, pi=pi_plain, x=x)[0](0)
 
     def test_plan_ladder_shapes(self):
         x = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
@@ -389,14 +389,16 @@ class TestChao:
 class TestTille:
     def test_fixed_size_and_determinism(self, pi_plain):
         x = np.array([1.0, 2.0, 3.0, 4.0])
-        a = sample_tille(pi_plain, x, rng_seed=5)
-        assert a.selected == sample_tille(pi_plain, x, rng_seed=5).selected
+        kind = DesignKind.TILLE_ELIMINATION
+        a, b = (make_sampler(kind, pi=pi_plain, x=x)[0](5) for _ in range(2))
+        assert a.selected == b.selected
         assert a.size == 2
 
     def test_certainty_unit_always_sampled(self, pi_capped):
         x = np.array([1.0, 1.0, 1.0, 10.0])
+        draw = make_sampler(DesignKind.TILLE_ELIMINATION, pi=pi_capped, x=x)[0]
         for seed in range(40):
-            assert 3 in sample_tille(pi_capped, x, rng_seed=seed).selected
+            assert 3 in draw(seed).selected
 
     def test_elimination_plan_shape(self):
         x = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
@@ -412,23 +414,26 @@ class TestTille:
         plan = tille_plan(np.array([1.0, 2.0]), 2)
         assert plan.steps == 0
         pi = compute_pips(np.array([1.0, 2.0]), 2)
-        assert sample_tille(pi, np.array([1.0, 2.0]), rng_seed=0).selected == (0, 1)
+        draw = make_sampler(DesignKind.TILLE_ELIMINATION, pi=pi, x=[1.0, 2.0])[0]
+        assert draw(0).selected == (0, 1)
 
 
 class TestMidzuno:
     def test_fixed_size_and_determinism(self, pi_plain):
-        a = sample_midzuno(pi_plain, rng_seed=5)
-        assert a.selected == sample_midzuno(pi_plain, rng_seed=5).selected
+        kind = DesignKind.GENERALIZED_MIDZUNO
+        a, b = (make_sampler(kind, pi=pi_plain)[0](5) for _ in range(2))
+        assert a.selected == b.selected
         assert a.size == 2
 
     def test_certainty_units_preselected(self, pi_capped):
+        draw = make_sampler(DesignKind.GENERALIZED_MIDZUNO, pi=pi_capped)[0]
         for seed in range(40):
-            assert 3 in sample_midzuno(pi_capped, rng_seed=seed).selected
+            assert 3 in draw(seed).selected
 
     def test_all_active_selected_when_forced(self):
         # pi = [1, 1, 0.5, 0.5] with n = 3: one free slot for two units.
         pi = compute_pips(np.array([10.0, 10.0, 1.0, 1.0]), 3)
-        s = sample_midzuno(pi, rng_seed=1)
+        s = make_sampler(DesignKind.GENERALIZED_MIDZUNO, pi=pi)[0](1)
         assert {0, 1}.issubset(s.selected) and s.size == 3
 
     def test_selection_plan_shape(self, pi_plain):
@@ -473,6 +478,25 @@ class TestBrewer:
         # Traces share the kept plan's arrays, which are read-only.
         _, tr = sample_brewer(pis[0], 0, trace="realized")
         assert not tr.steps.p.flags.writeable and not tr.steps.units.flags.writeable
+
+    def test_plan_built_once_per_pi(self, monkeypatch):
+        # Plain and traced draws read one kept plan: on a fresh pi, two
+        # plain draws and a traced one build it once.
+        pi = compute_pips(np.arange(1.0, 9.0), 3)
+        built = []
+
+        def counted(pi_vec):
+            built.append(pi_vec)
+            return brewer_plan(pi_vec)
+
+        designs._last_plan.cache_clear()
+        monkeypatch.setattr(designs, "brewer_plan", counted)
+        plain = [sample_brewer(pi, seed) for seed in (1, 2)]
+        traced, _ = sample_brewer(pi, 1, trace="realized")
+        assert len(built) == 1
+        assert traced == plain[0]
+        draw, _ = make_sampler(DesignKind.BREWER, pi=pi)
+        assert plain == [draw(1), draw(2)]
 
     @pytest.mark.parametrize("gap, certain", [(1e-13, [0]), (1e-10, [])])
     def test_certain_within_the_package_tolerance(self, gap, certain):
@@ -524,18 +548,10 @@ class TestBrewer:
 
 class TestMakeSampler:
     def test_matches_direct_calls(self, pi_plain):
-        x = np.array([1.0, 2.0, 3.0, 4.0])
-        pairs = [
-            (DesignKind.CHAO, lambda seed: sample_chao(pi_plain, x, seed)),
-            (DesignKind.TILLE_ELIMINATION, lambda seed: sample_tille(pi_plain, x, seed)),
-            (DesignKind.GENERALIZED_MIDZUNO, lambda seed: sample_midzuno(pi_plain, seed)),
-            (DesignKind.BREWER, lambda seed: sample_brewer(pi_plain, seed)),
-        ]
-        for kind, direct in pairs:
-            draw, pi = make_sampler(kind, pi=pi_plain, x=x)
-            assert np.allclose(pi.pi, pi_plain.pi)
-            for seed in range(10):
-                assert draw(seed).selected == direct(seed).selected, kind
+        draw, pi = make_sampler(DesignKind.BREWER, pi=pi_plain)
+        assert np.allclose(pi.pi, pi_plain.pi)
+        for seed in range(10):
+            assert draw(seed).selected == sample_brewer(pi_plain, seed).selected
 
     def test_derives_pi_from_x(self):
         x = np.array([1.0, 2.0, 3.0, 4.0])
@@ -546,7 +562,7 @@ class TestMakeSampler:
     def test_srswor_from_N(self):
         draw, pi = make_sampler(DesignKind.SRSWOR, N=6, n=2)
         assert pi.is_equal_probability()
-        assert draw(3).selected == sample_srswor(6, 2, 3).selected
+        assert draw(3).selected == tuple(draw.rows([3])[0].tolist())
 
     @pytest.mark.parametrize("kind", list(DesignKind), ids=lambda k: k.value)
     def test_empty_batch(self, kind):
@@ -584,6 +600,23 @@ class TestMakeSampler:
             estimate_tail(kind, y=np.ones(6), eps_grid=[0.1], replicates=10, pi=pi, x=x)
         with pytest.raises(InvalidInputError, match=match):
             enumerate_design(kind, x=x, pi=pi)
+
+    @pytest.mark.parametrize(
+        "kind", [DesignKind.CHAO, DesignKind.TILLE_ELIMINATION], ids=lambda k: k.value
+    )
+    def test_ladder_keeps_its_own_sizes(self, kind):
+        # A sampler's ladder copies x: reversing the caller's x before the
+        # first draw, or after it, changes no draw.
+        ref, _ = make_sampler(kind, x=np.arange(1.0, 21.0), n=5)
+        seeds = [3, 4, 5]
+        for before in (True, False):
+            x = np.arange(1.0, 21.0)
+            draw, _ = make_sampler(kind, x=x, n=5)
+            if not before:
+                assert draw(3) == ref(3)
+            x[:] = x[::-1]
+            assert draw(3) == ref(3) and draw(4) == ref(4)
+            assert np.array_equal(draw.rows(seeds), ref.rows(seeds))
 
 
 # Reference loops: one replicate at a time, in Python floats, one

@@ -16,7 +16,6 @@ from splitsamp import (
     InclusionProbabilities,
     RepresentationError,
     compute_pips,
-    draw_by_draw_distribution,
     draw_by_draw_from_distribution,
     enumerate_design,
     ht_increments,
@@ -278,45 +277,6 @@ class TestCompactTrace:
 
 
 class TestDrawByDraw:
-    def test_srswor_distribution_reproduced(self):
-        d = enumerate_design(DesignKind.SRSWOR, N=4, n=2)
-        dd = draw_by_draw_distribution(d)
-        assert d.tv_distance(dd) <= 1e-12
-
-    def test_unequal_distribution_reproduced(self):
-        x = np.array([1.0, 2.0, 3.0, 4.0])
-        pi = compute_pips(x, 2)
-        d = enumerate_design(DesignKind.TILLE_ELIMINATION, x=x, pi=pi, n=2)
-        dd = draw_by_draw_distribution(d)
-        assert d.tv_distance(dd) <= 1e-12
-
-    def test_ten_unit_distribution_reproduced(self):
-        x = np.array([3.0, 1.0, 4.0, 1.5, 5.0, 9.0, 2.0, 6.0, 5.5, 3.5])
-        pi = compute_pips(x, 4)
-        d = enumerate_design(DesignKind.CHAO, x=x, pi=pi)
-        dd = draw_by_draw_distribution(d)
-        assert len(dd.support) == len(d.support)
-        assert d.tv_distance(dd) <= 1e-12
-
-    def test_random_distribution_reproduced(self):
-        # Dirichlet(0.5) masses on a seeded half of the 4-of-9 subsets,
-        # no design's law: the representation holds for every fixed-size
-        # distribution.
-        from itertools import combinations
-
-        from splitsamp import ExactDesignDistribution
-
-        rng = np.random.default_rng(9)
-        subsets = list(combinations(range(9), 4))
-        keep = rng.permutation(len(subsets))[: len(subsets) // 2]
-        masses = rng.dirichlet(np.full(keep.size, 0.5))
-        d = ExactDesignDistribution.from_support(
-            support={subsets[i]: m for i, m in zip(keep, masses)}, N=9, n=4
-        )
-        dd = draw_by_draw_distribution(d)
-        assert set(dd.support) == set(d.support)
-        assert d.tv_distance(dd) <= 1e-12
-
     def test_first_step_weights_are_pi_over_n(self):
         d = enumerate_design(DesignKind.SRSWOR, N=3, n=2)
         tr = draw_by_draw_from_distribution(d, rng_seed=0)
@@ -376,7 +336,7 @@ class TestDrawByDraw:
             support={tuple(range(21)): 1.0}, N=21, n=21
         )
         with pytest.raises(InvalidInputError, match="N <= 20"):
-            draw_by_draw_distribution(census)
+            draw_by_draw_from_distribution(census, rng_seed=0)
 
 
 def branches(levels, t):
