@@ -22,9 +22,9 @@ arrival is such a step, in which the arrival or one reservoir unit
 leaves, and its stream is the population in order.  A step's law
 depends only on the ladder, so it is built and checked on the ladder's
 first draw and kept (``Ladder.law``): one cumulative sum per distinct
-count of units crossing the cap at a step.  Every step's pick is then
-found before the walk, in array passes whose number does not grow with
-the steps, one bisection over all picks of a crossing unit among them.
+count of units crossing the cap at a step.  A batch is step-major, a
+row per step of its uniforms and picks and per slot of its pool: its
+picks come first, in place, and a walk step is one append and one put.
 
 Brewer's plan is one cumulative sum of the probabilities.  A step
 proposes from it and accepts by rejection; when that would take more
@@ -37,7 +37,7 @@ Each procedure's step is written once, over a batch of replicates: all
 rows take a step together as one array operation, and each row draws
 its uniforms from its own seed's stream.  A stream is counter-based
 (SplitMix64 over a key hashed from the seed), so any block of any rows'
-streams is one array pass, and SRSWOR keeps the n units with the
+streams is a few array passes, and SRSWOR keeps the n units with the
 smallest of N uniforms.  A single draw runs the same law for one
 row in Python: Brewer's picks in Python floats, the ladder designs' pool
 over a Python list, which keeps only what the design returns (the
@@ -232,20 +232,33 @@ def _keys(seeds: Sequence[int]) -> np.ndarray:
     return np.array([_key(s) for s in seeds], dtype=np.uint64)
 
 
+# Cells per band in ``_uniforms`` and ``_srswor_rows``: a band's temporaries
+# reuse freed memory, where chunk-sized ones take fresh pages every chunk.
+_STREAM_CELLS = 1 << 15
+
+
 def _uniforms(seeds: Sequence[int], count: int, start: int = 0) -> np.ndarray:
     """Row r: uniforms ``start`` to ``start + count - 1`` of seed r's
-    stream, computed in place on one uint64 block."""
+    stream, computed a band at a time on one step-major uint64 block,
+    count x R, whose transpose is returned: ``.T`` is the block itself."""
     keys = _keys(seeds)
-    z = np.arange(start + 1, start + count + 1, dtype=np.uint64) * GOLDEN
-    z = _mix(keys[:, None] + z)
-    z >>= 11
-    return np.multiply(z, 2.0**-53, out=z.view(np.float64))
+    z = keys + np.arange(start + 1, start + count + 1, dtype=np.uint64)[:, None] * GOLDEN
+    band = max(1, _STREAM_CELLS // max(1, keys.size))
+    for lo in range(0, count, band):
+        b = z[lo : lo + band]
+        np.multiply(_mix(b) >> 11, 2.0**-53, out=b.view(np.float64))
+    return z.view(np.float64).T
 
 
 def _srswor_rows(N: int, n: int, seeds: Sequence[int]) -> np.ndarray:
     """Each row's units with the n smallest of its first N uniforms: a
     uniform n-subset, up to ties of probability about N**2 2**-54."""
-    return np.argpartition(_uniforms(seeds, N), n - 1, axis=1)[:, :n]
+    u = _uniforms(seeds, N)
+    rows = np.empty((len(u), n), dtype=np.intp)
+    band = max(1, _STREAM_CELLS // N)
+    for lo in range(0, len(u), band):
+        rows[lo : lo + band] = np.argpartition(u[lo : lo + band], n - 1, axis=1)[:, :n]
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -261,10 +274,9 @@ class StepLaw:
     both clamped at 0.  ``cum`` holds each step's cumulative crossing
     weights, in ``cross``'s layout; ``mass[j]`` is the last of them
     (0 when no unit crosses) and ``total[j] = mass[j] + count[j] r[j]``.
-    ``single`` and ``multi`` are the steps where one unit and several
-    units cross, and ``bits`` is the bit length of the largest crossing
-    count.  ``fault`` is the first contract breach found, as (step,
-    message), or None.
+    ``multi`` are the steps where several units cross, and ``bits`` is
+    the bit length of the largest crossing count.  ``fault`` is the
+    first contract breach found, as (step, message), or None.
     """
 
     count: np.ndarray
@@ -272,7 +284,6 @@ class StepLaw:
     mass: np.ndarray
     total: np.ndarray
     r: np.ndarray
-    single: np.ndarray
     multi: np.ndarray
     bits: int
     fault: tuple[int, str] | None
@@ -365,7 +376,6 @@ class Ladder:
             mass=mass,
             total=total,
             r=r,
-            single=np.flatnonzero(m == 1),
             multi=np.flatnonzero(m > 1),
             bits=int(m.max(initial=0)).bit_length(),
             fault=fault,
@@ -405,48 +415,47 @@ def _elimination_ladder(x: np.ndarray, n: int) -> Ladder:
 def _picks(
     ladder: Ladder, u: np.ndarray, context: Callable[[int], str]
 ) -> np.ndarray:
-    """Turn each row's uniform for step j, ``u[:, j]``, into its pick: a
-    position in the step's extended pool, where the ``count[j]`` live
+    """Turn a step-major block of uniforms, ``u[j]`` holding every row's
+    uniform for step j, into picks written over it in the same layout:
+    positions in the step's extended pool, where the ``count[j]`` live
     uncapped units (the pool) sit at 0..count[j]-1 and the units
-    crossing the cap follow at count[j] + k.  A ladder whose law breaks
+    crossing the cap follow at count[j] + k; a lone crossing unit is -1,
+    the last, as Python and numpy index it.  A ladder whose law breaks
     the contract raises on every call, naming the step by ``context``.
 
     With the step's total T and crossing mass M (``Ladder.law``), u picks
     a crossing unit by inverse CDF when u T falls below M, else pool
     index floor((u T - M) / r).  Only these per-uniform passes run per
-    call: the inverse CDF of every (row, step) pair that picks a
-    crossing unit is one bisection over all of them, in as many rounds
-    as the largest crossing count has bits, and its picks are those of
-    a ``searchsorted(side="right")`` of that step alone.
+    call, in place: the inverse CDF of every pick among several crossing
+    units is one bisection over all of them, in as many rounds as the
+    largest crossing count has bits, and its picks are those of a
+    ``searchsorted(side="right")`` of that step alone.
     """
     law = ladder.law
     if law.fault is not None:
         step, message = law.fault
         raise ContractViolationError(f"{context(step)}: {message}")
-    count, mass, r = law.count, law.mass, law.r
-    v = u * law.total
-    pooled = r > 0.0
-    q = (v - mass) / np.where(pooled, r, 1.0)
-    pos = np.minimum(q, count - 1).astype(np.intp)
-    # A lone crossing unit is picked when u T falls below its weight.
-    single = law.single
-    lone = (v[:, single] < mass[single]) | ~pooled[single]
-    pos[:, single] = np.where(lone, count[single], pos[:, single])
-    # Where several cross, a row picks one when u T falls below their
-    # mass or the step has no pool: the k-th, k the count of cumulative
-    # weights at most u T, found by binary lifting over the step's
-    # slice of cum.
-    multi = law.multi
-    rows, col = np.nonzero((v[:, multi] < mass[multi]) | ~pooled[multi])
-    j = multi[col]
-    target, base = v[rows, j], ladder.cross_at[j]
+    count, multi, r = law.count, law.multi, law.r
+    q = np.multiply(u, law.total[:, None], out=u)
+    target = q[multi]
+    q -= law.mass[:, None]
+    q /= np.where(r > 0.0, r, 1.0)[:, None]
+    # u T below the crossing mass, or a step without pool weight, gives
+    # q < 0, which the clip and floor turn into -1.
+    np.clip(q, -1, count[:, None] - 1, out=q)
+    pos = np.floor(q, out=q.view(np.intp), casting="unsafe")
+    # Where several cross, the k-th, k the count of cumulative weights at
+    # most u T, found by binary lifting over the step's slice of cum.
+    at, rows = np.nonzero(pos[multi] < 0)
+    j, target = multi[at], target[at, rows]
+    base = ladder.cross_at[j]
     mj = ladder.cross_at[j + 1] - base
     k = np.zeros(j.size, dtype=np.intp)
     for b in reversed(range(law.bits)):
         nxt = k + (1 << b)
         below = law.cum[base + np.minimum(nxt, mj) - 1] <= target
         k = np.where((nxt <= mj) & below, nxt, k)
-    pos[rows, j] = count[j] + np.minimum(k, mj - 1)
+    pos[j, rows] = count[j] + np.minimum(k, mj - 1)
     return pos
 
 
@@ -454,60 +463,57 @@ def _eliminate(
     ladder: Ladder,
     seeds: Sequence[int],
     context: Callable[[int], str],
-    survivors: bool,
+    survivors: bool = True,
 ) -> np.ndarray:
     """Walk an elimination ladder down, one unit leaving per step and
     row, all rows in lockstep with one uniform per step.
 
     Each row keeps its live uncapped units in a pool.  ``_picks`` turns
-    every row's uniforms into pool positions for all steps at once; the
-    walk then appends the units that cross the cap at a step and
-    swap-removes the picked unit, O(1) per row beyond the appends; one
-    row alone walks a Python list.  Returns each row's uncapped
-    survivors if ``survivors``, else its picked units, one column per
-    step; the walk keeps only what it returns.
+    the step-major block of every row's uniforms into pool positions for
+    all steps at once.  A batch's pool is slot-major, so a step appends
+    its crossing units as whole slots and swap-removes each row's pick
+    by one put at the flat indices pos R + row; one row alone walks a
+    Python list.  Returns each row's survivors (uncapped, then still
+    capped) if ``survivors``, else its picked units, one per step.
     """
-    R, steps = len(seeds), ladder.steps
-    pos = _picks(ladder, _uniforms(seeds, steps), context)
+    R, steps, N = len(seeds), ladder.steps, ladder.N
+    pos = _picks(ladder, _uniforms(seeds, steps).T, context)
     at = ladder.cross_at.tolist()
     if R == 1:
         cross = ladder.cross.tolist()
         line: list[int] = []
         if survivors:
-            for p, lo, hi in zip(pos[0].tolist(), at, at[1:]):
+            for p, lo, hi in zip(pos[:, 0].tolist(), at, at[1:]):
                 line += cross[lo:hi]
                 line[p] = line[-1]
                 line.pop()
-            return np.array([line], dtype=np.intp)
+            return np.array([line + cross[at[-1] :]], dtype=np.intp)
         gone = []
-        for p, lo, hi in zip(pos[0].tolist(), at, at[1:]):
+        for p, lo, hi in zip(pos[:, 0].tolist(), at, at[1:]):
             line += cross[lo:hi]
             gone.append(line[p])
             line[p] = line[-1]
             line.pop()
         return np.array([gone], dtype=np.intp)
-    rows = np.arange(R)
-    pool = np.empty((R, at[-1]), dtype=np.intp)
-    picked = np.empty((R, 0 if survivors else steps), dtype=np.intp)
+    pool = np.empty((N, R), dtype=np.intp)
+    flat = pool.reshape(-1)
+    pos *= R
+    pos += np.arange(R)
+    picked = np.empty((0 if survivors else steps, R), dtype=np.intp)
     for j in range(steps):
         lo, hi = at[j], at[j + 1]
         if hi > lo:
-            pool[:, lo - j : hi - j] = ladder.cross[lo:hi]
-        p = pos[:, j]
+            pool[lo - j : hi - j] = ladder.cross[lo:hi, None]
+        # The step's extended pool, whose last slot a pick -1 reads.
+        live = flat[: (hi - j) * R]
         if not survivors:
-            picked[:, j] = pool[rows, p]
-        pool[rows, p] = pool[:, hi - j - 1]
-    return pool[:, : at[-1] - steps] if survivors else picked
-
-
-def _survivors(
-    ladder: Ladder, seeds: Sequence[int], context: Callable[[int], str]
-) -> np.ndarray:
-    """Each row's units left at the last rung of ``_eliminate``: its
-    uncapped survivors, then the units still capped there."""
-    kept = _eliminate(ladder, seeds, context, survivors=True)
-    capped = np.tile(ladder.cross[ladder.cross_at[-1] :], (len(seeds), 1))
-    return np.hstack([kept, capped])
+            picked[j] = live[pos[j]]
+        live[pos[j]] = pool[hi - j - 1]
+    if not survivors:
+        return picked.T
+    pool[at[-1] - steps : N - steps] = ladder.cross[at[-1] :, None]
+    # Row-major: numpy sums a strided row in another order.
+    return np.ascontiguousarray(pool[: N - steps].T)
 
 
 # ---------------------------------------------------------------------------
@@ -1112,16 +1118,18 @@ def make_sampler(
     pi = target_pi(kind, pi, x, n, N)
     if kind is DesignKind.SRSWOR:
         return Sampler(pi.N, partial(_srswor_rows, pi.N, pi.n)), pi
+    if kind in (DesignKind.CHAO, DesignKind.TILLE_ELIMINATION) and x is None:
+        raise InvalidInputError(f"{kind.value} needs the size vector x")
     if kind is DesignKind.CHAO:
-        ladder = chao_plan(sizes_giving(kind, pi, x), pi.n)
+        ladder = chao_plan(x, pi.n)
         rows = partial(
-            _survivors, ladder, context=lambda j: f"chao step t={pi.n + 1 + j}"
+            _eliminate, ladder, context=lambda j: f"chao step t={pi.n + 1 + j}"
         )
         return Sampler(pi.N, rows), pi
     if kind is DesignKind.TILLE_ELIMINATION:
-        ladder = tille_plan(sizes_giving(kind, pi, x), pi.n)
+        ladder = tille_plan(x, pi.n)
         rows = partial(
-            _survivors, ladder, context=lambda j: f"tille step i={pi.N - 1 - j}"
+            _eliminate, ladder, context=lambda j: f"tille step i={pi.N - 1 - j}"
         )
         return Sampler(pi.N, rows), pi
     if kind is DesignKind.GENERALIZED_MIDZUNO:
@@ -1136,7 +1144,10 @@ def target_pi(
 ) -> InclusionProbabilities:
     """The inclusion probabilities a design runs on: ``pi``, else n/N per
     unit for SRSWOR and ``compute_pips(x, n)`` for the other designs.  A
-    given ``n`` or ``N`` must agree with them."""
+    given ``n`` or ``N`` must agree with them.  Chao and Tille draw from
+    x, so a given pi must be what x gives, ``compute_pips(x, n)``, or
+    they would silently sample another one; a pi derived from x here is
+    not checked again."""
     if pi is None and kind is DesignKind.SRSWOR:
         if N is None or n is None:
             raise InvalidInputError("srswor needs N and n (or pi)")
@@ -1145,25 +1156,14 @@ def target_pi(
         if x is None or n is None:
             raise InvalidInputError(f"{kind.value} needs pi, or x and n")
         pi = compute_pips(np.asarray(x, dtype=float), int(n))
+    elif kind in (DesignKind.CHAO, DesignKind.TILLE_ELIMINATION) and x is not None:
+        x = np.asarray(x, dtype=float)
+        if x.size != pi.N:
+            raise InvalidInputError("x and pi must have equal length")
+        if float(np.max(np.abs(compute_pips(x, pi.n).pi - pi.pi))) > PROB_SUM_TOL:
+            raise InvalidInputError(
+                "pi does not match the capped size shares of x at size n"
+            )
     if n not in (None, pi.n) or N not in (None, pi.N):
         raise InvalidInputError(f"pi has n={pi.n}, N={pi.N}, not n={n}, N={N}")
     return pi
-
-
-def sizes_giving(
-    kind: DesignKind, pi: InclusionProbabilities, x: np.ndarray | None
-) -> np.ndarray:
-    """The sizes a size-driven design (Chao, Tille) draws with, checked
-    against the pi its caller expands with: they must give that pi as
-    ``compute_pips(x, n)``, or the design would silently sample another
-    one."""
-    if x is None:
-        raise InvalidInputError(f"{kind.value} needs the size vector x")
-    x = np.asarray(x, dtype=float)
-    if x.size != pi.N:
-        raise InvalidInputError("x and pi must have equal length")
-    if float(np.max(np.abs(compute_pips(x, pi.n).pi - pi.pi))) > PROB_SUM_TOL:
-        raise InvalidInputError(
-            "pi does not match the capped size shares of x at size n"
-        )
-    return x

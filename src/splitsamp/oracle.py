@@ -35,7 +35,6 @@ from .designs import (
     _check_sum,
     chao_plan,
     midzuno_plan,
-    sizes_giving,
     target_pi,
     tille_plan,
 )
@@ -83,8 +82,8 @@ def enumerate_design(
     EnumerationBudgetError when the enumeration needs more than
     ``max_branches`` transitions (for SRSWOR, samples), and
     InvalidInputError for populations larger than ``MAX_ENUM_N``, for an
-    ``n`` or ``N`` that the pi does not have (see ``target_pi``) and for
-    an SRSWOR pi that is not n/N for every unit.
+    ``n``, ``N`` or ``x`` that does not give the pi (see ``target_pi``)
+    and for an SRSWOR pi that is not n/N for every unit.
     """
     # Checked before target_pi, so that a huge SRSWOR N allocates nothing.
     size = pi.N if pi is not None else N if N is not None else np.size(x)
@@ -96,8 +95,6 @@ def enumerate_design(
     N, n = pi.N, pi.n
     if kind is DesignKind.SRSWOR and not pi.is_equal_probability():
         raise InvalidInputError("srswor needs pi = n/N for every unit")
-    if kind in (DesignKind.CHAO, DesignKind.TILLE_ELIMINATION) and x is not None:
-        sizes_giving(kind, pi, x)
     source = f"{kind.value}(N={N},n={n})"
     if kind is DesignKind.SRSWOR:
         count = math.comb(N, n)

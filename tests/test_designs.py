@@ -193,6 +193,31 @@ class TestStreams:
             block = _uniforms(np.array(seeds, dtype=np.uint64), count, start)
             assert np.array_equal(block, _uniforms(seeds, count, start)), start
 
+    def test_ladder_reads_the_step_major_block(self, monkeypatch):
+        # The ladder kernel reads one contiguous steps x R block: the
+        # row-major _uniforms block transposed, bit for bit, and the
+        # pure-Python stream of each edge seed.
+        blocks = []
+        picks = designs._picks
+
+        def capture(ladder, u, context):
+            blocks.append(u.copy())
+            return picks(ladder, u, context)
+
+        monkeypatch.setattr(designs, "_picks", capture)
+        ladder = tille_plan(*CRITERION_05_X)
+        below = [s for s in self.SEEDS if s < 2**64][:655]
+        cases = (EDGE_SEEDS, self.SEEDS[:655], np.array(below, dtype=np.uint64))
+        for seeds in cases:
+            designs._eliminate(ladder, seeds, str, survivors=True)
+        assert len(blocks) == len(cases)
+        for seeds, u in zip(cases, blocks):
+            assert u.flags.c_contiguous and u.shape == (ladder.steps, len(seeds))
+            rows = np.ascontiguousarray(_uniforms(seeds, ladder.steps))
+            assert np.array_equal(u.view(np.uint64), rows.T.view(np.uint64))
+        for r, seed in enumerate(EDGE_SEEDS):
+            assert blocks[0][:, r].tolist() == reference_uniforms(seed, ladder.steps), seed
+
     @pytest.mark.parametrize("kind", list(DesignKind), ids=lambda k: k.value)
     @pytest.mark.parametrize("x, n", [(X_CERTAIN, 4), (EXPONENTIAL_X, 10)],
                              ids=["certain", "exponential"])
@@ -604,6 +629,31 @@ class TestMakeSampler:
     @pytest.mark.parametrize(
         "kind", [DesignKind.CHAO, DesignKind.TILLE_ELIMINATION], ids=lambda k: k.value
     )
+    def test_pi_from_x_is_computed_once(self, kind, monkeypatch):
+        # A pi derived from x is not checked against x again; a given pi
+        # is, once.
+        x = np.arange(1.0, 7.0)
+        pi = compute_pips(x, 3)
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return compute_pips(*args)
+
+        monkeypatch.setattr(designs, "compute_pips", counting)
+        for build in (
+            lambda: make_sampler(kind, x=x, n=3),
+            lambda: make_sampler(kind, pi=pi, x=x),
+            lambda: enumerate_design(kind, x=x, n=3),
+            lambda: enumerate_design(kind, pi=pi, x=x),
+        ):
+            calls.clear()
+            build()
+            assert len(calls) == 1
+
+    @pytest.mark.parametrize(
+        "kind", [DesignKind.CHAO, DesignKind.TILLE_ELIMINATION], ids=lambda k: k.value
+    )
     def test_ladder_keeps_its_own_sizes(self, kind):
         # A sampler's ladder copies x: reversing the caller's x before the
         # first draw, or after it, changes no draw.
@@ -854,11 +904,12 @@ class TestLockstepMatchesReferenceLoops:
         grid = np.linspace(0.0, 1.0, 64, endpoint=False)
         u = np.unique(np.r_[grid, ties, 1 - 2**-53])
         u = u[u < 1.0]
-        pos = designs._picks(ladder, np.tile(u[:, None], (1, 3)), str)
+        # The block is step-major: column i holds uniform i at every step.
+        pos = designs._picks(ladder, np.tile(u, (3, 1)), str)
         for i, v in enumerate(u.tolist()):
             pools = ([0] * int(c) for c in count)
             expect = [reference_step(v, p, *step) for p, step in zip(pools, steps)]
-            assert pos[i].tolist() == expect, v
+            assert pos[:, i].tolist() == expect, v
         # The picked units, then the survivors.
         seeds = list(range(300))
         rows = [designs._eliminate(ladder, seeds, str, kept) for kept in (False, True)]

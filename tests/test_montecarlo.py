@@ -2,6 +2,7 @@
 
 import collections
 import dataclasses
+import hashlib
 import warnings
 
 import numpy as np
@@ -347,6 +348,55 @@ class TestLockstepReplicates:
             for r in range(replicates)
         ])
         assert np.array_equal(tail.errors, expect)
+
+    @pytest.mark.parametrize(
+        "kind, prefix",
+        [
+            (DesignKind.CHAO, "a137f0e9a990c743"),
+            (DesignKind.TILLE_ELIMINATION, "5e41ad2f87456d37"),
+            (DesignKind.GENERALIZED_MIDZUNO, "b2702ec47472270e"),
+        ],
+        ids=["chao", "tille", "midzuno"],
+    )
+    def test_criterion_05_chunks_keep_their_samples(self, kind, prefix):
+        # Two full 655-row chunks on criterion 05's frame: any change to
+        # which seed draws which sample changes the errors' hash.
+        rng = np.random.default_rng(20260819)
+        x = rng.uniform(1.0, 2.0, size=200)
+        y = rng.uniform(0.0, 1.0, size=200)
+        tail = estimate_tail(
+            kind, y=y, eps_grid=np.linspace(0.025, 0.5, 20), replicates=1310,
+            master_seed=5, x=x, n=40,
+        )
+        assert hashlib.sha256(tail.errors.tobytes()).hexdigest().startswith(prefix)
+
+    @pytest.mark.parametrize(
+        "kind, build, step",
+        [
+            (DesignKind.TILLE_ELIMINATION, "tille_plan", "i=199"),
+            (DesignKind.CHAO, "chao_plan", "t=41"),
+            (DesignKind.GENERALIZED_MIDZUNO, "midzuno_plan", "1"),
+        ],
+        ids=["tille", "chao", "midzuno"],
+    )
+    def test_corrupted_plan_rejected_in_a_chunk(self, monkeypatch, kind, build, step):
+        # lam scaled down by 1% on criterion 05's frame: the first step's
+        # weights sum above 1, and a 655-row batch names that step.
+        original = getattr(designs, build)
+
+        def corrupted(*args, **kwargs):
+            plan = original(*args, **kwargs)
+            if isinstance(plan, designs.Ladder):
+                return dataclasses.replace(plan, lam=plan.lam * 0.99)
+            ladder = dataclasses.replace(plan.ladder, lam=plan.ladder.lam * 0.99)
+            return dataclasses.replace(plan, ladder=ladder)
+
+        monkeypatch.setattr(designs, build, corrupted)
+        x = np.random.default_rng(20260819).uniform(1.0, 2.0, size=200)
+        draw, _ = make_sampler(kind, x=x, n=40)
+        match = f"{kind.value} step {step}: probabilities sum to"
+        with pytest.raises(ContractViolationError, match=match):
+            draw.rows(montecarlo._chunk_seeds(5, 0, 655))
 
     @pytest.mark.parametrize(
         "kind, build",
