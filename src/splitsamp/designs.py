@@ -40,12 +40,16 @@ its uniforms from its own seed's stream.  A stream is counter-based
 streams is a few array passes, and SRSWOR keeps the n units with the
 smallest of N uniforms.  A single draw runs the same law for one
 row in Python: Brewer's picks in Python floats, the ladder designs' pool
-over a Python list, which keeps only what the design returns (the
-survivors for Chao and Tille, the picked units for Midzuno).
+as a Python list, which keeps only what the design returns (the
+survivors for Chao and Tille, the picked units for Midzuno).  Its walk
+reads the ladder's crossing units as tuples kept per step
+(``Ladder.segments``), built on the ladder's first single draw, so a
+draw pays only for its uniforms, its picks and the walk.
 
 Every design draws through ``make_sampler``, which builds its plan
-once.  ``sample_brewer`` adds Brewer's traced draw; its plain and traced
-paths read one kept plan, that of the last pi drawn.
+once.  ``sample_brewer`` adds Brewer's traced draw.  Brewer's sampler
+and both paths of ``sample_brewer`` read one kept plan, that of the last
+pi planned.
 """
 
 from __future__ import annotations
@@ -99,12 +103,21 @@ class Sample:
     N: int
 
     def __post_init__(self) -> None:
-        sel = tuple(sorted(int(k) for k in self.selected))
-        if len(set(sel)) != len(sel):
+        # One int array, sorted: repeats are adjacent and the range is
+        # its two ends.
+        try:
+            sel = np.asarray(self.selected, dtype=np.intp)
+        except OverflowError:
+            raise InvalidInputError("sample index out of range") from None
+        if sel.ndim != 1:
+            raise InvalidInputError("sample must be one sequence of unit indices")
+        sel = np.sort(sel)
+        if np.count_nonzero(sel[1:] == sel[:-1]):
             raise InvalidInputError("sample contains repeated indices")
-        if sel and (sel[0] < 0 or sel[-1] >= self.N):
+        units = tuple(sel.tolist())
+        if units and (units[0] < 0 or units[-1] >= self.N):
             raise InvalidInputError("sample index out of range")
-        object.__setattr__(self, "selected", sel)
+        object.__setattr__(self, "selected", units)
 
     @property
     def size(self) -> int:
@@ -134,13 +147,14 @@ class Sampler:
     draw_rows: Callable[[Sequence[int]], np.ndarray]
 
     def __call__(self, seed: int) -> Sample:
-        # Sample sorts again, but a sorted row takes Timsort one pass; an
-        # unsorted row costs more there than np.sort does here.
-        return Sample(selected=self.rows([seed])[0].tolist(), N=self.N)
+        return Sample(selected=self.rows([seed])[0], N=self.N)
 
     def rows(self, seeds: Sequence[int]) -> np.ndarray:
-        """Samples as an R x n array, each row sorted as in ``Sample``."""
-        return np.sort(self.draw_rows(seeds), axis=1)
+        """Samples as a C-contiguous R x n array, each row sorted as in
+        ``Sample``.  numpy adds up a contiguous row in another order than
+        a strided one, so a tally over these rows does not depend on the
+        layout a kernel returns."""
+        return np.sort(np.ascontiguousarray(self.draw_rows(seeds)), axis=1)
 
 
 def _check_sum(weights: np.ndarray, expected: float, context: str) -> np.ndarray:
@@ -304,7 +318,8 @@ class Ladder:
     set, or crosses the cap, at most once:
     ``cross[cross_at[j]:cross_at[j + 1]]`` are the units that cross at
     step j, and ``cross[cross_at[-1]:]`` are still capped at the last
-    rung.  ``law`` is the law of every step, built on first use.
+    rung.  ``law`` is the law of every step and ``segments`` the same
+    crossings as Python tuples, each built on first use.
     """
 
     x: np.ndarray
@@ -380,6 +395,15 @@ class Ladder:
             bits=int(m.max(initial=0)).bit_length(),
             fault=fault,
         )
+
+    @cached_property
+    def segments(self) -> tuple[tuple[int, ...], ...]:
+        """The units crossing the cap at each step as one tuple per step,
+        ``()`` where none crosses, then the units still capped at the last
+        rung: what a single draw's walk reads, built on its first draw and
+        kept.  A batch reads ``cross`` and ``cross_at`` instead."""
+        cross, at = self.cross.tolist(), self.cross_at.tolist()
+        return tuple(tuple(cross[lo:hi]) for lo, hi in zip(at, at[1:] + [len(cross)]))
 
 
 def _stays_capped(free: float, c: int, size: float, rest: float) -> bool:
@@ -472,29 +496,39 @@ def _eliminate(
     the step-major block of every row's uniforms into pool positions for
     all steps at once.  A batch's pool is slot-major, so a step appends
     its crossing units as whole slots and swap-removes each row's pick
-    by one put at the flat indices pos R + row; one row alone walks a
-    Python list.  Returns each row's survivors (uncapped, then still
-    capped) if ``survivors``, else its picked units, one per step.
+    by one put at the flat indices pos R + row.  One row alone walks a
+    Python list: a step extends it by the step's kept tuple
+    (``Ladder.segments``) when a unit crosses, and swap-removes the pick.
+    Returns each row's survivors (uncapped, then still capped) if
+    ``survivors``, else its picked units, one per step; ``Sampler.rows``
+    makes either row-major.
     """
     R, steps, N = len(seeds), ladder.steps, ladder.N
     pos = _picks(ladder, _uniforms(seeds, steps).T, context)
-    at = ladder.cross_at.tolist()
     if R == 1:
-        cross = ladder.cross.tolist()
+        # The picks run out one segment early: the last one is the units
+        # still capped.
+        segments = ladder.segments
         line: list[int] = []
+        extend, pop = line.extend, line.pop
         if survivors:
-            for p, lo, hi in zip(pos[:, 0].tolist(), at, at[1:]):
-                line += cross[lo:hi]
+            for p, units in zip(pos[:, 0].tolist(), segments):
+                if units:
+                    extend(units)
                 line[p] = line[-1]
-                line.pop()
-            return np.array([line + cross[at[-1] :]], dtype=np.intp)
-        gone = []
-        for p, lo, hi in zip(pos[:, 0].tolist(), at, at[1:]):
-            line += cross[lo:hi]
-            gone.append(line[p])
+                pop()
+            extend(segments[-1])
+            return np.array([line], dtype=np.intp)
+        gone: list[int] = []
+        take = gone.append
+        for p, units in zip(pos[:, 0].tolist(), segments):
+            if units:
+                extend(units)
+            take(line[p])
             line[p] = line[-1]
-            line.pop()
+            pop()
         return np.array([gone], dtype=np.intp)
+    at = ladder.cross_at.tolist()
     pool = np.empty((N, R), dtype=np.intp)
     flat = pool.reshape(-1)
     pos *= R
@@ -512,8 +546,7 @@ def _eliminate(
     if not survivors:
         return picked.T
     pool[at[-1] - steps : N - steps] = ladder.cross[at[-1] :, None]
-    # Row-major: numpy sums a strided row in another order.
-    return np.ascontiguousarray(pool[: N - steps].T)
+    return pool[: N - steps].T
 
 
 # ---------------------------------------------------------------------------
@@ -1062,9 +1095,9 @@ def _selection_weight(q: np.ndarray, r: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=1)
 def _last_plan(key: bytes) -> BrewerPlan:
-    """The plan of the last pi that ``sample_brewer`` drew, keyed on its
-    bytes.  Its traces share ``p`` and ``active``, so those are
-    read-only."""
+    """The plan of the last pi that ``make_sampler`` or ``sample_brewer``
+    planned, keyed on its bytes.  Its samplers and traces share ``p``
+    and ``active``, so those are read-only."""
     plan = brewer_plan(np.frombuffer(key))
     plan.p.flags.writeable = plan.active.flags.writeable = False
     return plan
@@ -1087,7 +1120,8 @@ def sample_brewer(
             way.
 
     Plain and traced calls read one kept plan, that of the last pi
-    drawn, so repeated draws on one pi build it once.
+    planned, which ``make_sampler(BREWER, pi=pi)`` shares, so repeated
+    draws on one pi build it once.
     """
     if trace not in (None, "realized"):
         raise InvalidInputError(f"trace must be None or 'realized', got {trace!r}")
@@ -1135,7 +1169,8 @@ def make_sampler(
     if kind is DesignKind.GENERALIZED_MIDZUNO:
         return Sampler(pi.N, partial(_midzuno_rows, midzuno_plan(pi))), pi
     if kind is DesignKind.BREWER:
-        return Sampler(pi.N, partial(_brewer_plan_rows, brewer_plan(pi.pi))), pi
+        plan = _last_plan(pi.pi.tobytes())
+        return Sampler(pi.N, partial(_brewer_plan_rows, plan)), pi
     raise InvalidInputError(f"unknown design kind {kind!r}")
 
 

@@ -10,6 +10,7 @@ both codepaths end to end.
 import bisect
 import collections
 import dataclasses
+import hashlib
 import itertools
 import math
 import tracemalloc
@@ -64,6 +65,24 @@ class TestSample:
     def test_rejects_out_of_range(self):
         with pytest.raises(InvalidInputError, match="range"):
             Sample(selected=(0, 3), N=3)
+
+    @pytest.mark.parametrize(
+        "selected", [((0, 1),), 1, (2**70,)], ids=["nested", "scalar", "huge"]
+    )
+    def test_rejects_what_is_not_a_row_of_indices(self, selected):
+        with pytest.raises(InvalidInputError):
+            Sample(selected=selected, N=3)
+
+    @pytest.mark.parametrize(
+        "row, match", [([0, 2, 2], "repeated"), ([0, 1, 5], "range")],
+        ids=["repeated", "range"],
+    )
+    def test_sampler_checks_kernel_rows(self, row, match):
+        # A draw hands Sample the kernel's sorted row as an array, and
+        # Sample still checks it.
+        draw = designs.Sampler(5, lambda seeds: np.array([row] * len(seeds)))
+        with pytest.raises(InvalidInputError, match=match):
+            draw(0)
 
 
 class TestCheckSum:
@@ -522,6 +541,20 @@ class TestBrewer:
         assert traced == plain[0]
         draw, _ = make_sampler(DesignKind.BREWER, pi=pi)
         assert plain == [draw(1), draw(2)]
+        # The sampler reads the same kept plan: on another fresh pi,
+        # make_sampler builds it, and neither sample_brewer, plain or
+        # traced, nor estimate_tail builds another.
+        assert len(built) == 1
+        other = compute_pips(np.arange(2.0, 10.0), 3)
+        draw, _ = make_sampler(DesignKind.BREWER, pi=other)
+        assert len(built) == 2
+        traced, _ = sample_brewer(other, 1, trace="realized")
+        assert sample_brewer(other, 1) == traced == draw(1)
+        for _ in range(2):
+            estimate_tail(
+                DesignKind.BREWER, y=np.ones(8), eps_grid=[0.1], replicates=20, pi=other
+            )
+        assert len(built) == 2
 
     @pytest.mark.parametrize("gap, certain", [(1e-13, [0]), (1e-10, [])])
     def test_certain_within_the_package_tolerance(self, gap, certain):
@@ -971,6 +1004,58 @@ class TestLockstepMatchesReferenceLoops:
         if not corrupt:
             assert rows[0].tolist() == list(first.selected)
         assert calls["cumsum"] == 0
+
+    @pytest.mark.parametrize(
+        "kind",
+        [DesignKind.TILLE_ELIMINATION, DesignKind.CHAO, DesignKind.GENERALIZED_MIDZUNO],
+        ids=["tille", "chao", "midzuno"],
+    )
+    def test_walk_segments_kept_per_ladder(self, kind):
+        # A single draw walks the ladder's crossings as kept tuples: built
+        # by its first single draw, never by a batch, and shared by later
+        # draws, in O(steps + crossing units) memory.
+        x, n = LARGE_FRAME_X
+        draw, _ = make_sampler(kind, x=x, n=n)
+        plan = draw.draw_rows.args[0]
+        ladder = plan.ladder if kind is DesignKind.GENERALIZED_MIDZUNO else plan
+        draw.rows(list(range(655)))
+        assert "segments" not in vars(ladder)
+        tracemalloc.start()
+        try:
+            draw(7)
+            size = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        segments = vars(ladder)["segments"]
+        draw(8)
+        assert ladder.segments is segments
+        assert len(segments) == ladder.steps + 1
+        assert segments[-1] == tuple(ladder.cross[ladder.cross_at[-1] :].tolist())
+        assert list(itertools.chain.from_iterable(segments)) == ladder.cross.tolist()
+        assert size <= 96 * (ladder.steps + ladder.cross.size)
+
+    @pytest.mark.parametrize(
+        "kind, prefix",
+        [
+            (DesignKind.SRSWOR, "7523dedb04dacb06"),
+            (DesignKind.CHAO, "0a1b6d3087727451"),
+            (DesignKind.TILLE_ELIMINATION, "823bd85b4545a01b"),
+            (DesignKind.GENERALIZED_MIDZUNO, "55fe72ca8e613f56"),
+            (DesignKind.BREWER, "a249fc6eb2a366a6"),
+        ],
+        ids=["srswor", "chao", "tille", "midzuno", "brewer"],
+    )
+    def test_single_draws_keep_their_samples(self, kind, prefix):
+        # 100 single draws on the large-frame shape: any change to which
+        # seed draws which sample changes the hash.
+        x, n = LARGE_FRAME_X
+        if kind is DesignKind.SRSWOR:
+            draw, _ = make_sampler(kind, N=x.size, n=n)
+        else:
+            draw, _ = make_sampler(kind, x=x, n=n)
+        samples = [draw(derive_seed(7, i)).selected for i in range(100)]
+        digest = hashlib.sha256(np.array(samples, dtype=np.int64).tobytes())
+        assert digest.hexdigest().startswith(prefix)
 
     @pytest.mark.parametrize("build", ["tille", "chao", "midzuno"])
     def test_step_law_memory(self, build):

@@ -371,6 +371,40 @@ class TestLockstepReplicates:
         assert hashlib.sha256(tail.errors.tobytes()).hexdigest().startswith(prefix)
 
     @pytest.mark.parametrize(
+        "kind",
+        [DesignKind.CHAO, DesignKind.TILLE_ELIMINATION, DesignKind.GENERALIZED_MIDZUNO],
+        ids=["chao", "tille", "midzuno"],
+    )
+    def test_errors_do_not_depend_on_the_kernel_layout(self, monkeypatch, kind):
+        # numpy adds up a contiguous row pairwise and a strided one in
+        # order, so the tally needs rows of one layout: a kernel that
+        # returns Fortran-ordered rows gives the same errors, bit for bit,
+        # each the error of its seed's single draw.
+        rng = np.random.default_rng(20260819)
+        x = rng.uniform(1.0, 2.0, size=200)
+        y = rng.uniform(0.0, 1.0, size=200)
+        args = dict(y=y, eps_grid=[0.1], replicates=655, master_seed=5, x=x, n=40)
+        plain = estimate_tail(kind, **args)
+
+        def fortran_rows(kind, **kwargs):
+            draw, pi = make_sampler(kind, **kwargs)
+            rows = lambda seeds: np.asfortranarray(draw.draw_rows(seeds))
+            return dataclasses.replace(draw, draw_rows=rows), pi
+
+        wrapped, pi = fortran_rows(kind, x=x, n=40)
+        assert not wrapped.draw_rows(list(range(3))).flags.c_contiguous
+        assert wrapped.rows(list(range(3))).flags.c_contiguous
+        monkeypatch.setattr(montecarlo, "make_sampler", fortran_rows)
+        tail = estimate_tail(kind, **args)
+        assert tail.errors.tobytes() == plain.errors.tobytes()
+        y_check, t_y = y / pi.pi, float(y.sum())
+        expect = [
+            (float(y_check[list(wrapped(derive_seed(5, r)).selected)].sum()) - t_y) / 200
+            for r in range(655)
+        ]
+        assert np.array_equal(tail.errors, expect)
+
+    @pytest.mark.parametrize(
         "kind, build, step",
         [
             (DesignKind.TILLE_ELIMINATION, "tille_plan", "i=199"),
