@@ -25,6 +25,7 @@ from .bounds import (
     solve_sample_size,
 )
 from .designs import DesignKind, make_sampler
+from .distribution import _first_order
 from .errors import (
     EnumerationBudgetError,
     InvalidInputError,
@@ -40,7 +41,6 @@ from .oracle import (
     check_csyg,
     check_pairwise_na,
     enumerate_design,
-    first_second_order,
     midzuno_complementarity_tv,
     unbiasedness_check,
 )
@@ -244,7 +244,7 @@ def cmd_verify(args) -> int:
     )
     ok &= sizes_ok
 
-    pi_hat, _ = first_second_order(dist)
+    pi_hat = _first_order(dist)
     ok &= _verify_line(
         "inclusion-probabilities",
         float(np.max(np.abs(pi_hat - pi.pi))),

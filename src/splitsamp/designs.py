@@ -126,7 +126,7 @@ class Sample:
     @property
     def indicator(self) -> np.ndarray:
         ind = np.zeros(self.N, dtype=int)
-        ind[list(self.selected)] = 1
+        ind[np.fromiter(self.selected, np.intp, len(self.selected))] = 1
         return ind
 
 

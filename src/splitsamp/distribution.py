@@ -182,7 +182,18 @@ def first_second_order(
     Returns (pi1, pi2) with pi2 symmetric and its diagonal equal to pi1.
     """
     member = members(dist.masks, dist.N)
-    pi1 = dist.probs @ member
+    pi1 = _first_order(dist, member)
     pi2 = (member.T * dist.probs) @ member
     np.fill_diagonal(pi2, pi1)
     return pi1, pi2
+
+
+def _first_order(
+    dist: ExactDesignDistribution, member: np.ndarray | None = None
+) -> np.ndarray:
+    """First-order inclusion probabilities alone, without the N x N pi2
+    of ``first_second_order``; ``member`` is the membership matrix, if
+    the caller has it."""
+    if member is None:
+        member = members(dist.masks, dist.N)
+    return dist.probs @ member

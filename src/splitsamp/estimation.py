@@ -31,8 +31,8 @@ def ht_estimate(sample: Sample, study: StudyVector, t_y: float) -> HTResult:
         raise InvalidInputError(
             f"sample is over {sample.N} units but study vector has {study.N}"
         )
-    idx = list(sample.selected)
-    t_hat = float(np.sum(study.y_check[idx])) if idx else 0.0
+    idx = np.fromiter(sample.selected, np.intp, len(sample.selected))
+    t_hat = float(np.sum(study.y_check[idx])) if idx.size else 0.0
     error = t_hat - float(t_y)
     return HTResult(
         t_hat=t_hat,

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
@@ -40,6 +39,7 @@ from .designs import (
 )
 from .distribution import (
     ExactDesignDistribution,
+    _first_order,
     containment,
     first_second_order,
     mask_units,
@@ -64,6 +64,10 @@ PRUNE_TOL = 1e-15
 _SKIP_TOL = 1e-12
 
 DEFAULT_MAX_BRANCHES = 10_000_000
+
+# Cells, one pair with one conditioning set each, that one array pass of
+# the conditional scan covers.  A block of pairs holds about this many.
+_CSYG_BLOCK_CELLS = 1 << 10
 
 
 def enumerate_design(
@@ -272,33 +276,35 @@ class CsygReport:
 
 
 def check_csyg(dist: ExactDesignDistribution) -> CsygReport:
-    """Scan every conditional pairwise inequality of a fixed-size design,
-    one pair {k, l} at a time over all its conditioning sets."""
+    """Scan every conditional pairwise inequality of a fixed-size design.
+
+    The pairs {k, l} go in ``combinations`` order, a block of them per
+    array pass of ``_csyg_block``, so the witnesses are the ones a scan
+    of one pair at a time reports: the first maximum in (pair, I) order,
+    and for the ratio in (pair, a = k before a = l, I) order.
+    """
     if not dist.fixed_size:
         raise InvalidInputError("the conditional scan needs a fixed-size design")
     f = containment(dist)
     eligible = set_sizes(dist.N) <= dist.n - 2
     live = np.flatnonzero(eligible & (f > _SKIP_TOL))
+    ks, ls = np.triu_indices(dist.N, 1)
+    # A block's grid is its pairs by the live sets, about
+    # _CSYG_BLOCK_CELLS cells, and ``tiled`` is the grid's I in row order.
+    step = max(1, _CSYG_BLOCK_CELLS // max(live.size, 1))
+    tiled = np.tile(live, step)
     max_v = max_r = -math.inf
     wit = wit_r = None
     checked = 0
-    for k, l in combinations(range(dist.N), 2):
-        bk, bl = 1 << k, 1 << l
-        I = live[(live & (bk | bl)) == 0]
-        if I.size == 0:
-            continue
-        checked += I.size
-        fI, fk, fl, fkl = f[I], f[I | bk], f[I | bl], f[I | bk | bl]
-        v = fkl / fI - (fk / fI) * (fl / fI)
-        i = int(v.argmax())
-        if v[i] > max_v:
-            max_v, wit = float(v[i]), (mask_units(int(I[i])), k, l)
-        for a, b, fa, fb in ((k, bl, fk, fl), (l, bk, fl, fk)):
-            ok = fb > _SKIP_TOL
-            r = fkl[ok] / fb[ok] - fa[ok] / fI[ok]
-            if r.size and r.max() > max_r:
-                i = int(r.argmax())
-                max_r, wit_r = float(r[i]), (mask_units(int(I[ok][i]) | b), a)
+    for lo in range(0, ks.size, step):
+        cells, (v, I, k, l), (r, J, a) = _csyg_block(
+            f, live, tiled, ks[lo : lo + step], ls[lo : lo + step]
+        )
+        checked += cells
+        if v > max_v:
+            max_v, wit = v, (mask_units(I), k, l)
+        if r > max_r:
+            max_r, wit_r = r, (mask_units(J), a)
     return CsygReport(
         max_violation=max_v,
         witness=wit,
@@ -307,6 +313,45 @@ def check_csyg(dist: ExactDesignDistribution) -> CsygReport:
         max_violation_ratio=max_r,
         witness_ratio=wit_r,
     )
+
+
+def _csyg_block(f, live, tiled, ks, ls):
+    """One array pass of the conditional scan over the pairs (ks[j],
+    ls[j]): its cell count, the first maximum of pi_{kl|I} - pi_{k|I}
+    pi_{l|I} in (pair, I) order as (value, I, k, l), and the first
+    maximum of pi_{a|J} - pi_{a|I} in (pair, a = k before a = l, I)
+    order as (value, J, a), with J = I + b, b the pair's other unit.
+    Sets are bitmasks, and a block without cells reports -inf.
+
+    The block's arrays live only in this call, so the scan holds one
+    block's cells at a time.
+    """
+    bk, bl = 1 << ks, 1 << ls
+    # Each cell's index in the pairs-by-live grid, then its row.
+    pair = np.flatnonzero((live & (bk | bl)[:, None]) == 0)
+    if pair.size == 0:
+        return 0, (-math.inf, 0, 0, 0), (-math.inf, 0, 0)
+    I = tiled[pair]
+    pair //= live.size
+    fI, fk, fl, fkl = f[I], f[I | bk[pair]], f[I | bl[pair]], f[I | (bk | bl)[pair]]
+    gk, gl = fk / fI, fl / fI
+    v = fkl / fI
+    v -= gk * gl
+    i = int(v.argmax())
+    top = (float(v[i]), int(I[i]), int(ks[pair[i]]), int(ls[pair[i]]))
+    # The ratio scans reuse v's buffer, and a cell with P(I + b) at most
+    # _SKIP_TOL reads -inf.  Of two equal maxima the earlier pair wins,
+    # then the side a = k.
+    sides = []
+    for side, (a, b, ga, fb) in enumerate(((ks, bl, gk, fl), (ls, bk, gl, fk))):
+        v.fill(-math.inf)
+        np.divide(fkl, fb, out=v, where=fb > _SKIP_TOL)
+        v -= ga
+        i = int(v.argmax())
+        p = pair[i]
+        sides.append((float(v[i]), -p, -side, int(I[i]) | int(b[p]), int(a[p])))
+    r, _, _, J, a = max(sides)
+    return pair.size, top, (r, J, a)
 
 
 def check_pairwise_na(dist: ExactDesignDistribution) -> float:
@@ -326,7 +371,7 @@ def unbiasedness_check(
     pi = np.asarray(pi, dtype=float)
     if y.size != dist.N or pi.size != dist.N:
         raise InvalidInputError("y and pi must have one entry per unit")
-    pi1, _ = first_second_order(dist)
+    pi1 = _first_order(dist)
     return abs(float(pi1 @ (y / pi)) - float(y.sum()))
 
 

@@ -12,7 +12,7 @@ from splitsamp import (
     containment,
     first_second_order,
 )
-from splitsamp.distribution import mask_units
+from splitsamp.distribution import _first_order, mask_units
 
 from conftest import contains, random_fixed_size
 
@@ -193,3 +193,9 @@ def test_first_second_order_matches_brute_force(seed):
         assert pi1[k] == pytest.approx(contains(d, k), abs=1e-15)
         for l in range(d.N):
             assert pi2[k, l] == pytest.approx(contains(d, k, l), abs=1e-15)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_first_order_alone_is_pi1_to_the_bit(seed):
+    d = random_fixed_size(seed)
+    assert _first_order(d).tobytes() == first_second_order(d)[0].tobytes()

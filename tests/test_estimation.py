@@ -42,6 +42,14 @@ class TestHtEstimate:
         assert res.t_hat == 0.0
         assert res.error == -7.0
 
+    def test_sums_the_sample_in_population_order(self):
+        rng = np.random.default_rng(24)
+        y, pi = rng.lognormal(0.0, 1.5, 2000), rng.uniform(0.05, 1.0, 2000)
+        study = make_study(y, pi, 200)
+        units = sorted(rng.choice(2000, 200, replace=False).tolist())
+        res = ht_estimate(Sample(selected=tuple(units), N=2000), study, t_y=1.0)
+        assert res.t_hat == float(np.sum(study.y_check[units]))
+
     def test_size_mismatch(self):
         study = make_study([2.0, 2.0, 3.0], [1 / 3, 2 / 3, 1.0], 2)
         with pytest.raises(InvalidInputError, match="3"):

@@ -6,6 +6,10 @@ a checker that silently passes everything cannot survive this module.
 """
 
 import dataclasses
+import math
+import struct
+import tracemalloc
+import warnings
 from itertools import combinations
 from math import comb
 
@@ -26,7 +30,8 @@ from splitsamp import (
     midzuno_complementarity_tv,
     unbiasedness_check,
 )
-from splitsamp.oracle import DEFAULT_MAX_BRANCHES, MAX_ENUM_N, PRUNE_TOL
+from splitsamp.distribution import containment, mask_units, set_sizes
+from splitsamp.oracle import _SKIP_TOL, DEFAULT_MAX_BRANCHES, MAX_ENUM_N, PRUNE_TOL
 
 from conftest import UNEQUAL_DESIGNS, X_CERTAIN, contains, random_fixed_size
 
@@ -331,6 +336,172 @@ class TestReference:
         assert unbiasedness_check(dist, y, pi) == pytest.approx(gap, abs=1e-12)
 
 
+def pairwise_csyg(dist: ExactDesignDistribution) -> CsygReport:
+    """The conditional scan one pair {k, l} at a time over all its
+    conditioning sets: ``check_csyg`` as it was before it took blocks of
+    pairs in one array pass, kept as the reference for its report."""
+    if not dist.fixed_size:
+        raise InvalidInputError("the conditional scan needs a fixed-size design")
+    f = containment(dist)
+    eligible = set_sizes(dist.N) <= dist.n - 2
+    live = np.flatnonzero(eligible & (f > _SKIP_TOL))
+    max_v = max_r = -math.inf
+    wit = wit_r = None
+    checked = 0
+    for k, l in combinations(range(dist.N), 2):
+        bk, bl = 1 << k, 1 << l
+        I = live[(live & (bk | bl)) == 0]
+        if I.size == 0:
+            continue
+        checked += I.size
+        fI, fk, fl, fkl = f[I], f[I | bk], f[I | bl], f[I | bk | bl]
+        v = fkl / fI - (fk / fI) * (fl / fI)
+        i = int(v.argmax())
+        if v[i] > max_v:
+            max_v, wit = float(v[i]), (mask_units(int(I[i])), k, l)
+        for a, b, fa, fb in ((k, bl, fk, fl), (l, bk, fl, fk)):
+            ok = fb > _SKIP_TOL
+            r = fkl[ok] / fb[ok] - fa[ok] / fI[ok]
+            if r.size and r.max() > max_r:
+                i = int(r.argmax())
+                max_r, wit_r = float(r[i]), (mask_units(int(I[ok][i]) | b), a)
+    return CsygReport(
+        max_violation=max_v,
+        witness=wit,
+        checked_count=checked,
+        skipped_sets=int(np.count_nonzero(eligible)) - live.size,
+        max_violation_ratio=max_r,
+        witness_ratio=wit_r,
+    )
+
+
+def report_fields(rpt: CsygReport) -> tuple:
+    """Every field of a report, floats by their bytes (so -0.0 is not
+    0.0) and the rest by repr (so a numpy integer is not an int)."""
+    return tuple(
+        struct.pack("<d", value) if isinstance(value, float) else repr(value)
+        for value in dataclasses.astuple(rpt)
+    )
+
+
+def assert_same_report(dist):
+    assert report_fields(check_csyg(dist)) == report_fields(pairwise_csyg(dist))
+
+
+def dirichlet_design(N, n, seed=0):
+    """Dirichlet(0.3) masses on every n-subset of N units."""
+    subsets = list(combinations(range(N), n))
+    masses = np.random.default_rng(seed).dirichlet(np.full(len(subsets), 0.3))
+    return ExactDesignDistribution.from_support(
+        support=dict(zip(subsets, masses)), N=N, n=n
+    )
+
+
+# The benchmark's exact-checks instances: (N, n, certainty units), with
+# evenly spread sizes jittered by up to 2%.
+EXACT_CHECKS_SHAPES = (
+    (7, 2, 0), (8, 4, 0), (9, 3, 1), (8, 5, 0), (9, 3, 0), (10, 6, 4), (8, 6, 2)
+)
+
+
+def exact_checks_sizes(rng, N, n, c):
+    free, draws = N - c, n - c
+    spread = 2.0 if draws <= 1 else min(2.0, 0.9 * (free - draws) / (draws - 1))
+    x = (1.0 + spread * (np.arange(N) + 0.5) / N) * rng.uniform(0.98, 1.02, N)
+    x[:c] = 10.0 * x[c:].sum()
+    return x
+
+
+class TestCsygMatchesPairwiseScan:
+    """``check_csyg`` reports what the pair-by-pair scan reports, field
+    for field and floats to the bit, witnesses included."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_exact_checks_instances(self, seed):
+        rng = np.random.default_rng([seed, 25])
+        for N, n, c in EXACT_CHECKS_SHAPES:
+            x = exact_checks_sizes(rng, N, n, c)
+            pi = compute_pips(x, n)
+            assert np.count_nonzero(pi.certain) == c
+            assert_same_report(enumerate_design(DesignKind.SRSWOR, N=N, n=n))
+            for kind in UNEQUAL_DESIGNS:
+                assert_same_report(enumerate_design(kind, x=x, pi=pi))
+
+    @pytest.mark.parametrize("N, n", [(8, 4), (10, 6)])
+    def test_tied_srswor(self, N, n):
+        # Every pair ties with every other, so only the order of the
+        # scan picks the witnesses.
+        assert_same_report(enumerate_design(DesignKind.SRSWOR, N=N, n=n))
+
+    @pytest.mark.parametrize("N", range(4, 13))
+    def test_random_full_support(self, N):
+        for n in range(1, N + 1):
+            assert_same_report(dirichlet_design(N, n, seed=N * 100 + n))
+
+    def test_tied_integer_weights(self):
+        # Weights 0, 1 or 2 on the n-subsets: equal maxima in different
+        # pairs and on both sides of one pair are common, so the order
+        # in which ties are broken decides the witnesses.
+        for seed in range(200):
+            rng = np.random.default_rng([seed, 25])
+            N = int(rng.integers(4, 8))
+            n = int(rng.integers(2, N))
+            subsets = list(combinations(range(N), n))
+            w = rng.integers(0, 3, len(subsets))
+            if w.sum() == 0:
+                continue
+            support = {s: x / w.sum() for s, x in zip(subsets, w) if x}
+            assert_same_report(ExactDesignDistribution.from_support(support, N=N, n=n))
+
+    def test_the_sorted_witness_case(self):
+        # The 4-of-5 design of test_witnesses_are_sorted_and_attain_the_maxima.
+        subsets = list(combinations(range(5), 4))
+        rng = np.random.default_rng(0)
+        for _ in range(985):
+            masses = rng.dirichlet(np.full(len(subsets), 0.3))
+        support = dict(zip(subsets, masses))
+        assert_same_report(ExactDesignDistribution.from_support(support, N=5, n=4))
+
+    def test_thin_random_support(self):
+        for seed in range(12):
+            assert_same_report(random_fixed_size(seed))
+
+    def test_8_of_16(self):
+        assert_same_report(dirichlet_design(16, 8, seed=16))
+
+    def test_conditioning_sets_of_zero_mass(self):
+        # Unit 4 is never drawn and unit 5 has P = 1.25e-13, so for
+        # I = () the ratio scan must skip conditioning on either, the
+        # first without dividing by zero; unskipped, P(0 | 5) - P(0)
+        # would read 0.25.
+        support = {s: 1.0 for s in combinations(range(4), 3)}
+        support[(0, 1, 5)] = 5e-13
+        total = sum(support.values())
+        dist = ExactDesignDistribution.from_support(
+            support={s: w / total for s, w in support.items()}, N=6, n=3
+        )
+        f = containment(dist)
+        assert f[1 << 4] == 0.0 and 0.0 < f[1 << 5] <= _SKIP_TOL
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert_same_report(dist)
+        assert check_csyg(dist).max_violation_ratio < 1e-12
+
+    def test_scan_memory(self):
+        # The pair-by-pair scan peaked at 51,872 bytes on this design
+        # under tracemalloc (Python 3.11.7, numpy 2.4.6); a block of
+        # pairs must not hold more.
+        dist = dirichlet_design(10, 6)
+        check_csyg(dist)
+        tracemalloc.start()
+        try:
+            check_csyg(dist)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 51_872
+
+
 class TestPairwise:
     def test_negative_on_fixture(self, enumerated_123456):
         for kind in UNEQUAL_DESIGNS:
@@ -363,6 +534,20 @@ class TestUnbiasedness:
             enumerated_123456[DesignKind.CHAO], y, wrong
         )
         assert gap > 1e-3
+
+    def test_builds_no_second_order(
+        self, monkeypatch, enumerated_123456, x123456, pi123456
+    ):
+        from splitsamp import oracle
+
+        dist = enumerated_123456[DesignKind.CHAO]
+        gap = unbiasedness_check(dist, x123456, pi123456.pi)
+
+        def second_order(dist):
+            raise AssertionError("pi2 built for pi1 alone")
+
+        monkeypatch.setattr(oracle, "first_second_order", second_order)
+        assert unbiasedness_check(dist, x123456, pi123456.pi) == gap
 
 
 class TestComplementarity:
