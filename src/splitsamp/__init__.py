@@ -70,7 +70,6 @@ from .montecarlo import (
 from .oracle import (
     CsygReport,
     check_csyg,
-    check_pairwise_na,
     enumerate_design,
     midzuno_complementarity_tv,
     unbiasedness_check,
@@ -129,7 +128,6 @@ __all__ = [
     "bernstein_bound",
     "certify",
     "check_csyg",
-    "check_pairwise_na",
     "cna_bound",
     "cna_bound_Mc",
     "compute_pips",

@@ -39,7 +39,6 @@ from .experiment import ExperimentConfig, experiment_csv, overfull_units, run_ex
 from .oracle import (
     DEFAULT_MAX_BRANCHES,
     check_csyg,
-    check_pairwise_na,
     enumerate_design,
     midzuno_complementarity_tv,
     unbiasedness_check,
@@ -51,10 +50,10 @@ from .population import (
     study_vector,
 )
 
-# Verification tolerances, also used by the test suite.
+# Verification tolerances: a check fails when its value exceeds its
+# tolerance.  CSYG_TOL bounds both dependence lines.
 INCLUSION_TOL = 1e-9
 CSYG_TOL = 1e-12
-NA_TOL = 1e-12
 UNBIASED_TOL = 1e-8
 COMPLEMENT_TOL = 1e-9
 
@@ -253,22 +252,19 @@ def cmd_verify(args) -> int:
     )
 
     csyg = check_csyg(dist)
-    if kind is DesignKind.BREWER:
-        lines.append(
-            f"INFO conditional-syg: max violation {csyg.max_violation:.3e} "
-            f"({csyg.checked_count} inequalities; not part of the pass/fail contract)"
-        )
-    else:
-        ok &= _verify_line(
-            f"conditional-syg ({csyg.checked_count} inequalities)",
-            csyg.max_violation,
-            CSYG_TOL,
-            lines,
-        )
+    for label, value in (
+        (f"conditional-syg ({csyg.checked_count} inequalities)", csyg.max_violation),
+        ("pairwise-covariance", csyg.max_covariance),
+    ):
+        if kind is DesignKind.BREWER:
+            # The paper establishes CNA for Chao, Tille and Midzuno only.
+            lines.append(
+                f"INFO {label}: max violation {value:.3e} "
+                "(not part of the pass/fail contract)"
+            )
+        else:
+            ok &= _verify_line(label, value, CSYG_TOL, lines)
 
-    ok &= _verify_line(
-        "pairwise-covariance", check_pairwise_na(dist), NA_TOL, lines
-    )
     ok &= _verify_line(
         "ht-unbiasedness", unbiasedness_check(dist, y, pi.pi), UNBIASED_TOL, lines
     )

@@ -102,7 +102,10 @@ class ExactDesignDistribution:
 
     @property
     def fixed_size(self) -> bool:
-        return bool(np.all(members(self.masks, self.N).sum(axis=1) == self.n))
+        """Every sample has n units: each mask's bits counted a byte at a
+        time, without the membership matrix."""
+        sizes = sum(_BYTE_SIZES[(self.masks >> b) & 0xFF] for b in range(0, self.N, 8))
+        return bool(np.all(sizes == self.n))
 
     def total_mass(self) -> float:
         return float(self.probs.sum())
@@ -153,6 +156,10 @@ def set_sizes(N: int) -> np.ndarray:
     for _ in range(N):
         size = np.concatenate([size, size + 1])
     return size
+
+
+# The number of set bits of every byte.
+_BYTE_SIZES = set_sizes(8)
 
 
 def containment(dist: ExactDesignDistribution) -> np.ndarray:

@@ -11,10 +11,10 @@ state, and merges the children that coincide.  The enumeration budget
 counts transitions, one per move out of a state.  The checks below
 compare the resulting distribution against what the theory promises:
 correct first-order inclusion probabilities, fixed sample size,
-conditional negative-dependence inequalities, nonpositive pairwise
-indicator covariances, design unbiasedness of the Horvitz-Thompson
-estimator, and the complementarity between the Midzuno and elimination
-procedures.
+conditional negative-dependence inequalities (their row at the empty
+conditioning set gives the pairwise indicator covariances), design
+unbiasedness of the Horvitz-Thompson estimator, and the complementarity
+between the Midzuno and elimination procedures.
 
 The step laws are built here from the plans' rungs and from Brewer's
 closed form, not by running the samplers' kernels, so enumeration stays
@@ -41,7 +41,6 @@ from .distribution import (
     ExactDesignDistribution,
     _first_order,
     containment,
-    first_second_order,
     mask_units,
     members,
     set_sizes,
@@ -264,7 +263,10 @@ class CsygReport:
     ``max_violation_ratio`` is the equivalent scan of
     pi_{k|I,l} - pi_{k|I}, and ``witness_ratio`` its (I + l, k), with
     both conditioning sets sorted.  Conditioning sets with probability
-    at most 1e-12 are skipped and counted.
+    at most 1e-12 are skipped and counted.  ``max_covariance`` is the
+    largest pi_kl - pi_k pi_l, the scan's row at I = (), computed even
+    when n < 2 leaves that row out of the scan, and ``covariance_pair``
+    its (k, l); a single unit has no pair, so -inf and None.
     """
 
     max_violation: float
@@ -273,6 +275,8 @@ class CsygReport:
     skipped_sets: int
     max_violation_ratio: float
     witness_ratio: tuple | None
+    max_covariance: float
+    covariance_pair: tuple | None
 
 
 def check_csyg(dist: ExactDesignDistribution) -> CsygReport:
@@ -281,7 +285,8 @@ def check_csyg(dist: ExactDesignDistribution) -> CsygReport:
     The pairs {k, l} go in ``combinations`` order, a block of them per
     array pass of ``_csyg_block``, so the witnesses are the ones a scan
     of one pair at a time reports: the first maximum in (pair, I) order,
-    and for the ratio in (pair, a = k before a = l, I) order.
+    and for the ratio in (pair, a = k before a = l, I) order.  The
+    covariance pair is the first maximum in pair order.
     """
     if not dist.fixed_size:
         raise InvalidInputError("the conditional scan needs a fixed-size design")
@@ -289,6 +294,10 @@ def check_csyg(dist: ExactDesignDistribution) -> CsygReport:
     eligible = set_sizes(dist.N) <= dist.n - 2
     live = np.flatnonzero(eligible & (f > _SKIP_TOL))
     ks, ls = np.triu_indices(dist.N, 1)
+    # The I = () cells in _csyg_block's expression, so to the bit.
+    bk, bl, f0 = 1 << ks, 1 << ls, f[0]
+    cov = f[bk | bl] / f0 - (f[bk] / f0) * (f[bl] / f0)
+    c = int(cov.argmax()) if cov.size else None
     # A block's grid is its pairs by the live sets, about
     # _CSYG_BLOCK_CELLS cells, and ``tiled`` is the grid's I in row order.
     step = max(1, _CSYG_BLOCK_CELLS // max(live.size, 1))
@@ -312,6 +321,8 @@ def check_csyg(dist: ExactDesignDistribution) -> CsygReport:
         skipped_sets=int(np.count_nonzero(eligible)) - live.size,
         max_violation_ratio=max_r,
         witness_ratio=wit_r,
+        max_covariance=-math.inf if c is None else float(cov[c]),
+        covariance_pair=None if c is None else (int(ks[c]), int(ls[c])),
     )
 
 
@@ -352,14 +363,6 @@ def _csyg_block(f, live, tiled, ks, ls):
         sides.append((float(v[i]), -p, -side, int(I[i]) | int(b[p]), int(a[p])))
     r, _, _, J, a = max(sides)
     return pair.size, top, (r, J, a)
-
-
-def check_pairwise_na(dist: ExactDesignDistribution) -> float:
-    """Largest pairwise indicator covariance; nonpositive everywhere
-    means negatively correlated inclusions."""
-    pi1, pi2 = first_second_order(dist)
-    cov = pi2 - np.outer(pi1, pi1)
-    return float(cov[np.triu_indices(dist.N, 1)].max(initial=-math.inf))
 
 
 def unbiasedness_check(

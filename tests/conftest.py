@@ -90,6 +90,15 @@ def random_fixed_size(seed: int) -> ExactDesignDistribution:
     )
 
 
+def dirichlet_design(N: int, n: int, seed: int = 0) -> ExactDesignDistribution:
+    """Dirichlet(0.3) masses on every n-subset of N units."""
+    subsets = list(combinations(range(N), n))
+    masses = np.random.default_rng(seed).dirichlet(np.full(len(subsets), 0.3))
+    return ExactDesignDistribution.from_support(
+        support=dict(zip(subsets, masses)), N=N, n=n
+    )
+
+
 def contains(dist: ExactDesignDistribution, *units: int) -> float:
     """P(units subset of S), summed over the support map."""
     return fsum(p for s, p in dist.support.items() if set(units) <= set(s))

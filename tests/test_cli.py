@@ -5,13 +5,15 @@ exercised exactly as a shell would see it: 0 success, 1 failed
 verification or internal error, 2 rejected input.
 """
 
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
 
-from splitsamp.cli import main
+from splitsamp import check_csyg, cli
+from splitsamp.cli import CSYG_TOL, main
 
 
 @pytest.fixture()
@@ -162,22 +164,48 @@ class TestBounds:
         assert rc == 2
 
 
+DESIGNS = ("chao", "tille", "midzuno", "brewer", "srswor")
+
+
+def verify_lines(design: str, capsys) -> tuple[int, list[str]]:
+    """Exit code and output lines of ``verify`` on x = 1..6 at n = 3."""
+    if design == "srswor":
+        args = ["--N", "6", "--n", "3"]
+    else:
+        args = ["--x", "1,2,3,4,5,6", "--n", "3"]
+    rc = main(["verify", "--design", design, *args])
+    return rc, capsys.readouterr().out.splitlines()
+
+
 class TestVerify:
     def test_tille_passes(self, capsys):
-        rc = main(
-            ["verify", "--design", "tille", "--x", "1,2,3,4,5,6", "--n", "3"]
-        )
-        out = capsys.readouterr().out
-        assert rc == 0
-        assert "FAIL" not in out
-        for label in (
-            "fixed-size",
-            "inclusion-probabilities",
-            "conditional-syg",
-            "pairwise-covariance",
-            "ht-unbiasedness",
-        ):
-            assert label in out
+        # And the other four designs: every line passes but Brewer's two
+        # dependence lines, for which the paper makes no claim.
+        for design in DESIGNS:
+            rc, lines = verify_lines(design, capsys)
+            assert rc == 0, design
+            assert not any(line.startswith("FAIL") for line in lines), design
+            dependence = "INFO" if design == "brewer" else "PASS"
+            assert [line.split(":")[0].split(" (")[0] for line in lines[1:6]] == [
+                "PASS fixed-size",
+                "PASS inclusion-probabilities",
+                f"{dependence} conditional-syg",
+                f"{dependence} pairwise-covariance",
+                "PASS ht-unbiasedness",
+            ], design
+
+    @pytest.mark.parametrize("field", ["max_violation", "max_covariance"])
+    @pytest.mark.parametrize("design", DESIGNS)
+    def test_dependence_above_tolerance(self, design, field, monkeypatch, capsys):
+        # Either dependence value just above CSYG_TOL fails every design
+        # but Brewer.
+        def report(dist):
+            return dataclasses.replace(check_csyg(dist), **{field: 2 * CSYG_TOL})
+
+        monkeypatch.setattr(cli, "check_csyg", report)
+        rc, lines = verify_lines(design, capsys)
+        failed = [line for line in lines if line.startswith("FAIL")]
+        assert rc == len(failed) == (0 if design == "brewer" else 1)
 
     def test_midzuno_includes_complement_check(self, capsys):
         rc = main(
@@ -188,12 +216,21 @@ class TestVerify:
         assert "complement-elimination-tv" in out
 
     def test_brewer_syg_is_informational(self, capsys):
+        # A correct Brewer law with a positive pairwise covariance: the
+        # paper claims no negative dependence for Brewer, so verify
+        # reports both dependence lines and passes.
         rc = main(
-            ["verify", "--design", "brewer", "--x", "1,2,3,4", "--n", "2"]
+            ["verify", "--design", "brewer", "--n", "4",
+             "--x", "1.027,0.249,0.52,0.326,1.016,0.472,0.549,0.063"]
         )
-        out = capsys.readouterr().out
+        lines = capsys.readouterr().out.splitlines()
         assert rc == 0
-        assert "INFO conditional-syg" in out
+        assert not any(line.startswith("FAIL") for line in lines)
+        assert lines[3].startswith("INFO conditional-syg")
+        assert lines[4] == (
+            "INFO pairwise-covariance: max violation 2.728e-04 "
+            "(not part of the pass/fail contract)"
+        )
 
     def test_srswor_by_N(self, capsys):
         rc = main(["verify", "--design", "srswor", "--N", "5", "--n", "2"])

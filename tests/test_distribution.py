@@ -2,6 +2,7 @@
 tuple view, TV distance, complements."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from splitsamp import (
 )
 from splitsamp.distribution import _first_order, mask_units
 
-from conftest import contains, random_fixed_size
+from conftest import contains, dirichlet_design, random_fixed_size
 
 
 def uniform_pairs(N):
@@ -101,6 +102,28 @@ def test_fixed_size_flag():
         support={(0,): 0.5, (0, 1): 0.5}, N=2, n=1
     )
     assert not mixed.fixed_size
+
+
+def test_fixed_size_counts_bits_without_the_membership_matrix():
+    # The 210 x 10 membership matrix and its row sums peaked at 51,872
+    # bytes under tracemalloc (Python 3.11.7, numpy 2.4.6).
+    dist = dirichlet_design(10, 6)
+    assert dist.fixed_size
+    tracemalloc.start()
+    try:
+        assert dist.fixed_size
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16_000
+    # Bits in every byte of an int64 mask count, up to unit 62.
+    top = [(0, 62), (7, 8), (55, 56), (3, 61)]
+    wide = ExactDesignDistribution.from_support({s: 0.25 for s in top}, N=63, n=2)
+    assert wide.fixed_size
+    ragged = top[:3] + [(3, 9, 61)]
+    assert not ExactDesignDistribution.from_support(
+        {s: 0.25 for s in ragged}, N=63, n=2
+    ).fixed_size
 
 
 def test_tv_distance():

@@ -23,7 +23,6 @@ from splitsamp import (
     ExactDesignDistribution,
     InvalidInputError,
     check_csyg,
-    check_pairwise_na,
     compute_pips,
     enumerate_design,
     first_second_order,
@@ -33,7 +32,13 @@ from splitsamp import (
 from splitsamp.distribution import containment, mask_units, set_sizes
 from splitsamp.oracle import _SKIP_TOL, DEFAULT_MAX_BRANCHES, MAX_ENUM_N, PRUNE_TOL
 
-from conftest import UNEQUAL_DESIGNS, X_CERTAIN, contains, random_fixed_size
+from conftest import (
+    UNEQUAL_DESIGNS,
+    X_CERTAIN,
+    contains,
+    dirichlet_design,
+    random_fixed_size,
+)
 
 
 def _random_case(seed, N, certain):
@@ -324,7 +329,7 @@ class TestReference:
             ),
             default=-np.inf,
         )
-        assert check_pairwise_na(dist) == pytest.approx(worst, abs=1e-15)
+        assert check_csyg(dist).max_covariance == pytest.approx(worst, abs=1e-15)
 
     def test_unbiasedness(self, seed):
         dist = random_fixed_size(seed)
@@ -339,23 +344,31 @@ class TestReference:
 def pairwise_csyg(dist: ExactDesignDistribution) -> CsygReport:
     """The conditional scan one pair {k, l} at a time over all its
     conditioning sets: ``check_csyg`` as it was before it took blocks of
-    pairs in one array pass, kept as the reference for its report."""
+    pairs in one array pass, kept as the reference for its report.  The
+    covariance fields come from the pairs' I = () cells, which lead each
+    pair's cells when n >= 2 and are worked out alone when n < 2."""
     if not dist.fixed_size:
         raise InvalidInputError("the conditional scan needs a fixed-size design")
     f = containment(dist)
     eligible = set_sizes(dist.N) <= dist.n - 2
     live = np.flatnonzero(eligible & (f > _SKIP_TOL))
-    max_v = max_r = -math.inf
-    wit = wit_r = None
+    max_v = max_r = max_c = -math.inf
+    wit = wit_r = pair_c = None
     checked = 0
     for k, l in combinations(range(dist.N), 2):
         bk, bl = 1 << k, 1 << l
         I = live[(live & (bk | bl)) == 0]
+        fI, fk, fl, fkl = f[I], f[I | bk], f[I | bl], f[I | bk | bl]
+        v = fkl / fI - (fk / fI) * (fl / fI)
+        if I.size and I[0] == 0:
+            cov = v[0]
+        else:
+            cov = f[bk | bl] / f[0] - (f[bk] / f[0]) * (f[bl] / f[0])
+        if cov > max_c:
+            max_c, pair_c = float(cov), (k, l)
         if I.size == 0:
             continue
         checked += I.size
-        fI, fk, fl, fkl = f[I], f[I | bk], f[I | bl], f[I | bk | bl]
-        v = fkl / fI - (fk / fI) * (fl / fI)
         i = int(v.argmax())
         if v[i] > max_v:
             max_v, wit = float(v[i]), (mask_units(int(I[i])), k, l)
@@ -372,6 +385,8 @@ def pairwise_csyg(dist: ExactDesignDistribution) -> CsygReport:
         skipped_sets=int(np.count_nonzero(eligible)) - live.size,
         max_violation_ratio=max_r,
         witness_ratio=wit_r,
+        max_covariance=max_c,
+        covariance_pair=pair_c,
     )
 
 
@@ -386,15 +401,6 @@ def report_fields(rpt: CsygReport) -> tuple:
 
 def assert_same_report(dist):
     assert report_fields(check_csyg(dist)) == report_fields(pairwise_csyg(dist))
-
-
-def dirichlet_design(N, n, seed=0):
-    """Dirichlet(0.3) masses on every n-subset of N units."""
-    subsets = list(combinations(range(N), n))
-    masses = np.random.default_rng(seed).dirichlet(np.full(len(subsets), 0.3))
-    return ExactDesignDistribution.from_support(
-        support=dict(zip(subsets, masses)), N=N, n=n
-    )
 
 
 # The benchmark's exact-checks instances: (N, n, certainty units), with
@@ -505,18 +511,34 @@ class TestCsygMatchesPairwiseScan:
 class TestPairwise:
     def test_negative_on_fixture(self, enumerated_123456):
         for kind in UNEQUAL_DESIGNS:
-            assert check_pairwise_na(enumerated_123456[kind]) < 0.0, kind
+            assert check_csyg(enumerated_123456[kind]).max_covariance < 0.0, kind
 
     def test_positive_on_clustered_design(self):
         bad = ExactDesignDistribution.from_support(
             support={(0, 1): 0.5, (2, 3): 0.5}, N=4, n=2
         )
-        assert check_pairwise_na(bad) == pytest.approx(0.25, abs=1e-12)
+        assert check_csyg(bad).max_covariance == pytest.approx(0.25, abs=1e-12)
 
     def test_srswor_value(self):
         # pi_kl - pi_k pi_l = 1/6 - 1/4 = -1/12 for N=4, n=2.
         dist = enumerate_design(DesignKind.SRSWOR, N=4, n=2)
-        assert check_pairwise_na(dist) == pytest.approx(-1 / 12, abs=1e-12)
+        assert check_csyg(dist).max_covariance == pytest.approx(-1 / 12, abs=1e-12)
+
+    def test_one_unit_samples(self):
+        # n = 1 leaves I = () out of the scan; the row is still pi_kl -
+        # pi_k pi_l = -pi_k pi_l, largest for the two smallest pi.
+        dist = ExactDesignDistribution.from_support(
+            support={(0,): 0.5, (1,): 0.2, (2,): 0.3}, N=3, n=1
+        )
+        rpt = check_csyg(dist)
+        assert rpt.checked_count == 0
+        assert rpt.max_covariance == pytest.approx(-0.06, abs=1e-15)
+        assert rpt.covariance_pair == (1, 2)
+
+    def test_single_unit_has_no_pair(self):
+        census = ExactDesignDistribution.from_support(support={(0,): 1.0}, N=1, n=1)
+        rpt = check_csyg(census)
+        assert (rpt.max_covariance, rpt.covariance_pair) == (-math.inf, None)
 
 
 class TestUnbiasedness:
@@ -538,7 +560,7 @@ class TestUnbiasedness:
     def test_builds_no_second_order(
         self, monkeypatch, enumerated_123456, x123456, pi123456
     ):
-        from splitsamp import oracle
+        from splitsamp import distribution, oracle
 
         dist = enumerated_123456[DesignKind.CHAO]
         gap = unbiasedness_check(dist, x123456, pi123456.pi)
@@ -546,7 +568,10 @@ class TestUnbiasedness:
         def second_order(dist):
             raise AssertionError("pi2 built for pi1 alone")
 
-        monkeypatch.setattr(oracle, "first_second_order", second_order)
+        # The oracle does not import first_second_order; were it to, the
+        # patch would cover that name too.
+        monkeypatch.setattr(distribution, "first_second_order", second_order)
+        monkeypatch.setattr(oracle, "first_second_order", second_order, raising=False)
         assert unbiasedness_check(dist, x123456, pi123456.pi) == gap
 
 

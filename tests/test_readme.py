@@ -40,6 +40,15 @@ def test_command_line_sample(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().out.splitlines() == shown
 
 
+def test_command_line_verify(capsys):
+    # The block shows float noise, such as the unbiasedness gap, as
+    # Python 3.11 with numpy 2.4 prints it.
+    block = next(b for b in blocks(section("Command line")) if "splitsamp verify" in b)
+    command, *shown = block.strip().splitlines()
+    assert main(shlex.split(command.removeprefix("$ splitsamp "))) == 0
+    assert capsys.readouterr().out.splitlines() == shown
+
+
 def test_monte_carlo_certification_block():
     # The block certifies Chao on x, y and pi from the "Drawing samples"
     # blocks; its last line shows the value that line evaluates to.
