@@ -55,8 +55,8 @@ class ExactDesignDistribution:
             raise InvalidInputError(
                 f"bitmask arrays hold N <= {MAX_MASK_N} units, got N={self.N}"
             )
-        masks = np.asarray(self.masks, dtype=np.int64)
-        probs = np.asarray(self.probs, dtype=float)
+        masks = np.array(self.masks, dtype=np.int64)
+        probs = np.array(self.probs, dtype=float)
         if np.any((masks < 0) | (masks >> self.N != 0)):
             raise InvalidInputError(f"mask out of range for N={self.N}")
         if np.any(probs < PROB_FLOOR):
@@ -65,9 +65,14 @@ class ExactDesignDistribution:
                 f"negative probability {float(probs[i])!r} for "
                 f"{mask_units(int(masks[i]))!r}"
             )
-        keep = probs > 0.0
-        self.masks, merged = np.unique(masks[keep], return_inverse=True)
-        self.probs = np.bincount(merged, weights=probs[keep])
+        if np.all(probs > 0.0) and np.all(masks[1:] > masks[:-1]):
+            # Already sorted, distinct and positive: the merge below would
+            # return them unchanged.
+            self.masks, self.probs = masks, probs
+        else:
+            keep = probs > 0.0
+            self.masks, merged = np.unique(masks[keep], return_inverse=True)
+            self.probs = np.bincount(merged, weights=probs[keep])
         total = float(self.probs.sum()) + self.pruned_mass
         if abs(total - 1.0) > MASS_TOL:
             raise InvalidInputError(
@@ -149,17 +154,17 @@ def members(masks: np.ndarray, N: int) -> np.ndarray:
     return (masks[:, None] >> np.arange(N)) & 1
 
 
-def set_sizes(N: int) -> np.ndarray:
-    """|A| for all 2^N sets A, indexed by A's bitmask: the sets with bit
-    k are those below 2^k, plus one."""
-    size = np.zeros(1, dtype=np.int64)
-    for _ in range(N):
-        size = np.concatenate([size, size + 1])
-    return size
-
-
 # The number of set bits of every byte.
-_BYTE_SIZES = set_sizes(8)
+_BYTE_SIZES = np.array([bin(b).count("1") for b in range(256)])
+
+
+def set_sizes(N: int) -> np.ndarray:
+    """|A| for all 2^N sets A, indexed by A's bitmask: the count of A's
+    low byte from ``_BYTE_SIZES`` plus that of its higher bits."""
+    low = _BYTE_SIZES[: 1 << min(N, 8)]
+    if N <= 8:
+        return low.copy()
+    return (set_sizes(N - 8)[:, None] + low).ravel()
 
 
 def containment(dist: ExactDesignDistribution) -> np.ndarray:

@@ -7,14 +7,15 @@ small populations its distribution over samples is computed exactly
 one level at a time.  A state is an int bitmask of population units,
 and a level is an array of distinct states with their probabilities.
 One array pass expands a whole level by its design's moves, one row per
-state, and merges the children that coincide.  The enumeration budget
-counts transitions, one per move out of a state.  The checks below
-compare the resulting distribution against what the theory promises:
-correct first-order inclusion probabilities, fixed sample size,
-conditional negative-dependence inequalities (their row at the empty
-conditioning set gives the pairwise indicator covariances), design
-unbiasedness of the Horvitz-Thompson estimator, and the complementarity
-between the Midzuno and elimination procedures.
+state, and merges the children that coincide with one ``np.bincount``
+over the bitmasks, whose nonzero slots are the next level in order.
+The enumeration budget counts transitions, one per move out of a state.
+The checks below compare the resulting distribution against what the
+theory promises: correct first-order inclusion probabilities, fixed
+sample size, conditional negative-dependence inequalities (their row at
+the empty conditioning set gives the pairwise indicator covariances),
+design unbiasedness of the Horvitz-Thompson estimator, and the
+complementarity between the Midzuno and elimination procedures.
 
 The step laws are built here from the plans' rungs and from Brewer's
 closed form, not by running the samplers' kernels, so enumeration stays
@@ -23,6 +24,7 @@ an independent reference for the samplers.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -38,6 +40,7 @@ from .designs import (
     tille_plan,
 )
 from .distribution import (
+    MAX_MASK_N,
     ExactDesignDistribution,
     _first_order,
     containment,
@@ -49,7 +52,7 @@ from .errors import (
     EnumerationBudgetError,
     InvalidInputError,
 )
-from .population import InclusionProbabilities, compute_pips
+from .population import InclusionProbabilities
 
 # Population ceiling for exact enumeration.
 MAX_ENUM_N = 10
@@ -63,6 +66,9 @@ PRUNE_TOL = 1e-15
 _SKIP_TOL = 1e-12
 
 DEFAULT_MAX_BRANCHES = 10_000_000
+
+# Bit k of a mask, for every unit k a mask can hold.
+_BITS = 1 << np.arange(MAX_MASK_N, dtype=np.int64)
 
 # Cells, one pair with one conditioning set each, that one array pass of
 # the conditional scan covers.  A block of pairs holds about this many.
@@ -120,6 +126,9 @@ def enumerate_design(
         raise InvalidInputError(f"unknown design kind {kind!r}")
     start, steps, moves, flip = chain
     masks, probs, pruned = _levels(start, steps, moves, max_branches)
+    if flip:
+        # Every state is a subset of flip, so the XOR reverses their order.
+        masks, probs = masks[::-1], probs[::-1]
     return ExactDesignDistribution(masks ^ flip, probs, N, n, source, pruned)
 
 
@@ -130,8 +139,9 @@ def _levels(start: int, steps: int, moves, max_branches: int):
     ``moves(j, masks)`` gives step j's children and their probabilities
     as two blocks with one row per state, a child of -1 with probability
     0 where a state has no such move.  Each level holds every reachable
-    state once, with the summed probability of all the paths that reach
-    it.
+    state once, in increasing order, with the summed probability of all
+    the paths that reach it: a dense ``np.bincount`` adds them in row
+    order, in at most 2^N slots (8 KB at N = 10, 512 KB at N = 16).
     """
     masks, probs = np.array([start], dtype=np.int64), np.ones(1)
     pruned = 0.0
@@ -146,8 +156,11 @@ def _levels(start: int, steps: int, moves, max_branches: int):
         mass = probs[:, None] * w
         small = w < PRUNE_TOL
         pruned += float(mass[small].sum())
-        masks, merged = np.unique(children[~small], return_inverse=True)
-        probs = np.bincount(merged, weights=mass[~small])
+        keep = ~small
+        # Every kept path has mass, so the nonzero slots are the states.
+        dense = np.bincount(children[keep], weights=mass[keep])
+        masks = np.flatnonzero(dense)
+        probs = dense[masks]
     return masks, probs, pruned
 
 
@@ -167,10 +180,12 @@ def _remove(masks: np.ndarray, col: np.ndarray, context: str, expected: float = 
     """Moves that remove one unit k present in the state, with
     probability ``col[k]``; the present units' law must sum to
     ``expected``."""
-    bits = 1 << np.arange(col.size)
-    present = (masks[:, None] & bits) != 0
-    w = _check_sum(np.where(present, col, 0.0), expected, context)
-    return np.where(present, masks[:, None] ^ bits, -1), w
+    kids = masks[:, None] ^ _BITS[: col.size]
+    # Flipping bit k lowers the mask exactly when unit k is present.
+    absent = kids > masks[:, None]
+    w = _check_sum(np.where(absent, 0.0, col), expected, context)
+    kids[absent] = -1
+    return kids, w
 
 
 def _chao_chain(x: np.ndarray, n: int):
@@ -231,7 +246,7 @@ def _brewer_chain(pi: InclusionProbabilities):
     S} p_j)``, whatever the order of the draws, which is where
     step-by-step rescaling by ``(r - 1) / (r - p_j)`` lands.
     """
-    bits = 1 << np.arange(pi.N)
+    bits = _BITS[: pi.N]
     p = np.where(pi.certain, 0.0, pi.pi)
     d = pi.n - int(np.count_nonzero(pi.certain))
 
@@ -293,7 +308,7 @@ def check_csyg(dist: ExactDesignDistribution) -> CsygReport:
     f = containment(dist)
     eligible = set_sizes(dist.N) <= dist.n - 2
     live = np.flatnonzero(eligible & (f > _SKIP_TOL))
-    ks, ls = np.triu_indices(dist.N, 1)
+    ks, ls = _pairs(dist.N)
     # The I = () cells in _csyg_block's expression, so to the bit.
     bk, bl, f0 = 1 << ks, 1 << ls, f[0]
     cov = f[bk | bl] / f0 - (f[bk] / f0) * (f[bl] / f0)
@@ -324,6 +339,16 @@ def check_csyg(dist: ExactDesignDistribution) -> CsygReport:
         max_covariance=-math.inf if c is None else float(cov[c]),
         covariance_pair=None if c is None else (int(ks[c]), int(ls[c])),
     )
+
+
+@functools.lru_cache(maxsize=None)
+def _pairs(N: int) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs k < l of N units in ``combinations`` order, as two
+    read-only arrays, built once per N (``containment`` caps N at 20):
+    O(N^2), unlike the scan's 2^N tables, which no call keeps."""
+    ks, ls = np.triu_indices(N, 1)
+    ks.flags.writeable = ls.flags.writeable = False
+    return ks, ls
 
 
 def _csyg_block(f, live, tiled, ks, ls):
@@ -405,15 +430,20 @@ def midzuno_complementarity_tv(
         # No randomness: Midzuno selects the certainty units, or all units.
         only = int(np.sum(1 << (certain if n_active == 0 else np.arange(pi.N))))
         return mid.tv_distance(ExactDesignDistribution([only], [1.0], pi.N, pi.n))
-    comp_sizes = 1.0 - pi.pi[active]
-    sub_pi = compute_pips(comp_sizes, active.size - n_active)
     sub = enumerate_design(
-        DesignKind.TILLE_ELIMINATION, x=comp_sizes, pi=sub_pi, max_branches=max_branches
+        DesignKind.TILLE_ELIMINATION,
+        x=1.0 - pi.pi[active],
+        n=active.size - n_active,
+        max_branches=max_branches,
     )
-    # Bit i of a complementary sample is active unit i.
-    comp = members(((1 << active.size) - 1) ^ sub.masks, active.size)
+    # Bit i of a complementary sample is active unit i.  Complements
+    # reverse the order of the sorted masks, and spreading the bits over
+    # the active units keeps it.
+    comp = members(((1 << active.size) - 1) ^ sub.masks[::-1], active.size)
     masks = comp @ (1 << active) | int(np.sum(1 << certain))
     source = f"complement-elimination({sub.source})"
     return mid.tv_distance(
-        ExactDesignDistribution(masks, sub.probs, pi.N, pi.n, source, sub.pruned_mass)
+        ExactDesignDistribution(
+            masks, sub.probs[::-1], pi.N, pi.n, source, sub.pruned_mass
+        )
     )

@@ -13,7 +13,7 @@ from splitsamp import (
     containment,
     first_second_order,
 )
-from splitsamp.distribution import _first_order, mask_units
+from splitsamp.distribution import MASS_TOL, _first_order, mask_units, set_sizes
 
 from conftest import contains, dirichlet_design, random_fixed_size
 
@@ -37,6 +37,47 @@ def test_masks_merged_sorted_and_zeros_dropped():
     d = ExactDesignDistribution([6, 3, 6, 5], [0.25, 0.5, 0.25, 0.0], N=3, n=2)
     assert d.masks.tolist() == [3, 6]
     assert d.probs.tolist() == [0.5, 0.5]
+
+
+def arrays(d):
+    return d.masks.dtype.str, d.masks.tobytes(), d.probs.dtype.str, d.probs.tobytes()
+
+
+def test_unsorted_repeated_and_zero_masks_give_the_sorted_arrays():
+    sorted_ = dirichlet_design(8, 4, seed=27)
+    masks, probs = sorted_.masks, sorted_.probs
+    order = np.random.default_rng(27).permutation(masks.size)
+    halves = np.r_[probs, probs] / 2.0
+    assert np.all(halves[: probs.size] * 2.0 == probs)
+    variants = [
+        (masks.tolist(), probs.tolist()),
+        (masks[order], probs[order]),
+        (np.r_[masks, masks], halves),
+        (np.r_[masks, [0, 0b11110000]], np.r_[probs, 0.0, -1e-16]),
+    ]
+    for m, p in variants:
+        d = ExactDesignDistribution(m, p, N=8, n=4)
+        assert arrays(d) == arrays(sorted_)
+    # Sorted input is taken as it is, but not shared with the caller.
+    d = ExactDesignDistribution(masks, probs, N=8, n=4)
+    assert not np.shares_memory(d.masks, masks)
+    assert not np.shares_memory(d.probs, probs)
+
+
+@pytest.mark.parametrize("shuffle", [False, True], ids=["sorted", "shuffled"])
+def test_checks_run_on_sorted_and_unsorted_masks(shuffle):
+    def build(masks, probs):
+        order = slice(None, None, -1 if shuffle else 1)
+        return ExactDesignDistribution(np.array(masks)[order], np.array(probs)[order], N=3, n=2)
+
+    build([3, 5, 6], [0.5, 0.25, 0.25])
+    with pytest.raises(InvalidInputError, match="negative"):
+        build([3, 5, 6], [0.5, 0.75, -0.25])
+    with pytest.raises(InvalidInputError, match="range"):
+        build([3, 5, 8], [0.5, 0.25, 0.25])
+    with pytest.raises(InvalidInputError, match="sum"):
+        build([3, 5, 6], [0.5, 0.25, 0.25 + 2 * MASS_TOL])
+    build([3, 5, 6], [0.5, 0.25, 0.25 + MASS_TOL / 2])
 
 
 def test_mask_out_of_range_rejected():
@@ -124,6 +165,15 @@ def test_fixed_size_counts_bits_without_the_membership_matrix():
     assert not ExactDesignDistribution.from_support(
         {s: 0.25 for s in ragged}, N=63, n=2
     ).fixed_size
+
+
+@pytest.mark.parametrize("N", [0, 1, 5, 8, 9, 12, 17])
+def test_set_sizes_counts_bits(N):
+    sizes = set_sizes(N)
+    assert sizes.dtype == np.int64
+    assert sizes.tolist() == [bin(a).count("1") for a in range(1 << N)]
+    sizes[:] = 0
+    assert set_sizes(N)[-1] == N
 
 
 def test_tv_distance():

@@ -7,11 +7,15 @@ a checker that silently passes everything cannot survive this module.
 
 import dataclasses
 import math
+import os
 import struct
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from itertools import combinations
 from math import comb
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,9 +31,10 @@ from splitsamp import (
     enumerate_design,
     first_second_order,
     midzuno_complementarity_tv,
+    oracle,
     unbiasedness_check,
 )
-from splitsamp.distribution import containment, mask_units, set_sizes
+from splitsamp.distribution import containment, mask_units, members, set_sizes
 from splitsamp.oracle import _SKIP_TOL, DEFAULT_MAX_BRANCHES, MAX_ENUM_N, PRUNE_TOL
 
 from conftest import (
@@ -508,6 +513,148 @@ class TestCsygMatchesPairwiseScan:
         assert peak <= 51_872
 
 
+def unique_levels(start: int, steps: int, moves, max_branches: int):
+    """``oracle._levels`` as it was before it merged each level densely,
+    by ``np.unique`` over the children and ``np.bincount`` over their
+    inverse: kept as the reference for its bytes and its budget."""
+    masks, probs = np.array([start], dtype=np.int64), np.ones(1)
+    pruned = 0.0
+    transitions = 0
+    for j in range(steps):
+        children, w = moves(j, masks)
+        transitions += int(np.count_nonzero(children >= 0))
+        if transitions > max_branches:
+            raise EnumerationBudgetError(
+                f"enumeration needs more than {max_branches} branches (transitions)"
+            )
+        mass = probs[:, None] * w
+        small = w < PRUNE_TOL
+        pruned += float(mass[small].sum())
+        masks, merged = np.unique(children[~small], return_inverse=True)
+        probs = np.bincount(merged, weights=mass[~small])
+    return masks, probs, pruned
+
+
+CHAINS = {
+    DesignKind.CHAO: lambda x, pi: oracle._chao_chain(x, pi.n),
+    DesignKind.TILLE_ELIMINATION: lambda x, pi: oracle._tille_chain(x, pi.n),
+    DesignKind.GENERALIZED_MIDZUNO: lambda x, pi: oracle._midzuno_chain(pi),
+    DesignKind.BREWER: lambda x, pi: oracle._brewer_chain(pi),
+}
+
+
+def unique_enumeration(kind, x, pi):
+    """The distribution ``enumerate_design`` built before the dense merge:
+    the reference levels, XORed to samples and merged by construction;
+    SRSWOR's samples in ``combinations`` order."""
+    if kind is DesignKind.SRSWOR:
+        masks = [sum(1 << k for k in s) for s in combinations(range(pi.N), pi.n)]
+        return ExactDesignDistribution(masks, np.full(len(masks), 1 / len(masks)), pi.N, pi.n)
+    start, steps, moves, flip = CHAINS[kind](x, pi)
+    masks, probs, pruned = unique_levels(start, steps, moves, DEFAULT_MAX_BRANCHES)
+    return ExactDesignDistribution(masks ^ flip, probs, pi.N, pi.n, "", pruned)
+
+
+def dist_bytes(dist) -> tuple:
+    return (
+        dist.masks.dtype.str,
+        dist.masks.tobytes(),
+        dist.probs.tobytes(),
+        struct.pack("<d", dist.pruned_mass),
+    )
+
+
+def assert_same_enumeration(x, pi):
+    for kind in DesignKind:
+        if kind is DesignKind.SRSWOR:
+            dist = enumerate_design(kind, N=pi.N, n=pi.n)
+        else:
+            dist = enumerate_design(kind, x=x, pi=pi)
+        assert dist_bytes(dist) == dist_bytes(unique_enumeration(kind, x, pi)), kind
+
+
+class TestDenseMerge:
+    """Merging each level densely gives the distributions and the budget
+    that ``np.unique`` gave, to the bit."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_exact_checks_instances(self, seed):
+        rng = np.random.default_rng([seed, 27])
+        for N, n, c in EXACT_CHECKS_SHAPES:
+            x = exact_checks_sizes(rng, N, n, c)
+            assert_same_enumeration(x, compute_pips(x, n))
+
+    @pytest.mark.parametrize("N", range(3, 11))
+    def test_random_instances(self, N):
+        # Lognormal sizes make certainty units and capped shares common.
+        rng = np.random.default_rng([N, 27])
+        for _ in range(6):
+            x = rng.lognormal(0.0, 1.5, N)
+            assert_same_enumeration(x, compute_pips(x, int(rng.integers(1, N))))
+
+    @pytest.mark.parametrize("N", [12, 14, 16])
+    @pytest.mark.parametrize("kind", UNEQUAL_DESIGNS[:3], ids=lambda k: k.value)
+    def test_chains_beyond_the_enumeration_cap(self, kind, N):
+        x = np.random.default_rng(N).uniform(1.0, 2.0, N)
+        start, steps, moves, _ = CHAINS[kind](x, compute_pips(x, N // 2))
+        dense = oracle._levels(start, steps, moves, DEFAULT_MAX_BRANCHES)
+        unique = unique_levels(start, steps, moves, DEFAULT_MAX_BRANCHES)
+        assert dense[0].dtype == unique[0].dtype
+        assert dense[0].tobytes() == unique[0].tobytes()
+        assert dense[1].tobytes() == unique[1].tobytes()
+        assert struct.pack("<d", dense[2]) == struct.pack("<d", unique[2])
+
+    def test_budget_at_the_reference_count(self):
+        rng = np.random.default_rng([0, 27])
+        for N, n, c in EXACT_CHECKS_SHAPES:
+            x = exact_checks_sizes(rng, N, n, c)
+            pi = compute_pips(x, n)
+            for kind in UNEQUAL_DESIGNS:
+                start, steps, moves, _ = CHAINS[kind](x, pi)
+                # The least budget the reference passes: its transitions.
+                lo, hi = 0, DEFAULT_MAX_BRANCHES
+                while hi - lo > 1:
+                    mid = (lo + hi) // 2
+                    try:
+                        unique_levels(start, steps, moves, mid)
+                        hi = mid
+                    except EnumerationBudgetError:
+                        lo = mid
+                oracle._levels(start, steps, moves, hi)
+                with pytest.raises(EnumerationBudgetError, match="branches"):
+                    oracle._levels(start, steps, moves, hi - 1)
+
+
+# Runs in a fresh interpreter, where no earlier call at N = 10 has filled
+# a cache: warm up at N = 9, then enumerate and scan every design at
+# N = 10 and print the bytes that are still held once the results go.
+HELD_AFTER_CHECKS = """
+import tracemalloc
+import numpy as np
+from splitsamp import DesignKind, check_csyg, enumerate_design
+
+def run(N):
+    x = np.linspace(1.0, 2.0, N)
+    for kind in DesignKind:
+        check_csyg(enumerate_design(kind, x=x, n=N // 2, N=N))
+
+run(9)
+tracemalloc.start()
+run(10)
+print(tracemalloc.get_traced_memory()[0])
+"""
+
+
+def test_checks_keep_no_table_of_every_set():
+    # A 2^10 table of int64 or float64 is 8,192 bytes.
+    env = {**os.environ, "PYTHONPATH": str(Path(oracle.__file__).parents[1])}
+    out = subprocess.run(
+        [sys.executable, "-c", HELD_AFTER_CHECKS],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert int(out.stdout) < 8_192
+
+
 class TestPairwise:
     def test_negative_on_fixture(self, enumerated_123456):
         for kind in UNEQUAL_DESIGNS:
@@ -586,6 +733,60 @@ class TestComplementarity:
     def test_degenerate_all_active_selected(self):
         pi = compute_pips(np.array([10.0, 10.0, 1.0, 1.0]), 3)
         assert midzuno_complementarity_tv(pi) <= 1e-9
+
+    def test_same_complement_from_one_pi(self, monkeypatch):
+        # The complementary run gets its size and derives its pi once;
+        # its distribution and the distance are the ones that computing
+        # that pi beforehand and passing it along gave, to the bit.
+        def reference(pi):
+            certain = np.flatnonzero(pi.certain)
+            active = np.flatnonzero(~pi.certain)
+            comp_sizes = 1.0 - pi.pi[active]
+            sub_pi = compute_pips(comp_sizes, active.size - pi.n + certain.size)
+            sub = enumerate_design(DesignKind.TILLE_ELIMINATION, x=comp_sizes, pi=sub_pi)
+            comp = members(((1 << active.size) - 1) ^ sub.masks, active.size)
+            masks = comp @ (1 << active) | int(np.sum(1 << certain))
+            source = f"complement-elimination({sub.source})"
+            return ExactDesignDistribution(
+                masks, sub.probs, pi.N, pi.n, source, sub.pruned_mass
+            )
+
+        seen = []
+        tv = ExactDesignDistribution.tv_distance
+
+        def spy(self, other):
+            seen.append(other)
+            return tv(self, other)
+
+        monkeypatch.setattr(ExactDesignDistribution, "tv_distance", spy)
+        rng = np.random.default_rng([1, 27])
+        pis = [compute_pips(*RECURSION_CASES[1])] + [
+            compute_pips(exact_checks_sizes(rng, N, n, c), n)
+            for N, n, c in EXACT_CHECKS_SHAPES
+        ]
+        for pi in pis:
+            got = midzuno_complementarity_tv(pi)
+            comp = seen.pop()
+            ref = reference(pi)
+            assert dist_bytes(comp) == dist_bytes(ref)
+            assert comp.source == ref.source
+            mid = enumerate_design(DesignKind.GENERALIZED_MIDZUNO, pi=pi)
+            assert struct.pack("<d", got) == struct.pack("<d", tv(mid, ref))
+
+    def test_complementary_pi_computed_once(self, monkeypatch):
+        # Every module's name for compute_pips counts its calls.
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return compute_pips(*args)
+
+        pi = compute_pips(np.arange(1.0, 7.0), 3)
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "splitsamp" and hasattr(module, "compute_pips"):
+                monkeypatch.setattr(module, "compute_pips", counted)
+        midzuno_complementarity_tv(pi)
+        assert len(calls) == 1
 
 
 def _tille_by_recursion(x, n):
