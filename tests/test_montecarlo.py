@@ -355,8 +355,10 @@ class TestLockstepReplicates:
             (DesignKind.CHAO, "a137f0e9a990c743"),
             (DesignKind.TILLE_ELIMINATION, "5e41ad2f87456d37"),
             (DesignKind.GENERALIZED_MIDZUNO, "b2702ec47472270e"),
+            (DesignKind.BREWER, "2ece1205c6272a4b"),
+            (DesignKind.SRSWOR, "7887e8e1d50b2ff0"),
         ],
-        ids=["chao", "tille", "midzuno"],
+        ids=["chao", "tille", "midzuno", "brewer", "srswor"],
     )
     def test_criterion_05_chunks_keep_their_samples(self, kind, prefix):
         # Two full 655-row chunks on criterion 05's frame: any change to
@@ -364,9 +366,10 @@ class TestLockstepReplicates:
         rng = np.random.default_rng(20260819)
         x = rng.uniform(1.0, 2.0, size=200)
         y = rng.uniform(0.0, 1.0, size=200)
+        frame = dict(N=200) if kind is DesignKind.SRSWOR else dict(x=x)
         tail = estimate_tail(
             kind, y=y, eps_grid=np.linspace(0.025, 0.5, 20), replicates=1310,
-            master_seed=5, x=x, n=40,
+            master_seed=5, n=40, **frame,
         )
         assert hashlib.sha256(tail.errors.tobytes()).hexdigest().startswith(prefix)
 
