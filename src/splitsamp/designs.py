@@ -26,12 +26,13 @@ count of units crossing the cap at a step.  A batch is step-major, a
 row per step of its uniforms and picks and per slot of its pool: its
 picks come first, in place, and a walk step is one append and one put.
 
-Brewer's plan is one cumulative sum of the probabilities.  A step
-proposes from it and accepts by rejection; when that would take more
-than four trials on average, it picks by composition instead: the
-heaviest undrawn units by their exact weights, the rest by rejection
-under an envelope.  Either way a step costs a bisection per trial plus
-a pass over those heaviest units, not over the population.
+Brewer's plan is one cumulative sum of the probabilities, with a guide
+table over it.  A step proposes from it and accepts by rejection; when
+that would take more than four trials on average, it picks by
+composition instead: the heaviest undrawn units by their exact weights,
+the rest by rejection under an envelope.  Either way a step costs a
+search per trial, mostly a guide lookup and one compare in a batch,
+plus a pass over those heaviest units, not over the population.
 
 Each procedure's step is written once, over a batch of replicates: all
 rows take a step together as one array operation, and each row draws
@@ -733,7 +734,8 @@ class BrewerPlan:
     """Brewer's draws over the active units, those below 1 - CERTAINTY_TOL.
 
     ``p`` holds their probabilities, ``cum`` the cumulative sums of p
-    (clamped at 0) that proposals search, ``order`` p's descending
+    (clamped at 0) that proposals search, ``guide`` and ``crowded`` the
+    guide table of ``_guide`` over ``cum``, ``order`` p's descending
     order, ``total`` sum(p) and ``draws`` the number of draws; the
     ``*_list`` fields repeat ``p``, ``cum`` and ``order`` as Python
     lists for the one-row path.
@@ -743,6 +745,8 @@ class BrewerPlan:
     active: np.ndarray
     p: np.ndarray
     cum: np.ndarray
+    guide: np.ndarray
+    crowded: np.ndarray
     order: np.ndarray
     total: float
     draws: int
@@ -765,12 +769,15 @@ def brewer_plan(pi_vec: np.ndarray) -> BrewerPlan:
         first = np.zeros((1, p.size), dtype=bool)
         _brewer_weights(p, first, np.array([draws / total]), draws, 1)
     cum = np.cumsum(np.maximum(p, 0.0))
+    guide, crowded = _guide(cum)
     order = np.argsort(-p, kind="stable")
     return BrewerPlan(
         certain=np.flatnonzero(certain),
         active=active,
         p=p,
         cum=cum,
+        guide=guide,
+        crowded=crowded,
         order=order,
         total=total,
         draws=draws,
@@ -778,6 +785,44 @@ def brewer_plan(pi_vec: np.ndarray) -> BrewerPlan:
         cum_list=cum.tolist(),
         order_list=order.tolist(),
     )
+
+
+def _guide(cum: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The guide table of a cumulative sum (Chen & Asau 1974): K buckets,
+    K the least power of two above 4 ``cum.size``, where ``guide[b]`` is
+    ``searchsorted(cum, (b / K) T, side="right")``, T = cum[-1], and
+    ``crowded`` the buckets whose span ``guide[b + 1] - guide[b]``
+    exceeds 1, as a mask, or empty when there are none."""
+    K = 1 << (4 * cum.size).bit_length()
+    if cum.size == 0:
+        return np.zeros(K, dtype=np.intp), np.zeros(0, dtype=bool)
+    keys = np.arange(K + 1) / K * cum[-1]
+    # cum[i] <= keys[b] exactly when b is at least the count of keys
+    # below cum[i]: one search per unit, not per bucket.
+    span = np.bincount(np.searchsorted(keys, cum), minlength=K + 1)
+    crowded = span[1:] > 1
+    if not crowded.any():
+        crowded = np.zeros(0, dtype=bool)
+    return np.cumsum(span[:-1]), crowded
+
+
+def _proposals(plan: BrewerPlan, u: np.ndarray) -> np.ndarray:
+    """``searchsorted(plan.cum, u T, side="right")`` for uniforms u in
+    [0, 1), T = cum[-1], read from the guide table.  u K is exact, K a
+    power of two, so u sits in bucket b = floor(u K) with b / K <= u <
+    (b + 1) / K; u T rounds monotonically in u, so the index lies in
+    [guide[b], guide[b + 1]], and one compare settles every bucket of
+    span at most 1.  Keys in crowded buckets are searched."""
+    cum, guide, crowded = plan.cum, plan.guide, plan.crowded
+    key = u * cum[-1]
+    b = (u * guide.size).astype(np.intp)
+    k = guide[b]
+    k += cum[k] <= key
+    if crowded.size:
+        wide = crowded[b]
+        if wide.any():
+            k[wide] = np.searchsorted(cum, key[wide], side="right")
+    return k
 
 
 def _g(q, r):
@@ -938,13 +983,15 @@ def _brewer_row(plan: BrewerPlan, seed: int) -> list[int]:
 def _reserve(
     u: np.ndarray, used: np.ndarray, seeds: Sequence[int], rows: np.ndarray, count: int
 ) -> np.ndarray:
-    """``u`` with at least ``count`` unused uniforms in each of ``rows``:
-    when one runs short, every row reads its stream on, as far again."""
-    width = u.shape[1]
+    """The step-major block ``u``, ``u[j, r]`` row r's uniform j, with at
+    least ``count`` unused uniforms in each of ``rows``: when one runs
+    short, every row reads its stream on, as far again, appended as
+    further steps."""
+    width = u.shape[0]
     short = int(used[rows].max()) + count - width
     if short <= 0:
         return u
-    return np.hstack([u, _uniforms(seeds, max(short, width), start=width)])
+    return np.concatenate([u, _uniforms(seeds, max(short, width), start=width).T])
 
 
 def _brewer_compose(
@@ -963,8 +1010,8 @@ def _brewer_compose(
     """Composition picks of one step for ``rows`` of a batch, with
     ``base``, ``top``, ``c`` and the envelope ``G`` given per entry of
     ``rows``: the trials of ``_brewer_row``, two uniforms each, until
-    every row accepts.  Advances ``used`` and returns ``u``, read on
-    where a row ran short, with the picks."""
+    every row accepts.  Advances ``used`` and returns the step-major
+    block ``u``, read on where a row ran short, with the picks."""
     p, cum, M = plan.p, plan.cum, plan.p.size
     q_star = (G - r) / (G - 1.0)
     head, head_cum = _brewer_heads(plan, drawn, base, top, c, q_star, r)
@@ -980,7 +1027,7 @@ def _brewer_compose(
         at_row = rows[live]
         u = _reserve(u, used, seeds, at_row, 2 * trials.size)
         at = used[at_row, None] + trials
-        v = u[at_row[:, None], at] * e_all[live, None]
+        v = u[at, at_row[:, None]] * e_all[live, None]
         hit = v < e_head[live, None]
         k = np.searchsorted(cum, (v - e_head[live, None]) / cg[live, None], side="right")
         ok = k < M
@@ -988,7 +1035,7 @@ def _brewer_compose(
         q = c[live, None] * p[k]
         ok &= ~drawn[base[live, None] + k] & (q < q_star[live, None])
         q[~ok] = 0.0
-        ok &= u[at_row[:, None], at + 1] * G[live, None] < _g(q, r)
+        ok &= u[at + 1, at_row[:, None]] * G[live, None] < _g(q, r)
         done = hit | ok
         first = done.argmax(axis=1)
         took = done[np.arange(live.size), first]
@@ -1006,13 +1053,20 @@ def _brewer_compose(
 def _brewer_batch(plan: BrewerPlan, seeds: Sequence[int]) -> np.ndarray:
     """Each row's picks, positions in ``plan.p``, one column per draw:
     the law of ``_brewer_row``, all rows in lockstep.  Per row the state
-    is a drawn mask, sum_S p and a pointer into p's descending order."""
+    is a drawn mask, sum_S p and a pointer into p's descending order.
+    The uniforms are one step-major block, row r's uniform j at ``j R +
+    r`` of its buffer, so a rejection round reads them with 1-D takes."""
     R, M, d = len(seeds), plan.p.size, plan.draws
-    p, cum, order, total = plan.p, plan.cum, plan.order, plan.total
-    u = _uniforms(seeds, _UNIFORMS_PER_DRAW * d)
+    p, order, total = plan.p, plan.order, plan.total
+    if R == 0:
+        return np.empty((0, d), dtype=np.intp)
+    u = _uniforms(seeds, _UNIFORMS_PER_DRAW * d).T
     used = np.zeros(R, dtype=np.intp)
     drawn = np.zeros(R * M, dtype=bool)
-    base = np.arange(R) * M
+    every = np.arange(R)
+    base = every * M
+    # Offsets in the block of a row's next int(_MAX_TRIALS) trials.
+    ahead = 2 * R * np.arange(int(_MAX_TRIALS))
     s = np.zeros(R)
     top = np.zeros(R, dtype=np.intp)
     picks = np.empty((R, d), dtype=np.intp)
@@ -1037,7 +1091,7 @@ def _brewer_batch(plan: BrewerPlan, seeds: Sequence[int]) -> np.ndarray:
             if guard.size:
                 u = _reserve(u, used, seeds, guard, 1)
                 block = drawn.reshape(R, M)[guard]
-                at = u[guard, used[guard]]
+                at = u[used[guard], guard]
                 pick[guard] = _brewer_fallback(p, block, c[guard], r, at, t)
                 used[guard] += 1
             rows = slow[composed]
@@ -1046,16 +1100,36 @@ def _brewer_batch(plan: BrewerPlan, seeds: Sequence[int]) -> np.ndarray:
                     plan, seeds, u, used, drawn, rows,
                     base[rows], top[rows], c[rows], G[composed], r,
                 )
-        live = np.flatnonzero(fast)
+            live = np.flatnonzero(fast)
+        else:
+            # Every row takes the rejection pick: its first round runs on
+            # the whole arrays.
+            u = _reserve(u, used, seeds, every, 2)
+            flat = u.reshape(-1)
+            at = used * R + every
+            k = _proposals(plan, flat[at])
+            used += 2
+            ok = flat[at + R] * g_max < _g(c * p[k], r)
+            ok &= ~drawn[base + k]
+            pick[ok] = k[ok]
+            live = np.flatnonzero(~ok)
         while live.size:
+            # Each round takes a live row's next trials at once, as many
+            # as the block holds up to int(_MAX_TRIALS), and keeps the
+            # first that accepts.
             u = _reserve(u, used, seeds, live, 2)
+            flat = u.reshape(-1)
             at = used[live]
-            k = np.searchsorted(cum, u[live, at] * cum[-1], side="right")
-            used[live] += 2
-            ok = u[live, at + 1] * g_max[live] < _g(c[live] * p[k], r)
-            ok &= ~drawn[base[live] + k]
-            pick[live[ok]] = k[ok]
-            live = live[~ok]
+            trials = ahead[: (u.shape[0] - int(at.max())) // 2]
+            at = (at * R + live)[:, None] + trials
+            k = _proposals(plan, flat[at])
+            ok = flat[at + R] * g_max[live, None] < _g(c[live, None] * p[k], r)
+            ok &= ~drawn[base[live, None] + k]
+            first = ok.argmax(axis=1)
+            took = ok[np.arange(live.size), first]
+            used[live] += np.where(took, 2 * first + 2, 2 * trials.size)
+            pick[live[took]] = k[took, first[took]]
+            live = live[~took]
         drawn[base + pick] = True
         s += p[pick]
         picks[:, t - 1] = pick
@@ -1096,10 +1170,11 @@ def _selection_weight(q: np.ndarray, r: np.ndarray) -> np.ndarray:
 @lru_cache(maxsize=1)
 def _last_plan(key: bytes) -> BrewerPlan:
     """The plan of the last pi that ``make_sampler`` or ``sample_brewer``
-    planned, keyed on its bytes.  Its samplers and traces share ``p``
-    and ``active``, so those are read-only."""
+    planned, keyed on its bytes.  Its samplers and traces share ``p``,
+    ``active``, ``cum`` and the guide table, so those are read-only."""
     plan = brewer_plan(np.frombuffer(key))
-    plan.p.flags.writeable = plan.active.flags.writeable = False
+    for a in (plan.p, plan.active, plan.cum, plan.guide, plan.crowded):
+        a.flags.writeable = False
     return plan
 
 

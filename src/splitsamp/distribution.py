@@ -119,8 +119,15 @@ class ExactDesignDistribution:
         """Total variation distance between two distributions."""
         if self.N != other.N:
             raise InvalidInputError("distributions live on different populations")
-        _, merged = np.unique(np.r_[self.masks, other.masks], return_inverse=True)
-        gap = np.bincount(merged, weights=np.r_[self.probs, -other.probs])
+        # Both mask arrays are sorted and distinct, so the sorted union is
+        # a merge: a mask's slot in it is its rank in its own array plus
+        # the count of the other's masks below it that are not shared.
+        a, b = self.masks, other.masks
+        below = np.searchsorted(a, b)
+        new = np.searchsorted(a, b, side="right") == below
+        gap = np.zeros(a.size + int(np.count_nonzero(new)))
+        gap[np.arange(a.size) + np.searchsorted(b[new], a)] = self.probs
+        gap[below + np.cumsum(new) - new] -= other.probs
         return 0.5 * float(np.abs(gap).sum())
 
     def complement(self) -> "ExactDesignDistribution":

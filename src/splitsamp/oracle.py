@@ -170,7 +170,12 @@ def _rung_ratios(ladder: Ladder) -> tuple[np.ndarray, np.ndarray]:
     from the plan's rungs apart from the sampler's pick.  A unit already
     at 0 gets 0, as no state with mass holds it; ``_remove`` checks the
     law of the units a state holds."""
-    rungs = np.array([ladder.pi(s) for s in range(ladder.steps + 1)])
+    # ``cross`` orders every unit; unit k is capped at rung s when its
+    # rank there is at least cross_at[s].
+    rank = np.empty(ladder.N, dtype=np.intp)
+    rank[ladder.cross] = np.arange(ladder.N)
+    capped = rank >= ladder.cross_at[:, None]
+    rungs = np.where(capped, 1.0, ladder.lam[:, None] * ladder.x)
     ratios = np.ones((ladder.steps, ladder.N))
     np.divide(rungs[1:], rungs[:-1], out=ratios, where=rungs[:-1] > 0)
     return rungs, 1.0 - ratios

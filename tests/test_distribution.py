@@ -2,6 +2,7 @@
 tuple view, TV distance, complements."""
 
 import math
+import struct
 import tracemalloc
 
 import numpy as np
@@ -193,6 +194,42 @@ def test_tv_distance_partial_overlap():
     b = ExactDesignDistribution.from_support({(0, 2): 0.25, (1, 2): 0.75}, N=3, n=2)
     # |0.5 - 0| + |0.5 - 0.25| + |0 - 0.75| = 1.5.
     assert a.tv_distance(b) == b.tv_distance(a) == 0.75
+
+
+def unique_tv(a, b):
+    """TV by ``np.unique`` over both mask arrays and ``np.bincount`` of the
+    gap: the recipe the sorted merge replaced, kept for its bytes."""
+    _, merged = np.unique(np.r_[a.masks, b.masks], return_inverse=True)
+    gap = np.bincount(merged, weights=np.r_[a.probs, -b.probs])
+    return 0.5 * float(np.abs(gap).sum())
+
+
+def sub_design(d, keep):
+    """The masks of ``d`` at ``keep``, with their probabilities rescaled
+    to sum to 1."""
+    probs = d.probs[keep]
+    return ExactDesignDistribution(d.masks[keep], probs / probs.sum(), d.N, d.n)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_tv_distance_merge_equals_the_unique_recipe(seed):
+    d = dirichlet_design(9, 4, seed=seed)
+    other = dirichlet_design(9, 4, seed=seed + 100)
+    half = np.random.default_rng(seed).permutation(d.masks.size)
+    low, high = np.sort(half[: half.size // 2]), np.sort(half[half.size // 2 :])
+    pairs = {
+        "identical": (d, dirichlet_design(9, 4, seed=seed)),
+        "same-support": (d, other),
+        "disjoint": (sub_design(d, low), sub_design(other, high)),
+        "nested": (d, sub_design(other, low[::3])),
+        "one-mask": (sub_design(d, [0]), sub_design(other, [d.masks.size - 1])),
+    }
+    for name, (a, b) in pairs.items():
+        for x, y in ((a, b), (b, a)):
+            tv = x.tv_distance(y)
+            assert struct.pack("<d", tv) == struct.pack("<d", unique_tv(x, y)), name
+    assert pairs["identical"][0].tv_distance(pairs["identical"][1]) == 0.0
+    assert pairs["disjoint"][0].tv_distance(pairs["disjoint"][1]) == pytest.approx(1.0)
 
 
 def test_complement_is_involution():

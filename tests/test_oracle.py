@@ -34,6 +34,7 @@ from splitsamp import (
     oracle,
     unbiasedness_check,
 )
+from splitsamp.designs import chao_plan, midzuno_plan, tille_plan
 from splitsamp.distribution import containment, mask_units, members, set_sizes
 from splitsamp.oracle import _SKIP_TOL, DEFAULT_MAX_BRANCHES, MAX_ENUM_N, PRUNE_TOL
 
@@ -571,6 +572,35 @@ def assert_same_enumeration(x, pi):
         else:
             dist = enumerate_design(kind, x=x, pi=pi)
         assert dist_bytes(dist) == dist_bytes(unique_enumeration(kind, x, pi)), kind
+
+
+def loop_rungs(ladder):
+    """``oracle._rung_ratios``'s rungs as a loop of ``ladder.pi(s)``, one
+    call per rung: the reference for the array expression's bytes."""
+    return np.array([ladder.pi(s) for s in range(ladder.steps + 1)])
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_rung_ratios_equal_the_loop_of_rungs(seed):
+    rng = np.random.default_rng(seed)
+    frames = [
+        _random_case(seed, 10, 2),
+        (X_CERTAIN, 4),
+        (np.repeat([1.0, 2.0, 4.0], [5, 4, 3]), 5),
+        (rng.lognormal(0.0, 1.5, 40), 12),
+    ]
+    for x, n in frames:
+        ladders = [tille_plan(x, n), chao_plan(x, n)]
+        midzuno = midzuno_plan(compute_pips(x, n)).ladder
+        ladders += [midzuno] if midzuno is not None else []
+        for ladder in ladders:
+            rungs, ratios = oracle._rung_ratios(ladder)
+            loop = loop_rungs(ladder)
+            assert rungs.dtype == loop.dtype and rungs.shape == loop.shape
+            assert rungs.tobytes() == loop.tobytes()
+            expect = np.ones((ladder.steps, ladder.N))
+            np.divide(loop[1:], loop[:-1], out=expect, where=loop[:-1] > 0)
+            assert ratios.tobytes() == (1.0 - expect).tobytes()
 
 
 class TestDenseMerge:
