@@ -734,25 +734,31 @@ class BrewerPlan:
     """Brewer's draws over the active units, those below 1 - CERTAINTY_TOL.
 
     ``p`` holds their probabilities, ``cum`` the cumulative sums of p
-    (clamped at 0) that proposals search, ``guide`` and ``crowded`` the
-    guide table of ``_guide`` over ``cum``, ``order`` p's descending
+    (clamped at 0) that proposals search, ``order`` p's descending
     order, ``total`` sum(p) and ``draws`` the number of draws; the
     ``*_list`` fields repeat ``p``, ``cum`` and ``order`` as Python
-    lists for the one-row path.
+    lists for the one-row path.  ``guide`` is built on first use.
     """
 
     certain: np.ndarray
     active: np.ndarray
     p: np.ndarray
     cum: np.ndarray
-    guide: np.ndarray
-    crowded: np.ndarray
     order: np.ndarray
     total: float
     draws: int
     p_list: list[float]
     cum_list: list[float]
     order_list: list[int]
+
+    @cached_property
+    def guide(self) -> tuple[np.ndarray, np.ndarray]:
+        """``_guide`` over ``cum``, read-only: built on the first batch
+        that proposes from it and kept, so a one-row draw never builds
+        it."""
+        table, crowded = _guide(self.cum)
+        table.flags.writeable = crowded.flags.writeable = False
+        return table, crowded
 
 
 def brewer_plan(pi_vec: np.ndarray) -> BrewerPlan:
@@ -769,15 +775,12 @@ def brewer_plan(pi_vec: np.ndarray) -> BrewerPlan:
         first = np.zeros((1, p.size), dtype=bool)
         _brewer_weights(p, first, np.array([draws / total]), draws, 1)
     cum = np.cumsum(np.maximum(p, 0.0))
-    guide, crowded = _guide(cum)
     order = np.argsort(-p, kind="stable")
     return BrewerPlan(
         certain=np.flatnonzero(certain),
         active=active,
         p=p,
         cum=cum,
-        guide=guide,
-        crowded=crowded,
         order=order,
         total=total,
         draws=draws,
@@ -813,7 +816,8 @@ def _proposals(plan: BrewerPlan, u: np.ndarray) -> np.ndarray:
     (b + 1) / K; u T rounds monotonically in u, so the index lies in
     [guide[b], guide[b + 1]], and one compare settles every bucket of
     span at most 1.  Keys in crowded buckets are searched."""
-    cum, guide, crowded = plan.cum, plan.guide, plan.crowded
+    cum = plan.cum
+    guide, crowded = plan.guide
     key = u * cum[-1]
     b = (u * guide.size).astype(np.intp)
     k = guide[b]
@@ -1171,10 +1175,10 @@ def _selection_weight(q: np.ndarray, r: np.ndarray) -> np.ndarray:
 def _last_plan(key: bytes) -> BrewerPlan:
     """The plan of the last pi that ``make_sampler`` or ``sample_brewer``
     planned, keyed on its bytes.  Its samplers and traces share ``p``,
-    ``active``, ``cum`` and the guide table, so those are read-only."""
+    ``active`` and ``cum``, so those are read-only."""
     plan = brewer_plan(np.frombuffer(key))
-    for a in (plan.p, plan.active, plan.cum, plan.guide, plan.crowded):
-        a.flags.writeable = False
+    plan.p.flags.writeable = plan.active.flags.writeable = False
+    plan.cum.flags.writeable = False
     return plan
 
 

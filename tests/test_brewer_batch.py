@@ -253,7 +253,8 @@ def clustered_pis():
 @pytest.mark.parametrize("pi", list(clustered_pis()), ids=lambda pi: f"M{pi.size}")
 def test_guide_equals_searchsorted(pi):
     plan = brewer_plan(pi)
-    cum, K = plan.cum, plan.guide.size
+    guide, crowded = plan.guide
+    cum, K = plan.cum, guide.size
     assert K & (K - 1) == 0 and K > 4 * cum.size
     edges = np.arange(K) / K
     # Each guide edge and where u T first reaches each cumulative sum,
@@ -269,19 +270,26 @@ def test_guide_equals_searchsorted(pi):
     # A block of rows x trials, as a later rejection round asks.
     block = u[: u.size // 4 * 4].reshape(-1, 4)
     assert np.array_equal(_proposals(plan, block), expect[: block.size].reshape(-1, 4))
-    crowded = np.diff(np.searchsorted(cum, np.arange(K + 1) / K * cum[-1], side="right")) > 1
+    edges = np.searchsorted(cum, np.arange(K + 1) / K * cum[-1], side="right")
+    assert np.array_equal(guide, edges[:-1])
     if pi.size > 20:
         # Keys fall in crowded buckets, which only a search settles.
-        assert plan.crowded.size and np.array_equal(plan.crowded, crowded)
-        assert plan.crowded[(u * K).astype(np.intp)].any()
+        assert np.array_equal(crowded, np.diff(edges) > 1)
+        assert crowded[(u * K).astype(np.intp)].any()
     else:
-        assert not crowded.any() and plan.crowded.size == 0
+        assert np.all(np.diff(edges) <= 1) and crowded.size == 0
 
 
-def test_kept_plan_shares_a_read_only_guide():
+def test_guide_built_once_by_the_first_batch_and_read_only():
     pi = compute_pips(*FRAMES["lognormal-1"][:2])
-    designs.make_sampler(designs.DesignKind.BREWER, pi=pi)
+    designs._last_plan.cache_clear()
+    draw, _ = designs.make_sampler(designs.DesignKind.BREWER, pi=pi)
     plan = designs._last_plan(pi.pi.tobytes())
-    assert plan.crowded.size
-    for a in (plan.p, plan.cum, plan.guide, plan.crowded):
+    draw(7)
+    assert "guide" not in vars(plan)
+    draw.rows(range(3))
+    guide, crowded = plan.guide
+    draw.rows(range(3))
+    assert plan.guide[0] is guide and crowded.size
+    for a in (plan.p, plan.cum, guide, crowded):
         assert not a.flags.writeable
