@@ -256,10 +256,9 @@ def test_guide_equals_searchsorted(pi):
     guide, crowded = plan.guide
     cum, K = plan.cum, guide.size
     assert K & (K - 1) == 0 and K > 4 * cum.size
-    edges = np.arange(K) / K
-    # Each guide edge and where u T first reaches each cumulative sum,
-    # with their neighbouring doubles, 0 and the largest uniform.
-    points = np.r_[edges, cum / cum[-1]]
+    # Each bucket's first u and where u T first reaches each cumulative
+    # sum, with their neighbouring doubles, 0 and the largest uniform.
+    points = np.r_[np.arange(K) / K, cum / cum[-1]]
     u = np.r_[
         0.0, points, np.nextafter(points, 0.0), np.nextafter(points, 1.0),
         1.0 - 2.0**-53, np.random.default_rng(K).random(5000),
@@ -270,14 +269,14 @@ def test_guide_equals_searchsorted(pi):
     # A block of rows x trials, as a later rejection round asks.
     block = u[: u.size // 4 * 4].reshape(-1, 4)
     assert np.array_equal(_proposals(plan, block), expect[: block.size].reshape(-1, 4))
-    edges = np.searchsorted(cum, np.arange(K + 1) / K * cum[-1], side="right")
-    assert np.array_equal(guide, edges[:-1])
+    first = np.searchsorted(cum, np.arange(K + 1) / K * cum[-1], side="right")
+    assert np.array_equal(guide, first[:-1])
     if pi.size > 20:
         # Keys fall in crowded buckets, which only a search settles.
-        assert np.array_equal(crowded, np.diff(edges) > 1)
+        assert np.array_equal(crowded, np.diff(first) > 1)
         assert crowded[(u * K).astype(np.intp)].any()
     else:
-        assert np.all(np.diff(edges) <= 1) and crowded.size == 0
+        assert np.all(np.diff(first) <= 1) and crowded.size == 0
 
 
 def test_guide_built_once_by_the_first_batch_and_read_only():
