@@ -32,7 +32,8 @@ that would take more than four trials on average, it picks by
 composition instead: the heaviest undrawn units by their exact weights,
 the rest by rejection under an envelope.  Either way a step costs a
 search per trial, mostly a guide lookup and one compare in a batch,
-plus a pass over those heaviest units, not over the population.
+plus a pass over those heaviest units, not over the population.  A
+batch runs both picks' trials through one round loop on a flat block.
 
 Each procedure's step is written once, over a batch of replicates: all
 rows take a step together as one array operation, and each row draws
@@ -49,8 +50,8 @@ draw pays only for its uniforms, its picks and the walk.
 
 Every design draws through ``make_sampler``, which builds its plan
 once.  ``sample_brewer`` adds Brewer's traced draw.  Brewer's sampler
-and both paths of ``sample_brewer`` read one kept plan, that of the last
-pi planned.
+and both paths of ``sample_brewer`` read kept plans, those of the last
+two pi planned.
 """
 
 from __future__ import annotations
@@ -987,90 +988,99 @@ def _brewer_row(plan: BrewerPlan, seed: int) -> list[int]:
 def _reserve(
     u: np.ndarray, used: np.ndarray, seeds: Sequence[int], rows: np.ndarray, count: int
 ) -> np.ndarray:
-    """The step-major block ``u``, ``u[j, r]`` row r's uniform j, with at
-    least ``count`` unused uniforms in each of ``rows``: when one runs
-    short, every row reads its stream on, as far again, appended as
+    """The flat step-major block ``u``, row r's uniform j at ``j R + r``,
+    with at least ``count`` unused uniforms in each of ``rows``: when one
+    runs short, every row reads its stream on, as far again, appended as
     further steps."""
-    width = u.shape[0]
+    width = u.size // len(seeds)
     short = int(used[rows].max()) + count - width
     if short <= 0:
         return u
-    return np.concatenate([u, _uniforms(seeds, max(short, width), start=width).T])
+    return np.append(u, _uniforms(seeds, max(short, width), start=width).T)
+
+
+def _rounds(
+    u: np.ndarray,
+    used: np.ndarray,
+    seeds: Sequence[int],
+    live: np.ndarray,
+    pick: np.ndarray,
+    trial: Callable[..., tuple[np.ndarray, np.ndarray]],
+) -> np.ndarray:
+    """Trial rounds on the flat block ``u`` until every row of ``live``
+    accepts, each taking a live row's next trials, two uniforms each, as
+    many as the block holds up to int(_MAX_TRIALS).  ``trial(live, u0,
+    u1)`` takes their uniforms, a row per live row and a column per
+    trial, and says which accept and their units; a row's first accepted
+    trial's unit goes to ``pick``.  Advances ``used`` and returns ``u``."""
+    R = len(seeds)
+    ahead = np.arange(0, 2 * R * int(_MAX_TRIALS), 2 * R)
+    while live.size:
+        u = _reserve(u, used, seeds, live, 2)
+        at = used[live]
+        trials = ahead[: (u.size // R - int(at.max())) // 2]
+        at = (at * R + live)[:, None] + trials
+        ok, k = trial(live, u[at], u[at + R])
+        first = ok.argmax(axis=1)
+        took = ok[np.arange(live.size), first]
+        used[live] += np.where(took, 2 * first + 2, 2 * trials.size)
+        pick[live[took]] = k[took, first[took]]
+        live = live[~took]
+    return u
 
 
 def _brewer_compose(
     plan: BrewerPlan,
-    seeds: Sequence[int],
-    u: np.ndarray,
-    used: np.ndarray,
     drawn: np.ndarray,
     rows: np.ndarray,
-    base: np.ndarray,
     top: np.ndarray,
     c: np.ndarray,
     G: np.ndarray,
     r: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Composition picks of one step for ``rows`` of a batch, with
-    ``base``, ``top``, ``c`` and the envelope ``G`` given per entry of
-    ``rows``: the trials of ``_brewer_row``, two uniforms each, until
-    every row accepts.  Advances ``used`` and returns the step-major
-    block ``u``, read on where a row ran short, with the picks."""
+) -> Callable[..., tuple[np.ndarray, np.ndarray]]:
+    """``_brewer_row``'s composition trial at one step for the sorted
+    ``rows`` of a batch, heads and sums built once, as ``_rounds`` calls
+    it: ``top`` and ``c`` per row of the batch, ``G`` per entry of rows."""
     p, cum, M = plan.p, plan.cum, plan.p.size
     q_star = (G - r) / (G - 1.0)
-    head, head_cum = _brewer_heads(plan, drawn, base, top, c, q_star, r)
-    e_head = head_cum[:, -1]
-    cg = c * G
+    head, head_cum = _brewer_heads(plan, drawn, rows * M, top[rows], c[rows], q_star, r)
+    e_head = head_cum[:, -1, None]
+    cg = (c[rows] * G)[:, None]
     e_all = e_head + cg * cum[-1]
-    picks = np.empty(rows.size, dtype=np.intp)
-    # A round takes each live row's next int(_MAX_TRIALS) trials at once
-    # and keeps the first that accepts.
-    trials = 2 * np.arange(int(_MAX_TRIALS))
-    live = np.arange(rows.size)
-    while live.size:
-        at_row = rows[live]
-        u = _reserve(u, used, seeds, at_row, 2 * trials.size)
-        at = used[at_row, None] + trials
-        v = u[at, at_row[:, None]] * e_all[live, None]
-        hit = v < e_head[live, None]
-        k = np.searchsorted(cum, (v - e_head[live, None]) / cg[live, None], side="right")
+
+    def trial(live, u0, u1):
+        i = np.searchsorted(rows, live)
+        v = u0 * e_all[i]
+        hit = v < e_head[i]
+        k = np.searchsorted(cum, (v - e_head[i]) / cg[i], side="right")
         ok = k < M
         k[~ok] = 0
         q = c[live, None] * p[k]
-        ok &= ~drawn[base[live, None] + k] & (q < q_star[live, None])
+        ok &= ~drawn[live[:, None] * M + k] & (q < q_star[i, None])
         q[~ok] = 0.0
-        ok &= u[at + 1, at_row[:, None]] * G[live, None] < _g(q, r)
-        done = hit | ok
-        first = done.argmax(axis=1)
-        took = done[np.arange(live.size), first]
-        used[at_row] += np.where(took, 2 * first + 2, 2 * trials.size)
-        i, f = np.flatnonzero(took), first[took]
-        by_head = hit[i, f]
-        h, fh = i[by_head], f[by_head]
-        j = np.count_nonzero(head_cum[live[h]] <= v[h, fh, None], axis=1)
-        picks[live[h]] = head[live[h], j]
-        picks[live[i[~by_head]]] = k[i[~by_head], f[~by_head]]
-        live = live[~took]
-    return u, picks
+        ok &= u1 * G[i, None] < _g(q, r)
+        h = i[np.nonzero(hit)[0]]
+        k[hit] = head[h, np.count_nonzero(head_cum[h] <= v[hit][:, None], axis=1)]
+        return hit | ok, k
+
+    return trial
 
 
 def _brewer_batch(plan: BrewerPlan, seeds: Sequence[int]) -> np.ndarray:
     """Each row's picks, positions in ``plan.p``, one column per draw:
     the law of ``_brewer_row``, all rows in lockstep.  Per row the state
     is a drawn mask, sum_S p and a pointer into p's descending order.
-    The uniforms are one step-major block, row r's uniform j at ``j R +
-    r`` of its buffer, so a rejection round reads them with 1-D takes."""
+    The uniforms are one flat step-major block, row r's uniform j at
+    ``j R + r``, so every read of them is a 1-D take."""
     R, M, d = len(seeds), plan.p.size, plan.draws
     p, order, total = plan.p, plan.order, plan.total
     if R == 0:
         return np.empty((0, d), dtype=np.intp)
-    u = _uniforms(seeds, _UNIFORMS_PER_DRAW * d).T
+    u = _uniforms(seeds, _UNIFORMS_PER_DRAW * d).T.ravel()
     used = np.zeros(R, dtype=np.intp)
     drawn = np.zeros(R * M, dtype=bool)
     every = np.arange(R)
     base = every * M
-    # Offsets in the block of a row's next int(_MAX_TRIALS) trials.
-    ahead = 2 * R * np.arange(int(_MAX_TRIALS))
     s = np.zeros(R)
     top = np.zeros(R, dtype=np.intp)
     picks = np.empty((R, d), dtype=np.intp)
@@ -1095,45 +1105,32 @@ def _brewer_batch(plan: BrewerPlan, seeds: Sequence[int]) -> np.ndarray:
             if guard.size:
                 u = _reserve(u, used, seeds, guard, 1)
                 block = drawn.reshape(R, M)[guard]
-                at = u[used[guard], guard]
+                at = u[used[guard] * R + guard]
                 pick[guard] = _brewer_fallback(p, block, c[guard], r, at, t)
                 used[guard] += 1
             rows = slow[composed]
             if rows.size:
-                u, pick[rows] = _brewer_compose(
-                    plan, seeds, u, used, drawn, rows,
-                    base[rows], top[rows], c[rows], G[composed], r,
-                )
+                trial = _brewer_compose(plan, drawn, rows, top, c, G[composed], r)
+                u = _rounds(u, used, seeds, rows, pick, trial)
             live = np.flatnonzero(fast)
         else:
             # Every row takes the rejection pick: its first round runs on
             # the whole arrays.
             u = _reserve(u, used, seeds, every, 2)
-            flat = u.reshape(-1)
             at = used * R + every
-            k = _proposals(plan, flat[at])
+            k = _proposals(plan, u[at])
             used += 2
-            ok = flat[at + R] * g_max < _g(c * p[k], r)
+            ok = u[at + R] * g_max < _g(c * p[k], r)
             ok &= ~drawn[base + k]
             pick[ok] = k[ok]
             live = np.flatnonzero(~ok)
-        while live.size:
-            # Each round takes a live row's next trials at once, as many
-            # as the block holds up to int(_MAX_TRIALS), and keeps the
-            # first that accepts.
-            u = _reserve(u, used, seeds, live, 2)
-            flat = u.reshape(-1)
-            at = used[live]
-            trials = ahead[: (u.shape[0] - int(at.max())) // 2]
-            at = (at * R + live)[:, None] + trials
-            k = _proposals(plan, flat[at])
-            ok = flat[at + R] * g_max[live, None] < _g(c[live, None] * p[k], r)
-            ok &= ~drawn[base[live, None] + k]
-            first = ok.argmax(axis=1)
-            took = ok[np.arange(live.size), first]
-            used[live] += np.where(took, 2 * first + 2, 2 * trials.size)
-            pick[live[took]] = k[took, first[took]]
-            live = live[~took]
+
+        def reject(live, u0, u1):
+            k = _proposals(plan, u0)
+            ok = u1 * g_max[live, None] < _g(c[live, None] * p[k], r)
+            return ok & ~drawn[base[live, None] + k], k
+
+        u = _rounds(u, used, seeds, live, pick, reject)
         drawn[base + pick] = True
         s += p[pick]
         picks[:, t - 1] = pick
@@ -1171,11 +1168,12 @@ def _selection_weight(q: np.ndarray, r: np.ndarray) -> np.ndarray:
     return q * _g(q, r)
 
 
-@lru_cache(maxsize=1)
+@lru_cache(maxsize=2)
 def _last_plan(key: bytes) -> BrewerPlan:
-    """The plan of the last pi that ``make_sampler`` or ``sample_brewer``
-    planned, keyed on its bytes.  Its samplers and traces share ``p``,
-    ``active`` and ``cum``, so those are read-only."""
+    """The plans of the last two pi that ``make_sampler`` or
+    ``sample_brewer`` planned, keyed on their bytes.  A plan's samplers
+    and traces share ``p``, ``active`` and ``cum``, so those are
+    read-only."""
     plan = brewer_plan(np.frombuffer(key))
     plan.p.flags.writeable = plan.active.flags.writeable = False
     plan.cum.flags.writeable = False
@@ -1198,9 +1196,9 @@ def sample_brewer(
             one-row kernel draws both, so a seed gives one sample either
             way.
 
-    Plain and traced calls read one kept plan, that of the last pi
+    Plain and traced calls read the kept plans of the last two pi
     planned, which ``make_sampler(BREWER, pi=pi)`` shares, so repeated
-    draws on one pi build it once.
+    draws on one pi, or alternating between two, build each plan once.
     """
     if trace not in (None, "realized"):
         raise InvalidInputError(f"trace must be None or 'realized', got {trace!r}")

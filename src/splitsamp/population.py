@@ -215,9 +215,7 @@ def compute_pips(x: np.ndarray, n: int) -> InclusionProbabilities:
 _SCHEMAS = {"x": ("id", "x", "y"), "pi": ("id", "pi", "y")}
 
 
-def load_population(
-    path: str, schema: str | None = None
-) -> tuple[Population, InclusionProbabilities | None]:
+def load_population(path: str) -> tuple[Population, InclusionProbabilities | None]:
     """Load a population file.
 
     The header row decides the schema: ``id,x,y`` carries sizes and the
@@ -228,7 +226,6 @@ def load_population(
 
     Args:
         path: file to read (UTF-8).
-        schema: optional "x" or "pi" to require a specific header.
 
     Returns:
         (population, probabilities); probabilities is None for the "x"
@@ -250,10 +247,6 @@ def load_population(
     if found is None:
         raise PopulationFileError(
             f"line 1: header must be 'id,x,y' or 'id,pi,y', got {lines[0]!r}"
-        )
-    if schema is not None and schema != found:
-        raise PopulationFileError(
-            f"expected schema {schema!r} but file header is {','.join(header)!r}"
         )
 
     ids: list[str] = []

@@ -292,3 +292,72 @@ def test_guide_built_once_by_the_first_batch_and_read_only():
     assert plan.guide[0] is guide and crowded.size
     for a in (plan.p, plan.cum, guide, crowded):
         assert not a.flags.writeable
+
+
+def rounds(monkeypatch, width, used, live, accept_at):
+    """Run ``designs._rounds`` on a block of ``width`` uniforms per row
+    whose entry for row r and index j is j + r / 8, so the toy trial can
+    tell which uniforms it was handed.  A row accepts the trial whose
+    first uniform has an index in ``accept_at[row]``, and its unit is
+    1000 row + that index.  Returns the block, ``used``, the picks, each
+    call's (live rows, first indices, picks so far) and the refills."""
+    R = len(used)
+    calls, refills = [], []
+
+    def block(start, count):
+        return (np.arange(start, start + count)[:, None] + np.arange(R) / 8).ravel()
+
+    def uniforms(seeds, count, start=0):
+        refills.append((start, count))
+        return block(start, count).reshape(count, R).T
+
+    def trial(rows, u0, u1):
+        j = np.floor(u0).astype(np.intp)
+        assert np.array_equal((u0 - j) * 8, np.broadcast_to(rows[:, None], j.shape))
+        assert np.array_equal(u1, u0 + 1)
+        calls.append((rows.copy(), j, pick.copy()))
+        ok = np.array([[i in accept_at[r] for i in row] for r, row in zip(rows, j)])
+        return ok, 1000 * rows[:, None] + j
+
+    monkeypatch.setattr(designs, "_uniforms", uniforms)
+    used = np.array(used, dtype=np.intp)
+    pick = np.full(R, -1)
+    u = designs._rounds(block(0, width), used, range(R), np.array(live), pick, trial)
+    return u, used, pick, calls, refills
+
+
+def test_rounds_advance_used_past_the_first_accepted_trial(monkeypatch):
+    # Row 0 accepts at its sixth trial, row 1 at its first, row 2 at its
+    # third; row 3 is not live.
+    accept_at = {0: {10}, 1: {2}, 2: {8}}
+    u, used, pick, calls, refills = rounds(
+        monkeypatch, 16, [0, 2, 4, 0], [0, 1, 2], accept_at
+    )
+    # A round takes int(_MAX_TRIALS) trials a row: used moves by 2 per
+    # trial that accepts none, else to just past the accepted one.
+    assert [c[1].shape for c in calls] == [(3, int(_MAX_TRIALS)), (1, int(_MAX_TRIALS))]
+    assert np.array_equal(calls[0][1][:, 0], [0, 2, 4])
+    assert np.array_equal(calls[1][1], [[8, 10, 12, 14]])
+    assert used.tolist() == [12, 4, 10, 0]
+    # Only a row that accepts gets a pick, and only in the round it does.
+    assert calls[1][2].tolist() == [-1, 1002, 2008, -1]
+    assert pick.tolist() == [10, 1002, 2008, -1]
+    assert u.size == 16 * 4 and refills == []
+
+
+def test_rounds_take_fewer_trials_at_the_block_end_and_refill(monkeypatch):
+    # Row 0 has two uniforms left, so the first round takes one trial a
+    # row; it then has none left, and the block reads every row's
+    # stream on, as far again, before the second round.
+    accept_at = {0: {18}, 1: {4}}
+    u, used, pick, calls, refills = rounds(monkeypatch, 16, [14, 0], [0, 1], accept_at)
+    assert [c[1].shape for c in calls] == [(2, 1), (2, int(_MAX_TRIALS))]
+    assert np.array_equal(calls[0][1], [[14], [0]])
+    assert np.array_equal(calls[1][1], [[16, 18, 20, 22], [2, 4, 6, 8]])
+    assert refills == [(16, 16)] and u.size == 32 * 2
+    assert used.tolist() == [20, 6]
+    assert pick.tolist() == [18, 1004]
+    # One uniform left is a refill before the first round.
+    _, used, pick, calls, refills = rounds(monkeypatch, 16, [15, 0], [0], {0: {15}})
+    assert refills == [(16, 16)]
+    assert used.tolist() == [17, 0] and pick.tolist() == [15, -1]

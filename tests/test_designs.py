@@ -556,6 +556,30 @@ class TestBrewer:
             )
         assert len(built) == 2
 
+    def test_alternating_two_pi_builds_each_plan_once(self, monkeypatch):
+        # The last two pi keep their plans, so draws alternating between
+        # them, plain and traced, build two plans in all; a third pi
+        # drops the older of those two.
+        pis = [compute_pips(np.arange(1.0, 9.0) + shift, 3) for shift in (0, 1, 2)]
+        built = []
+
+        def counted(pi_vec):
+            built.append(pi_vec)
+            return brewer_plan(pi_vec)
+
+        designs._last_plan.cache_clear()
+        monkeypatch.setattr(designs, "brewer_plan", counted)
+        for seed in range(5):
+            for pi in pis[:2]:
+                plain = sample_brewer(pi, seed)
+                assert sample_brewer(pi, seed, trace="realized")[0] == plain
+        assert len(built) == 2
+        sample_brewer(pis[2], 0)
+        sample_brewer(pis[1], 0)
+        assert len(built) == 3
+        sample_brewer(pis[0], 0)
+        assert len(built) == 4
+
     @pytest.mark.parametrize("gap, certain", [(1e-13, [0]), (1e-10, [])])
     def test_certain_within_the_package_tolerance(self, gap, certain):
         # Unit 0 is certain for Brewer's plan exactly when it is for

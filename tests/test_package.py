@@ -48,7 +48,6 @@ PUBLIC_OPTIONS = (
     "evaluate_bounds.eps",
     "evaluate_bounds.two_sided",
     "lipschitz_bound.eps",
-    "load_population.schema",
     "make_sampler.N",
     "make_sampler.n",
     "make_sampler.pi",

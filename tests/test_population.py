@@ -201,11 +201,6 @@ class TestLoadPopulation:
         with pytest.raises(PopulationFileError, match="line 1"):
             load_population(path)
 
-    def test_schema_mismatch(self, tmp_path):
-        path = self.write(tmp_path, "id,x,y\na,1,2\n")
-        with pytest.raises(PopulationFileError, match="schema"):
-            load_population(path, schema="pi")
-
     def test_bad_field_count_reports_line(self, tmp_path):
         path = self.write(tmp_path, "id,x,y\na,1,2\nb,3\n")
         with pytest.raises(PopulationFileError, match="line 3"):
