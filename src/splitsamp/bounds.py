@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -90,21 +90,11 @@ class BoundInputs:
         M: float | None = None,
         c: float | None = None,
     ) -> "BoundInputs":
-        sv = study_vector(pop, pi)
-        return cls.from_study(sv, n=pi.n, eps=eps, M=M, c=c,
-                              equal_probability=pi.is_equal_probability())
+        inputs = cls.from_study(study_vector(pop, pi), n=pi.n, eps=eps)
+        return replace(inputs, M=M, c=c, equal_probability=pi.is_equal_probability())
 
     @classmethod
-    def from_study(
-        cls,
-        sv: StudyVector,
-        *,
-        n: float,
-        eps: float,
-        M: float | None = None,
-        c: float | None = None,
-        equal_probability: bool = False,
-    ) -> "BoundInputs":
+    def from_study(cls, sv: StudyVector, *, n: float, eps: float) -> "BoundInputs":
         return cls(
             N=sv.N,
             n=n,
@@ -113,9 +103,6 @@ class BoundInputs:
             sum_sq_ycheck=sv.sum_sq,
             sup_y=sv.sup_y_abs,
             sup_y2_over_pi=sv.sup_y2_over_pi,
-            M=M,
-            c=c,
-            equal_probability=equal_probability,
         )
 
 

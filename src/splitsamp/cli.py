@@ -77,8 +77,11 @@ def _parse_floats(spec: str, what: str) -> np.ndarray:
 
 
 def _resolve_pi(pop, pi_file, kind: DesignKind, n: int | None):
-    """Target probabilities for a population file plus optional --n."""
+    """Target probabilities for a population file plus optional --n.
+    SRSWOR draws at n/N, so a file's pi must be n/N for every unit."""
     if kind is DesignKind.SRSWOR:
+        if pi_file is not None and not pi_file.is_equal_probability():
+            raise InvalidInputError("srswor needs pi = n/N for every unit")
         size = n if n is not None else (pi_file.n if pi_file is not None else None)
         if size is None:
             raise InvalidInputError("srswor needs --n")
@@ -123,6 +126,19 @@ def cmd_sample(args) -> int:
 
 def _bound_inputs_from_args(args) -> BoundInputs:
     if args.population is not None:
+        raw = {
+            "--N": args.N,
+            "--sup-ycheck": args.sup_ycheck,
+            "--sum-sq-ycheck": args.sum_sq_ycheck,
+            "--sup-y": args.sup_y,
+            "--sup-y2-over-pi": args.sup_y2_over_pi,
+            "--equal-probability": args.equal_probability or None,
+        }
+        given = [k for k, v in raw.items() if v is not None]
+        if given:
+            raise InvalidInputError(
+                "--population gives the statistics; drop " + ", ".join(given)
+            )
         pop, pi_file = load_population(args.population)
         pi = _pi_from_file(pop, pi_file, args.n)
         return BoundInputs.from_population(
@@ -210,6 +226,8 @@ def cmd_verify(args) -> int:
     if kind is DesignKind.SRSWOR:
         if args.N is None:
             raise InvalidInputError("srswor verification needs --N")
+        if args.x is not None:
+            raise InvalidInputError("srswor verification takes --N, not --x")
         N, n = args.N, args.n
         if n is None:
             raise InvalidInputError("verification needs --n")
@@ -228,7 +246,7 @@ def cmd_verify(args) -> int:
         pi = compute_pips(x, n)
         y = x.copy()
         dist = enumerate_design(
-            kind, x=x, pi=pi, n=n, max_branches=args.max_branches
+            kind, x=x, pi=pi, n=n, N=args.N, max_branches=args.max_branches
         )
 
     lines = [
@@ -371,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=[k.value for k in DesignKind],
     )
     p_verify.add_argument("--x", help="comma-separated size values")
-    p_verify.add_argument("--N", type=int, help="population size (srswor only)")
+    p_verify.add_argument("--N", type=int, help="population size (needed for srswor)")
     p_verify.add_argument("--n", type=int, help="sample size")
     p_verify.add_argument(
         "--max-branches",

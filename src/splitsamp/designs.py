@@ -311,13 +311,13 @@ class Ladder:
     O(N) memory.
 
     Rung s gives unit k the probability ``min(1, lam[s] * x[k])``: its
-    ``capped[s]`` capped units sit at 1 and every other unit at
-    ``lam[s] * x[k] < 1``.  Step j leads from rung j to rung j + 1.  The
-    units present at rung 0 are all capped there (``lam[0]`` is
-    infinite); a unit that arrives later, in Chao's stream, counts as
-    capped before its arrival step, so an arrival that is uncapped on
-    arrival crosses the cap at its own step.  A unit leaves the capped
-    set, or crosses the cap, at most once:
+    capped units, ``cross[cross_at[s]:]``, sit at 1 and every other unit
+    at ``lam[s] * x[k] < 1``.  Step j leads from rung j to rung j + 1.
+    The units present at rung 0 are all capped there (``lam[0]`` is
+    infinite, ``cross_at[0]`` is 0); a unit that arrives later, in
+    Chao's stream, counts as capped before its arrival step, so an
+    arrival that is uncapped on arrival crosses the cap at its own step.
+    A unit leaves the capped set, or crosses the cap, at most once:
     ``cross[cross_at[j]:cross_at[j + 1]]`` are the units that cross at
     step j, and ``cross[cross_at[-1]:]`` are still capped at the last
     rung.  ``law`` is the law of every step and ``segments`` the same
@@ -326,7 +326,6 @@ class Ladder:
 
     x: np.ndarray
     lam: np.ndarray
-    capped: np.ndarray
     cross: np.ndarray
     cross_at: np.ndarray
 
@@ -426,16 +425,16 @@ def _elimination_ladder(x: np.ndarray, n: int) -> Ladder:
     cross = np.argsort(x, kind="stable")
     sizes = x[cross].tolist()
     lam = np.empty(N - n + 1)
-    capped = np.empty(N - n + 1, dtype=np.intp)
-    lam[0], capped[0] = np.inf, N
+    cross_at = np.empty(N - n + 1, dtype=np.intp)
+    lam[0], cross_at[0] = np.inf, 0
     c, rest = N, 0.0
     for s in range(1, N - n + 1):
         i = N - s
         while c and not _stays_capped(i, c, sizes[N - c], rest):
             rest += sizes[N - c]
             c -= 1
-        lam[s], capped[s] = (i - c) / rest, c
-    return Ladder(x=x, lam=lam, capped=capped, cross=cross, cross_at=N - capped)
+        lam[s], cross_at[s] = (i - c) / rest, N - c
+    return Ladder(x=x, lam=lam, cross=cross, cross_at=cross_at)
 
 
 def _picks(
@@ -585,8 +584,7 @@ def chao_plan(x: np.ndarray, n: int) -> Ladder:
     heap = [(sizes[k], k) for k in range(n)]
     heapq.heapify(heap)
     lam = np.empty(N - n + 1)
-    capped = np.empty(N - n + 1, dtype=np.intp)
-    lam[0], capped[0] = np.inf, n
+    lam[0] = np.inf
     cross: list[int] = []
     cross_at = [0]
     rest = 0.0
@@ -596,13 +594,12 @@ def chao_plan(x: np.ndarray, n: int) -> Ladder:
             size, k = heapq.heappop(heap)
             rest += size
             cross.append(k)
-        lam[j + 1], capped[j + 1] = (n - len(heap)) / rest, len(heap)
+        lam[j + 1] = (n - len(heap)) / rest
         cross_at.append(len(cross))
     cross.extend(k for _, k in sorted(heap))
     return Ladder(
         x=x,
         lam=lam,
-        capped=capped,
         cross=np.array(cross, dtype=np.intp),
         cross_at=np.array(cross_at, dtype=np.intp),
     )
@@ -642,14 +639,13 @@ class MidzunoPlan:
     ``ladder`` is Tille's ladder run on the complementary probabilities
     1 - pi of the ``active`` units, from N' down to N'-n' (n' the draws
     left after the certainty units); the units it eliminates are the
-    ones Midzuno selects.  None when no draw is random.
+    ones Midzuno selects.  With n' = 0 it has no step, and with n' = N'
+    its last rung is at size 0, where the last unit leaves surely.
     """
 
-    N: int
-    n: int
     certain: np.ndarray
     active: np.ndarray
-    ladder: Ladder | None
+    ladder: Ladder
 
 
 def midzuno_plan(pi: InclusionProbabilities) -> MidzunoPlan:
@@ -663,30 +659,17 @@ def midzuno_plan(pi: InclusionProbabilities) -> MidzunoPlan:
     n_active = pi.n - certain.size
     if n_active < 0:
         raise InvalidSizeError("more certainty units than the sample size")
-    # n_active == 0 or n_active == active.size leave no randomness and
-    # need no ladder.
-    ladder = None
-    if 0 < n_active < active.size:
-        ladder = _elimination_ladder(1.0 - pi.pi[active], active.size - n_active)
-    return MidzunoPlan(
-        N=pi.N, n=pi.n, certain=certain, active=active, ladder=ladder
-    )
+    ladder = _elimination_ladder(1.0 - pi.pi[active], active.size - n_active)
+    return MidzunoPlan(certain=certain, active=active, ladder=ladder)
 
 
 def _midzuno_rows(plan: MidzunoPlan, seeds: Sequence[int]) -> np.ndarray:
     """One Midzuno sample per seed, all rows selecting in lockstep with
     one uniform per step."""
-    R = len(seeds)
-    if plan.ladder is not None:
-        picked = _eliminate(
-            plan.ladder, seeds, lambda j: f"midzuno step {j + 1}", survivors=False
-        )
-        chosen = plan.active[picked]
-    elif plan.n - plan.certain.size == plan.active.size:
-        chosen = np.tile(plan.active, (R, 1))
-    else:
-        chosen = np.empty((R, 0), dtype=np.intp)
-    return np.hstack([np.tile(plan.certain, (R, 1)), chosen])
+    picked = _eliminate(
+        plan.ladder, seeds, lambda j: f"midzuno step {j + 1}", survivors=False
+    )
+    return np.hstack([np.tile(plan.certain, (len(seeds), 1)), plan.active[picked]])
 
 
 # ---------------------------------------------------------------------------
@@ -1160,12 +1143,8 @@ def run_splitting(plan: BrewerPlan, seed: int, pi0: np.ndarray) -> SplittingTrac
     final = np.zeros(len(pi0), dtype=int)
     final[plan.certain] = 1
     final[plan.active[picks]] = 1
-    steps = FactorSteps(len(pi0), plan.active, plan.p, picks, c, _selection_weight)
+    steps = FactorSteps(len(pi0), plan.active, plan.p, picks, c)
     return SplittingTrace(np.array(pi0, dtype=float), steps, final)
-
-
-def _selection_weight(q: np.ndarray, r: np.ndarray) -> np.ndarray:
-    return q * _g(q, r)
 
 
 @lru_cache(maxsize=2)

@@ -47,7 +47,6 @@ class ExactDesignDistribution:
     probs: np.ndarray
     N: int
     n: int
-    source: str = ""
     pruned_mass: float = 0.0
 
     def __post_init__(self) -> None:
@@ -137,7 +136,6 @@ class ExactDesignDistribution:
             self.probs,
             N=self.N,
             n=self.N - self.n,
-            source=f"complement({self.source})",
             pruned_mass=self.pruned_mass,
         )
 

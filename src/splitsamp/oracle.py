@@ -104,7 +104,6 @@ def enumerate_design(
     N, n = pi.N, pi.n
     if kind is DesignKind.SRSWOR and not pi.is_equal_probability():
         raise InvalidInputError("srswor needs pi = n/N for every unit")
-    source = f"{kind.value}(N={N},n={n})"
     if kind is DesignKind.SRSWOR:
         count = math.comb(N, n)
         if count > max_branches:
@@ -112,7 +111,7 @@ def enumerate_design(
                 f"srswor enumeration needs more than {max_branches} branches"
             )
         masks = np.flatnonzero(set_sizes(N) == n)
-        return ExactDesignDistribution(masks, np.full(count, 1.0 / count), N, n, source)
+        return ExactDesignDistribution(masks, np.full(count, 1.0 / count), N, n)
     sizes = np.asarray(x if x is not None else pi.pi, dtype=float)
     if kind is DesignKind.CHAO:
         chain = _chao_chain(sizes, n)
@@ -129,7 +128,7 @@ def enumerate_design(
     if flip:
         # Every state is a subset of flip, so the XOR reverses their order.
         masks, probs = masks[::-1], probs[::-1]
-    return ExactDesignDistribution(masks ^ flip, probs, N, n, source, pruned)
+    return ExactDesignDistribution(masks ^ flip, probs, N, n, pruned)
 
 
 def _levels(start: int, steps: int, moves, max_branches: int):
@@ -231,9 +230,6 @@ def _midzuno_chain(pi: InclusionProbabilities):
     plan = midzuno_plan(pi)
     active = int(np.sum(1 << plan.active))
     flip = active | int(np.sum(1 << plan.certain))
-    if plan.ladder is None:
-        # No draw is random: every active unit is selected, or none.
-        return (0 if plan.n > plan.certain.size else active), 0, None, flip
     select = np.zeros((plan.ladder.steps, pi.N))
     select[:, plan.active] = _rung_ratios(plan.ladder)[1]
 
@@ -446,9 +442,6 @@ def midzuno_complementarity_tv(
     # the active units keeps it.
     comp = members(((1 << active.size) - 1) ^ sub.masks[::-1], active.size)
     masks = comp @ (1 << active) | int(np.sum(1 << certain))
-    source = f"complement-elimination({sub.source})"
     return mid.tv_distance(
-        ExactDesignDistribution(
-            masks, sub.probs[::-1], pi.N, pi.n, source, sub.pruned_mass
-        )
+        ExactDesignDistribution(masks, sub.probs[::-1], pi.N, pi.n, sub.pruned_mass)
     )

@@ -29,7 +29,7 @@ from __future__ import annotations
 import bisect
 from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -78,10 +78,10 @@ class FactorSteps(Sequence):
     Before step t (0-based) every undrawn unit k sits at ``c[t] * p[k]``;
     the step draws ``picks[t]`` and moves the others to ``c[t + 1] *
     p[k]``, and ``c[d] = 0``.  ``units`` maps positions in ``p`` to the
-    N-vector, whose other units never move.  ``weight(q, r)`` gives,
-    elementwise, the selection weight of an undrawn unit at q = c[t] p
-    with r draws left.  An item is a ``SplittingStep`` built on access, in O(N + d);
-    iteration builds the items block by block.
+    N-vector, whose other units never move.  An undrawn unit at
+    q = c[t] p with r draws left has Brewer's selection weight
+    q (r - q) / (1 - q).  An item is a ``SplittingStep`` built on
+    access, in O(N + d); iteration builds the items block by block.
     """
 
     N: int
@@ -89,7 +89,6 @@ class FactorSteps(Sequence):
     p: np.ndarray
     picks: np.ndarray
     c: np.ndarray
-    weight: Callable[[np.ndarray, np.ndarray], np.ndarray]
 
     def __len__(self) -> int:
         return self.picks.size
@@ -122,7 +121,10 @@ class FactorSteps(Sequence):
         drawn_at[self.units[self.picks]] = np.arange(d)
         undrawn = drawn_at >= t[:, None]
         sizes = self.p.size - t
-        w = self.weight(np.compress(undrawn.ravel(), c * p), np.repeat(d - t, sizes))
+        q = np.compress(undrawn.ravel(), c * p)
+        w = q * ((np.repeat(d - t, sizes) - q) / (1.0 - q))
+        # Freed before the dense block is built, which lowers the peak.
+        del q
         dense = np.where(undrawn, (c_next - c) * p, 0.0)
         dense[np.arange(t.size), self.units[picks]] = 1.0 - c[:, 0] * self.p[picks]
         # A pick's place among the undrawn units is k less the earlier

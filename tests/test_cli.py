@@ -97,6 +97,16 @@ class TestSample:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_srswor_rejects_a_pi_other_than_n_over_N(self, tmp_path, capsys):
+        # SRSWOR would draw at 2/3 and write that pi into the sidecar.
+        path = tmp_path / "pi.csv"
+        path.write_text("id,pi,y\nu1,0.2,1.0\nu2,0.8,2.0\nu3,1.0,3.0\n")
+        out = tmp_path / "sel.txt"
+        rc = main(["sample", str(path), "--design", "srswor", "--out", str(out)])
+        assert rc == 2
+        assert "pi = n/N" in capsys.readouterr().err
+        assert not out.exists()
+
 
 RAW_STATS = [
     "--N", "100", "--n", "20", "--sup-ycheck", "5",
@@ -162,6 +172,23 @@ class TestBounds:
     def test_solve_n_missing_pieces(self, capsys):
         rc = main(["bounds", "--solve-n", "--M", "1", "--eps", "0.1"])
         assert rc == 2
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--N", "99", "--sup-ycheck", "5", "--sum-sq-ycheck", "1"],
+            ["--sup-y", "1"],
+            ["--sup-y2-over-pi", "1"],
+            ["--equal-probability"],
+        ],
+    )
+    def test_population_rejects_raw_statistics(self, pop_file, flags, capsys):
+        rc = main(
+            ["bounds", "--population", pop_file, "--n", "2", "--eps", "0.1", *flags]
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert all(flag in err for flag in flags if flag.startswith("--"))
 
 
 DESIGNS = ("chao", "tille", "midzuno", "brewer", "srswor")
@@ -236,6 +263,20 @@ class TestVerify:
         rc = main(["verify", "--design", "srswor", "--N", "5", "--n", "2"])
         assert rc == 0
         assert "support=10" in capsys.readouterr().out
+
+    def test_srswor_rejects_x(self, capsys):
+        rc = main(
+            ["verify", "--design", "srswor", "--N", "4", "--n", "2",
+             "--x", "1,2,3,4"]
+        )
+        assert rc == 2
+        assert "--x" in capsys.readouterr().err
+
+    def test_N_must_match_x(self, capsys):
+        argv = ["verify", "--design", "chao", "--x", "1,2,3,4", "--n", "2"]
+        assert main(argv + ["--N", "99"]) == 2
+        assert "N=99" in capsys.readouterr().err
+        assert main(argv + ["--N", "4"]) == 0
 
     def test_dump_file(self, tmp_path, capsys):
         dump = str(tmp_path / "dist.csv")

@@ -33,6 +33,7 @@ from splitsamp import (
     enumerate_design,
     estimate_tail,
     make_sampler,
+    midzuno_complementarity_tv,
     sample_brewer,
 )
 from splitsamp import designs
@@ -421,7 +422,7 @@ class TestChao:
         x = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
         ladder = chao_plan(x, 2)
         # One rung per stream prefix of 2..5 units; the first caps both.
-        assert ladder.lam.size == 4 and ladder.capped[0] == 2
+        assert ladder.lam.size == 4 and ladder.pi(0, 2).tolist() == [1.0, 1.0]
         assert ladder.cross_at.tolist()[0] == 0 and ladder.cross_at.size == 4
         # Each unit crosses the cap at most once.
         assert sorted(set(ladder.cross.tolist())) == sorted(ladder.cross.tolist())
@@ -449,7 +450,7 @@ class TestTille:
         plan = tille_plan(x, 2)
         assert plan.steps == 3
         # Rung 0 (size 5) caps every unit; units cross smallest first.
-        assert plan.capped.tolist()[0] == 5
+        assert plan.cross_at[0] == 0
         assert plan.cross.tolist() == [0, 1, 2, 3, 4]
         for s in range(plan.steps + 1):
             assert plan.pi(s).sum() == pytest.approx(5 - s, abs=1e-12)
@@ -488,6 +489,28 @@ class TestMidzuno:
         assert np.array_equal(ladder.x, 1.0 - pi_plain.pi)
         for s in range(ladder.steps + 1):
             assert ladder.pi(s).sum() == pytest.approx(4 - s, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "pi, forced, steps",
+        [
+            (compute_pips(np.array([1.0, 2.0, 3.0]), 3), (0, 1, 2), 0),
+            (InclusionProbabilities(pi=[1.0, 1.0, 2e-10, 3e-10], n=2), (0, 1), 0),
+            (InclusionProbabilities(pi=[1 - 4e-10, 1 - 3e-10, 1.0], n=3), (0, 1, 2), 2),
+        ],
+        ids=["all-certain", "no-draw", "every-active-drawn"],
+    )
+    def test_forced_samples_run_the_ladder(self, pi, forced, steps):
+        # n = N, n' = 0 and n' = N' leave nothing random.  The ladder of
+        # 1 - pi still walks them: it has no step, or its last rung is at
+        # size 0, where the last active unit leaves surely.
+        assert midzuno_plan(pi).ladder.steps == steps
+        draw = make_sampler(DesignKind.GENERALIZED_MIDZUNO, pi=pi)[0]
+        seeds = list(range(8))
+        assert [draw(s).selected for s in seeds] == [forced] * len(seeds)
+        assert draw.rows(seeds).tolist() == [list(forced)] * len(seeds)
+        dist = enumerate_design(DesignKind.GENERALIZED_MIDZUNO, pi=pi)
+        assert dict(dist.support) == {forced: 1.0}
+        assert midzuno_complementarity_tv(pi) == 0.0
 
 
 class TestBrewer:
@@ -948,7 +971,6 @@ class TestLockstepMatchesReferenceLoops:
         ladder = designs.Ladder(
             x=np.array([0.5, 1.0, 1.5, 1.2, 1.0, 0.8]),
             lam=np.array([np.inf, 2 / 3, 2 / 3, 0.5]),
-            capped=np.array([6, 3, 0, 0]),
             cross=np.arange(6),
             cross_at=np.array([0, 3, 6, 6]),
         )
@@ -1335,7 +1357,6 @@ def structured_law(ladder, j, units):
 class TestLadders:
     def check_rung(self, ladder, s, x, ref):
         assert capped_at(ladder, s, x.size) == np.flatnonzero(ref == 1.0).tolist()
-        assert ladder.capped[s] == int(np.sum(ref == 1.0))
         free = ref < 1.0
         if free.any():
             lam = ref[free] / x[free]

@@ -23,7 +23,7 @@ def uniform_pairs(N):
     pairs = [(a, b) for a in range(N) for b in range(a + 1, N)]
     p = 1.0 / len(pairs)
     return ExactDesignDistribution.from_support(
-        support={s: p for s in pairs}, N=N, n=2, source="uniform-pairs"
+        support={s: p for s in pairs}, N=N, n=2
     )
 
 

@@ -553,7 +553,7 @@ def unique_enumeration(kind, x, pi):
         return ExactDesignDistribution(masks, np.full(len(masks), 1 / len(masks)), pi.N, pi.n)
     start, steps, moves, flip = CHAINS[kind](x, pi)
     masks, probs, pruned = unique_levels(start, steps, moves, DEFAULT_MAX_BRANCHES)
-    return ExactDesignDistribution(masks ^ flip, probs, pi.N, pi.n, "", pruned)
+    return ExactDesignDistribution(masks ^ flip, probs, pi.N, pi.n, pruned)
 
 
 def dist_bytes(dist) -> tuple:
@@ -776,9 +776,8 @@ class TestComplementarity:
             sub = enumerate_design(DesignKind.TILLE_ELIMINATION, x=comp_sizes, pi=sub_pi)
             comp = members(((1 << active.size) - 1) ^ sub.masks, active.size)
             masks = comp @ (1 << active) | int(np.sum(1 << certain))
-            source = f"complement-elimination({sub.source})"
             return ExactDesignDistribution(
-                masks, sub.probs, pi.N, pi.n, source, sub.pruned_mass
+                masks, sub.probs, pi.N, pi.n, sub.pruned_mass
             )
 
         seen = []
@@ -799,7 +798,6 @@ class TestComplementarity:
             comp = seen.pop()
             ref = reference(pi)
             assert dist_bytes(comp) == dist_bytes(ref)
-            assert comp.source == ref.source
             mid = enumerate_design(DesignKind.GENERALIZED_MIDZUNO, pi=pi)
             assert struct.pack("<d", got) == struct.pack("<d", tv(mid, ref))
 

@@ -17,12 +17,8 @@ PUBLIC_OPTIONS = (
     "BoundInputs.equal_probability",
     "BoundInputs.from_population.M",
     "BoundInputs.from_population.c",
-    "BoundInputs.from_study.M",
-    "BoundInputs.from_study.c",
-    "BoundInputs.from_study.equal_probability",
     "DominanceRegime.eps_limit",
     "ExactDesignDistribution.pruned_mass",
-    "ExactDesignDistribution.source",
     "ExperimentConfig.N",
     "ExperimentConfig.eps_count",
     "ExperimentConfig.n_list",

@@ -370,7 +370,7 @@ def tree_16():
     levels took to build."""
     masks = [sum(1 << k for k in c) for c in itertools.combinations(range(16), 8)]
     probs = np.random.default_rng(16).dirichlet(np.ones(len(masks)))
-    dist = ExactDesignDistribution(masks, probs, 16, 8, "dirichlet")
+    dist = ExactDesignDistribution(masks, probs, 16, 8)
     start = time.perf_counter()
     levels = sequential_splitting_from_distribution(dist)
     return dist, levels, time.perf_counter() - start
