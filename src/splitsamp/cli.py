@@ -5,6 +5,8 @@ Four subcommands: ``sample`` draws one sample from a population file,
 or confidence radius), ``verify`` enumerates a design on a small
 population and checks its structural properties, and ``experiment``
 writes the bound-difference curves for the synthetic skewed population.
+Each mode of ``bounds`` and ``verify`` lists in ``MODES`` the flags it
+reads; any other flag given, or a needed one left out, exits 2.
 
 Exit codes: 0 success, 1 internal error, 2 input validation (also used
 by argparse itself).  ``verify`` exits 1 when any check fails.
@@ -24,7 +26,7 @@ from .bounds import (
     solve_confidence_radius,
     solve_sample_size,
 )
-from .designs import DesignKind, make_sampler
+from .designs import DesignKind, make_sampler, target_pi
 from .distribution import _first_order
 from .errors import (
     EnumerationBudgetError,
@@ -76,19 +78,6 @@ def _parse_floats(spec: str, what: str) -> np.ndarray:
     return np.asarray(vals, dtype=float)
 
 
-def _resolve_pi(pop, pi_file, kind: DesignKind, n: int | None):
-    """Target probabilities for a population file plus optional --n.
-    SRSWOR draws at n/N, so a file's pi must be n/N for every unit."""
-    if kind is DesignKind.SRSWOR:
-        if pi_file is not None and not pi_file.is_equal_probability():
-            raise InvalidInputError("srswor needs pi = n/N for every unit")
-        size = n if n is not None else (pi_file.n if pi_file is not None else None)
-        if size is None:
-            raise InvalidInputError("srswor needs --n")
-        return InclusionProbabilities(pi=np.full(pop.N, size / pop.N), n=size)
-    return _pi_from_file(pop, pi_file, n)
-
-
 def _pi_from_file(pop, pi_file, n: int | None) -> InclusionProbabilities:
     """The capped size shares at --n, else the pi the file carries."""
     if n is not None:
@@ -101,8 +90,14 @@ def _pi_from_file(pop, pi_file, n: int | None) -> InclusionProbabilities:
 def cmd_sample(args) -> int:
     pop, pi_file = load_population(args.population)
     kind = DesignKind.from_string(args.design)
-    pi = _resolve_pi(pop, pi_file, kind, args.n)
-    draw, pi = make_sampler(kind, pi=pi, x=pop.x)
+    if kind is not DesignKind.SRSWOR:
+        draw, pi = make_sampler(kind, pi=_pi_from_file(pop, pi_file, args.n), x=pop.x)
+    elif pi_file is not None and not pi_file.is_equal_probability():
+        # SRSWOR draws at n/N, so a file's pi must be n/N for every unit.
+        raise InvalidInputError("srswor needs pi = n/N for every unit")
+    else:
+        size = args.n if args.n is not None else _pi_from_file(pop, pi_file, None).n
+        draw, pi = make_sampler(kind, N=pop.N, n=size)
     sample = draw(args.seed)
     ids = [pop.ids[k] for k in sample.selected]
     _write_out("".join(f"{i}\n" for i in ids), args.out)
@@ -125,50 +120,23 @@ def cmd_sample(args) -> int:
 
 
 def _bound_inputs_from_args(args) -> BoundInputs:
+    eps = args.eps or 0.0
     if args.population is not None:
-        raw = {
-            "--N": args.N,
-            "--sup-ycheck": args.sup_ycheck,
-            "--sum-sq-ycheck": args.sum_sq_ycheck,
-            "--sup-y": args.sup_y,
-            "--sup-y2-over-pi": args.sup_y2_over_pi,
-            "--equal-probability": args.equal_probability or None,
-        }
-        given = [k for k, v in raw.items() if v is not None]
-        if given:
-            raise InvalidInputError(
-                "--population gives the statistics; drop " + ", ".join(given)
-            )
         pop, pi_file = load_population(args.population)
         pi = _pi_from_file(pop, pi_file, args.n)
-        return BoundInputs.from_population(
-            pop, pi, eps=args.eps or 0.0, M=args.M, c=args.c
-        )
-    needed = {
-        "--N": args.N,
-        "--n": args.n,
-        "--sup-ycheck": args.sup_ycheck,
-        "--sum-sq-ycheck": args.sum_sq_ycheck,
-    }
-    missing = [k for k, v in needed.items() if v is None]
-    if missing:
-        raise InvalidInputError(
-            "raw statistics need " + ", ".join(missing) + " (or use a population file)"
-        )
-    sup_y = args.sup_y if args.sup_y is not None else args.sup_ycheck
-    sup_y2 = (
-        args.sup_y2_over_pi
-        if args.sup_y2_over_pi is not None
-        else args.sup_ycheck**2
-    )
+        return BoundInputs.from_population(pop, pi, eps=eps, M=args.M, c=args.c)
     return BoundInputs(
         N=args.N,
         n=args.n,
-        eps=args.eps or 0.0,
+        eps=eps,
         sup_ycheck=args.sup_ycheck,
         sum_sq_ycheck=args.sum_sq_ycheck,
-        sup_y=sup_y,
-        sup_y2_over_pi=sup_y2,
+        sup_y=args.sup_y if args.sup_y is not None else args.sup_ycheck,
+        sup_y2_over_pi=(
+            args.sup_y2_over_pi
+            if args.sup_y2_over_pi is not None
+            else args.sup_ycheck**2
+        ),
         M=args.M,
         c=args.c,
         equal_probability=args.equal_probability,
@@ -177,8 +145,6 @@ def _bound_inputs_from_args(args) -> BoundInputs:
 
 def cmd_bounds(args) -> int:
     if args.solve_n:
-        if args.M is None or args.c is None or args.eps is None or args.eta is None:
-            raise InvalidInputError("--solve-n needs --M, --c, --eps and --eta")
         n = solve_sample_size(
             args.M, args.c, args.eps, args.eta, two_sided=args.two_sided
         )
@@ -190,12 +156,8 @@ def cmd_bounds(args) -> int:
             "two_sided": args.two_sided,
             "n": n,
         }
-        _write_out(json.dumps(payload, indent=2) + "\n", args.out)
-        return 0
-    inputs = _bound_inputs_from_args(args)
-    if args.solve_eps:
-        if args.eta is None:
-            raise InvalidInputError("--solve-eps needs --eta")
+    elif args.solve_eps:
+        inputs = _bound_inputs_from_args(args)
         eps = solve_confidence_radius(inputs, args.eta, two_sided=args.two_sided)
         payload = {
             "N": inputs.N,
@@ -204,12 +166,13 @@ def cmd_bounds(args) -> int:
             "two_sided": args.two_sided,
             "eps": eps,
         }
-        _write_out(json.dumps(payload, indent=2) + "\n", args.out)
+    else:
+        report = evaluate_bounds(
+            _bound_inputs_from_args(args), two_sided=args.two_sided, eps=args.eps
+        )
+        _write_out(report.to_json() + "\n", args.out)
         return 0
-    if args.eps is None:
-        raise InvalidInputError("bound evaluation needs --eps (or a solve flag)")
-    report = evaluate_bounds(inputs, two_sided=args.two_sided, eps=args.eps)
-    _write_out(report.to_json() + "\n", args.out)
+    _write_out(json.dumps(payload, indent=2) + "\n", args.out)
     return 0
 
 
@@ -223,31 +186,10 @@ def _verify_line(label: str, value: float, tol: float, lines: list[str]) -> bool
 
 def cmd_verify(args) -> int:
     kind = DesignKind.from_string(args.design)
-    if kind is DesignKind.SRSWOR:
-        if args.N is None:
-            raise InvalidInputError("srswor verification needs --N")
-        if args.x is not None:
-            raise InvalidInputError("srswor verification takes --N, not --x")
-        N, n = args.N, args.n
-        if n is None:
-            raise InvalidInputError("verification needs --n")
-        pi = InclusionProbabilities(pi=np.full(N, n / N), n=n)
-        y = np.arange(1.0, N + 1.0)
-        dist = enumerate_design(
-            kind, N=N, n=n, pi=pi, max_branches=args.max_branches
-        )
-    else:
-        if args.x is None:
-            raise InvalidInputError(f"{kind.value} verification needs --x")
-        x = _parse_floats(args.x, "--x")
-        if args.n is None:
-            raise InvalidInputError("verification needs --n")
-        n = args.n
-        pi = compute_pips(x, n)
-        y = x.copy()
-        dist = enumerate_design(
-            kind, x=x, pi=pi, n=n, N=args.N, max_branches=args.max_branches
-        )
+    x = None if args.x is None else _parse_floats(args.x, "--x")
+    pi = target_pi(kind, None, x, args.n, args.N)
+    y = np.arange(1.0, pi.N + 1.0) if x is None else x
+    dist = enumerate_design(kind, x=x, pi=pi, max_branches=args.max_branches)
 
     lines = [
         f"design={kind.value} N={pi.N} n={pi.n} "
@@ -316,6 +258,68 @@ def cmd_experiment(args) -> int:
     rows = run_experiment(config)
     _write_out(experiment_csv(rows), args.out)
     return 0
+
+
+# The flags each mode of ``bounds`` and ``verify`` reads, by argparse
+# dest: those it needs, then those it may take.  ``main`` rejects any
+# other flag given; ``--out`` and the other subcommands are unchecked.
+_RAW = ("N", "n", "sup_ycheck", "sum_sq_ycheck")
+_VERIFY_BY_X = "verify --design chao, tille, midzuno or brewer"
+MODES = {
+    "bounds": (
+        (*_RAW, "eps"),
+        ("sup_y", "sup_y2_over_pi", "M", "c", "equal_probability", "two_sided"),
+    ),
+    "bounds --solve-eps": (
+        (*_RAW, "solve_eps", "eta"),
+        ("sup_y", "sup_y2_over_pi", "two_sided"),
+    ),
+    "bounds --population": (("population", "eps"), ("n", "M", "c", "two_sided")),
+    "bounds --solve-eps --population": (
+        ("solve_eps", "population", "eta"),
+        ("n", "two_sided"),
+    ),
+    "bounds --solve-n": (("solve_n", "M", "c", "eps", "eta"), ("two_sided",)),
+    "verify --design srswor": (("N", "n"), ("max_branches", "dump")),
+    _VERIFY_BY_X: (("x", "n"), ("N", "max_branches", "dump")),
+}
+# Read as a pair: a mode that may take one of them needs both or neither.
+_PAIR = ("M", "c")
+_UNCHECKED = ("command", "func", "design", "out")
+
+
+def _mode(args) -> str | None:
+    """The key of ``MODES`` a parsed command runs in, if it has one."""
+    if args.command == "verify":
+        return "verify --design srswor" if args.design == "srswor" else _VERIFY_BY_X
+    if args.command != "bounds":
+        return None
+    if args.solve_n:
+        return "bounds --solve-n"
+    mode = "bounds --solve-eps" if args.solve_eps else "bounds"
+    return mode if args.population is None else mode + " --population"
+
+
+def _check_flags(args) -> None:
+    """Reject the flags given that the command's mode does not read and
+    the flags it needs that are left out, naming each.  A flag counts as
+    given when its value is neither None nor False."""
+    mode = _mode(args)
+    if mode is None:
+        return
+    needs, takes = MODES[mode]
+    given = [d for d, v in vars(args).items() if v is not None and v is not False]
+    missing = [d for d in needs if d not in given]
+    if set(_PAIR) <= set(takes) and set(_PAIR) & set(given):
+        missing += [d for d in _PAIR if d not in given]
+    extra = [d for d in given if d not in (*needs, *takes, *_UNCHECKED)]
+    problems = [
+        f"{verb} " + ", ".join("--" + d.replace("_", "-") for d in dests)
+        for verb, dests in (("takes no", extra), ("needs", missing))
+        if dests
+    ]
+    if problems:
+        raise InvalidInputError(f"{mode} " + "; ".join(problems))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -427,6 +431,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_flags(args)
         return int(args.func(args) or 0)
     except EnumerationBudgetError as exc:
         print(

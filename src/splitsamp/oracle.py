@@ -125,6 +125,10 @@ def enumerate_design(
         raise InvalidInputError(f"unknown design kind {kind!r}")
     start, steps, moves, flip = chain
     masks, probs, pruned = _levels(start, steps, moves, max_branches)
+    if masks.size == 1:
+        # Every path reaches this sample, so it holds all the mass not
+        # pruned, not the float sum of its paths.
+        probs = np.array([1.0 - pruned])
     if flip:
         # Every state is a subset of flip, so the XOR reverses their order.
         masks, probs = masks[::-1], probs[::-1]

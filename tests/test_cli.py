@@ -5,6 +5,7 @@ exercised exactly as a shell would see it: 0 success, 1 failed
 verification or internal error, 2 rejected input.
 """
 
+import argparse
 import dataclasses
 import json
 import math
@@ -106,6 +107,18 @@ class TestSample:
         assert rc == 2
         assert "pi = n/N" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_srswor_takes_n_from_an_equal_pi_file(self, pop_file, tmp_path, capsys):
+        assert main(["sample", pop_file, "--design", "srswor"]) == 2
+        assert "pass --n" in capsys.readouterr().err
+        path = tmp_path / "pi.csv"
+        path.write_text("id,pi,y\nu1,0.5,1.0\nu2,0.5,2.0\nu3,0.5,3.0\nu4,0.5,4.0\n")
+        out = tmp_path / "sel.txt"
+        rc = main(["sample", str(path), "--design", "srswor", "--out", str(out)])
+        assert rc == 0
+        meta = json.load(open(str(out) + ".json"))
+        assert meta["n"] == 2 and len(meta["selected_ids"]) == 2
+        assert set(meta["pi"].values()) == {0.5}
 
 
 RAW_STATS = [
@@ -312,6 +325,100 @@ class TestVerify:
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--design", "poisson", "--x", "1,2", "--n", "1"])
         assert exc.value.code == 2
+
+
+# A command that runs in each mode of cli.MODES, with POP standing for a
+# population file, and a value for every checked flag.
+MODE_ARGV = {
+    "bounds": ["bounds", *RAW_STATS, "--eps", "0.5"],
+    "bounds --solve-eps": ["bounds", *RAW_STATS, "--solve-eps", "--eta", "0.05"],
+    "bounds --population": ["bounds", "--population", "POP", "--n", "3", "--eps", "0.4"],
+    "bounds --solve-eps --population": [
+        "bounds", "--population", "POP", "--n", "3", "--solve-eps", "--eta", "0.05",
+    ],
+    "bounds --solve-n": [
+        "bounds", "--solve-n", "--M", "1", "--c", "1", "--eps", "0.1", "--eta", "0.05",
+    ],
+    "verify --design srswor": ["verify", "--design", "srswor", "--N", "5", "--n", "2"],
+    cli._VERIFY_BY_X: ["verify", "--design", "chao", "--x", "1,2,3,4", "--n", "2"],
+}
+FLAG_VALUES = {
+    "population": ["POP"], "N": ["5"], "n": ["2"], "sup_ycheck": ["5"],
+    "sum_sq_ycheck": ["2500"], "sup_y": ["1"], "sup_y2_over_pi": ["5"],
+    "M": ["1"], "c": ["1"], "eps": ["0.1"], "eta": ["0.05"], "two_sided": [],
+    "equal_probability": [], "solve_n": [], "solve_eps": [], "x": ["1,2,3,4,5"],
+    "max_branches": ["100000"], "dump": ["DUMP"],
+}
+# Flags that choose the mode: without one a command runs another mode,
+# whose error names that mode's flags.
+MODE_FLAGS = ("population", "solve_eps", "solve_n")
+
+
+def flag(dest: str) -> str:
+    return "--" + dest.replace("_", "-")
+
+
+def subparser_dests(command: str) -> set[str]:
+    sub = next(
+        a for a in cli.build_parser()._actions
+        if isinstance(a, argparse._SubParsersAction)
+    )
+    return {a.dest for a in sub.choices[command]._actions} - {"help"}
+
+
+def run_mode(argv, pop_file, tmp_path, capsys) -> tuple[int, str]:
+    subs = {"POP": pop_file, "DUMP": str(tmp_path / "dist.csv")}
+    rc = main([subs.get(a, a) for a in argv])
+    return rc, capsys.readouterr().err
+
+
+class TestFlagContract:
+    def test_table_agrees_with_parser(self):
+        assert set(MODE_ARGV) == set(cli.MODES)
+        for command in ("bounds", "verify"):
+            dests = subparser_dests(command)
+            listed = {
+                d
+                for mode, sets in cli.MODES.items()
+                if mode.split()[0] == command
+                for d in (*sets[0], *sets[1])
+            }
+            assert listed <= dests, command
+            assert dests - listed <= {"command", "func", "design", "out"}, command
+
+    @pytest.mark.parametrize("mode", list(MODE_ARGV))
+    def test_every_flag_outside_the_mode(self, mode, pop_file, tmp_path, capsys):
+        assert run_mode(MODE_ARGV[mode], pop_file, tmp_path, capsys)[0] == 0
+        needs, takes = cli.MODES[mode]
+        outside = subparser_dests(mode.split()[0]) - {
+            *needs, *takes, "command", "func", "design", "out",
+        }
+        for dest in sorted(outside):
+            argv = MODE_ARGV[mode] + [flag(dest), *FLAG_VALUES[dest]]
+            rc, err = run_mode(argv, pop_file, tmp_path, capsys)
+            assert rc == 2, dest
+            assert flag(dest) in err, dest
+
+    @pytest.mark.parametrize("mode", list(MODE_ARGV))
+    def test_every_needed_flag_dropped(self, mode, pop_file, tmp_path, capsys):
+        for dest in cli.MODES[mode][0]:
+            argv = list(MODE_ARGV[mode])
+            at = argv.index(flag(dest))
+            del argv[at : at + 1 + len(FLAG_VALUES[dest])]
+            rc, err = run_mode(argv, pop_file, tmp_path, capsys)
+            assert rc == 2, dest
+            if dest not in MODE_FLAGS:
+                assert flag(dest) in err.split("needs ")[1].strip().split(", "), dest
+
+    @pytest.mark.parametrize("mode", ["bounds", "bounds --population"])
+    @pytest.mark.parametrize("given, missing", [("--M", "--c"), ("--c", "--M")])
+    def test_M_and_c_come_as_a_pair(self, mode, given, missing, pop_file, tmp_path, capsys):
+        argv = MODE_ARGV[mode] + [given, "1"]
+        rc, err = run_mode(argv, pop_file, tmp_path, capsys)
+        assert rc == 2
+        assert err.strip().endswith(f"needs {missing}")
+        rc, _ = run_mode(MODE_ARGV[mode] + ["--M", "1", "--c", "1"], pop_file, tmp_path, capsys)
+        assert rc == 0
 
 
 class TestExperiment:

@@ -5,7 +5,7 @@ import re
 import shlex
 from pathlib import Path
 
-from splitsamp.cli import main
+from splitsamp.cli import MODES, main
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
 
@@ -47,6 +47,21 @@ def test_command_line_verify(capsys):
     command, *shown = block.strip().splitlines()
     assert main(shlex.split(command.removeprefix("$ splitsamp "))) == 0
     assert capsys.readouterr().out.splitlines() == shown
+
+
+def test_command_line_flag_table():
+    # One row per mode of cli.MODES: the flags it needs, then those it
+    # may take, each as a code span.
+    rows = re.findall(r"^\| `([^`]+)` \|(.*)\|(.*)\|$", section("Command line"), flags=re.M)
+    shown = {
+        mode: (re.findall(r"`(--[\w-]+)`", needs), re.findall(r"`(--[\w-]+)`", takes))
+        for mode, needs, takes in rows
+    }
+
+    def flags(dests):
+        return ["--" + d.replace("_", "-") for d in dests]
+
+    assert shown == {mode: (flags(n), flags(t)) for mode, (n, t) in MODES.items()}
 
 
 def test_monte_carlo_certification_block():
