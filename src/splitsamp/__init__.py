@@ -48,24 +48,13 @@ from .errors import (
     SplitsampError,
 )
 from .estimation import HTResult, ht_estimate
-from .experiment import (
-    DEFAULT_NS,
-    DEFAULT_SEED,
-    DEFAULT_SIGMAS,
-    ExperimentConfig,
-    ExperimentRow,
-    experiment_csv,
-    generate_population,
-    polar_normals,
-    run_experiment,
-)
+from .experiment import ExperimentConfig, ExperimentRow, run_experiment
 from .montecarlo import (
     CertRow,
     TailEstimate,
     certify,
     derive_seed,
     estimate_tail,
-    wilson_upper,
 )
 from .oracle import (
     CsygReport,
@@ -102,9 +91,6 @@ __all__ = [
     "DominanceRegime",
     "EnumerationBudgetError",
     "ExactDesignDistribution",
-    "DEFAULT_NS",
-    "DEFAULT_SEED",
-    "DEFAULT_SIGMAS",
     "ExperimentConfig",
     "ExperimentRow",
     "HTResult",
@@ -140,16 +126,13 @@ __all__ = [
     "eps_star",
     "estimate_tail",
     "evaluate_bounds",
-    "experiment_csv",
     "first_second_order",
-    "generate_population",
     "ht_estimate",
     "ht_increments",
     "lipschitz_bound",
     "load_population",
     "make_sampler",
     "midzuno_complementarity_tv",
-    "polar_normals",
     "run_experiment",
     "sample_brewer",
     "sequential_splitting_from_distribution",
@@ -157,5 +140,4 @@ __all__ = [
     "solve_sample_size",
     "study_vector",
     "unbiasedness_check",
-    "wilson_upper",
 ]

@@ -22,12 +22,12 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .errors import InvalidInputError, NotApplicableError
-from .population import InclusionProbabilities, Population, StudyVector, study_vector
+from .population import StudyVector
 
 # Grid size for dominance scans over an epsilon range.
 DOMINANCE_GRID = 512
@@ -82,18 +82,6 @@ class BoundInputs:
             raise InvalidInputError("c must be positive")
 
     @classmethod
-    def from_population(
-        cls,
-        pop: Population,
-        pi: InclusionProbabilities,
-        eps: float,
-        M: float | None = None,
-        c: float | None = None,
-    ) -> "BoundInputs":
-        inputs = cls.from_study(study_vector(pop, pi), n=pi.n, eps=eps)
-        return replace(inputs, M=M, c=c, equal_probability=pi.is_equal_probability())
-
-    @classmethod
     def from_study(cls, sv: StudyVector, *, n: float, eps: float) -> "BoundInputs":
         return cls(
             N=sv.N,
@@ -113,6 +101,17 @@ def _eps_of(inputs: BoundInputs, eps: float | None) -> float:
     return e
 
 
+def _subgaussian_tail(e: float, a: float, denom: float) -> float:
+    """exp(-a e^2 / denom), the shape the concentration bounds share:
+    1 at e == 0, and 0 when denom is 0 (or so small it underflowed), as
+    the exponent is then effectively -inf."""
+    if e == 0.0:
+        return 1.0
+    if denom == 0.0:
+        return 0.0
+    return math.exp(-a * e * e / denom)
+
+
 def cna_bound(inputs: BoundInputs, eps: float | None = None) -> float:
     """One-sided tail bound from the uniform L1-increment constant.
 
@@ -120,14 +119,7 @@ def cna_bound(inputs: BoundInputs, eps: float | None = None) -> float:
     gives 0.
     """
     e = _eps_of(inputs, eps)
-    if e == 0.0:
-        return 1.0
-    denom = 8.0 * inputs.n * inputs.sup_ycheck**2
-    if denom == 0.0:
-        # sup == 0, or so small its square underflows; either way the
-        # exponent is effectively -inf.
-        return 0.0
-    return math.exp(-(inputs.N**2) * e * e / denom)
+    return _subgaussian_tail(e, inputs.N**2, 8.0 * inputs.n * inputs.sup_ycheck**2)
 
 
 def cna_bound_Mc(inputs: BoundInputs, eps: float | None = None) -> float:
@@ -139,12 +131,7 @@ def cna_bound_Mc(inputs: BoundInputs, eps: float | None = None) -> float:
     if inputs.M is None or inputs.c is None:
         raise NotApplicableError("the (M, c) bound needs both M and c")
     e = _eps_of(inputs, eps)
-    if e == 0.0:
-        return 1.0
-    denom = 8.0 * inputs.M**2
-    if denom == 0.0:
-        return 0.0
-    return math.exp(-inputs.n * inputs.c**2 * e * e / denom)
+    return _subgaussian_tail(e, inputs.n * inputs.c**2, 8.0 * inputs.M**2)
 
 
 def bernstein_bound(inputs: BoundInputs, eps: float | None = None) -> float:
@@ -170,12 +157,7 @@ def lipschitz_bound(inputs: BoundInputs, eps: float | None = None) -> float:
     sup_k v_k^2, so it is never smaller.
     """
     e = _eps_of(inputs, eps)
-    if e == 0.0:
-        return 1.0
-    denom = 8.0 * inputs.n * inputs.sum_sq_ycheck
-    if denom == 0.0:
-        return 0.0
-    return math.exp(-(inputs.N**2) * e * e / denom)
+    return _subgaussian_tail(e, inputs.N**2, 8.0 * inputs.n * inputs.sum_sq_ycheck)
 
 
 def eps_star(inputs: BoundInputs) -> float:

@@ -15,6 +15,7 @@ by argparse itself).  ``verify`` exits 1 when any check fails.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -89,7 +90,7 @@ def _pi_from_file(pop, pi_file, n: int | None) -> InclusionProbabilities:
 
 def cmd_sample(args) -> int:
     pop, pi_file = load_population(args.population)
-    kind = DesignKind.from_string(args.design)
+    kind = DesignKind(args.design)
     if kind is not DesignKind.SRSWOR:
         draw, pi = make_sampler(kind, pi=_pi_from_file(pop, pi_file, args.n), x=pop.x)
     elif pi_file is not None and not pi_file.is_equal_probability():
@@ -124,7 +125,10 @@ def _bound_inputs_from_args(args) -> BoundInputs:
     if args.population is not None:
         pop, pi_file = load_population(args.population)
         pi = _pi_from_file(pop, pi_file, args.n)
-        return BoundInputs.from_population(pop, pi, eps=eps, M=args.M, c=args.c)
+        inputs = BoundInputs.from_study(study_vector(pop, pi), n=pi.n, eps=eps)
+        return dataclasses.replace(
+            inputs, M=args.M, c=args.c, equal_probability=pi.is_equal_probability()
+        )
     return BoundInputs(
         N=args.N,
         n=args.n,
@@ -185,11 +189,14 @@ def _verify_line(label: str, value: float, tol: float, lines: list[str]) -> bool
 
 
 def cmd_verify(args) -> int:
-    kind = DesignKind.from_string(args.design)
+    kind = DesignKind(args.design)
     x = None if args.x is None else _parse_floats(args.x, "--x")
+    # Enumeration refuses N > MAX_ENUM_N before it builds any pi.
+    dist = enumerate_design(
+        kind, x=x, n=args.n, N=args.N, max_branches=args.max_branches
+    )
     pi = target_pi(kind, None, x, args.n, args.N)
     y = np.arange(1.0, pi.N + 1.0) if x is None else x
-    dist = enumerate_design(kind, x=x, pi=pi, max_branches=args.max_branches)
 
     lines = [
         f"design={kind.value} N={pi.N} n={pi.n} "

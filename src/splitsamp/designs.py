@@ -86,16 +86,6 @@ class DesignKind(enum.Enum):
     GENERALIZED_MIDZUNO = "midzuno"
     BREWER = "brewer"
 
-    @classmethod
-    def from_string(cls, name: str) -> "DesignKind":
-        for kind in cls:
-            if kind.value == name:
-                return kind
-        raise InvalidInputError(
-            f"unknown design {name!r}; expected one of "
-            + ", ".join(k.value for k in cls)
-        )
-
 
 @dataclass(frozen=True)
 class Sample:
@@ -124,12 +114,6 @@ class Sample:
     @property
     def size(self) -> int:
         return len(self.selected)
-
-    @property
-    def indicator(self) -> np.ndarray:
-        ind = np.zeros(self.N, dtype=int)
-        ind[np.fromiter(self.selected, np.intp, len(self.selected))] = 1
-        return ind
 
 
 @dataclass(frozen=True)

@@ -111,9 +111,6 @@ class ExactDesignDistribution:
         sizes = sum(_BYTE_SIZES[(self.masks >> b) & 0xFF] for b in range(0, self.N, 8))
         return bool(np.all(sizes == self.n))
 
-    def total_mass(self) -> float:
-        return float(self.probs.sum())
-
     def tv_distance(self, other: "ExactDesignDistribution") -> float:
         """Total variation distance between two distributions."""
         if self.N != other.N:
@@ -128,16 +125,6 @@ class ExactDesignDistribution:
         gap[np.arange(a.size) + np.searchsorted(b[new], a)] = self.probs
         gap[below + np.cumsum(new) - new] -= other.probs
         return 0.5 * float(np.abs(gap).sum())
-
-    def complement(self) -> "ExactDesignDistribution":
-        """Distribution of the complementary sample U minus S."""
-        return ExactDesignDistribution(
-            ((1 << self.N) - 1) ^ self.masks,
-            self.probs,
-            N=self.N,
-            n=self.N - self.n,
-            pruned_mass=self.pruned_mass,
-        )
 
     def dump(self) -> str:
         """CSV dump, one sample per row in sorted-tuple order:

@@ -113,18 +113,6 @@ class TailEstimate:
             [wilson_upper(int(c), self.replicates) for c in self.count_two]
         )
 
-    def to_csv(self) -> str:
-        lines = ["eps,freq_one_sided,freq_two_sided,wilson_upper_1s,wilson_upper_2s"]
-        w1 = self.wilson_one()
-        w2 = self.wilson_two()
-        f1 = self.freq_one
-        f2 = self.freq_two
-        for i in range(self.eps.size):
-            lines.append(
-                f"{self.eps[i]!r},{f1[i]!r},{f2[i]!r},{w1[i]!r},{w2[i]!r}"
-            )
-        return "\n".join(lines) + "\n"
-
 
 def estimate_tail(
     kind: DesignKind,

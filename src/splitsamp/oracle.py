@@ -95,7 +95,14 @@ def enumerate_design(
     and for an SRSWOR pi that is not n/N for every unit.
     """
     # Checked before target_pi, so that a huge SRSWOR N allocates nothing.
-    size = pi.N if pi is not None else N if N is not None else np.size(x)
+    # The other designs build pi from x, so a given N that x does not
+    # have is left to target_pi to name.
+    if pi is not None:
+        size = pi.N
+    elif x is not None and kind is not DesignKind.SRSWOR:
+        size = np.size(x)
+    else:
+        size = N or 0
     if size > MAX_ENUM_N:
         raise InvalidInputError(
             f"exact enumeration supports N <= {MAX_ENUM_N}, got {size}"
@@ -279,11 +286,10 @@ class CsygReport:
     ``max_violation`` is the largest value of
     pi_{kl|I} - pi_{k|I} pi_{l|I} over all conditioning sets I with
     |I| <= n - 2 and pairs {k, l} outside I, and ``witness`` is its
-    (I, k, l); nonpositive means the inequality system holds.
-    ``max_violation_ratio`` is the equivalent scan of
-    pi_{k|I,l} - pi_{k|I}, and ``witness_ratio`` its (I + l, k), with
-    both conditioning sets sorted.  Conditioning sets with probability
-    at most 1e-12 are skipped and counted.  ``max_covariance`` is the
+    (I, k, l), with I sorted; nonpositive means the inequality system
+    holds.  ``checked_count`` counts the inequalities scanned, and
+    conditioning sets with probability at most 1e-12 are skipped and
+    counted in ``skipped_sets``.  ``max_covariance`` is the
     largest pi_kl - pi_k pi_l, the scan's row at I = (), computed even
     when n < 2 leaves that row out of the scan, and ``covariance_pair``
     its (k, l); a single unit has no pair, so -inf and None.
@@ -293,8 +299,6 @@ class CsygReport:
     witness: tuple | None
     checked_count: int
     skipped_sets: int
-    max_violation_ratio: float
-    witness_ratio: tuple | None
     max_covariance: float
     covariance_pair: tuple | None
 
@@ -303,10 +307,9 @@ def check_csyg(dist: ExactDesignDistribution) -> CsygReport:
     """Scan every conditional pairwise inequality of a fixed-size design.
 
     The pairs {k, l} go in ``combinations`` order, a block of them per
-    array pass of ``_csyg_block``, so the witnesses are the ones a scan
-    of one pair at a time reports: the first maximum in (pair, I) order,
-    and for the ratio in (pair, a = k before a = l, I) order.  The
-    covariance pair is the first maximum in pair order.
+    array pass of ``_csyg_block``, so the witness is the one a scan of
+    one pair at a time reports: the first maximum in (pair, I) order.
+    The covariance pair is the first maximum in pair order.
     """
     if not dist.fixed_size:
         raise InvalidInputError("the conditional scan needs a fixed-size design")
@@ -322,25 +325,19 @@ def check_csyg(dist: ExactDesignDistribution) -> CsygReport:
     # _CSYG_BLOCK_CELLS cells, and ``tiled`` is the grid's I in row order.
     step = max(1, _CSYG_BLOCK_CELLS // max(live.size, 1))
     tiled = np.tile(live, step)
-    max_v = max_r = -math.inf
-    wit = wit_r = None
-    checked = 0
+    max_v, wit, checked = -math.inf, None, 0
     for lo in range(0, ks.size, step):
-        cells, (v, I, k, l), (r, J, a) = _csyg_block(
+        cells, (v, I, k, l) = _csyg_block(
             f, live, tiled, ks[lo : lo + step], ls[lo : lo + step]
         )
         checked += cells
         if v > max_v:
             max_v, wit = v, (mask_units(I), k, l)
-        if r > max_r:
-            max_r, wit_r = r, (mask_units(J), a)
     return CsygReport(
         max_violation=max_v,
         witness=wit,
         checked_count=checked,
         skipped_sets=int(np.count_nonzero(eligible)) - live.size,
-        max_violation_ratio=max_r,
-        witness_ratio=wit_r,
         max_covariance=-math.inf if c is None else float(cov[c]),
         covariance_pair=None if c is None else (int(ks[c]), int(ls[c])),
     )
@@ -358,11 +355,9 @@ def _pairs(N: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _csyg_block(f, live, tiled, ks, ls):
     """One array pass of the conditional scan over the pairs (ks[j],
-    ls[j]): its cell count, the first maximum of pi_{kl|I} - pi_{k|I}
-    pi_{l|I} in (pair, I) order as (value, I, k, l), and the first
-    maximum of pi_{a|J} - pi_{a|I} in (pair, a = k before a = l, I)
-    order as (value, J, a), with J = I + b, b the pair's other unit.
-    Sets are bitmasks, and a block without cells reports -inf.
+    ls[j]): its cell count and the first maximum of pi_{kl|I} - pi_{k|I}
+    pi_{l|I} in (pair, I) order, as (value, I, k, l).  Sets are
+    bitmasks, and a block without cells reports -inf.
 
     The block's arrays live only in this call, so the scan holds one
     block's cells at a time.
@@ -371,28 +366,14 @@ def _csyg_block(f, live, tiled, ks, ls):
     # Each cell's index in the pairs-by-live grid, then its row.
     pair = np.flatnonzero((live & (bk | bl)[:, None]) == 0)
     if pair.size == 0:
-        return 0, (-math.inf, 0, 0, 0), (-math.inf, 0, 0)
+        return 0, (-math.inf, 0, 0, 0)
     I = tiled[pair]
     pair //= live.size
     fI, fk, fl, fkl = f[I], f[I | bk[pair]], f[I | bl[pair]], f[I | (bk | bl)[pair]]
-    gk, gl = fk / fI, fl / fI
     v = fkl / fI
-    v -= gk * gl
+    v -= (fk / fI) * (fl / fI)
     i = int(v.argmax())
-    top = (float(v[i]), int(I[i]), int(ks[pair[i]]), int(ls[pair[i]]))
-    # The ratio scans reuse v's buffer, and a cell with P(I + b) at most
-    # _SKIP_TOL reads -inf.  Of two equal maxima the earlier pair wins,
-    # then the side a = k.
-    sides = []
-    for side, (a, b, ga, fb) in enumerate(((ks, bl, gk, fl), (ls, bk, gl, fk))):
-        v.fill(-math.inf)
-        np.divide(fkl, fb, out=v, where=fb > _SKIP_TOL)
-        v -= ga
-        i = int(v.argmax())
-        p = pair[i]
-        sides.append((float(v[i]), -p, -side, int(I[i]) | int(b[p]), int(a[p])))
-    r, _, _, J, a = max(sides)
-    return pair.size, top, (r, J, a)
+    return pair.size, (float(v[i]), int(I[i]), int(ks[pair[i]]), int(ls[pair[i]]))
 
 
 def unbiasedness_check(

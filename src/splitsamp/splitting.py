@@ -65,10 +65,6 @@ class SplittingStep:
     chosen: int
     realized_delta: np.ndarray
 
-    @property
-    def increment_l1(self) -> float:
-        return float(np.abs(self.realized_delta).sum())
-
 
 @dataclass(eq=False)
 class FactorSteps(Sequence):
@@ -161,10 +157,6 @@ class SplittingTrace:
     pi0: np.ndarray
     steps: Sequence[SplittingStep]
     final: np.ndarray
-
-    @property
-    def increment_l1(self) -> np.ndarray:
-        return np.array([s.increment_l1 for s in self.steps])
 
     @property
     def selected(self) -> tuple[int, ...]:

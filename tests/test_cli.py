@@ -9,6 +9,7 @@ import argparse
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -320,6 +321,18 @@ class TestVerify:
         xs = ",".join(["1"] * 11)
         rc = main(["verify", "--design", "chao", "--x", xs, "--n", "2"])
         assert rc == 2
+
+    def test_huge_srswor_N_is_refused_before_any_allocation(self, capsys):
+        # pi = n/N for a million units would take 8 MB; the cap comes first.
+        tracemalloc.start()
+        try:
+            rc = main(["verify", "--design", "srswor", "--N", "1000000", "--n", "2"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 2
+        assert "N <= 10" in capsys.readouterr().err
+        assert peak < 1_000_000
 
     def test_unknown_design_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -112,7 +112,7 @@ def test_pruned_mass_counts_toward_total():
     d = ExactDesignDistribution.from_support(
         support={(0,): 0.6, (1,): 0.4 - 1e-12}, N=2, n=1, pruned_mass=1e-12
     )
-    assert d.total_mass() < 1.0
+    assert d.probs.sum() < 1.0
 
 
 def test_tiny_negative_probability_clamped():
@@ -230,20 +230,6 @@ def test_tv_distance_merge_equals_the_unique_recipe(seed):
             assert struct.pack("<d", tv) == struct.pack("<d", unique_tv(x, y)), name
     assert pairs["identical"][0].tv_distance(pairs["identical"][1]) == 0.0
     assert pairs["disjoint"][0].tv_distance(pairs["disjoint"][1]) == pytest.approx(1.0)
-
-
-def test_complement_is_involution():
-    d = uniform_pairs(4)
-    cc = d.complement().complement()
-    assert d.tv_distance(cc) == 0.0
-    assert d.complement().n == 2
-
-
-def test_complement_sizes():
-    d = ExactDesignDistribution.from_support(support={(0,): 0.5, (2,): 0.5}, N=3, n=1)
-    c = d.complement()
-    assert c.support == {(1, 2): 0.5, (0, 1): 0.5}
-    assert c.n == 2
 
 
 def test_dump_format():

@@ -4,16 +4,18 @@ import numpy as np
 import pytest
 
 from splitsamp import (
-    DEFAULT_NS,
-    DEFAULT_SEED,
-    DEFAULT_SIGMAS,
     ExperimentConfig,
     ExperimentRow,
     InvalidInputError,
+    run_experiment,
+)
+from splitsamp.experiment import (
+    DEFAULT_NS,
+    DEFAULT_SEED,
+    DEFAULT_SIGMAS,
     experiment_csv,
     generate_population,
     polar_normals,
-    run_experiment,
 )
 
 

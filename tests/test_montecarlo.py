@@ -18,10 +18,9 @@ from splitsamp import (
     derive_seed,
     estimate_tail,
     make_sampler,
-    wilson_upper,
 )
 from splitsamp import designs, montecarlo
-from splitsamp.montecarlo import DEFAULT_Z
+from splitsamp.montecarlo import DEFAULT_Z, wilson_upper
 
 from conftest import X_CERTAIN, splitmix64_reference
 
@@ -236,13 +235,6 @@ class TestEstimateTail:
         assert small_tail.kind == "brewer"
         assert small_tail.N == 4 and small_tail.n == 2
         assert small_tail.master_seed == 42
-
-    def test_csv_header(self, small_tail):
-        first = small_tail.to_csv().splitlines()[0]
-        assert first == (
-            "eps,freq_one_sided,freq_two_sided,wilson_upper_1s,wilson_upper_2s"
-        )
-        assert len(small_tail.to_csv().splitlines()) == 1 + small_tail.eps.size
 
     def test_rejects_n_that_pi_does_not_have(self):
         pi = compute_pips(np.arange(1.0, 7.0), 3)

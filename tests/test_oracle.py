@@ -257,8 +257,8 @@ class TestCsyg:
 
 
     def test_witnesses_are_sorted_and_attain_the_maxima(self):
-        # A 4-of-5 design whose ratio witness was once reported with its
-        # conditioning set unsorted, as ((1, 0), 2).
+        # A 4-of-5 design whose witness conditioning set must come out
+        # sorted.
         subsets = list(combinations(range(5), 4))
         rng = np.random.default_rng(0)
         for _ in range(985):
@@ -268,21 +268,12 @@ class TestCsyg:
         )
         rpt = check_csyg(dist)
         I, k, l = rpt.witness
-        J, a = rpt.witness_ratio
-        assert list(I) == sorted(I) and list(J) == sorted(J)
+        assert list(I) == sorted(I)
         fI = contains(dist, *I)
         v = contains(dist, *I, k, l) / fI - (
             contains(dist, *I, k) / fI
         ) * (contains(dist, *I, l) / fI)
         assert rpt.max_violation == pytest.approx(v, abs=1e-15)
-        # J is I plus the conditioning unit b; the scan's maximum is
-        # attained for one b in J and bounds the others.
-        ratio = max(
-            contains(dist, *J, a) / contains(dist, *J)
-            - contains(dist, *rest, a) / contains(dist, *rest)
-            for rest in combinations(J, len(J) - 1)
-        )
-        assert rpt.max_violation_ratio == pytest.approx(ratio, abs=1e-15)
 
     def test_rejects_a_population_too_large_for_its_table(self):
         census = ExactDesignDistribution.from_support(
@@ -293,10 +284,10 @@ class TestCsyg:
 
 
 def brute_csyg(dist, skip_tol=1e-12):
-    """(checked, skipped, max violation, max ratio violation), looping
-    over conditioning sets and pairs with sums over the support map."""
+    """(checked, skipped, max violation), looping over conditioning sets
+    and pairs with sums over the support map."""
     checked = skipped = 0
-    max_v = max_r = -np.inf
+    max_v = -np.inf
     for size in range(max(dist.n - 1, 0)):
         for I in combinations(range(dist.N), size):
             fI = contains(dist, *I)
@@ -309,10 +300,7 @@ def brute_csyg(dist, skip_tol=1e-12):
                 fkl = contains(dist, *I, k, l)
                 checked += 1
                 max_v = max(max_v, fkl / fI - (fk / fI) * (fl / fI))
-                for fa, fb in ((fk, fl), (fl, fk)):
-                    if fb > skip_tol:
-                        max_r = max(max_r, fkl / fb - fa / fI)
-    return checked, skipped, max_v, max_r
+    return checked, skipped, max_v
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -322,10 +310,9 @@ class TestReference:
     def test_csyg(self, seed):
         dist = random_fixed_size(seed)
         rpt = check_csyg(dist)
-        checked, skipped, max_v, max_r = brute_csyg(dist)
+        checked, skipped, max_v = brute_csyg(dist)
         assert (rpt.checked_count, rpt.skipped_sets) == (checked, skipped)
         assert rpt.max_violation == pytest.approx(max_v, abs=1e-14)
-        assert rpt.max_violation_ratio == pytest.approx(max_r, abs=1e-14)
 
     def test_pairwise_na(self, seed):
         dist = random_fixed_size(seed)
@@ -359,8 +346,8 @@ def pairwise_csyg(dist: ExactDesignDistribution) -> CsygReport:
     f = containment(dist)
     eligible = set_sizes(dist.N) <= dist.n - 2
     live = np.flatnonzero(eligible & (f > _SKIP_TOL))
-    max_v = max_r = max_c = -math.inf
-    wit = wit_r = pair_c = None
+    max_v = max_c = -math.inf
+    wit = pair_c = None
     checked = 0
     for k, l in combinations(range(dist.N), 2):
         bk, bl = 1 << k, 1 << l
@@ -379,19 +366,11 @@ def pairwise_csyg(dist: ExactDesignDistribution) -> CsygReport:
         i = int(v.argmax())
         if v[i] > max_v:
             max_v, wit = float(v[i]), (mask_units(int(I[i])), k, l)
-        for a, b, fa, fb in ((k, bl, fk, fl), (l, bk, fl, fk)):
-            ok = fb > _SKIP_TOL
-            r = fkl[ok] / fb[ok] - fa[ok] / fI[ok]
-            if r.size and r.max() > max_r:
-                i = int(r.argmax())
-                max_r, wit_r = float(r[i]), (mask_units(int(I[ok][i]) | b), a)
     return CsygReport(
         max_violation=max_v,
         witness=wit,
         checked_count=checked,
         skipped_sets=int(np.count_nonzero(eligible)) - live.size,
-        max_violation_ratio=max_r,
-        witness_ratio=wit_r,
         max_covariance=max_c,
         covariance_pair=pair_c,
     )
@@ -483,10 +462,9 @@ class TestCsygMatchesPairwiseScan:
         assert_same_report(dirichlet_design(16, 8, seed=16))
 
     def test_conditioning_sets_of_zero_mass(self):
-        # Unit 4 is never drawn and unit 5 has P = 1.25e-13, so for
-        # I = () the ratio scan must skip conditioning on either, the
-        # first without dividing by zero; unskipped, P(0 | 5) - P(0)
-        # would read 0.25.
+        # Unit 4 is never drawn and unit 5 has P = 1.25e-13, so the
+        # scan must skip I = (4,) without dividing by zero, and I = (5,)
+        # as thin.
         support = {s: 1.0 for s in combinations(range(4), 3)}
         support[(0, 1, 5)] = 5e-13
         total = sum(support.values())
@@ -498,7 +476,6 @@ class TestCsygMatchesPairwiseScan:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert_same_report(dist)
-        assert check_csyg(dist).max_violation_ratio < 1e-12
 
     def test_scan_memory(self):
         # The pair-by-pair scan peaked at 51,872 bytes on this design

@@ -15,8 +15,6 @@ PUBLIC_OPTIONS = (
     "BoundInputs.M",
     "BoundInputs.c",
     "BoundInputs.equal_probability",
-    "BoundInputs.from_population.M",
-    "BoundInputs.from_population.c",
     "DominanceRegime.eps_limit",
     "ExactDesignDistribution.pruned_mass",
     "ExperimentConfig.N",

@@ -118,10 +118,9 @@ class TestRunSplitting:
         for step in tr.steps:
             j = int(np.argmax(step.realized_delta))
             assert step.realized_delta[j] > 0
-            assert step.increment_l1 == pytest.approx(
-                2.0 * (1.0 - cur[j]), abs=1e-12
-            )
-            assert step.increment_l1 <= 2.0 + 1e-12
+            l1 = np.abs(step.realized_delta).sum()
+            assert l1 == pytest.approx(2.0 * (1.0 - cur[j]), abs=1e-12)
+            assert l1 <= 2.0 + 1e-12
             cur += step.realized_delta
 
     def test_ht_increments_telescope(self):
@@ -289,7 +288,7 @@ class TestDrawByDraw:
         d = ExactDesignDistribution.from_support(support={(0, 1): 1.0}, N=2, n=2)
         tr = draw_by_draw_from_distribution(d, rng_seed=0)
         assert len(tr.steps) == 2
-        assert all(s.increment_l1 == 0.0 for s in tr.steps)
+        assert all(np.abs(s.realized_delta).sum() == 0.0 for s in tr.steps)
         assert tr.selected == (0, 1)
 
     def test_trace_validates_and_matches_draws(self):
@@ -301,7 +300,8 @@ class TestDrawByDraw:
             tr.validate()
             assert len(tr.steps) == 3
             assert len(tr.selected) == 3
-            assert np.all(tr.increment_l1 <= 2.0 + 1e-12)
+            l1 = [np.abs(s.realized_delta).sum() for s in tr.steps]
+            assert max(l1) <= 2.0 + 1e-12
 
     def test_sampled_frequencies_match_the_distribution(self):
         # 2,000 draws from Brewer's law at N = 5, n = 2 (ten samples):
