@@ -37,6 +37,23 @@ _LARGE_COEF = math.log(2.0) * 8.0 / 9.0
 _EPS_LIMIT_COEF = 3.0 - math.sqrt(2.0)
 
 
+def _is_finite(v) -> bool:
+    """Whether v converts to a finite float."""
+    try:
+        return math.isfinite(float(v))
+    except OverflowError:
+        return False
+
+
+def _square(name: str, v: float) -> float:
+    """v squared as a float; raises InvalidInputError where the square
+    overflows."""
+    try:
+        return float(v) ** 2
+    except OverflowError:
+        raise InvalidInputError(f"{name} is too large: its square overflows") from None
+
+
 class VacuousToleranceWarning(UserWarning):
     """The requested tolerance is met by zero samples."""
 
@@ -64,22 +81,29 @@ class BoundInputs:
     def __post_init__(self) -> None:
         if self.N < 1:
             raise InvalidInputError("N must be at least 1")
+        if not _is_finite(self.N**2):
+            raise InvalidInputError("N is too large: N^2 overflows a float")
         if not 0 < self.n <= self.N:
             raise InvalidInputError(f"n must lie in (0, N], got {self.n!r}")
-        if self.eps < 0:
-            raise InvalidInputError("eps must be nonnegative")
+        if not _is_finite(self.eps) or self.eps < 0:
+            raise InvalidInputError("eps must be finite and nonnegative")
         for name in ("sup_ycheck", "sum_sq_ycheck", "sup_y", "sup_y2_over_pi"):
             v = getattr(self, name)
-            if not np.isfinite(v) or v < 0:
+            if not _is_finite(v) or v < 0:
                 raise InvalidInputError(f"{name} must be finite and nonnegative")
-        if self.sup_ycheck**2 > self.sum_sq_ycheck * (1.0 + 1e-9) + 1e-300:
+        sup_sq = _square("sup_ycheck", self.sup_ycheck)
+        if sup_sq > self.sum_sq_ycheck * (1.0 + 1e-9) + 1e-300:
             raise InvalidInputError(
                 "inconsistent statistics: sup_ycheck^2 exceeds sum_sq_ycheck"
             )
-        if self.M is not None and self.M < 0:
-            raise InvalidInputError("M must be nonnegative")
-        if self.c is not None and self.c <= 0:
-            raise InvalidInputError("c must be positive")
+        if self.M is not None:
+            if not _is_finite(self.M) or self.M < 0:
+                raise InvalidInputError("M must be finite and nonnegative")
+            _square("M", self.M)
+        if self.c is not None:
+            if not _is_finite(self.c) or self.c <= 0:
+                raise InvalidInputError("c must be finite and positive")
+            _square("c", self.c)
 
     @classmethod
     def from_study(cls, sv: StudyVector, *, n: float, eps: float) -> "BoundInputs":
@@ -95,10 +119,11 @@ class BoundInputs:
 
 
 def _eps_of(inputs: BoundInputs, eps: float | None) -> float:
-    e = inputs.eps if eps is None else float(eps)
-    if e < 0:
-        raise InvalidInputError("eps must be nonnegative")
-    return e
+    if eps is None:
+        return inputs.eps
+    if not _is_finite(eps) or eps < 0:
+        raise InvalidInputError("eps must be finite and nonnegative")
+    return float(eps)
 
 
 def _subgaussian_tail(e: float, a: float, denom: float) -> float:
@@ -198,7 +223,7 @@ def dominance_regime(N: int, n: float, sup_y: float | None = None) -> DominanceR
     if N < 1 or not 0 < n <= N:
         raise InvalidInputError("need 1 <= n <= N")
     small = n < _SMALL_COEF * N ** (2.0 / 3.0)
-    large = n >= _LARGE_COEF * (N / n) ** 2
+    large = n >= _LARGE_COEF * _square("N / n", N / n)
     if small:
         return DominanceRegime(kind="SmallN_AllEps")
     if large:
@@ -214,10 +239,11 @@ def solve_sample_size(
 
     Solves f * exp(-n c^2 eps^2 / (8 M^2)) <= eta for integer n, where
     f is 1 (one-sided) or 2 (two-sided).  eta >= 1 is met by n = 0 and
-    triggers a VacuousToleranceWarning.
+    triggers a VacuousToleranceWarning.  Raises InvalidInputError where
+    n is too large for a float.
     """
-    if M <= 0 or c <= 0 or eps <= 0 or eta <= 0:
-        raise InvalidInputError("M, c, eps and eta must be positive")
+    if not all(_is_finite(v) and v > 0 for v in (M, c, eps, eta)):
+        raise InvalidInputError("M, c, eps and eta must be finite and positive")
     if eta >= 1.0:
         warnings.warn(
             f"eta={eta} is at or above 1; any sample size works",
@@ -226,7 +252,10 @@ def solve_sample_size(
         )
         return 0
     factor = 2.0 if two_sided else 1.0
-    raw = 8.0 * M * M * math.log(factor / eta) / (c * c * eps * eps)
+    denom = c * c * eps * eps
+    raw = 8.0 * M * M * math.log(factor / eta) / denom if denom else math.inf
+    if not math.isfinite(raw):
+        raise InvalidInputError("the sample size overflows a float")
     return max(0, math.ceil(raw))
 
 
@@ -234,15 +263,14 @@ def solve_confidence_radius(
     inputs: BoundInputs, eta: float, two_sided: bool = False
 ) -> float:
     """Deviation scale eps at which the concentration bound equals eta."""
-    if eta <= 0:
-        raise InvalidInputError("eta must be positive")
+    if not _is_finite(eta) or eta <= 0:
+        raise InvalidInputError("eta must be finite and positive")
     factor = 2.0 if two_sided else 1.0
     log_term = max(math.log(factor / eta), 0.0)
-    return (
-        inputs.sup_ycheck
-        * math.sqrt(8.0 * inputs.n * log_term)
-        / inputs.N
-    )
+    eps = inputs.sup_ycheck * math.sqrt(8.0 * inputs.n * log_term) / inputs.N
+    if not math.isfinite(eps):
+        raise InvalidInputError("the confidence radius overflows a float")
+    return eps
 
 
 def _clamp(v: float) -> float:

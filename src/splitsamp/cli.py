@@ -23,6 +23,7 @@ import numpy as np
 
 from .bounds import (
     BoundInputs,
+    _square,
     evaluate_bounds,
     solve_confidence_radius,
     solve_sample_size,
@@ -139,7 +140,7 @@ def _bound_inputs_from_args(args) -> BoundInputs:
         sup_y2_over_pi=(
             args.sup_y2_over_pi
             if args.sup_y2_over_pi is not None
-            else args.sup_ycheck**2
+            else _square("sup_ycheck", args.sup_ycheck)
         ),
         M=args.M,
         c=args.c,

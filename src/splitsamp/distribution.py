@@ -58,10 +58,11 @@ class ExactDesignDistribution:
         probs = np.array(self.probs, dtype=float)
         if np.any((masks < 0) | (masks >> self.N != 0)):
             raise InvalidInputError(f"mask out of range for N={self.N}")
-        if np.any(probs < PROB_FLOOR):
-            i = int(np.argmax(probs < PROB_FLOOR))
+        # Written so that NaN fails it too.
+        if not np.all(probs >= PROB_FLOOR):
+            i = int(np.argmin(probs >= PROB_FLOOR))
             raise InvalidInputError(
-                f"negative probability {float(probs[i])!r} for "
+                f"negative or NaN probability {float(probs[i])!r} for "
                 f"{mask_units(int(masks[i]))!r}"
             )
         if np.all(probs > 0.0) and np.all(masks[1:] > masks[:-1]):

@@ -152,6 +152,8 @@ def estimate_tail(
     y = np.asarray(y, dtype=float)
     if y.size != pi.N:
         raise InvalidInputError("y must have one entry per unit")
+    if not np.all(np.isfinite(y)):
+        raise InvalidInputError("y must be finite")
     y_check = y / pi.pi
     t_y = float(y.sum())
     scale = float(pi.N)

@@ -14,8 +14,8 @@ are the martingale differences that the tail bounds control, and
 ``ht_increments`` maps them to the increments of the Horvitz-Thompson
 estimator.  A trace's ``steps`` is a sequence whose items may be built
 on access: Brewer's traced draws store each step as one common factor
-plus the drawn unit (``FactorSteps``), and build a step's dense
-``alphas`` and ``realized_delta`` only when it is read.
+plus the drawn unit (``FactorSteps``), and build a step's
+``alphas`` and dense ``realized_delta`` only when that step is read.
 
 Every fixed-size design has two splitting representations, run here
 from its exact distribution: draw-by-draw, one unit drawn per step
@@ -26,7 +26,6 @@ of arrays (``SplittingLevel``).
 
 from __future__ import annotations
 
-import bisect
 from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -77,7 +76,8 @@ class FactorSteps(Sequence):
     N-vector, whose other units never move.  An undrawn unit at
     q = c[t] p with r draws left has Brewer's selection weight
     q (r - q) / (1 - q).  An item is a ``SplittingStep`` built on
-    access, in O(N + d); iteration builds the items block by block.
+    access from its own step's expressions alone, in O(N); iteration
+    reads the items one by one, so a pass holds one step at a time.
     """
 
     N: int
@@ -92,51 +92,20 @@ class FactorSteps(Sequence):
     def __getitem__(self, i):
         if isinstance(i, slice):
             return tuple(self[j] for j in range(len(self))[i])
-        i = range(len(self))[i]
-        return self._block(i, i + 1)[0]
-
-    def __iter__(self):
-        # Blocks of about 2**16 dense entries bound the memory a pass holds.
-        size = max(1, 2**16 // self.N)
-        for start in range(0, len(self), size):
-            yield from self._block(start, min(start + size, len(self)))
-
-    def _block(self, i0: int, i1: int) -> list[SplittingStep]:
-        """Steps i0..i1-1, each with the floats of its own per-step
-        expressions: a row's weights are normalized by their own sum."""
-        t = np.arange(i0, i1)
-        d, picks = len(self), self.picks[i0:i1]
-        c, c_next = self.c[i0:i1, None], self.c[i0 + 1 : i1 + 1, None]
-        # Over the N units: base values, 0 for a unit that never moves,
-        # and the step that draws each unit, d for one never drawn and -1
-        # for one that never moves.
-        p = np.zeros(self.N)
-        p[self.units] = self.p
-        drawn_at = np.full(self.N, -1)
-        drawn_at[self.units] = d
-        drawn_at[self.units[self.picks]] = np.arange(d)
-        undrawn = drawn_at >= t[:, None]
-        sizes = self.p.size - t
-        q = np.compress(undrawn.ravel(), c * p)
-        w = q * ((np.repeat(d - t, sizes) - q) / (1.0 - q))
-        # Freed before the dense block is built, which lowers the peak.
-        del q
-        dense = np.where(undrawn, (c_next - c) * p, 0.0)
-        dense[np.arange(t.size), self.units[picks]] = 1.0 - c[:, 0] * self.p[picks]
-        # A pick's place among the undrawn units is k less the earlier
-        # picks below it.
-        earlier = sorted(self.picks[:i0].tolist())
-        sums, steps, end = [], [], 0
-        for b, (k, m) in enumerate(zip(picks.tolist(), sizes.tolist())):
-            row = w[end : end + m]
-            end += m
-            sums.append(np.add.reduce(row))
-            chosen = k - bisect.bisect_left(earlier, k)
-            bisect.insort(earlier, k)
-            steps.append(SplittingStep(i0 + b + 1, row, None, chosen, dense[b]))
-        # Each step's weights are a view of w, normalized here in place.
-        w /= np.repeat(sums, sizes)
-        return steps
+        t = range(len(self))[i]
+        k = self.picks[t]
+        undrawn = np.ones(self.p.size, dtype=bool)
+        undrawn[self.picks[:t]] = False
+        p, c = self.p[undrawn], self.c[t]
+        q = c * p
+        w = q * ((len(self) - t - q) / (1.0 - q))
+        w /= np.add.reduce(w)
+        dense = np.zeros(self.N)
+        dense[self.units[undrawn]] = (self.c[t + 1] - c) * p
+        dense[self.units[k]] = 1.0 - c * self.p[k]
+        # The pick's place among the undrawn units.
+        chosen = int(np.count_nonzero(undrawn[:k]))
+        return SplittingStep(t + 1, w, None, chosen, dense)
 
     def ht_increments(self, yc: np.ndarray) -> np.ndarray:
         """xi_t = (c[t + 1] - c[t]) (sum of y_check p over the units

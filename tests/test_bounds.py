@@ -127,6 +127,39 @@ class TestValidation:
         with pytest.raises(InvalidInputError):
             reference_inputs(sup_y=-1.0)
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            dict(eps=math.nan),
+            dict(eps=math.inf),
+            dict(M=math.nan, c=1.0),
+            dict(M=1.0, c=math.inf),
+            dict(sup_y=10**400),
+        ],
+    )
+    def test_non_finite_input(self, overrides):
+        with pytest.raises(InvalidInputError, match="finite"):
+            reference_inputs(**overrides)
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            dict(sup_ycheck=1e200, sum_sq_ycheck=1e300),
+            dict(M=1e200, c=1.0),
+            dict(M=1.0, c=1e200),
+            dict(N=10**200, n=2.0),
+        ],
+    )
+    def test_square_overflow(self, overrides):
+        with pytest.raises(InvalidInputError, match="too large"):
+            reference_inputs(**overrides)
+
+    @pytest.mark.parametrize("eps", [math.nan, math.inf, 10**400])
+    def test_non_finite_eps_argument(self, eps):
+        for bound in (cna_bound, bernstein_bound, lipschitz_bound):
+            with pytest.raises(InvalidInputError, match="eps must be finite"):
+                bound(reference_inputs(), eps=eps)
+
     def test_fractional_n_accepted(self):
         # Average sample sizes are allowed; the bound loosens as n grows.
         assert cna_bound(reference_inputs(n=20.5)) > cna_bound(
@@ -195,6 +228,11 @@ class TestDominanceRegime:
         assert dominance_regime(10_000, 394).kind == "SmallN_AllEps"
         assert dominance_regime(10_000, 395).kind == "LargeN_EpsRange"
 
+    def test_tiny_n_whose_ratio_squared_overflows(self):
+        # (10 / 1e-300)^2 overflows a float.
+        with pytest.raises(InvalidInputError, match="N / n is too large"):
+            dominance_regime(10, 1e-300)
+
     def test_census_is_large(self):
         r = dominance_regime(100, 100, sup_y=2.0)
         assert r.kind == "LargeN_EpsRange"
@@ -251,6 +289,36 @@ class TestSolvers:
     def test_sample_size_validation(self):
         with pytest.raises(InvalidInputError):
             solve_sample_size(M=0.0, c=1.0, eps=0.1, eta=0.05)
+
+    @pytest.mark.parametrize(
+        "kw",
+        [
+            dict(M=math.nan, c=1.0, eps=0.1, eta=0.05),
+            dict(M=1.0, c=1.0, eps=math.inf, eta=0.05),
+            dict(M=1.0, c=1.0, eps=0.1, eta=math.nan),
+        ],
+    )
+    def test_sample_size_non_finite(self, kw):
+        with pytest.raises(InvalidInputError, match="finite and positive"):
+            solve_sample_size(**kw)
+
+    @pytest.mark.parametrize(
+        "kw",
+        [dict(M=1e200, c=1.0), dict(M=1.0, c=1e-200), dict(M=1e200, c=1e200)],
+    )
+    def test_sample_size_overflow(self, kw):
+        with pytest.raises(InvalidInputError, match="sample size overflows"):
+            solve_sample_size(eps=0.1, eta=0.05, **kw)
+
+    @pytest.mark.parametrize("eta", [math.nan, math.inf])
+    def test_confidence_radius_non_finite_eta(self, eta):
+        with pytest.raises(InvalidInputError, match="eta must be finite"):
+            solve_confidence_radius(reference_inputs(), eta=eta)
+
+    def test_confidence_radius_overflow(self):
+        # 1 / 5e-324 overflows to inf, and so does its log.
+        with pytest.raises(InvalidInputError, match="confidence radius overflows"):
+            solve_confidence_radius(reference_inputs(), eta=5e-324)
 
     def test_confidence_radius_frozen(self):
         inputs = reference_inputs()

@@ -204,6 +204,43 @@ class TestBounds:
         err = capsys.readouterr().err
         assert all(flag in err for flag in flags if flag.startswith("--"))
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--eps", "0.5", "--M", "1e200", "--c", "1"], "M is too large"),
+            (["--eps", "nan"], "eps must be finite"),
+            (["--eps", "0.5", "--M", "nan", "--c", "1"], "M must be finite"),
+            (["--solve-eps", "--eta", "nan"], "eta must be finite"),
+        ],
+    )
+    def test_non_finite_or_overflowing_inputs_exit_2(self, argv, message, capsys):
+        base = ["bounds", "--N", "10", "--n", "2", "--sup-ycheck", "1",
+                "--sum-sq-ycheck", "1"]
+        assert main([*base, *argv]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and message in err
+
+    def test_overflowing_statistic_exits_2(self, capsys):
+        rc = main(["bounds", "--N", "10", "--n", "2", "--sup-ycheck", "1e200",
+                   "--sum-sq-ycheck", "1e300", "--eps", "0.5"])
+        assert rc == 2
+        assert "sup_ycheck is too large" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "M, c, message",
+        [
+            ("nan", "1", "must be finite"),
+            ("1e200", "1", "sample size overflows"),
+            ("1", "1e-200", "sample size overflows"),
+        ],
+    )
+    def test_solve_n_out_of_float_range_exits_2(self, M, c, message, capsys):
+        rc = main(["bounds", "--solve-n", "--M", M, "--c", c,
+                   "--eps", "0.1", "--eta", "0.05"])
+        assert rc == 2
+        out, err = capsys.readouterr()
+        assert out == "" and message in err
+
 
 DESIGNS = ("chao", "tille", "midzuno", "brewer", "srswor")
 

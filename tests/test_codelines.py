@@ -62,3 +62,24 @@ def test_main_prints_each_file_and_the_total(tmp_path, capsys):
 def test_main_without_files_exits_2(capsys):
     assert codelines.main([]) == 2
     assert "Usage" in capsys.readouterr().err
+
+
+def test_a_directory_counts_its_python_files_in_sorted_order(tmp_path, capsys):
+    (tmp_path / "b.py").write_text(SOURCE)
+    (tmp_path / "a.py").write_text("x = 1\n\n")
+    (tmp_path / "notes.txt").write_text("not python\n")
+    assert codelines.main([str(tmp_path)]) == 0
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert rows == [
+        ["1", "2", str(tmp_path / "a.py")],
+        [str(CODE_LINES), str(SOURCE.count("\n")), str(tmp_path / "b.py")],
+        [str(CODE_LINES + 1), str(SOURCE.count("\n") + 2), "total"],
+    ]
+
+
+def test_a_missing_path_exits_2_naming_it(tmp_path, capsys):
+    a, missing = tmp_path / "a.py", tmp_path / "missing.py"
+    a.write_text("x = 1\n")
+    assert codelines.main([str(a), str(missing)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and str(missing) in err

@@ -127,6 +127,13 @@ def test_real_negative_probability_rejected():
         ExactDesignDistribution.from_support(support={(0,): 1.1, (1,): -0.1}, N=2, n=1)
 
 
+def test_nan_probability_rejected():
+    # NaN is not below the floor either, so a check for negatives alone
+    # would let it through and drop it with the non-positive entries.
+    with pytest.raises(InvalidInputError, match=r"NaN probability nan for \(1,\)"):
+        ExactDesignDistribution.from_support(support={(0,): 1.0, (1,): math.nan}, N=2, n=1)
+
+
 def test_repeated_index_rejected():
     with pytest.raises(InvalidInputError, match="repeated"):
         ExactDesignDistribution.from_support(support={(0, 0): 1.0}, N=2, n=2)

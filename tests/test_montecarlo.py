@@ -278,6 +278,16 @@ class TestEstimateTail:
                 replicates=5, pi=pi,
             )
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_rejects_non_finite_y(self, bad):
+        # With NaN, every error would be NaN and sort last: the counts
+        # would read every replicate as an exceedance of any eps.
+        with pytest.raises(InvalidInputError, match="y must be finite"):
+            estimate_tail(
+                DesignKind.SRSWOR, y=[1.0, bad, 2.0, 3.0], eps_grid=[0.1],
+                replicates=100, N=4, n=2,
+            )
+
     @pytest.mark.parametrize("replicates", [2.5, 5.0, "5"])
     def test_rejects_replicates_that_are_not_integers(self, replicates):
         pi = compute_pips(np.array([1.0, 2.0, 3.0, 4.0]), 2)

@@ -212,11 +212,10 @@ def compact_instances():
         pytest.param(compute_pips(rng.uniform(1.0, 2.0, size=200), 40), 50, id="criterion-05"),
         pytest.param(compute_pips(x, 10), 50, id="criterion-04"),
         pytest.param(near_certain_lognormal(), 50, id="near-certain-lognormal"),
-        # Iteration takes 2**16 // 1000 = 65 steps per block: three blocks.
         pytest.param(
             compute_pips(np.random.default_rng(9).lognormal(0.0, 1.0, 1000), 150),
             10,
-            id="three-blocks",
+            id="N-1000",
         ),
     ]
 
@@ -236,7 +235,7 @@ class TestCompactTrace:
             _, tr = sample_brewer(pi, seed, trace="realized")
             assert np.array_equal(tr.final, final)
             assert len(tr.steps) == len(ref) == plan.draws
-            # Iteration builds the steps block by block, indexing one by one.
+            # Read both by iteration and by index.
             for i, (step, (t, alphas, chosen, d)) in enumerate(zip(tr.steps, ref)):
                 for got in (step, tr.steps[i]):
                     assert got.t == t and got.chosen == chosen and got.deltas is None
@@ -253,6 +252,36 @@ class TestCompactTrace:
         assert np.array_equal(tr.steps[-1].realized_delta, steps[2].realized_delta)
         with pytest.raises(IndexError):
             tr.steps[3]
+
+    def test_iteration_holds_one_step_at_a_time(self):
+        # N = 2,000, n = 200: a pass over the steps holds one dense step
+        # of 16 KB and its weights at a time, not a block of them.
+        pi = compute_pips(np.random.default_rng(6).lognormal(0.0, 1.5, 2_000), 200)
+        _, tr = sample_brewer(pi, 2, trace="realized")
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            for step in tr.steps:
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - base < 0.5 * 2**20
+        # Index, iteration and slice reads build the same bytes.
+        n = len(tr.steps)
+        reads = (
+            [tr.steps[i] for i in range(n)],
+            [tr.steps[i] for i in range(-n, 0)],
+            list(tr.steps),
+            list(tr.steps[:]),
+            list(tr.steps[::-1])[::-1],
+        )
+        for same in zip(*reads):
+            first = same[0]
+            for got in same[1:]:
+                assert (got.t, got.chosen) == (first.t, first.chosen)
+                assert got.alphas.tobytes() == first.alphas.tobytes()
+                assert got.realized_delta.tobytes() == first.realized_delta.tobytes()
 
     def test_one_draw_at_scale_holds_little_memory(self):
         # N = 20,000, n = 2,000: dense steps would hold about 305 MB of

@@ -1,16 +1,18 @@
 """Count the code lines of Python files: lines that hold a token other
 than a comment, with blank lines and docstrings left out.
 
-Usage: python tools/codelines.py FILE [FILE ...]
+Usage: python tools/codelines.py PATH [PATH ...]
 
+A PATH that is a directory stands for its *.py files, in sorted order.
 Prints each file's code lines and total lines, then the sums when more
-than one file is given.
+than one file is counted.  A missing PATH exits 2, naming it.
 """
 
 import ast
 import io
 import sys
 import tokenize
+from pathlib import Path
 
 _NOT_CODE = {
     tokenize.COMMENT,
@@ -53,10 +55,19 @@ def count(path: str) -> tuple[int, int]:
     return len(code), source.count(b"\n")
 
 
-def main(paths: list[str]) -> int:
-    if not paths:
+def main(args: list[str]) -> int:
+    if not args:
         print(__doc__.strip(), file=sys.stderr)
         return 2
+    paths: list[str] = []
+    for arg in args:
+        if Path(arg).is_dir():
+            paths.extend(str(f) for f in sorted(Path(arg).glob("*.py")))
+        elif Path(arg).exists():
+            paths.append(arg)
+        else:
+            print(f"codelines: no such file or directory: {arg}", file=sys.stderr)
+            return 2
     total_code = total_lines = 0
     for path in paths:
         code, lines = count(path)
