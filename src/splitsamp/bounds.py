@@ -23,6 +23,7 @@ import json
 import math
 import warnings
 from dataclasses import asdict, dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -166,13 +167,20 @@ def bernstein_bound(inputs: BoundInputs, eps: float | None = None) -> float:
     eps > 0 the bound collapses to 0 (the estimator cannot move).
     """
     e = _eps_of(inputs, eps)
-    denom = (
-        8.0 * (1.0 - inputs.n / inputs.N) * inputs.sup_y2_over_pi
-        + (4.0 / 3.0) * e * inputs.sup_ycheck
-    )
+    s2, s1 = inputs.sup_y2_over_pi, inputs.sup_ycheck
+    num = e * e * inputs.N
+    denom = 8.0 * (1.0 - inputs.n / inputs.N) * s2 + (4.0 / 3.0) * e * s1
+    if denom == 0.0 or not (math.isfinite(num) and math.isfinite(denom)):
+        # A term overflowed a float, or the denominator may have
+        # underflowed to 0: the same ratio in exact arithmetic.
+        e, s2, s1 = Fraction(e), Fraction(s2), Fraction(s1)
+        num = e * e * inputs.N
+        denom = 8 * (1 - Fraction(inputs.n) / inputs.N) * s2 + Fraction(4, 3) * e * s1
     if denom == 0.0:
         return 2.0 if e == 0.0 else 0.0
-    return 2.0 * math.exp(-e * e * inputs.N / denom)
+    # exp(-r) is 0.0 for every float r >= 800, so the cap changes no
+    # float ratio; it keeps an exact one too large for a float in range.
+    return 2.0 * math.exp(-min(num / denom, 800.0))
 
 
 def lipschitz_bound(inputs: BoundInputs, eps: float | None = None) -> float:
@@ -220,14 +228,16 @@ def dominance_regime(N: int, n: float, sup_y: float | None = None) -> DominanceR
     hold the small-sample tag wins.  ``eps_limit`` is
     (3 - sqrt(2)) (n/N) sup|y| and needs ``sup_y``.
     """
-    if N < 1 or not 0 < n <= N:
-        raise InvalidInputError("need 1 <= n <= N")
+    if not _is_finite(N) or N < 1 or not 0 < n <= N:
+        raise InvalidInputError("need 1 <= n <= N, with N a finite float")
     small = n < _SMALL_COEF * N ** (2.0 / 3.0)
     large = n >= _LARGE_COEF * _square("N / n", N / n)
     if small:
         return DominanceRegime(kind="SmallN_AllEps")
     if large:
         limit = None if sup_y is None else _EPS_LIMIT_COEF * (n / N) * sup_y
+        if limit is not None and not math.isfinite(limit):
+            raise InvalidInputError(f"the eps limit (3 - sqrt 2)(n/N) sup_y is {limit}")
         return DominanceRegime(kind="LargeN_EpsRange", eps_limit=limit)
     return DominanceRegime(kind="Inconclusive")
 

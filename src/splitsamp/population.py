@@ -16,7 +16,10 @@ supported; values use ``.`` as the decimal separator.
 
 from __future__ import annotations
 
+import hashlib
+import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -73,13 +76,14 @@ class Population:
         return self.x.size
 
 
-@dataclass
+@dataclass(frozen=True)
 class InclusionProbabilities:
     """First-order inclusion probabilities for a fixed integer sample size.
 
     Entries lie in (0, 1]; entries within ``CERTAINTY_TOL`` of 1 are
     snapped to exactly 1 and flagged as certainty units.  The entries
-    must sum to ``n`` within ``SUM_TOL``.
+    must sum to ``n`` within ``SUM_TOL``.  Checked once, here, and then
+    frozen, so that ``pi``, a read-only copy, keeps its ``digest``.
     """
 
     pi: np.ndarray
@@ -93,7 +97,7 @@ class InclusionProbabilities:
             raise InvalidInputError("pi must be finite")
         if int(self.n) != self.n:
             raise InvalidInputError(f"n must be an integer, got {self.n!r}")
-        self.n = int(self.n)
+        object.__setattr__(self, "n", int(self.n))
         if not 1 <= self.n <= pi.size:
             raise InvalidSizeError(f"invalid size: n={self.n} outside 1..{pi.size}")
         if np.any(pi <= 0.0):
@@ -108,11 +112,17 @@ class InclusionProbabilities:
                 f"inclusion probabilities sum to {pi.sum()!r}, expected n={self.n}"
             )
         pi[pi >= 1.0 - CERTAINTY_TOL] = 1.0
-        self.pi = _as_readonly(pi)
+        object.__setattr__(self, "pi", _as_readonly(pi))
 
     @property
     def N(self) -> int:
         return self.pi.size
+
+    @cached_property
+    def digest(self) -> bytes:
+        """The SHA-256 of ``pi``'s bytes, computed on first use and kept:
+        the designs that plan on pi keep their plans under it."""
+        return hashlib.sha256(self.pi).digest()
 
     @property
     def certain(self) -> np.ndarray:
@@ -268,11 +278,10 @@ def load_population(path: str) -> tuple[Population, InclusionProbabilities | Non
             raise PopulationFileError(f"line {lineno}: duplicate id {uid!r}")
         seen.add(uid)
         try:
-            v = float(fields[1])
-            w = float(fields[2])
+            v, w = float(fields[1]), float(fields[2])
         except ValueError as exc:
             raise PopulationFileError(f"line {lineno}: {exc}") from exc
-        if not np.isfinite(v) or not np.isfinite(w):
+        if not math.isfinite(v) or not math.isfinite(w):
             raise PopulationFileError(f"line {lineno}: non-finite value")
         if found == "x" and v <= 0.0:
             raise PopulationFileError(f"line {lineno}: x must be positive, got {v}")

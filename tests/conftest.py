@@ -4,6 +4,7 @@ from math import fsum
 import numpy as np
 import pytest
 
+from splitsamp import designs
 from splitsamp import (
     DesignKind,
     ExactDesignDistribution,
@@ -23,6 +24,14 @@ UNEQUAL_DESIGNS = (
 X_CERTAIN = np.array(
     [1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0, 4.5, 5.0, 5.5, 6.0, 40.0]
 )
+
+
+@pytest.fixture(autouse=True)
+def fresh_plans():
+    """Every test starts with no kept plans, so a plan an earlier test
+    kept cannot stand in for a builder this test patches or a ladder it
+    expects to be fresh."""
+    designs._PLANS.clear()
 
 
 @pytest.fixture(scope="session")

@@ -1,0 +1,99 @@
+"""tools/benchpairs.py: its aggregation of canned result lines, and the
+order in which it runs the two checkouts."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parents[1] / "tools" / "benchpairs.py"
+_SPEC = importlib.util.spec_from_file_location("benchpairs", _PATH)
+benchpairs = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(benchpairs)
+
+
+def line(rate: float, setup: float, note: float) -> str:
+    """One result line as ``bench/run.py`` prints it last."""
+    return json.dumps({
+        "correct": True,
+        "attempted": 100,
+        "failed": 0,
+        "metrics": {
+            "samples_per_s.midzuno": {"value": rate, "unit": "samples/s"},
+            "setup_s": {"value": setup, "unit": "s"},
+            "note": {"value": note, "unit": ""},
+        },
+    })
+
+
+# Five pairs.  BASE's rates 100..104 have quartiles 101 and 103; NEW's
+# are higher in four pairs and tie in one.  NEW's set-up is lower in
+# two pairs.
+BASE = [line(r, s, 1.0) for r, s in zip([102, 100, 104, 101, 103], [5, 5, 5, 5, 5])]
+NEW = [line(r, s, 2.0) for r, s in zip([110, 100, 112, 109, 111], [4, 6, 5, 4, 6])]
+BETTER = {"samples_per_s.midzuno": "higher", "setup_s": "lower"}
+
+
+def test_aggregate_canned_lines():
+    rows = benchpairs.aggregate(
+        [json.loads(s) for s in BASE], [json.loads(s) for s in NEW], BETTER
+    )
+    by_name = {row["metric"]: row for row in rows}
+    assert [row["metric"] for row in rows] == ["samples_per_s.midzuno", "setup_s", "note"]
+    rate = by_name["samples_per_s.midzuno"]
+    assert (rate["base_q1"], rate["base_median"], rate["base_q3"]) == (101, 102, 103)
+    assert rate["new_median"] == 110 and rate["unit"] == "samples/s"
+    assert rate["change_pct"] == pytest.approx(100.0 * 8 / 102)
+    # The tie in pair 2 counts for neither side.
+    assert (rate["wins"], rate["pairs"]) == (4, 5)
+    setup = by_name["setup_s"]
+    assert (setup["base_median"], setup["new_median"], setup["wins"]) == (5, 5, 2)
+    assert setup["change_pct"] == 0.0
+    # No direction, no count.
+    assert by_name["note"]["wins"] is None
+    assert "NEW better in 4/5" in benchpairs.format_row(rate)
+    assert "better" not in benchpairs.format_row(by_name["note"])
+
+
+def test_aggregate_needs_matching_pairs():
+    with pytest.raises(ValueError):
+        benchpairs.aggregate([json.loads(BASE[0])], [], BETTER)
+
+
+def test_one_run_per_side_is_its_own_quartiles():
+    assert benchpairs.quartiles([7.0]) == (7.0, 7.0, 7.0)
+
+
+def test_pairs_alternate_which_side_runs_first(tmp_path, capsys):
+    base, new = tmp_path / "base", tmp_path / "new"
+    for root in (base, new):
+        (root / "bench").mkdir(parents=True)
+        (root / "bench" / "run.py").write_text("")
+    (new / "BENCHMARK.json").write_text(json.dumps({
+        "end_to_end": [
+            {"name": "samples_per_s.midzuno", "better": "higher"},
+            {"name": "setup_s", "better": "lower"},
+        ],
+    }))
+    calls = []
+
+    def runner(checkout, workload, seed, seconds):
+        calls.append((Path(checkout).name, seed))
+        i = seed - 11
+        return json.loads((BASE if Path(checkout) == base else NEW)[i])
+
+    argv = [str(base), str(new), "--pairs", "4", "--seed", "11", "--seconds", "1"]
+    assert benchpairs.main(argv, runner=runner) == 0
+    assert calls == [
+        ("base", 11), ("new", 11), ("new", 12), ("base", 12),
+        ("base", 13), ("new", 13), ("new", 14), ("base", 14),
+    ]
+    out = capsys.readouterr().out
+    assert "samples_per_s.midzuno" in out and "NEW better in 3/4" in out
+    assert "every run correct: True" in out
+
+
+def test_missing_checkout_exits_2(tmp_path, capsys):
+    assert benchpairs.main([str(tmp_path), str(tmp_path / "nowhere")]) == 2
+    assert "no bench/run.py" in capsys.readouterr().err

@@ -4,6 +4,7 @@ inputs, the regime classification and the two inverse solvers."""
 import json
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -110,6 +111,90 @@ class TestDegenerateInputs:
         )
         with pytest.raises(InvalidInputError):
             cna_bound(inputs, eps=-0.1)
+
+
+class TestOverflowingTerms:
+    """Inputs whose bound terms overflow a float: a finite, correct value
+    or InvalidInputError, and every other input keeps its bits."""
+
+    def test_bernstein_with_both_terms_overflowing_is_zero(self):
+        # e^2 N and the denominator both overflow: inf / inf was NaN.
+        inputs = reference_inputs(
+            N=10, n=2.0, sup_ycheck=1.0, sum_sq_ycheck=1.0, sup_y2_over_pi=1e308
+        )
+        assert bernstein_bound(inputs, eps=1e200) == 0.0
+        assert evaluate_bounds(inputs, eps=1e200).bernstein_raw == 0.0
+
+    @pytest.mark.parametrize(
+        "eps, sup_ycheck, sup_y2_over_pi",
+        [(1e154, 1e154, 0.0), (1e154, 0.0, 1e307), (2e154, 1e154, 1e308)],
+        ids=["numerator", "ratio-near-one", "both"],
+    )
+    def test_bernstein_exact_where_a_term_overflows(self, eps, sup_ycheck, sup_y2_over_pi):
+        # The ratio e^2 N / denominator is moderate while e^2 N or the
+        # denominator overflows; the float formula gave 0 or 2 here.
+        inputs = reference_inputs(
+            N=10, n=2.0, sup_ycheck=sup_ycheck, sum_sq_ycheck=1.7e308,
+            sup_y2_over_pi=sup_y2_over_pi,
+        )
+        F = Fraction
+        ratio = F(eps) ** 2 * 10 / (
+            8 * (1 - F(2, 10)) * F(sup_y2_over_pi) + F(4, 3) * F(eps) * F(sup_ycheck)
+        )
+        assert 0.0 < bernstein_bound(inputs, eps=eps) < 2.0
+        assert bernstein_bound(inputs, eps=eps) == pytest.approx(
+            2.0 * math.exp(-float(ratio)), rel=1e-14
+        )
+
+    def test_bernstein_exact_where_the_denominator_underflows(self):
+        # (4/3) eps sup|v| is 1.3e-340, below the least float: the
+        # denominator was 0 and the bound 0, for a ratio of N / (4/3).
+        inputs = reference_inputs(
+            N=10, n=2.0, sup_ycheck=1e-170, sum_sq_ycheck=1e-300, sup_y2_over_pi=0.0
+        )
+        assert bernstein_bound(inputs, eps=1e-170) == pytest.approx(
+            2.0 * math.exp(-7.5), rel=1e-14
+        )
+        # A denominator that is truly 0 still gives 0, or 2 at eps = 0.
+        zero = reference_inputs(sup_ycheck=0.0, sum_sq_ycheck=0.0, sup_y2_over_pi=0.0)
+        assert bernstein_bound(zero, eps=1e-170) == 0.0
+        assert bernstein_bound(zero, eps=0.0) == 2.0
+
+    def test_overflowing_eps_limit_is_refused(self):
+        inputs = reference_inputs(
+            N=10, n=9.0, sup_ycheck=1e150, sum_sq_ycheck=1e300, sup_y=1.7e308,
+            sup_y2_over_pi=1.0, equal_probability=True,
+        )
+        with pytest.raises(InvalidInputError, match="eps limit .* is inf"):
+            evaluate_bounds(inputs)
+        with pytest.raises(InvalidInputError, match="eps limit"):
+            dominance_regime(10, 9, sup_y=float("nan"))
+
+    @pytest.mark.parametrize(
+        "N", [10**400, float("inf"), float("nan")], ids=["10**400", "inf", "nan"]
+    )
+    def test_dominance_regime_needs_a_finite_N(self, N):
+        # 10**400 ended in OverflowError converting N to a float.
+        with pytest.raises(InvalidInputError, match="N a finite float"):
+            dominance_regime(N, 2)
+
+    def test_accepted_inputs_keep_their_bits(self):
+        # Random accepted inputs give the bits of the float formulas.
+        rng = np.random.default_rng(33)
+        for _ in range(2000):
+            N = int(rng.integers(1, 10**6))
+            n = float(rng.uniform(0.0, 1.0) * N) or 1.0
+            s1, s2, sup_y = 10.0 ** rng.uniform(-150, 150, size=3)
+            e = float(10.0 ** rng.uniform(-100, 100))
+            inputs = BoundInputs(
+                N=N, n=n, eps=e, sup_ycheck=s1, sum_sq_ycheck=s1 * s1 * 2.0,
+                sup_y=sup_y, sup_y2_over_pi=s2,
+            )
+            denom = 8.0 * (1.0 - n / N) * s2 + (4.0 / 3.0) * e * s1
+            assert bernstein_bound(inputs) == 2.0 * math.exp(-e * e * N / denom)
+            regime = dominance_regime(N, n, sup_y=sup_y)
+            if regime.kind == "LargeN_EpsRange":
+                assert regime.eps_limit == (3.0 - math.sqrt(2.0)) * (n / N) * sup_y
 
 
 class TestValidation:

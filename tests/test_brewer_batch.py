@@ -281,9 +281,9 @@ def test_guide_equals_searchsorted(pi):
 
 def test_guide_built_once_by_the_first_batch_and_read_only():
     pi = compute_pips(*FRAMES["lognormal-1"][:2])
-    designs._last_plan.cache_clear()
+    designs._PLANS.clear()
     draw, _ = designs.make_sampler(designs.DesignKind.BREWER, pi=pi)
-    plan = designs._last_plan(pi.pi.tobytes())
+    plan = draw.draw_rows.args[0]
     draw(7)
     assert "guide" not in vars(plan)
     draw.rows(range(3))

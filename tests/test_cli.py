@@ -220,6 +220,24 @@ class TestBounds:
         out, err = capsys.readouterr()
         assert out == "" and message in err
 
+    def test_overflowing_bernstein_terms_give_a_finite_bound(self, capsys):
+        # e^2 N and Bernstein's denominator both overflow; it printed NaN.
+        rc = main(["bounds", "--N", "10", "--n", "2", "--sup-ycheck", "1",
+                   "--sum-sq-ycheck", "1", "--sup-y2-over-pi", "1e308",
+                   "--eps", "1e200"])
+        assert rc == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["bernstein"] == report["bernstein_raw"] == 0.0
+
+    def test_overflowing_eps_limit_exits_2(self, capsys):
+        # (3 - sqrt 2)(n/N) sup_y overflows; it printed Infinity.
+        rc = main(["bounds", "--N", "10", "--n", "9", "--sup-ycheck", "1e150",
+                   "--sum-sq-ycheck", "1e300", "--sup-y", "1.7e308", "--eps", "1",
+                   "--equal-probability"])
+        assert rc == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "eps limit" in err
+
     def test_overflowing_statistic_exits_2(self, capsys):
         rc = main(["bounds", "--N", "10", "--n", "2", "--sup-ycheck", "1e200",
                    "--sum-sq-ycheck", "1e300", "--eps", "0.5"])

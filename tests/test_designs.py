@@ -554,7 +554,7 @@ class TestBrewer:
             built.append(pi_vec)
             return brewer_plan(pi_vec)
 
-        designs._last_plan.cache_clear()
+        designs._PLANS.clear()
         monkeypatch.setattr(designs, "brewer_plan", counted)
         plain = [sample_brewer(pi, seed) for seed in (1, 2)]
         traced, _ = sample_brewer(pi, 1, trace="realized")
@@ -588,7 +588,7 @@ class TestBrewer:
             built.append(pi_vec)
             return brewer_plan(pi_vec)
 
-        designs._last_plan.cache_clear()
+        designs._PLANS.clear()
         monkeypatch.setattr(designs, "brewer_plan", counted)
         for seed in range(5):
             for pi in pis[:2]:
@@ -1449,3 +1449,146 @@ class TestCrossingFrequencies:
         for key, p in dist.support.items():
             sigma = np.sqrt(p * (1 - p) / self.R)
             assert abs(counts.get(key, 0) / self.R - p) <= 4 * sigma + 1e-12, key
+
+
+# Each planned design's plan builder, by its name in ``designs``.
+PLAN_BUILDERS = {
+    DesignKind.CHAO: "chao_plan",
+    DesignKind.TILLE_ELIMINATION: "tille_plan",
+    DesignKind.GENERALIZED_MIDZUNO: "midzuno_plan",
+    DesignKind.BREWER: "brewer_plan",
+}
+
+
+def count_builds(monkeypatch) -> collections.Counter:
+    """Count the calls of every plan builder, of ``StepLaw`` (a ladder's
+    law) and of ``_guide`` (Brewer's guide table)."""
+    built = collections.Counter()
+    for name in (*PLAN_BUILDERS.values(), "StepLaw", "_guide"):
+        def counted(*args, _name=name, _f=getattr(designs, name), **kwargs):
+            built[_name] += 1
+            return _f(*args, **kwargs)
+        monkeypatch.setattr(designs, name, counted)
+    return built
+
+
+def held_arrays(obj):
+    """The arrays a plan holds, in nested plans, its law and its guide."""
+    for value in vars(obj).values():
+        if isinstance(value, np.ndarray):
+            yield value
+        elif dataclasses.is_dataclass(value):
+            yield from held_arrays(value)
+        elif isinstance(value, tuple):
+            yield from (a for a in value if isinstance(a, np.ndarray))
+
+
+class TestKeptPlans:
+    """Per design, the plans of the last two frames are kept: Chao's and
+    Tille's keyed on x and n, Midzuno's and Brewer's on pi."""
+
+    def test_estimate_tail_plans_each_design_once(self, monkeypatch):
+        # Ten calls on criterion 05's frame build each plan and each law
+        # once, and draw what a fresh plan draws.
+        x, n = CRITERION_05_X
+        pi = compute_pips(x, n)
+        fresh = {
+            kind: estimate_tail(kind, y=x, eps_grid=[0.05], replicates=1310, pi=pi, x=x)
+            for kind in PLAN_BUILDERS
+        }
+        designs._PLANS.clear()
+        built = count_builds(monkeypatch)
+        for kind in PLAN_BUILDERS:
+            for master in range(10):
+                tail = estimate_tail(
+                    kind, y=x, eps_grid=[0.05], replicates=1310,
+                    master_seed=master, pi=pi, x=x,
+                )
+                if master == 0:
+                    assert tail.errors.tobytes() == fresh[kind].errors.tobytes()
+        expect = {name: 1 for name in PLAN_BUILDERS.values()}
+        assert built == collections.Counter(StepLaw=3, _guide=1, **expect)
+
+    def test_third_frame_evicts_the_older_of_two(self, monkeypatch):
+        frames = [CRITERION_05_X[0] + shift for shift in (0.0, 0.5, 1.0)]
+        built = count_builds(monkeypatch)
+
+        def plan(kind, i):
+            return make_sampler(kind, x=frames[i], n=40)[0].draw_rows.args[0]
+
+        for kind, name in PLAN_BUILDERS.items():
+            a, b = plan(kind, 0), plan(kind, 1)
+            # Frame 0 was used last, so frame 2 evicts frame 1.
+            assert plan(kind, 0) is a and plan(kind, 1) is b and plan(kind, 0) is a
+            assert built[name] == 2
+            plan(kind, 2)
+            assert plan(kind, 0) is a and built[name] == 3
+            assert plan(kind, 1) is not b and built[name] == 4
+        # Each design keeps its own two frames: the last ones planned.
+        for kind, name in PLAN_BUILDERS.items():
+            plan(kind, 1)
+            plan(kind, 0)
+            assert built[name] == 4
+        # The same x at another n is another frame.
+        plan(DesignKind.TILLE_ELIMINATION, 0)
+        make_sampler(DesignKind.TILLE_ELIMINATION, x=frames[0], n=41)
+        assert built["tille_plan"] == 5
+
+    def test_kept_arrays_read_only_and_caller_x_free(self):
+        # Every array a kept plan holds is read-only, its law and guide
+        # included, and a later write to the caller's x changes no draw
+        # of a sampler already built; the written x is a new frame.
+        x, n = CRITERION_05_X[0].copy(), 40
+        for kind in PLAN_BUILDERS:
+            draw, _ = make_sampler(kind, x=x, n=n)
+            before = [draw(s).selected for s in range(5)]
+            draw.rows(range(3))
+            plan = draw.draw_rows.args[0]
+            arrays = list(held_arrays(plan))
+            assert len(arrays) >= 4 and not any(a.flags.writeable for a in arrays)
+            kept = x.copy()
+            x[:] = x[::-1]
+            assert [draw(s).selected for s in range(5)] == before
+            assert make_sampler(kind, x=x, n=n)[0].draw_rows.args[0] is not plan
+            x[:] = kept
+            assert make_sampler(kind, x=x, n=n)[0].draw_rows.args[0] is plan
+        ladder = make_sampler(DesignKind.TILLE_ELIMINATION, x=x, n=n)[0].draw_rows.args[0]
+        assert not ladder.law.cum.flags.writeable and "segments" in vars(ladder)
+        with pytest.raises(ValueError, match="read-only"):
+            ladder.lam[0] = 1.0
+
+    @pytest.mark.parametrize(
+        "kind",
+        [DesignKind.TILLE_ELIMINATION, DesignKind.CHAO, DesignKind.GENERALIZED_MIDZUNO],
+        ids=["tille", "chao", "midzuno"],
+    )
+    def test_corrupted_kept_ladder_fails_every_call(self, monkeypatch, kind):
+        # lam scaled down by 1%: every sampler sharing the kept ladder,
+        # and every estimate_tail call, raises on every call, single draw
+        # or batch, from the one ladder built.
+        name = PLAN_BUILDERS[kind]
+        original = getattr(designs, name)
+        built = []
+
+        def corrupted(*args):
+            plan = original(*args)
+            built.append(plan)
+            if isinstance(plan, designs.Ladder):
+                return dataclasses.replace(plan, lam=plan.lam * 0.99)
+            ladder = dataclasses.replace(plan.ladder, lam=plan.ladder.lam * 0.99)
+            return dataclasses.replace(plan, ladder=ladder)
+
+        monkeypatch.setattr(designs, name, corrupted)
+        x, n = CRITERION_05_X
+        draws = [make_sampler(kind, x=x, n=n)[0] for _ in range(2)]
+        assert draws[0].draw_rows.args[0] is draws[1].draw_rows.args[0]
+        match = f"{kind.value} step .*probabilities sum to"
+        for _ in range(3):
+            for draw in draws:
+                with pytest.raises(ContractViolationError, match=match):
+                    draw(7)
+                with pytest.raises(ContractViolationError, match=match):
+                    draw.rows(range(5))
+            with pytest.raises(ContractViolationError, match=match):
+                estimate_tail(kind, y=x, eps_grid=[0.1], replicates=20, x=x, n=n)
+        assert len(built) == 1

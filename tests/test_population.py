@@ -6,6 +6,8 @@ nondecreasing in lam, so the unique lam with sum = n can be found
 without any of the redistribution logic used by the implementation.
 """
 
+import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -121,6 +123,18 @@ class TestInclusionProbabilities:
         with pytest.raises(InvalidSizeError, match="invalid size"):
             InclusionProbabilities(pi=np.array([0.5, 0.5]), n=3)
 
+    def test_digest_is_the_sha256_of_pi(self):
+        # Equal pi share a digest, which kept plans are matched by; the
+        # snapped certainty unit counts as 1.
+        a = InclusionProbabilities(pi=np.array([0.5, 0.5, 1.0 - 1e-13]), n=2)
+        b = InclusionProbabilities(pi=[0.5, 0.5, 1.0], n=2)
+        assert a.digest == b.digest == hashlib.sha256(b.pi.tobytes()).digest()
+        c = InclusionProbabilities(pi=[0.25, 0.75, 1.0], n=2)
+        assert c.digest != a.digest
+        # Frozen, so pi cannot leave its digest behind.
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            c.pi = a.pi
+
     def test_equal_probability_detection(self):
         eq = InclusionProbabilities(pi=np.full(5, 0.4), n=2)
         assert eq.is_equal_probability()
@@ -209,6 +223,17 @@ class TestLoadPopulation:
     def test_bad_number_reports_line(self, tmp_path):
         path = self.write(tmp_path, "id,x,y\na,1,2\nb,oops,4\n")
         with pytest.raises(PopulationFileError, match="line 3"):
+            load_population(path)
+
+    @pytest.mark.parametrize("schema", ["x", "pi"])
+    @pytest.mark.parametrize(
+        "row", ["b,nan,4", "b,inf,4", "b,1,-inf", "b,1,NaN", "b,-Infinity,1"]
+    )
+    def test_non_finite_value_reports_line(self, tmp_path, schema, row):
+        # After a blank line, so the number is the file's line, not the
+        # row's index.
+        path = self.write(tmp_path, f"id,{schema},y\na,0.5,2\n\n{row}\nc,0.5,1\n")
+        with pytest.raises(PopulationFileError, match="^line 4: non-finite value$"):
             load_population(path)
 
     def test_duplicate_id_reports_line(self, tmp_path):

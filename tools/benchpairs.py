@@ -1,0 +1,135 @@
+"""Compare two checkouts on one benchmark workload, in alternating pairs.
+
+Usage: python tools/benchpairs.py BASE NEW [--workload NAME] [--pairs K]
+           [--seconds S] [--seed SEED]
+
+Runs ``bench/run.py`` untraced from the root of each checkout, K times
+each.
+Pair i runs both checkouts with seed SEED + i, BASE first when i is
+even and NEW first when it is odd, so that a drift of the machine's
+speed over the session falls on both alike.  A run's result is the last
+line of its standard output, one JSON object.
+
+Prints one line per metric: BASE's median with its quartiles, NEW's
+median, the change of the medians in percent and, for a metric whose
+direction ``BENCHMARK.json`` (NEW's copy) gives, the pairs in which NEW
+did better.  Then each side's failed operations, and whether every run
+was correct.  Standard library only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+
+def run(checkout: str, workload: str, seed: int, seconds: float) -> dict:
+    """One untraced ``bench/run.py`` run in ``checkout``: its JSON result."""
+    cmd = [
+        sys.executable, "bench/run.py", "--workload", workload,
+        "--seed", str(seed), "--seconds", str(seconds), "--trace", "0",
+    ]
+    done = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=True)
+    return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+def directions(benchmark: Path) -> dict[str, str]:
+    """End-to-end metric name -> "higher" or "lower", from a
+    BENCHMARK.json; empty when the file is missing."""
+    if not benchmark.is_file():
+        return {}
+    spec = json.loads(benchmark.read_text())
+    return {m["name"]: m["better"] for m in spec.get("end_to_end", [])}
+
+
+def quartiles(values: list[float]) -> tuple[float, float, float]:
+    """First quartile, median and third quartile, inclusive method."""
+    if len(values) == 1:
+        return values[0], values[0], values[0]
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, median, q3
+
+
+def aggregate(base: list[dict], new: list[dict], better: dict[str, str]) -> list[dict]:
+    """One row per metric found in every run, in the first run's order:
+    the quartiles of ``base``, the median of ``new``, the change of the
+    medians in percent (None when BASE's is 0) and ``wins``, the pairs
+    in which NEW did better (None without a direction).  Run i of each
+    list make pair i."""
+    if len(base) != len(new) or not base:
+        raise ValueError("need the same positive number of runs on each side")
+    rows = []
+    for name, first in base[0]["metrics"].items():
+        if not all(name in r["metrics"] for r in base + new):
+            continue
+        b = [r["metrics"][name]["value"] for r in base]
+        n = [r["metrics"][name]["value"] for r in new]
+        q1, b_med, q3 = quartiles(b)
+        n_med = statistics.median(n)
+        wins = None
+        if better.get(name) in ("higher", "lower"):
+            sign = 1 if better[name] == "higher" else -1
+            wins = sum(sign * (y - x) > 0 for x, y in zip(b, n))
+        rows.append({
+            "metric": name,
+            "unit": first.get("unit", ""),
+            "base_q1": q1,
+            "base_median": b_med,
+            "base_q3": q3,
+            "new_median": n_med,
+            "change_pct": 100.0 * (n_med - b_med) / b_med if b_med else None,
+            "wins": wins,
+            "pairs": len(b),
+        })
+    return rows
+
+
+def format_row(row: dict) -> str:
+    change = "" if row["change_pct"] is None else f"{row['change_pct']:+7.2f}%"
+    wins = "" if row["wins"] is None else f"  NEW better in {row['wins']}/{row['pairs']}"
+    return (
+        f"{row['metric']:36s} base {row['base_median']:.6g} "
+        f"[{row['base_q1']:.6g}, {row['base_q3']:.6g}] new {row['new_median']:.6g} "
+        f"{row['unit']} {change}{wins}"
+    )
+
+
+def main(argv: list[str], runner=run) -> int:
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("base")
+    p.add_argument("new")
+    p.add_argument("--workload", default="mc-certify")
+    p.add_argument("--pairs", type=int, default=5)
+    p.add_argument("--seconds", type=float, default=8.0)
+    p.add_argument("--seed", type=int, default=1)
+    args = p.parse_args(argv)
+    if args.pairs < 1:
+        p.error("--pairs must be positive")
+    for checkout in (args.base, args.new):
+        if not (Path(checkout) / "bench" / "run.py").is_file():
+            print(f"benchpairs: no bench/run.py under {checkout}", file=sys.stderr)
+            return 2
+    # One list per side, so that BASE and NEW may be one checkout.
+    base: list[dict] = []
+    new: list[dict] = []
+    sides = ((args.base, base), (args.new, new))
+    for i in range(args.pairs):
+        for checkout, runs in sides if i % 2 == 0 else sides[::-1]:
+            runs.append(
+                runner(checkout, args.workload, args.seed + i, args.seconds)
+            )
+    for row in aggregate(base, new, directions(Path(args.new) / "BENCHMARK.json")):
+        print(format_row(row))
+    for side, runs in (("base", base), ("new", new)):
+        failed = [r["failed"] for r in runs]
+        correct = all(r["correct"] for r in runs)
+        print(f"{side}: failed operations per run {failed}, every run correct: {correct}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
