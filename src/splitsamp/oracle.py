@@ -19,7 +19,10 @@ complementarity between the Midzuno and elimination procedures.
 
 The step laws are built here from the plans' rungs and from Brewer's
 closed form, not by running the samplers' kernels, so enumeration stays
-an independent reference for the samplers.
+an independent reference for the samplers.  Chao, Tille and Midzuno
+share one elimination chain over a ladder, one unit leaving per step,
+and the complementarity check runs it once more on Midzuno's ladder
+with bit i for active unit i.
 """
 
 from __future__ import annotations
@@ -121,16 +124,24 @@ def enumerate_design(
         return ExactDesignDistribution(masks, np.full(count, 1.0 / count), N, n)
     sizes = np.asarray(x if x is not None else pi.pi, dtype=float)
     if kind is DesignKind.CHAO:
-        chain = _chao_chain(sizes, n)
+        ladder, step = chao_plan(sizes, n), lambda j: f"chao step {n + j + 1}"
+        chain = _ladder_chain(ladder, _BITS[:N], n, step, 0)
     elif kind is DesignKind.TILLE_ELIMINATION:
-        chain = _tille_chain(sizes, n)
+        ladder, step = tille_plan(sizes, n), lambda j: f"tille step i={N - 1 - j}"
+        chain = _ladder_chain(ladder, _BITS[:N], N, step, 0)
     elif kind is DesignKind.GENERALIZED_MIDZUNO:
         chain = _midzuno_chain(pi)
     elif kind is DesignKind.BREWER:
         chain = _brewer_chain(pi)
     else:
         raise InvalidInputError(f"unknown design kind {kind!r}")
-    start, steps, moves, flip = chain
+    masks, probs, pruned = _samples(*chain, max_branches)
+    return ExactDesignDistribution(masks, probs, N, n, pruned)
+
+
+def _samples(start: int, steps: int, moves, flip: int, max_branches: int):
+    """A chain's samples, sorted, with their probabilities and the
+    pruned mass: its last level's states XOR its ``flip``."""
     masks, probs, pruned = _levels(start, steps, moves, max_branches)
     if masks.size == 1:
         # Every path reaches this sample, so it holds all the mass not
@@ -139,7 +150,7 @@ def enumerate_design(
     if flip:
         # Every state is a subset of flip, so the XOR reverses their order.
         masks, probs = masks[::-1], probs[::-1]
-    return ExactDesignDistribution(masks ^ flip, probs, N, n, pruned)
+    return masks ^ flip, probs, pruned
 
 
 def _levels(start: int, steps: int, moves, max_branches: int):
@@ -191,63 +202,49 @@ def _rung_ratios(ladder: Ladder) -> tuple[np.ndarray, np.ndarray]:
     return rungs, 1.0 - ratios
 
 
-def _remove(masks: np.ndarray, col: np.ndarray, context: str, expected: float = 1.0):
-    """Moves that remove one unit k present in the state, with
-    probability ``col[k]``; the present units' law must sum to
-    ``expected``."""
-    kids = masks[:, None] ^ _BITS[: col.size]
-    # Flipping bit k lowers the mask exactly when unit k is present.
+def _remove(masks: np.ndarray, col: np.ndarray, bits: np.ndarray, context: str):
+    """Moves that remove one unit present in the state, the unit of bit
+    ``bits[i]`` with probability ``col[i]``; the present units' law must
+    sum to 1."""
+    kids = masks[:, None] ^ bits
+    # Flipping a unit's bit lowers the mask exactly when it is present.
     absent = kids > masks[:, None]
-    w = _check_sum(np.where(absent, 0.0, col), expected, context)
+    w = _check_sum(np.where(absent, 0.0, col), 1.0, context)
     kids[absent] = -1
     return kids, w
 
 
-def _chao_chain(x: np.ndarray, n: int):
-    """The state is the reservoir; units arrive in population order.
-    Arrival t = n+j joins it, and then it leaves with probability
-    ``1 - a``, ``a`` its capped share, or member k leaves with
-    probability ``1 - pi_k(t) / pi_k(t-1)``; the members' law sums to
-    ``a``."""
-    ladder = chao_plan(x, n)
-    # A unit counts as capped before its arrival, so its ratio is 0 there.
-    rungs, ratios = _rung_ratios(ladder)
+def _ladder_chain(ladder: Ladder, bits: np.ndarray, present: int, context, flip: int):
+    """The elimination chain of a ladder, whose unit i is the state's bit
+    ``bits[i]``: the state is the set of units present, and step j
+    removes one of them, unit i with its ``_rung_ratios`` column,
+    ``1 - pi_i(j+1) / pi_i(j)``.  The first ``present`` units are there
+    at the start and the others arrive one per step, in order, as Chao's
+    stream does: the ladder counts an arrival as capped until its step,
+    so it leaves again with probability 1 minus its capped share.
+    ``context(j)`` names step j, and ``flip`` turns a last state into
+    its sample."""
+    elim = _rung_ratios(ladder)[1]
 
     def moves(j: int, masks: np.ndarray):
-        t, a = n + j, float(rungs[j + 1, n + j])
-        kids, w = _remove(masks, ratios[j, :t], f"chao step {t + 1}", a)
-        stay = np.full((masks.size, 1), 1.0 - a)
-        return np.hstack([kids | (1 << t), masks[:, None]]), np.hstack([w, stay])
+        t = present + j
+        if t >= bits.size:
+            return _remove(masks, elim[j], bits, context(j))
+        # Only the units arrived so far: a column of zeros would regroup
+        # the pairwise sum of the level's pruned mass.
+        return _remove(masks | bits[t], elim[j, : t + 1], bits[: t + 1], context(j))
 
-    return (1 << n) - 1, ladder.steps, moves, 0
-
-
-def _tille_chain(sizes: np.ndarray, n: int):
-    """The state is the units still present; step j removes one."""
-    elim = _rung_ratios(tille_plan(sizes, n))[1]
-    N = sizes.size
-
-    def moves(j: int, masks: np.ndarray):
-        return _remove(masks, elim[j], f"tille step i={N - 1 - j}")
-
-    return (1 << N) - 1, len(elim), moves, 0
+    return sum(bits[:present].tolist()), ladder.steps, moves, flip
 
 
 def _midzuno_chain(pi: InclusionProbabilities):
-    """Tille's moves on Midzuno's ladder over 1 - pi of the active
-    units: the state is the active units still present, and the ones
-    it eliminates are the ones Midzuno selects, so the sample is the
-    state XOR (active | certain)."""
-    plan = midzuno_plan(pi)
-    active = int(np.sum(1 << plan.active))
-    flip = active | int(np.sum(1 << plan.certain))
-    select = np.zeros((plan.ladder.steps, pi.N))
-    select[:, plan.active] = _rung_ratios(plan.ladder)[1]
-
-    def moves(j: int, masks: np.ndarray):
-        return _remove(masks, select[j], f"midzuno step {j + 1}")
-
-    return active, len(select), moves, flip
+    """The chain on Midzuno's ladder over 1 - pi of the active units:
+    the state is the active units still present, and the ones it
+    eliminates are the ones Midzuno selects, so the sample is the state
+    XOR every unit, the certainty units included."""
+    plan, step = midzuno_plan(pi), lambda j: f"midzuno step {j + 1}"
+    bits = _BITS[plan.active]
+    return _ladder_chain(plan.ladder, bits, bits.size, step, (1 << pi.N) - 1)
 
 
 def _brewer_chain(pi: InclusionProbabilities):
@@ -398,35 +395,25 @@ def midzuno_complementarity_tv(
     The two should coincide exactly; certainty units are held out of the
     complementary run and reinserted into every sample.
 
-    Both sides step through the same ladder: ``midzuno_plan`` builds
-    ``_elimination_ladder(1 - pi_active, N' - n')``, and the
-    complementary run reaches the same call through ``tille_plan``.  So
-    a nonzero distance shows a divergence between the two enumeration
-    paths (Midzuno's chain with its XOR to the sample, against Tille's
-    chain and the complement), not a wrong Midzuno law, which both
-    sides would share.
+    Both sides run ``_ladder_chain`` on the same ladder, Midzuno's:
+    ``midzuno_plan`` builds ``_elimination_ladder(1 - pi_active, N' -
+    n')``.  Midzuno's side holds the active units at their own bits and
+    XORs every unit onto its states; the complementary side holds active
+    unit i at bit i, complements the survivors among the active units and
+    spreads the selection over their bits.  So a nonzero distance shows a
+    divergence between those two readings of the chain, not a wrong
+    Midzuno law, which both sides would share.
     """
     mid = enumerate_design(
         DesignKind.GENERALIZED_MIDZUNO, pi=pi, max_branches=max_branches
     )
-    certain = np.flatnonzero(pi.certain)
-    active = np.flatnonzero(~pi.certain)
-    n_active = pi.n - certain.size
-    if n_active == 0 or n_active == active.size:
-        # No randomness: Midzuno selects the certainty units, or all units.
-        only = int(np.sum(1 << (certain if n_active == 0 else np.arange(pi.N))))
-        return mid.tv_distance(ExactDesignDistribution([only], [1.0], pi.N, pi.n))
-    sub = enumerate_design(
-        DesignKind.TILLE_ELIMINATION,
-        x=1.0 - pi.pi[active],
-        n=active.size - n_active,
-        max_branches=max_branches,
+    plan = midzuno_plan(pi)
+    size = plan.active.size
+    full = (1 << size) - 1
+    chain = _ladder_chain(
+        plan.ladder, _BITS[:size], size, lambda j: f"complement step {j + 1}", full
     )
-    # Bit i of a complementary sample is active unit i.  Complements
-    # reverse the order of the sorted masks, and spreading the bits over
-    # the active units keeps it.
-    comp = members(((1 << active.size) - 1) ^ sub.masks[::-1], active.size)
-    masks = comp @ (1 << active) | int(np.sum(1 << certain))
-    return mid.tv_distance(
-        ExactDesignDistribution(masks, sub.probs[::-1], pi.N, pi.n, sub.pruned_mass)
-    )
+    masks, probs, pruned = _samples(*chain, max_branches)
+    # Spreading the bits over the active units keeps the masks' order.
+    masks = members(masks, size) @ _BITS[plan.active] | int(np.sum(_BITS[plan.certain]))
+    return mid.tv_distance(ExactDesignDistribution(masks, probs, pi.N, pi.n, pruned))

@@ -97,3 +97,77 @@ def test_pairs_alternate_which_side_runs_first(tmp_path, capsys):
 def test_missing_checkout_exits_2(tmp_path, capsys):
     assert benchpairs.main([str(tmp_path), str(tmp_path / "nowhere")]) == 2
     assert "no bench/run.py" in capsys.readouterr().err
+
+
+def test_worse_beyond_bound_is_marked():
+    # NEW's rate median 76.5 is 25% below BASE's 102: beyond a bound of
+    # 0.2, within one of 0.3.  Its set-up median 6 is 20% above BASE's
+    # 5: beyond 0.1.  A metric without a bound gets no mark.
+    base = [json.loads(s) for s in BASE]
+    new = [json.loads(line(0.75 * r, 6, 2.0)) for r in [102, 100, 104, 101, 103]]
+    bound = {"samples_per_s.midzuno": 0.2, "setup_s": 0.1}
+    rows = benchpairs.aggregate(base, new, BETTER, bound)
+    by_name = {row["metric"]: row for row in rows}
+    assert by_name["samples_per_s.midzuno"]["worse"] is True
+    assert by_name["setup_s"]["worse"] is True
+    assert by_name["note"]["worse"] is None
+    assert "WORSE BEYOND BOUND" in benchpairs.format_row(by_name["setup_s"])
+    assert "WORSE" not in benchpairs.format_row(by_name["note"])
+    rows = benchpairs.aggregate(base, new, BETTER, {"samples_per_s.midzuno": 0.3})
+    by_name = {row["metric"]: row for row in rows}
+    assert by_name["samples_per_s.midzuno"]["worse"] is False
+    assert by_name["setup_s"]["worse"] is None
+    # Better by any margin is never worse.
+    faster = [json.loads(s) for s in NEW]
+    rows = benchpairs.aggregate(base, faster, BETTER, {"samples_per_s.midzuno": 0.0})
+    assert rows[0]["worse"] is False
+
+
+def checkouts(tmp_path, benchmark):
+    """BASE and NEW roots with an empty bench/run.py each, and NEW's
+    BENCHMARK.json when ``benchmark`` is not None."""
+    base, new = tmp_path / "base", tmp_path / "new"
+    for root in (base, new):
+        (root / "bench").mkdir(parents=True)
+        (root / "bench" / "run.py").write_text("")
+    if benchmark is not None:
+        (new / "BENCHMARK.json").write_text(json.dumps(benchmark))
+    return base, new
+
+
+def run_canned(base, new, argv, slow=False):
+    """``main`` over the canned lines, NEW's rates cut by a third when
+    ``slow``: the seconds each run was given, and the printed report."""
+    seconds = []
+
+    def runner(checkout, workload, seed, s):
+        seconds.append(s)
+        rows = BASE if Path(checkout) == base else NEW
+        result = json.loads(rows[seed - 1])
+        if slow and Path(checkout) == new:
+            result["metrics"]["samples_per_s.midzuno"]["value"] *= 2 / 3
+        return result
+
+    assert benchpairs.main([str(base), str(new), *argv], runner=runner) == 0
+    return seconds
+
+
+def test_seconds_and_bounds_come_from_the_benchmark(tmp_path, capsys):
+    rate = {"name": "samples_per_s.midzuno", "better": "higher", "bound": 0.25}
+    base, new = checkouts(tmp_path, {"run_seconds": 20, "end_to_end": [rate]})
+    assert run_canned(base, new, ["--pairs", "2"], slow=True) == [20] * 4
+    out = capsys.readouterr().out
+    assert "WORSE BEYOND BOUND" in out
+    assert "worse beyond bound: samples_per_s.midzuno" in out
+    # A given --seconds wins over the benchmark's.
+    assert run_canned(base, new, ["--pairs", "1", "--seconds", "3"]) == [3.0] * 2
+    assert "worse beyond bound: none" in capsys.readouterr().out
+
+
+def test_missing_benchmark_json(tmp_path, capsys):
+    base, new = checkouts(tmp_path, None)
+    seconds = run_canned(base, new, ["--pairs", "2"], slow=True)
+    assert seconds == [benchpairs.DEFAULT_SECONDS] * 4
+    out = capsys.readouterr().out
+    assert "better in" not in out and "WORSE" not in out
+    assert "worse beyond bound: none" in out

@@ -6,6 +6,7 @@ a checker that silently passes everything cannot survive this module.
 """
 
 import dataclasses
+import hashlib
 import math
 import os
 import struct
@@ -515,8 +516,12 @@ def unique_levels(start: int, steps: int, moves, max_branches: int):
 
 
 CHAINS = {
-    DesignKind.CHAO: lambda x, pi: oracle._chao_chain(x, pi.n),
-    DesignKind.TILLE_ELIMINATION: lambda x, pi: oracle._tille_chain(x, pi.n),
+    DesignKind.CHAO: lambda x, pi: oracle._ladder_chain(
+        chao_plan(x, pi.n), oracle._BITS[: pi.N], pi.n, lambda j: f"chao step {j}", 0
+    ),
+    DesignKind.TILLE_ELIMINATION: lambda x, pi: oracle._ladder_chain(
+        tille_plan(x, pi.n), oracle._BITS[: pi.N], pi.N, lambda j: f"tille step {j}", 0
+    ),
     DesignKind.GENERALIZED_MIDZUNO: lambda x, pi: oracle._midzuno_chain(pi),
     DesignKind.BREWER: lambda x, pi: oracle._brewer_chain(pi),
 }
@@ -631,6 +636,126 @@ class TestDenseMerge:
                 oracle._levels(start, steps, moves, hi)
                 with pytest.raises(EnumerationBudgetError, match="branches"):
                     oracle._levels(start, steps, moves, hi - 1)
+
+
+def pin_cases():
+    """Seeded (x, pi) instances for every N from 1 to 10: uniform,
+    lognormal, tied and certainty-unit sizes, and sizes with a few units
+    some 1e-15 times the rest, whose tiny moves are pruned; then n = N,
+    and two cases given as pi: n' = N' (every active unit within 1e-10
+    of 1) and n' = 0 (the certainty units fill the sample, the other
+    units at pi below 1e-11), where Chao and Tille run on the pi as x;
+    last N = 10 with 1 to 9 - n units some 1e-15 times the rest at the
+    end of the stream, for n from 1 to 7."""
+    rng = np.random.default_rng([35, 1])
+    cases = []
+    for N in range(1, 11):
+        for shape in ("uniform", "lognormal", "ties", "certain", "tiny"):
+            x = rng.uniform(1.0, 2.0, N)
+            n = int(rng.integers(1, N + 1))
+            if shape == "lognormal":
+                x = rng.lognormal(0.0, 1.5, N)
+            elif shape == "ties":
+                x = rng.integers(1, 4, N).astype(float)
+            elif shape == "certain":
+                c = int(rng.integers(0, N))
+                x[:c] = 10.0 * x.sum()
+                x = rng.permutation(x)
+            elif shape == "tiny":
+                if N < 3:
+                    continue
+                n = int(rng.integers(1, N // 2 + 1))
+                k = int(rng.integers(1, N - n))
+                x[:k] = 10.0 ** -rng.uniform(15.0, 16.0, k)
+                x = rng.permutation(x)
+            cases.append((x, compute_pips(x, n)))
+    for N in range(1, 11):
+        x = rng.uniform(1.0, 2.0, N)
+        cases.append((x, compute_pips(x, N)))
+        a = int(rng.integers(1, N + 1))
+        p = np.concatenate([1.0 - rng.uniform(1e-11, 1e-10, a), np.ones(N - a)])
+        cases.append((p, InclusionProbabilities(pi=p, n=N)))
+        if N > 1:
+            c = int(rng.integers(1, N))
+            p = rng.permutation(
+                np.concatenate([np.ones(c), rng.uniform(1e-12, 1e-11, N - c)])
+            )
+            cases.append((p, InclusionProbabilities(pi=p, n=c)))
+    for n in range(1, 8):
+        for k in range(1, 10 - n):
+            # k tiny units last: as each arrives, Chao prunes the
+            # members' leaving moves, several of them in one level.
+            x = np.concatenate(
+                [rng.uniform(1.0, 2.0, 10 - k), 10.0 ** -rng.uniform(15.0, 16.0, k)]
+            )
+            cases.append((x, compute_pips(x, n)))
+    return cases
+
+
+def pin_enumerate(kind, x, pi, max_branches=DEFAULT_MAX_BRANCHES):
+    """Chao and Tille from x and n, Midzuno and Brewer from pi."""
+    if kind in UNEQUAL_DESIGNS[:2]:
+        return enumerate_design(kind, x=x, n=pi.n, max_branches=max_branches)
+    return enumerate_design(kind, pi=pi, max_branches=max_branches)
+
+
+def least_budget(kind, x, pi) -> int:
+    """The least ``max_branches`` the enumeration passes: doubling, then
+    bisection."""
+    def passes(budget):
+        try:
+            pin_enumerate(kind, x, pi, budget)
+        except EnumerationBudgetError:
+            return False
+        return True
+
+    lo, hi = -1, 1
+    while not passes(hi):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if passes(mid) else (mid, hi)
+    return hi
+
+
+# SHA-256 of pin_digest() at the commit before the three elimination
+# chains became one: every distribution, pruned mass, complementarity
+# distance and least passing budget must keep its bits.
+EXACT_LAYER_PIN = "a261a5883df7ec916c3dc5ac7df8af4db2431076aae6742e272f78f299477bbe"
+
+
+def pin_digest() -> str:
+    """One hash over, for each pin case, the masks, probabilities and
+    pruned mass of Chao, Tille, Midzuno and Brewer with the least budget
+    each passes, then the complementarity distance."""
+    h = hashlib.sha256()
+    for x, pi in pin_cases():
+        for kind in UNEQUAL_DESIGNS:
+            dist = pin_enumerate(kind, x, pi)
+            h.update(dist.masks.astype("<i8").tobytes())
+            h.update(dist.probs.astype("<f8").tobytes())
+            h.update(struct.pack("<dq", dist.pruned_mass, least_budget(kind, x, pi)))
+        h.update(struct.pack("<d", midzuno_complementarity_tv(pi)))
+    return h.hexdigest()
+
+
+def test_exact_layer_keeps_its_bits():
+    assert pin_digest() == EXACT_LAYER_PIN
+
+
+def test_pin_cases_cover_the_edges():
+    cases = pin_cases()
+    active = [pi.n - np.count_nonzero(pi.certain) for _, pi in cases]
+    free = [np.count_nonzero(~pi.certain) for _, pi in cases]
+    assert any(a == 0 < f for a, f in zip(active, free))
+    assert any(0 < a == f for a, f in zip(active, free))
+    assert any(pi.n == pi.N for _, pi in cases)
+    assert any(np.unique(x).size < x.size for x, _ in cases)
+    pruned = {
+        kind for kind in UNEQUAL_DESIGNS for x, pi in cases
+        if pin_enumerate(kind, x, pi).pruned_mass > 0.0
+    }
+    assert pruned == {DesignKind.CHAO, DesignKind.BREWER}
 
 
 # Runs in a fresh interpreter, where no earlier call at N = 10 has filled
@@ -796,7 +921,9 @@ class TestComplementarity:
             assert struct.pack("<d", got) == struct.pack("<d", tv(mid, ref))
 
     def test_complementary_pi_computed_once(self, monkeypatch):
-        # Every module's name for compute_pips counts its calls.
+        # Every module's name for compute_pips counts its calls.  The
+        # complementary side runs on Midzuno's own ladder, so it computes
+        # no pi: the one given is the only one.
         calls = []
 
         def counted(*args):
@@ -808,7 +935,7 @@ class TestComplementarity:
             if name.split(".")[0] == "splitsamp" and hasattr(module, "compute_pips"):
                 monkeypatch.setattr(module, "compute_pips", counted)
         midzuno_complementarity_tv(pi)
-        assert len(calls) == 1
+        assert len(calls) == 0
 
 
 def _tille_by_recursion(x, n):

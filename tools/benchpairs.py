@@ -4,7 +4,8 @@ Usage: python tools/benchpairs.py BASE NEW [--workload NAME] [--pairs K]
            [--seconds S] [--seed SEED]
 
 Runs ``bench/run.py`` untraced from the root of each checkout, K times
-each.
+each, S seconds a run: by default the ``run_seconds`` of NEW's
+``BENCHMARK.json``, or 8 without one.
 Pair i runs both checkouts with seed SEED + i, BASE first when i is
 even and NEW first when it is odd, so that a drift of the machine's
 speed over the session falls on both alike.  A run's result is the last
@@ -13,8 +14,10 @@ line of its standard output, one JSON object.
 Prints one line per metric: BASE's median with its quartiles, NEW's
 median, the change of the medians in percent and, for a metric whose
 direction ``BENCHMARK.json`` (NEW's copy) gives, the pairs in which NEW
-did better.  Then each side's failed operations, and whether every run
-was correct.  Standard library only.
+did better.  A metric whose median moved the wrong way by more than its
+``bound``, a fraction of BASE's median, is marked ``WORSE BEYOND
+BOUND``.  Then each side's failed operations, and whether every run was
+correct.  Standard library only.
 """
 
 from __future__ import annotations
@@ -37,13 +40,24 @@ def run(checkout: str, workload: str, seed: int, seconds: float) -> dict:
     return json.loads(done.stdout.strip().splitlines()[-1])
 
 
-def directions(benchmark: Path) -> dict[str, str]:
-    """End-to-end metric name -> "higher" or "lower", from a
-    BENCHMARK.json; empty when the file is missing."""
-    if not benchmark.is_file():
-        return {}
-    spec = json.loads(benchmark.read_text())
+# Seconds per run when NEW has no BENCHMARK.json to give its own.
+DEFAULT_SECONDS = 8.0
+
+
+def read_spec(benchmark: Path) -> dict:
+    """A BENCHMARK.json's contents; empty when the file is missing."""
+    return json.loads(benchmark.read_text()) if benchmark.is_file() else {}
+
+
+def directions(spec: dict) -> dict[str, str]:
+    """End-to-end metric name -> "higher" or "lower"."""
     return {m["name"]: m["better"] for m in spec.get("end_to_end", [])}
+
+
+def bounds(spec: dict) -> dict[str, float]:
+    """End-to-end metric name -> the fraction of BASE's median by which
+    it may get worse."""
+    return {m["name"]: m["bound"] for m in spec.get("end_to_end", []) if "bound" in m}
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -54,12 +68,20 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, median, q3
 
 
-def aggregate(base: list[dict], new: list[dict], better: dict[str, str]) -> list[dict]:
+def aggregate(
+    base: list[dict],
+    new: list[dict],
+    better: dict[str, str],
+    bound: dict[str, float] | None = None,
+) -> list[dict]:
     """One row per metric found in every run, in the first run's order:
     the quartiles of ``base``, the median of ``new``, the change of the
-    medians in percent (None when BASE's is 0) and ``wins``, the pairs
-    in which NEW did better (None without a direction).  Run i of each
+    medians in percent (None when BASE's is 0), ``wins``, the pairs in
+    which NEW did better (None without a direction), and ``worse``,
+    whether NEW's median is worse than BASE's by more than ``bound``
+    times BASE's (None without a direction and a bound).  Run i of each
     list make pair i."""
+    bound = bound or {}
     if len(base) != len(new) or not base:
         raise ValueError("need the same positive number of runs on each side")
     rows = []
@@ -70,10 +92,12 @@ def aggregate(base: list[dict], new: list[dict], better: dict[str, str]) -> list
         n = [r["metrics"][name]["value"] for r in new]
         q1, b_med, q3 = quartiles(b)
         n_med = statistics.median(n)
-        wins = None
+        wins = worse = None
         if better.get(name) in ("higher", "lower"):
             sign = 1 if better[name] == "higher" else -1
             wins = sum(sign * (y - x) > 0 for x, y in zip(b, n))
+            if name in bound:
+                worse = sign * (b_med - n_med) > bound[name] * abs(b_med)
         rows.append({
             "metric": name,
             "unit": first.get("unit", ""),
@@ -83,6 +107,7 @@ def aggregate(base: list[dict], new: list[dict], better: dict[str, str]) -> list
             "new_median": n_med,
             "change_pct": 100.0 * (n_med - b_med) / b_med if b_med else None,
             "wins": wins,
+            "worse": worse,
             "pairs": len(b),
         })
     return rows
@@ -91,10 +116,11 @@ def aggregate(base: list[dict], new: list[dict], better: dict[str, str]) -> list
 def format_row(row: dict) -> str:
     change = "" if row["change_pct"] is None else f"{row['change_pct']:+7.2f}%"
     wins = "" if row["wins"] is None else f"  NEW better in {row['wins']}/{row['pairs']}"
+    worse = "  WORSE BEYOND BOUND" if row["worse"] else ""
     return (
         f"{row['metric']:36s} base {row['base_median']:.6g} "
         f"[{row['base_q1']:.6g}, {row['base_q3']:.6g}] new {row['new_median']:.6g} "
-        f"{row['unit']} {change}{wins}"
+        f"{row['unit']} {change}{wins}{worse}"
     )
 
 
@@ -104,7 +130,7 @@ def main(argv: list[str], runner=run) -> int:
     p.add_argument("new")
     p.add_argument("--workload", default="mc-certify")
     p.add_argument("--pairs", type=int, default=5)
-    p.add_argument("--seconds", type=float, default=8.0)
+    p.add_argument("--seconds", type=float, default=None)
     p.add_argument("--seed", type=int, default=1)
     args = p.parse_args(argv)
     if args.pairs < 1:
@@ -113,6 +139,10 @@ def main(argv: list[str], runner=run) -> int:
         if not (Path(checkout) / "bench" / "run.py").is_file():
             print(f"benchpairs: no bench/run.py under {checkout}", file=sys.stderr)
             return 2
+    spec = read_spec(Path(args.new) / "BENCHMARK.json")
+    seconds = args.seconds
+    if seconds is None:
+        seconds = spec.get("run_seconds", DEFAULT_SECONDS)
     # One list per side, so that BASE and NEW may be one checkout.
     base: list[dict] = []
     new: list[dict] = []
@@ -120,10 +150,13 @@ def main(argv: list[str], runner=run) -> int:
     for i in range(args.pairs):
         for checkout, runs in sides if i % 2 == 0 else sides[::-1]:
             runs.append(
-                runner(checkout, args.workload, args.seed + i, args.seconds)
+                runner(checkout, args.workload, args.seed + i, seconds)
             )
-    for row in aggregate(base, new, directions(Path(args.new) / "BENCHMARK.json")):
+    rows = aggregate(base, new, directions(spec), bounds(spec))
+    for row in rows:
         print(format_row(row))
+    worse = [row["metric"] for row in rows if row["worse"]]
+    print(f"worse beyond bound: {', '.join(worse) or 'none'}")
     for side, runs in (("base", base), ("new", new)):
         failed = [r["failed"] for r in runs]
         correct = all(r["correct"] for r in runs)
