@@ -33,7 +33,9 @@ composition instead: the heaviest undrawn units by their exact weights,
 the rest by rejection under an envelope.  Either way a step costs a
 search per trial, mostly a guide lookup and one compare in a batch,
 plus a pass over those heaviest units, not over the population.  A
-batch runs both picks' trials through one round loop on a flat block.
+batch runs both picks' trials through one round loop, and each trial
+reads its row's stream at the count of uniforms the row has spent, so
+a batch row holds only its drawn mask and its picks.
 
 Each procedure's step is written once, over a batch of replicates: all
 rows take a step together as one array operation, and each row draws
@@ -134,11 +136,14 @@ class Sampler:
     counter-based stream (``_uniforms``), in stream order, so it is the
     sample that ``sampler(seeds[r])`` returns.  Seeds are integers in
     [0, 2**128); any other seed raises ``InvalidInputError``.  A uint64
-    array of seeds is keyed in one array pass.
+    array of seeds is keyed in one array pass.  ``row_cells`` is the
+    widest block the kernel holds per row, in 8-byte cells: a lockstep
+    chunk of R rows holds about R ``row_cells`` cells at once.
     """
 
     N: int
     draw_rows: Callable[[Sequence[int]], np.ndarray]
+    row_cells: int
 
     def __call__(self, seed: int) -> Sample:
         return Sample(selected=self.rows([seed])[0], N=self.N)
@@ -266,6 +271,16 @@ def _uniforms(seeds: Sequence[int], count: int, start: int = 0) -> np.ndarray:
         b = z[lo : lo + band]
         np.multiply(_mix(b) >> 11, 2.0**-53, out=b.view(np.float64))
     return z.view(np.float64).T
+
+
+def _stream(keys: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """Uniform ``at`` of the stream with each key, ``keys`` broadcast
+    against the nonnegative intp counters ``at``: the bits ``_uniforms``
+    gives, for a kernel that reads each row at its own counter."""
+    z = at.astype(np.uint64)
+    z *= GOLDEN
+    z += keys + GOLDEN
+    return (_mix(z) >> 11) * 2.0**-53
 
 
 def _srswor_rows(N: int, n: int, seeds: Sequence[int]) -> np.ndarray:
@@ -412,7 +427,9 @@ class Ladder:
 def _stays_capped(free: float, c: int, size: float, rest: float) -> bool:
     """Whether the smallest of ``c`` capped units, of this size, keeps its
     cap when ``free`` sample slots fall to the units outside the others:
-    the same share test as ``compute_pips``."""
+    the same share test as ``compute_pips``.  Where that cap leaves the
+    others no slot, ``compute_pips`` keeps the exact share below 1 and
+    the ladder caps it, so both agree within ``CERTAINTY_TOL``."""
     return (free - c + 1) * size / (rest + size) >= 1.0 - CERTAINTY_TOL
 
 
@@ -710,8 +727,8 @@ def _midzuno_rows(plan: MidzunoPlan, seeds: Sequence[int]) -> np.ndarray:
 
 _MAX_TRIALS = 4.0
 
-# Uniforms drawn up front per row and draw; a row that needs more reads
-# its stream on.
+# Uniforms a single draw reads up front per draw; one that needs more
+# reads its stream on.
 _UNIFORMS_PER_DRAW = 4
 
 
@@ -970,48 +987,28 @@ def _brewer_row(plan: BrewerPlan, seed: int) -> list[int]:
     return picks
 
 
-def _reserve(
-    u: np.ndarray, used: np.ndarray, seeds: Sequence[int], rows: np.ndarray, count: int
-) -> np.ndarray:
-    """The flat step-major block ``u``, row r's uniform j at ``j R + r``,
-    with at least ``count`` unused uniforms in each of ``rows``: when one
-    runs short, every row reads its stream on, as far again, appended as
-    further steps."""
-    width = u.size // len(seeds)
-    short = int(used[rows].max()) + count - width
-    if short <= 0:
-        return u
-    return np.append(u, _uniforms(seeds, max(short, width), start=width).T)
-
-
 def _rounds(
-    u: np.ndarray,
+    keys: np.ndarray,
     used: np.ndarray,
-    seeds: Sequence[int],
     live: np.ndarray,
     pick: np.ndarray,
     trial: Callable[..., tuple[np.ndarray, np.ndarray]],
-) -> np.ndarray:
-    """Trial rounds on the flat block ``u`` until every row of ``live``
-    accepts, each taking a live row's next trials, two uniforms each, as
-    many as the block holds up to int(_MAX_TRIALS).  ``trial(live, u0,
+) -> None:
+    """Trial rounds until every row of ``live`` accepts, each taking a
+    live row's next int(_MAX_TRIALS) trials, two uniforms each, read from
+    its stream at its counter ``used`` (``_stream``).  ``trial(live, u0,
     u1)`` takes their uniforms, a row per live row and a column per
     trial, and says which accept and their units; a row's first accepted
-    trial's unit goes to ``pick``.  Advances ``used`` and returns ``u``."""
-    R = len(seeds)
-    ahead = np.arange(0, 2 * R * int(_MAX_TRIALS), 2 * R)
+    trial's unit goes to ``pick``, and ``used`` moves past it."""
+    ahead = np.arange(2 * int(_MAX_TRIALS))
     while live.size:
-        u = _reserve(u, used, seeds, live, 2)
-        at = used[live]
-        trials = ahead[: (u.size // R - int(at.max())) // 2]
-        at = (at * R + live)[:, None] + trials
-        ok, k = trial(live, u[at], u[at + R])
+        u = _stream(keys[live, None], used[live, None] + ahead)
+        ok, k = trial(live, u[:, 0::2], u[:, 1::2])
         first = ok.argmax(axis=1)
         took = ok[np.arange(live.size), first]
-        used[live] += np.where(took, 2 * first + 2, 2 * trials.size)
+        used[live] += np.where(took, 2 * first + 2, ahead.size)
         pick[live[took]] = k[took, first[took]]
         live = live[~took]
-    return u
 
 
 def _brewer_compose(
@@ -1054,18 +1051,19 @@ def _brewer_compose(
 def _brewer_batch(plan: BrewerPlan, seeds: Sequence[int]) -> np.ndarray:
     """Each row's picks, positions in ``plan.p``, one column per draw:
     the law of ``_brewer_row``, all rows in lockstep.  Per row the state
-    is a drawn mask, sum_S p and a pointer into p's descending order.
-    The uniforms are one flat step-major block, row r's uniform j at
-    ``j R + r``, so every read of them is a 1-D take."""
+    is a drawn mask, sum_S p, a pointer into p's descending order and
+    the count of uniforms spent, ``used``: every trial reads its row's
+    stream at that counter (``_stream``), so a batch holds no block of
+    uniforms."""
     R, M, d = len(seeds), plan.p.size, plan.draws
     p, order, total = plan.p, plan.order, plan.total
     if R == 0:
         return np.empty((0, d), dtype=np.intp)
-    u = _uniforms(seeds, _UNIFORMS_PER_DRAW * d).T.ravel()
+    keys = _keys(seeds)
+    pair = np.arange(2)[:, None]
     used = np.zeros(R, dtype=np.intp)
     drawn = np.zeros(R * M, dtype=bool)
-    every = np.arange(R)
-    base = every * M
+    base = np.arange(R) * M
     s = np.zeros(R)
     top = np.zeros(R, dtype=np.intp)
     picks = np.empty((R, d), dtype=np.intp)
@@ -1088,24 +1086,22 @@ def _brewer_batch(plan: BrewerPlan, seeds: Sequence[int]) -> np.ndarray:
             composed = (q_max[slow] < 1.0) & (G > r)
             guard = slow[~composed]
             if guard.size:
-                u = _reserve(u, used, seeds, guard, 1)
                 block = drawn.reshape(R, M)[guard]
-                at = u[used[guard] * R + guard]
+                at = _stream(keys[guard], used[guard])
                 pick[guard] = _brewer_fallback(p, block, c[guard], r, at, t)
                 used[guard] += 1
             rows = slow[composed]
             if rows.size:
                 trial = _brewer_compose(plan, drawn, rows, top, c, G[composed], r)
-                u = _rounds(u, used, seeds, rows, pick, trial)
+                _rounds(keys, used, rows, pick, trial)
             live = np.flatnonzero(fast)
         else:
             # Every row takes the rejection pick: its first round runs on
             # the whole arrays.
-            u = _reserve(u, used, seeds, every, 2)
-            at = used * R + every
-            k = _proposals(plan, u[at])
+            u0, u1 = _stream(keys, used + pair)
+            k = _proposals(plan, u0)
             used += 2
-            ok = u[at + R] * g_max < _g(c * p[k], r)
+            ok = u1 * g_max < _g(c * p[k], r)
             ok &= ~drawn[base + k]
             pick[ok] = k[ok]
             live = np.flatnonzero(~ok)
@@ -1115,7 +1111,7 @@ def _brewer_batch(plan: BrewerPlan, seeds: Sequence[int]) -> np.ndarray:
             ok = u1 * g_max[live, None] < _g(c[live, None] * p[k], r)
             return ok & ~drawn[base[live, None] + k], k
 
-        u = _rounds(u, used, seeds, live, pick, reject)
+        _rounds(keys, used, live, pick, reject)
         drawn[base + pick] = True
         s += p[pick]
         picks[:, t - 1] = pick
@@ -1191,9 +1187,9 @@ def sample_brewer(
     """
     if trace not in (None, "realized"):
         raise InvalidInputError(f"trace must be None or 'realized', got {trace!r}")
-    plan = _kept(DesignKind.BREWER, pi.digest, lambda: brewer_plan(pi.pi))
     if trace is None:
-        return Sampler(pi.N, partial(_brewer_plan_rows, plan))(rng_seed)
+        return make_sampler(DesignKind.BREWER, pi=pi)[0](rng_seed)
+    plan = _kept(DesignKind.BREWER, pi.digest, lambda: brewer_plan(pi.pi))
     tr = run_splitting(plan, rng_seed, pi.pi)
     return Sample(selected=tr.selected, N=pi.N), tr
 
@@ -1214,10 +1210,13 @@ def make_sampler(
 
     Returns the sampler together with the target inclusion
     probabilities (needed to expand study values), from ``target_pi``.
+    SRSWOR's rows hold N uniforms each, the ladder designs' a pool of up
+    to N units; Brewer's hold a drawn mask of M bytes over the M active
+    units and n picks.
     """
     pi = target_pi(kind, pi, x, n, N)
     if kind is DesignKind.SRSWOR:
-        return Sampler(pi.N, partial(_srswor_rows, pi.N, pi.n)), pi
+        return Sampler(pi.N, partial(_srswor_rows, pi.N, pi.n), pi.N), pi
     if kind in (DesignKind.CHAO, DesignKind.TILLE_ELIMINATION):
         if x is None:
             raise InvalidInputError(f"{kind.value} needs the size vector x")
@@ -1227,13 +1226,14 @@ def make_sampler(
             build, step = tille_plan, lambda j: f"tille step i={pi.N - 1 - j}"
         key = (pi.n, hashlib.sha256(np.ascontiguousarray(x, dtype=float)).digest())
         ladder = _kept(kind, key, lambda: build(x, pi.n))
-        return Sampler(pi.N, partial(_eliminate, ladder, context=step)), pi
+        return Sampler(pi.N, partial(_eliminate, ladder, context=step), pi.N), pi
     if kind is DesignKind.GENERALIZED_MIDZUNO:
         plan = _kept(kind, pi.digest, lambda: midzuno_plan(pi))
-        return Sampler(pi.N, partial(_midzuno_rows, plan)), pi
+        return Sampler(pi.N, partial(_midzuno_rows, plan), pi.N), pi
     if kind is DesignKind.BREWER:
         plan = _kept(kind, pi.digest, lambda: brewer_plan(pi.pi))
-        return Sampler(pi.N, partial(_brewer_plan_rows, plan)), pi
+        cells = max(-(-plan.p.size // 8), pi.n)
+        return Sampler(pi.N, partial(_brewer_plan_rows, plan), cells), pi
     raise InvalidInputError(f"unknown design kind {kind!r}")
 
 

@@ -33,8 +33,8 @@ from .population import InclusionProbabilities
 # One-sided 99% normal quantile for the Wilson limit.
 DEFAULT_Z = NormalDist().inv_cdf(0.99)
 
-# Replicates per lockstep chunk times population size: keeps each
-# chunk's per-step weight block near 1 MB.
+# Rows per lockstep chunk times the sampler's ``row_cells``, the widest
+# block its kernel holds per row: keeps a chunk's largest block near 1 MB.
 _CHUNK_CELLS = 1 << 17
 
 
@@ -131,10 +131,11 @@ def estimate_tail(
     One sample is drawn per replicate with its derived seed, the
     Horvitz-Thompson error is normalized by N, and exceedance counts are
     taken on the grid.  Replicates are drawn in chunks that step in
-    lockstep; each row still uses only its own seed, so ``errors[r]`` is
-    exactly the error of ``draw(derive_seed(master_seed, r))``.  A
-    chunk's seeds are one uint64 array, computed in one pass with the
-    bits of ``derive_seed``.  Chao streams the population in order.
+    lockstep, ``_CHUNK_CELLS // draw.row_cells`` rows each; each row
+    still uses only its own seed, so ``errors[r]`` is exactly the error
+    of ``draw(derive_seed(master_seed, r))``.  A chunk's seeds are one
+    uint64 array, computed in one pass with the bits of ``derive_seed``.
+    Chao streams the population in order.
     """
     # Rejects a master seed outside [0, 2**64) before any draw.
     derive_seed(master_seed, 0)
@@ -158,7 +159,7 @@ def estimate_tail(
     t_y = float(y.sum())
     scale = float(pi.N)
     errors = np.empty(replicates)
-    chunk = max(1, _CHUNK_CELLS // pi.N)
+    chunk = max(1, _CHUNK_CELLS // draw.row_cells)
     for start in range(0, replicates, chunk):
         stop = min(start + chunk, replicates)
         seeds = _chunk_seeds(master_seed, start, stop)

@@ -183,8 +183,11 @@ def compute_pips(x: np.ndarray, n: int) -> InclusionProbabilities:
 
     Starts from ``n * x_k / sum(x)``; while any entry reaches 1, those
     entries are fixed at 1 simultaneously and the remaining sample size
-    is redistributed proportionally over the free units.  Terminates in
-    at most N passes.  The result is scale invariant in ``x``.
+    is redistributed proportionally over the free units.  A share within
+    ``CERTAINTY_TOL`` of 1 counts as reaching it, unless capping it would
+    leave the other free units no sample size; then it stays exact.
+    Terminates in at most N passes.  The result is scale invariant in
+    ``x``.
 
     Args:
         x: positive size values, one per unit.
@@ -214,6 +217,10 @@ def compute_pips(x: np.ndarray, n: int) -> InclusionProbabilities:
             break
         pi[free] = remaining * x[free] / float(x[free].sum())
         over = free & (pi >= 1.0 - CERTAINTY_TOL)
+        if over.sum() >= remaining and (free & ~over).any():
+            # Capping by tolerance would leave the other free units no
+            # sample size: only shares above 1 take the cap.
+            over &= pi > 1.0
         if not over.any():
             break
         pi[over] = 1.0

@@ -25,6 +25,16 @@ X_CERTAIN = np.array(
     [1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0, 4.5, 5.0, 5.5, 6.0, 40.0]
 )
 
+# Frames where capping one unit within CERTAINTY_TOL of 1 would leave
+# the other free units no sample size, as (x, n).  In the third, that
+# unit's exact share rounds to 1.0.
+NEAR_ONE_CAP_FRAMES = (
+    (np.array([1.2, 1.7, 1e-13, 1e-13]), 2),
+    (np.array([0.2769, 2.42e-16, 30.48]), 2),
+    (np.array([0.2424993950470044, 1.9248904058999543e-18,
+               23.48157294309033, 280.53529153061976]), 3),
+)
+
 
 @pytest.fixture(autouse=True)
 def fresh_plans():

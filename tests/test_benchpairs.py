@@ -1,8 +1,11 @@
-"""tools/benchpairs.py: its aggregation of canned result lines, and the
-order in which it runs the two checkouts."""
+"""tools/benchpairs.py: its aggregation of canned result lines, the
+order in which it runs the two checkouts, and the JSON record it
+writes."""
 
 import importlib.util
 import json
+import shutil
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -171,3 +174,60 @@ def test_missing_benchmark_json(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "better in" not in out and "WORSE" not in out
     assert "worse beyond bound: none" in out
+
+
+def test_json_record_of_every_workload(tmp_path, capsys):
+    # Two workloads of two pairs each, written as printed, with the run
+    # settings and the machine; neither checkout is a git work tree.
+    rate = {"name": "samples_per_s.midzuno", "better": "higher", "bound": 0.25}
+    base, new = checkouts(tmp_path, {"run_seconds": 20, "end_to_end": [rate]})
+    out = tmp_path / "BENCH.json"
+    workloads = []
+
+    def runner(checkout, workload, seed, s):
+        workloads.append(workload)
+        rows = BASE if Path(checkout) == base else NEW
+        return json.loads(rows[seed - 1])
+
+    argv = [str(base), str(new), "--pairs", "2", "--workload", "mc-certify",
+            "large-frame", "--json", str(out)]
+    assert benchpairs.main(argv, runner=runner) == 0
+    assert workloads == ["mc-certify"] * 4 + ["large-frame"] * 4
+    printed = capsys.readouterr().out
+    assert "workload large-frame: 2 pairs of 20 s runs" in printed
+    record = json.loads(out.read_text())
+    assert record["base"] == {"path": str(base), "commit": None, "dirty": None}
+    assert record["new"]["commit"] is None
+    assert (record["seeds"], record["pairs"], record["seconds_per_run"]) == ([1, 2], 2, 20)
+    assert set(record["machine"]) == {"cores", "python", "numpy"}
+    assert list(record["workloads"]) == ["mc-certify", "large-frame"]
+    for summary in record["workloads"].values():
+        rows = {row["metric"]: row for row in summary["metrics"]}
+        # BASE's rates 102 and 100, NEW's 110 and 100: one win, one tie.
+        m = rows["samples_per_s.midzuno"]
+        assert (m["base_q1"], m["base_median"], m["base_q3"]) == (100.5, 101, 101.5)
+        assert (m["new_q1"], m["new_median"], m["new_q3"]) == (102.5, 105, 107.5)
+        assert (m["wins"], m["pairs"], m["worse"]) == (1, 2, False)
+        assert benchpairs.format_row(m) in printed
+        assert summary["worse_beyond_bound"] == []
+        assert summary["base"] == {"failed": [0, 0], "correct": True}
+
+
+def test_commit_of_a_git_checkout(tmp_path):
+    if shutil.which("git") is None:
+        pytest.skip("git is not installed")
+
+    def git(*args):
+        subprocess.run(
+            ["git", "-C", str(tmp_path), "-c", "user.name=t", "-c", "user.email=t@t",
+             *args], check=True, capture_output=True,
+        )
+
+    (tmp_path / "f.txt").write_text("a\n")
+    git("init", "-q")
+    git("add", "f.txt")
+    git("commit", "-q", "-m", "one")
+    clean = benchpairs.commit(str(tmp_path))
+    assert len(clean["commit"]) == 40 and clean["dirty"] is False
+    (tmp_path / "f.txt").write_text("b\n")
+    assert benchpairs.commit(str(tmp_path)) == {"commit": clean["commit"], "dirty": True}

@@ -1,11 +1,13 @@
 """Brewer's lockstep batch against the kernel it replaced.
 
-The batch reads one step-major block of uniforms, runs a step's first
-rejection round on whole arrays, takes a later round's trials several at
-a time and proposes from a guide table.  None of that may change a pick:
-the kernel below, which read a row-major block and bisected ``cum`` for
-every proposal, is kept as it was, and both must give every seed the
-same picks on the frames that reach each of its paths.
+The batch reads each trial's uniforms from its row's stream at the
+row's counter, runs a step's first rejection round on whole arrays,
+takes a later round's trials several at a time and proposes from a guide
+table.  None of that may change a pick: the kernel below, which read a
+row-major block, read every row's stream on when one ran short and
+bisected ``cum`` for every proposal, is kept as it was, and both must
+give every seed the same picks on the frames that reach each of its
+paths.
 """
 
 import collections
@@ -170,7 +172,8 @@ FRAMES = {
     "large-frame": (np.random.default_rng(31).lognormal(0.0, 1.5, size=2000), 200, 65),
     # Late steps take the fallback guard's inverse CDF.
     "near-one": (np.array([19.0] * 5 + [1.0] * 5), 5, 655),
-    # Some rows spend more than the uniforms read up front.
+    # Some rows spend more than the uniforms the kernel below reads up
+    # front, so it refills its block.
     "refills": (np.random.default_rng(3).lognormal(0.0, 1.5, size=300), 30, 300),
 }
 EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1, 2**64, 2**128 - 1]
@@ -189,9 +192,10 @@ def test_picks_equal_the_kernel_it_replaced(frame, monkeypatch):
     plan = brewer_plan(compute_pips(x, n).pi)
     calls = collections.Counter()
 
-    def uniforms(seeds, count, start=0):
-        calls["refill"] += start > 0
-        return read(seeds, count, start)
+    def stream(keys, at):
+        # A read past the block the kernel below reads up front.
+        calls["deep"] += int(at.max(initial=0)) >= _UNIFORMS_PER_DRAW * plan.draws
+        return read(keys, at)
 
     def fallback(*args):
         calls["fallback"] += 1
@@ -201,8 +205,8 @@ def test_picks_equal_the_kernel_it_replaced(frame, monkeypatch):
         calls["composition"] += 1
         return compose(*args)
 
-    read, guard, compose = designs._uniforms, designs._brewer_fallback, designs._brewer_heads
-    monkeypatch.setattr(designs, "_uniforms", uniforms)
+    read, guard, compose = designs._stream, designs._brewer_fallback, designs._brewer_heads
+    monkeypatch.setattr(designs, "_stream", stream)
     monkeypatch.setattr(designs, "_brewer_fallback", fallback)
     monkeypatch.setattr(designs, "_brewer_heads", heads)
     chunk = _chunk_seeds(5, 0, R)
@@ -213,12 +217,12 @@ def test_picks_equal_the_kernel_it_replaced(frame, monkeypatch):
     assert np.array_equal(new, old)
     # The frame reaches the path it stands for, in the batch under test.
     reached = {
-        "criterion-05": calls.keys() <= {"refill"},
+        "criterion-05": calls.keys() <= {"deep"},
         "criterion-04": calls["composition"] > 0,
         "lognormal-1": calls["composition"] > 0,
         "large-frame": calls["composition"] > 0,
         "near-one": calls["fallback"] > 0,
-        "refills": calls["refill"] > 0,
+        "refills": calls["deep"] > 0,
     }
     assert reached[frame], calls
 
@@ -294,22 +298,18 @@ def test_guide_built_once_by_the_first_batch_and_read_only():
         assert not a.flags.writeable
 
 
-def rounds(monkeypatch, width, used, live, accept_at):
-    """Run ``designs._rounds`` on a block of ``width`` uniforms per row
-    whose entry for row r and index j is j + r / 8, so the toy trial can
-    tell which uniforms it was handed.  A row accepts the trial whose
-    first uniform has an index in ``accept_at[row]``, and its unit is
-    1000 row + that index.  Returns the block, ``used``, the picks, each
-    call's (live rows, first indices, picks so far) and the refills."""
+def rounds(monkeypatch, used, live, accept_at):
+    """Run ``designs._rounds`` with a stream whose uniform j of row r is
+    j + r / 8, so the toy trial can tell which uniforms it was handed.
+    A row accepts the trial whose first uniform has an index in
+    ``accept_at[row]``, and its unit is 1000 row + that index.  Returns
+    ``used``, the picks and each call's (live rows, first indices, picks
+    so far)."""
     R = len(used)
-    calls, refills = [], []
+    calls = []
 
-    def block(start, count):
-        return (np.arange(start, start + count)[:, None] + np.arange(R) / 8).ravel()
-
-    def uniforms(seeds, count, start=0):
-        refills.append((start, count))
-        return block(start, count).reshape(count, R).T
+    def stream(keys, at):
+        return at + keys / 8
 
     def trial(rows, u0, u1):
         j = np.floor(u0).astype(np.intp)
@@ -319,45 +319,42 @@ def rounds(monkeypatch, width, used, live, accept_at):
         ok = np.array([[i in accept_at[r] for i in row] for r, row in zip(rows, j)])
         return ok, 1000 * rows[:, None] + j
 
-    monkeypatch.setattr(designs, "_uniforms", uniforms)
+    monkeypatch.setattr(designs, "_stream", stream)
     used = np.array(used, dtype=np.intp)
     pick = np.full(R, -1)
-    u = designs._rounds(block(0, width), used, range(R), np.array(live), pick, trial)
-    return u, used, pick, calls, refills
+    designs._rounds(np.arange(R), used, np.array(live), pick, trial)
+    return used, pick, calls
 
 
 def test_rounds_advance_used_past_the_first_accepted_trial(monkeypatch):
     # Row 0 accepts at its sixth trial, row 1 at its first, row 2 at its
-    # third; row 3 is not live.
-    accept_at = {0: {10}, 1: {2}, 2: {8}}
-    u, used, pick, calls, refills = rounds(
-        monkeypatch, 16, [0, 2, 4, 0], [0, 1, 2], accept_at
-    )
+    # third; row 3 is not live.  Row 2 starts far into its stream.
+    accept_at = {0: {10}, 1: {2}, 2: {10_008}}
+    used, pick, calls = rounds(monkeypatch, [0, 2, 10_004, 0], [0, 1, 2], accept_at)
     # A round takes int(_MAX_TRIALS) trials a row: used moves by 2 per
     # trial that accepts none, else to just past the accepted one.
     assert [c[1].shape for c in calls] == [(3, int(_MAX_TRIALS)), (1, int(_MAX_TRIALS))]
-    assert np.array_equal(calls[0][1][:, 0], [0, 2, 4])
+    assert np.array_equal(calls[0][1][:, 0], [0, 2, 10_004])
     assert np.array_equal(calls[1][1], [[8, 10, 12, 14]])
-    assert used.tolist() == [12, 4, 10, 0]
+    assert used.tolist() == [12, 4, 10_010, 0]
     # Only a row that accepts gets a pick, and only in the round it does.
-    assert calls[1][2].tolist() == [-1, 1002, 2008, -1]
-    assert pick.tolist() == [10, 1002, 2008, -1]
-    assert u.size == 16 * 4 and refills == []
+    assert calls[1][2].tolist() == [-1, 1002, 12_008, -1]
+    assert pick.tolist() == [10, 1002, 12_008, -1]
+    # No live row, no round.
+    used, pick, calls = rounds(monkeypatch, [3, 5], [], {})
+    assert calls == [] and used.tolist() == [3, 5] and pick.tolist() == [-1, -1]
 
 
-def test_rounds_take_fewer_trials_at_the_block_end_and_refill(monkeypatch):
-    # Row 0 has two uniforms left, so the first round takes one trial a
-    # row; it then has none left, and the block reads every row's
-    # stream on, as far again, before the second round.
-    accept_at = {0: {18}, 1: {4}}
-    u, used, pick, calls, refills = rounds(monkeypatch, 16, [14, 0], [0, 1], accept_at)
-    assert [c[1].shape for c in calls] == [(2, 1), (2, int(_MAX_TRIALS))]
-    assert np.array_equal(calls[0][1], [[14], [0]])
-    assert np.array_equal(calls[1][1], [[16, 18, 20, 22], [2, 4, 6, 8]])
-    assert refills == [(16, 16)] and u.size == 32 * 2
-    assert used.tolist() == [20, 6]
-    assert pick.tolist() == [18, 1004]
-    # One uniform left is a refill before the first round.
-    _, used, pick, calls, refills = rounds(monkeypatch, 16, [15, 0], [0], {0: {15}})
-    assert refills == [(16, 16)]
-    assert used.tolist() == [17, 0] and pick.tolist() == [15, -1]
+def test_stream_reads_the_uniforms_at_each_counter():
+    # Any counters of any rows, in any shape, give the bits of
+    # ``_uniforms``: past a first block, far into a stream and at the
+    # edge seeds, whose keys are read in Python.
+    keys = designs._keys(EDGE_SEEDS)
+    block = _uniforms(EDGE_SEEDS, 64, start=4000)
+    at = 4000 + np.random.default_rng(2).integers(0, 64, size=(len(EDGE_SEEDS), 5))
+    got = designs._stream(keys[:, None], at)
+    expect = np.take_along_axis(block, at - 4000, axis=1)
+    assert got.dtype == np.float64
+    assert np.array_equal(got.view(np.uint64), expect.view(np.uint64))
+    step_major = designs._stream(keys, np.arange(3)[:, None] + np.zeros(len(keys), np.intp))
+    assert np.array_equal(step_major, _uniforms(EDGE_SEEDS, 3).T)

@@ -32,6 +32,7 @@ from splitsamp import (
     draw_by_draw_from_distribution,
     enumerate_design,
     estimate_tail,
+    first_second_order,
     make_sampler,
     midzuno_complementarity_tv,
     sample_brewer,
@@ -49,7 +50,7 @@ from splitsamp.designs import (
 )
 from splitsamp.population import CERTAINTY_TOL
 
-from conftest import UNEQUAL_DESIGNS, X_CERTAIN, ReferenceStream
+from conftest import NEAR_ONE_CAP_FRAMES, UNEQUAL_DESIGNS, X_CERTAIN, ReferenceStream
 
 
 class TestSample:
@@ -80,7 +81,7 @@ class TestSample:
     def test_sampler_checks_kernel_rows(self, row, match):
         # A draw hands Sample the kernel's sorted row as an array, and
         # Sample still checks it.
-        draw = designs.Sampler(5, lambda seeds: np.array([row] * len(seeds)))
+        draw = designs.Sampler(5, lambda seeds: np.array([row] * len(seeds)), 5)
         with pytest.raises(InvalidInputError, match=match):
             draw(0)
 
@@ -241,19 +242,27 @@ class TestStreams:
                              ids=["certain", "exponential"])
     def test_rows_of_uint64_seed_array(self, kind, x, n, monkeypatch):
         calls = collections.Counter()
-        heads, read = designs._brewer_heads, designs._uniforms
+        heads, read, keyed = designs._brewer_heads, designs._stream, designs._keys
+        pi = compute_pips(x, n)
+        draws = pi.n - int(np.count_nonzero(pi.certain))
 
         def counting_heads(*args):
             calls["composition"] += 1
             return heads(*args)
 
-        def uniforms(seeds, count, start=0):
-            calls["array_refill"] += start > 0 and isinstance(seeds, np.ndarray)
-            return read(seeds, count, start)
+        def keys(seeds):
+            calls["array_keys"] += isinstance(seeds, np.ndarray)
+            return keyed(seeds)
+
+        def stream(keys, at):
+            # A read past the first 4 uniforms per draw, where Brewer's
+            # single draw reads its stream on.
+            calls["deep"] += int(at.max(initial=0)) >= 4 * draws
+            return read(keys, at)
 
         monkeypatch.setattr(designs, "_brewer_heads", counting_heads)
-        monkeypatch.setattr(designs, "_uniforms", uniforms)
-        pi = compute_pips(x, n)
+        monkeypatch.setattr(designs, "_keys", keys)
+        monkeypatch.setattr(designs, "_stream", stream)
         if kind is DesignKind.SRSWOR:
             draw, _ = make_sampler(kind, N=pi.N, n=pi.n)
         else:
@@ -263,8 +272,10 @@ class TestStreams:
         assert np.array_equal(rows, draw.rows(seeds))
         if kind is DesignKind.BREWER and x is EXPONENTIAL_X:
             # Criterion 04's frame: Brewer takes the composition pick, and
-            # the batch reads the array's streams on past the first block.
-            assert calls["composition"] > 0 and calls["array_refill"] > 0
+            # the batch keys the array in one pass and reads some row's
+            # stream past the first 4 uniforms per draw.
+            assert calls["composition"] > 0 and calls["deep"] > 0
+            assert calls["array_keys"] > 0
 
     @pytest.mark.parametrize("kind", list(DesignKind), ids=lambda k: k.value)
     def test_draw_equals_its_batch_row(self, kind):
@@ -1131,20 +1142,27 @@ class TestLockstepMatchesReferenceLoops:
         pi = compute_pips(x, n)
         draw, _ = make_sampler(DesignKind.BREWER, pi=pi)
         seeds = list(range(300))
-        # The calls that read a stream on past its first block, and the
-        # inverse-CDF picks.
+        d = draw.draw_rows.args[0].draws
+        # The reads of a stream past its first 4 uniforms per draw: a
+        # single draw's refills and the batch's reads at a row's counter;
+        # and the inverse-CDF picks.
         refills = collections.Counter()
 
         def uniforms(seeds, count, start=0):
-            refills["batch" if len(seeds) > 1 else "row"] += start > 0
+            refills["row"] += start > 0
             return read(seeds, count, start)
+
+        def stream(keys, at):
+            refills["batch"] += int(at.max(initial=0)) >= 4 * d
+            return at_counter(keys, at)
 
         def counting_fallback(*args):
             refills["fallback"] += 1
             return fallback(*args)
 
-        read, fallback = designs._uniforms, designs._brewer_fallback
+        read, at_counter, fallback = designs._uniforms, designs._stream, designs._brewer_fallback
         monkeypatch.setattr(designs, "_uniforms", uniforms)
+        monkeypatch.setattr(designs, "_stream", stream)
         monkeypatch.setattr(designs, "_brewer_fallback", counting_fallback)
         rows = draw.rows(seeds)
         counts = collections.Counter()
@@ -1164,8 +1182,8 @@ class TestLockstepMatchesReferenceLoops:
             assert counts["guard"] > 0 and refills["fallback"] > 0
             assert counts["head"] + counts["tail"] > 0
         else:
-            # Some rows spend more than the 4 uniforms per draw read up
-            # front, so the batch and those rows alone read on.
+            # Some rows spend more than 4 uniforms per draw: the batch
+            # reads them at the row's counter, and the row alone reads on.
             assert counts["uniforms"] > 4
             assert refills["batch"] > 0 and refills["row"] > 0
 
@@ -1211,6 +1229,31 @@ class TestLockstepMatchesReferenceLoops:
             expect = tuple(sorted(int(k) for k in reference_brewer(pi.pi, seed, counts)))
             assert draw(seed).selected == expect, seed
         assert counts.keys() == {"rejection", "uniforms"}
+
+
+@pytest.mark.parametrize("kind", list(DesignKind), ids=lambda k: k.value)
+@pytest.mark.parametrize(
+    "x, n", NEAR_ONE_CAP_FRAMES, ids=["two-tiny", "one-tiny", "rounds-to-1"]
+)
+def test_near_one_cap_frames_draw_their_pi(kind, x, n):
+    # compute_pips keeps a near-one share exact where its cap would give
+    # the tiny units nothing; the ladders cap it.  Either way every
+    # design's exact pi is within CERTAINTY_TOL of the target, and its
+    # single draws and batch rows agree, each holding every certainty
+    # unit and no unit below CERTAINTY_TOL.
+    frame = dict(pi=compute_pips(x, n), x=x)
+    if kind is DesignKind.SRSWOR:
+        frame = dict(N=x.size, n=n)
+    draw, pi = make_sampler(kind, **frame)
+    exact, _ = first_second_order(enumerate_design(kind, **frame))
+    assert np.max(np.abs(exact - pi.pi)) <= CERTAINTY_TOL
+    seeds = list(range(300))
+    rows = draw.rows(seeds)
+    assert [draw(s).selected for s in seeds] == [tuple(row) for row in rows.tolist()]
+    member = np.zeros((len(seeds), pi.N), dtype=bool)
+    member[np.arange(len(seeds))[:, None], rows] = True
+    assert np.all(member.sum(axis=1) == n)
+    assert member[:, pi.certain].all() and not member[:, pi.pi <= CERTAINTY_TOL].any()
 
 
 class TestRunnersMatchEnumeration:

@@ -2,7 +2,9 @@
 
 import collections
 import dataclasses
+import gc
 import hashlib
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -23,6 +25,23 @@ from splitsamp import designs, montecarlo
 from splitsamp.montecarlo import DEFAULT_Z, wilson_upper
 
 from conftest import X_CERTAIN, splitmix64_reference
+
+
+def force_chunks(monkeypatch, rows, kind, **frame):
+    """Chunks of ``rows`` rows for ``kind`` on this frame, through the
+    sampler's ``row_cells``: returns the list that collects each chunk's
+    row count as ``estimate_tail`` draws it."""
+    cells = make_sampler(kind, **frame)[0].row_cells
+    monkeypatch.setattr(montecarlo, "_CHUNK_CELLS", rows * cells)
+    seen = []
+    real = montecarlo._chunk_seeds
+
+    def chunk_seeds(master_seed, start, stop):
+        seen.append(stop - start)
+        return real(master_seed, start, stop)
+
+    monkeypatch.setattr(montecarlo, "_chunk_seeds", chunk_seeds)
+    return seen
 
 
 class TestDeriveSeed:
@@ -117,16 +136,16 @@ class TestChunkSeeds:
         # Seeds and stream keys come from array passes: the per-seed
         # Python functions run a fixed number of times, whatever the
         # replicate count.  Chunks of 100 rows.
-        monkeypatch.setattr(montecarlo, "_CHUNK_CELLS", 100 * X_CERTAIN.size)
+        sizes = dict(x=X_CERTAIN, n=4)
+        if kind is DesignKind.SRSWOR:
+            sizes = dict(N=X_CERTAIN.size, n=4)
+        chunks = force_chunks(monkeypatch, 100, kind, **sizes)
         calls = collections.Counter()
         for module, name in ((montecarlo, "derive_seed"), (designs, "_key")):
             def counting(*args, _f=getattr(module, name), _name=name):
                 calls[_name] += 1
                 return _f(*args)
             monkeypatch.setattr(module, name, counting)
-        sizes = dict(x=X_CERTAIN, n=4)
-        if kind is DesignKind.SRSWOR:
-            sizes = dict(N=X_CERTAIN.size, n=4)
         counts = []
         for replicates in (500, 5000):
             calls.clear()
@@ -137,6 +156,7 @@ class TestChunkSeeds:
             counts.append(dict(calls))
         assert counts[0] == counts[1]
         assert counts[1].get("derive_seed", 0) <= 1 and counts[1].get("_key", 0) == 0
+        assert chunks == [100] * 55
 
     @pytest.mark.parametrize("master", [-1, 2**64, 1.5, "3", None])
     def test_estimate_tail_checks_master_seed_before_drawing(self, monkeypatch, master):
@@ -331,10 +351,10 @@ class TestLockstepReplicates:
     )
     def test_errors_match_per_seed_draws(self, monkeypatch, kind, x, chunk_rows):
         N = x.size
-        if chunk_rows is not None:
-            monkeypatch.setattr(montecarlo, "_CHUNK_CELLS", chunk_rows * N)
         pi = compute_pips(x, 4)
         assert pi.certain.sum() == 1
+        if chunk_rows is not None:
+            chunks = force_chunks(monkeypatch, chunk_rows, kind, pi=pi, x=x)
         y = np.random.default_rng(6).uniform(0.0, 3.0, size=N)
         # 250 = 35 chunks of 7 rows and a partial chunk of 5.
         replicates = 250
@@ -350,6 +370,8 @@ class TestLockstepReplicates:
             for r in range(replicates)
         ])
         assert np.array_equal(tail.errors, expect)
+        if chunk_rows is not None:
+            assert chunks == [7] * 35 + [5]
 
     @pytest.mark.parametrize(
         "kind, prefix",
@@ -374,6 +396,45 @@ class TestLockstepReplicates:
             master_seed=5, n=40, **frame,
         )
         assert hashlib.sha256(tail.errors.tobytes()).hexdigest().startswith(prefix)
+
+    def test_criterion_05_brewer_is_one_chunk_within_tilles_peak(self, monkeypatch):
+        # Brewer's rows hold a drawn mask and their picks, so criterion
+        # 05's 1310 replicates are one chunk, one ``rows`` call, and the
+        # call's tracemalloc peak stays at or below Tille's, whose rows
+        # hold N pool slots each.  Each design's plan is built first, as
+        # the benchmark's set-up does.
+        rng = np.random.default_rng(20260819)
+        x = rng.uniform(1.0, 2.0, size=200)
+        y = rng.uniform(0.0, 1.0, size=200)
+        args = dict(
+            y=y, eps_grid=np.linspace(0.025, 0.5, 20), replicates=1310,
+            master_seed=5, x=x, n=40,
+        )
+        peaks = {}
+        for kind in (DesignKind.TILLE_ELIMINATION, DesignKind.BREWER):
+            estimate_tail(kind, **args)
+            gc.collect()
+            tracemalloc.start()
+            try:
+                estimate_tail(kind, **args)
+                peaks[kind] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[DesignKind.BREWER] <= peaks[DesignKind.TILLE_ELIMINATION], peaks
+        calls = []
+
+        def counting(kind, **kwargs):
+            draw, pi = make_sampler(kind, **kwargs)
+
+            def rows(seeds):
+                calls.append(len(seeds))
+                return draw.draw_rows(seeds)
+
+            return dataclasses.replace(draw, draw_rows=rows), pi
+
+        monkeypatch.setattr(montecarlo, "make_sampler", counting)
+        estimate_tail(DesignKind.BREWER, **args)
+        assert calls == [1310]
 
     @pytest.mark.parametrize(
         "kind",

@@ -26,6 +26,9 @@ from splitsamp import (
     load_population,
     study_vector,
 )
+from splitsamp.population import SUM_TOL
+
+from conftest import NEAR_ONE_CAP_FRAMES
 
 
 def pips_by_bisection(x, n, iters=200):
@@ -65,6 +68,24 @@ class TestComputePips:
     def test_census(self):
         pi = compute_pips(np.array([3.0, 1.0, 2.0]), 3)
         assert np.all(pi.pi == 1.0)
+
+    @pytest.mark.parametrize(
+        "x, n", NEAR_ONE_CAP_FRAMES, ids=["two-tiny", "one-tiny", "rounds-to-1"]
+    )
+    def test_near_one_share_stays_exact_where_a_cap_would_zero_the_rest(self, x, n):
+        # The last pass leaves one slot to a unit whose share is within
+        # CERTAINTY_TOL of 1 (or rounds to 1) and to tiny units: capping
+        # it would give them 0.  Every unit keeps its exact share there,
+        # and the snap to 1 happens only in InclusionProbabilities.
+        pi = compute_pips(x, n)
+        assert np.all(pi.pi > 0.0) and abs(float(pi.pi.sum()) - n) <= SUM_TOL
+        assert np.count_nonzero(pi.certain) == n
+        # The last pass shares one slot among the tiny units and the
+        # smallest of the others.
+        tiny = x < 1e-10
+        last = tiny | (x == x[~tiny].min())
+        share = x / float(x[last].sum())
+        assert np.allclose(pi.pi[tiny], share[tiny], rtol=1e-12, atol=0.0)
 
     def test_scale_invariance(self):
         x = np.array([2.0, 5.0, 11.0, 0.5])

@@ -1,29 +1,35 @@
-"""Compare two checkouts on one benchmark workload, in alternating pairs.
+"""Compare two checkouts on benchmark workloads, in alternating pairs.
 
-Usage: python tools/benchpairs.py BASE NEW [--workload NAME] [--pairs K]
-           [--seconds S] [--seed SEED]
+Usage: python tools/benchpairs.py BASE NEW [--workload NAME ...] [--pairs K]
+           [--seconds S] [--seed SEED] [--json PATH]
 
 Runs ``bench/run.py`` untraced from the root of each checkout, K times
-each, S seconds a run: by default the ``run_seconds`` of NEW's
-``BENCHMARK.json``, or 8 without one.
+each per workload, S seconds a run: by default the ``run_seconds`` of
+NEW's ``BENCHMARK.json``, or 8 without one.
 Pair i runs both checkouts with seed SEED + i, BASE first when i is
 even and NEW first when it is odd, so that a drift of the machine's
 speed over the session falls on both alike.  A run's result is the last
 line of its standard output, one JSON object.
 
-Prints one line per metric: BASE's median with its quartiles, NEW's
-median, the change of the medians in percent and, for a metric whose
-direction ``BENCHMARK.json`` (NEW's copy) gives, the pairs in which NEW
-did better.  A metric whose median moved the wrong way by more than its
-``bound``, a fraction of BASE's median, is marked ``WORSE BEYOND
-BOUND``.  Then each side's failed operations, and whether every run was
-correct.  Standard library only.
+Prints, per workload, one line per metric: BASE's median with its
+quartiles, NEW's median with its quartiles, the change of the medians in
+percent and, for a metric whose direction ``BENCHMARK.json`` (NEW's
+copy) gives, the pairs in which NEW did better.  A metric whose median
+moved the wrong way by more than its ``bound``, a fraction of BASE's
+median, is marked ``WORSE BEYOND BOUND``.  Then each side's failed
+operations, and whether every run was correct.  ``--json PATH`` writes
+the same, with both checkouts' git commits, the machine (cores, Python,
+numpy), the seeds, the pair count and the seconds per run.  Standard
+library only.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.metadata
 import json
+import os
+import platform
 import statistics
 import subprocess
 import sys
@@ -38,6 +44,29 @@ def run(checkout: str, workload: str, seed: int, seconds: float) -> dict:
     ]
     done = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=True)
     return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+def commit(checkout: str) -> dict:
+    """The git commit a checkout is at, and whether its tracked files
+    differ from it; None for each outside a git work tree."""
+    def git(*args):
+        done = subprocess.run(
+            ["git", "-C", checkout, *args], capture_output=True, text=True, check=False
+        )
+        return done.stdout.strip() if done.returncode == 0 else None
+
+    head = git("rev-parse", "HEAD")
+    status = git("status", "--porcelain", "--untracked-files=no") if head else None
+    return {"commit": head, "dirty": None if status is None else bool(status)}
+
+
+def machine() -> dict:
+    """Cores, Python and numpy of the interpreter that runs both sides."""
+    try:
+        numpy = importlib.metadata.version("numpy")
+    except importlib.metadata.PackageNotFoundError:
+        numpy = None
+    return {"cores": os.cpu_count(), "python": platform.python_version(), "numpy": numpy}
 
 
 # Seconds per run when NEW has no BENCHMARK.json to give its own.
@@ -75,7 +104,7 @@ def aggregate(
     bound: dict[str, float] | None = None,
 ) -> list[dict]:
     """One row per metric found in every run, in the first run's order:
-    the quartiles of ``base``, the median of ``new``, the change of the
+    the quartiles of ``base`` and of ``new``, the change of the
     medians in percent (None when BASE's is 0), ``wins``, the pairs in
     which NEW did better (None without a direction), and ``worse``,
     whether NEW's median is worse than BASE's by more than ``bound``
@@ -91,7 +120,7 @@ def aggregate(
         b = [r["metrics"][name]["value"] for r in base]
         n = [r["metrics"][name]["value"] for r in new]
         q1, b_med, q3 = quartiles(b)
-        n_med = statistics.median(n)
+        n_q1, n_med, n_q3 = quartiles(n)
         wins = worse = None
         if better.get(name) in ("higher", "lower"):
             sign = 1 if better[name] == "higher" else -1
@@ -104,7 +133,9 @@ def aggregate(
             "base_q1": q1,
             "base_median": b_med,
             "base_q3": q3,
+            "new_q1": n_q1,
             "new_median": n_med,
+            "new_q3": n_q3,
             "change_pct": 100.0 * (n_med - b_med) / b_med if b_med else None,
             "wins": wins,
             "worse": worse,
@@ -120,18 +151,46 @@ def format_row(row: dict) -> str:
     return (
         f"{row['metric']:36s} base {row['base_median']:.6g} "
         f"[{row['base_q1']:.6g}, {row['base_q3']:.6g}] new {row['new_median']:.6g} "
+        f"[{row['new_q1']:.6g}, {row['new_q3']:.6g}] "
         f"{row['unit']} {change}{wins}{worse}"
     )
+
+
+def compare(args, spec: dict, seconds: float, workload: str, runner) -> dict:
+    """K alternating pairs on one workload, printed as they are
+    summarized: its metric rows, the metrics worse beyond their bound,
+    and each side's failed operations and correctness."""
+    # One list per side, so that BASE and NEW may be one checkout.
+    base: list[dict] = []
+    new: list[dict] = []
+    sides = ((args.base, base), (args.new, new))
+    for i in range(args.pairs):
+        for checkout, runs in sides if i % 2 == 0 else sides[::-1]:
+            runs.append(runner(checkout, workload, args.seed + i, seconds))
+    rows = aggregate(base, new, directions(spec), bounds(spec))
+    print(f"workload {workload}: {args.pairs} pairs of {seconds:g} s runs")
+    for row in rows:
+        print(format_row(row))
+    worse = [row["metric"] for row in rows if row["worse"]]
+    print(f"worse beyond bound: {', '.join(worse) or 'none'}")
+    summary = {"metrics": rows, "worse_beyond_bound": worse}
+    for side, runs in (("base", base), ("new", new)):
+        failed = [r["failed"] for r in runs]
+        correct = all(r["correct"] for r in runs)
+        print(f"{side}: failed operations per run {failed}, every run correct: {correct}")
+        summary[side] = {"failed": failed, "correct": correct}
+    return summary
 
 
 def main(argv: list[str], runner=run) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("base")
     p.add_argument("new")
-    p.add_argument("--workload", default="mc-certify")
+    p.add_argument("--workload", nargs="+", default=["mc-certify"])
     p.add_argument("--pairs", type=int, default=5)
     p.add_argument("--seconds", type=float, default=None)
     p.add_argument("--seed", type=int, default=1)
+    p.add_argument("--json", type=Path, default=None)
     args = p.parse_args(argv)
     if args.pairs < 1:
         p.error("--pairs must be positive")
@@ -143,24 +202,18 @@ def main(argv: list[str], runner=run) -> int:
     seconds = args.seconds
     if seconds is None:
         seconds = spec.get("run_seconds", DEFAULT_SECONDS)
-    # One list per side, so that BASE and NEW may be one checkout.
-    base: list[dict] = []
-    new: list[dict] = []
-    sides = ((args.base, base), (args.new, new))
-    for i in range(args.pairs):
-        for checkout, runs in sides if i % 2 == 0 else sides[::-1]:
-            runs.append(
-                runner(checkout, args.workload, args.seed + i, seconds)
-            )
-    rows = aggregate(base, new, directions(spec), bounds(spec))
-    for row in rows:
-        print(format_row(row))
-    worse = [row["metric"] for row in rows if row["worse"]]
-    print(f"worse beyond bound: {', '.join(worse) or 'none'}")
-    for side, runs in (("base", base), ("new", new)):
-        failed = [r["failed"] for r in runs]
-        correct = all(r["correct"] for r in runs)
-        print(f"{side}: failed operations per run {failed}, every run correct: {correct}")
+    workloads = {w: compare(args, spec, seconds, w, runner) for w in args.workload}
+    if args.json is not None:
+        record = {
+            "base": {"path": str(args.base), **commit(args.base)},
+            "new": {"path": str(args.new), **commit(args.new)},
+            "machine": machine(),
+            "seeds": [args.seed + i for i in range(args.pairs)],
+            "pairs": args.pairs,
+            "seconds_per_run": seconds,
+            "workloads": workloads,
+        }
+        args.json.write_text(json.dumps(record, indent=1) + "\n")
     return 0
 
 
