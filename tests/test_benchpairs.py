@@ -196,7 +196,7 @@ def test_json_record_of_every_workload(tmp_path, capsys):
     printed = capsys.readouterr().out
     assert "workload large-frame: 2 pairs of 20 s runs" in printed
     record = json.loads(out.read_text())
-    assert record["base"] == {"path": str(base), "commit": None, "dirty": None}
+    assert record["base"] == {"commit": None, "dirty": None}
     assert record["new"]["commit"] is None
     assert (record["seeds"], record["pairs"], record["seconds_per_run"]) == ([1, 2], 2, 20)
     assert set(record["machine"]) == {"cores", "python", "numpy"}

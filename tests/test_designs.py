@@ -1339,7 +1339,6 @@ class TestEnumeratedInclusionProbabilities:
         x = np.array([1.0, 1.0, 1.0, 10.0])
         pi = compute_pips(x, 2)
         dist = enumerate_design(kind, x=x, pi=pi, n=2)
-        from splitsamp import first_second_order
 
         pi_hat, _ = first_second_order(dist)
         assert np.max(np.abs(pi_hat - pi.pi)) <= 1e-9
@@ -1351,7 +1350,6 @@ class TestEnumeratedInclusionProbabilities:
         x = rng.uniform(0.5, 3.0, size=5)
         pi = compute_pips(x, 3)
         dist = enumerate_design(kind, x=x, pi=pi, n=3)
-        from splitsamp import first_second_order
 
         pi_hat, _ = first_second_order(dist)
         assert np.max(np.abs(pi_hat - pi.pi)) <= 1e-9

@@ -205,8 +205,8 @@ def main(argv: list[str], runner=run) -> int:
     workloads = {w: compare(args, spec, seconds, w, runner) for w in args.workload}
     if args.json is not None:
         record = {
-            "base": {"path": str(args.base), **commit(args.base)},
-            "new": {"path": str(args.new), **commit(args.new)},
+            "base": commit(args.base),
+            "new": commit(args.new),
             "machine": machine(),
             "seeds": [args.seed + i for i in range(args.pairs)],
             "pairs": args.pairs,
