@@ -24,7 +24,7 @@ ladder's first draw and kept (``Ladder.law``): one cumulative sum per
 distinct count of units crossing the cap at a step.  A batch is
 step-major, a row per step of its uniforms and picks and per slot of its
 pool: its picks come first, in place, and a walk step is one append and
-one put.
+one put, of a scalar where a unit crosses.
 
 Brewer's plan is one cumulative sum of the probabilities, with a guide
 table over it.  A step proposes from it and accepts by rejection; when
@@ -81,6 +81,7 @@ from .population import (
     CERTAINTY_TOL,
     InclusionProbabilities,
     _as_readonly,
+    _check_sizes,
     compute_pips,
 )
 from .splitting import RANGE_TOL, FactorSteps, SplittingTrace
@@ -456,6 +457,26 @@ def _elimination_ladder(x: np.ndarray, n: int) -> Ladder:
     return _read_only(Ladder(x=x, lam=lam, cross=cross, cross_at=cross_at))
 
 
+# Cells per band of ``_floor_positions``' cast from float to intp.
+_CAST_CELLS = 1 << 12
+
+
+def _floor_positions(q: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """``floor(clip(q, -1, count - 1))`` as intp, written over the
+    step-major float block q, ``count`` per row: three float passes in
+    place, then a cast into the same cells a band of rows at a time.  One
+    casting pass over the whole block would first copy all of it, since
+    its output overlaps its input."""
+    np.maximum(q, -1.0, out=q)
+    np.minimum(q, count[:, None] - 1.0, out=q)
+    np.floor(q, out=q)
+    pos = q.view(np.intp)
+    band = max(1, _CAST_CELLS // max(1, q.shape[1]))
+    for lo in range(0, len(q), band):
+        pos[lo : lo + band] = q[lo : lo + band]
+    return pos
+
+
 def _picks(
     ladder: Ladder, u: np.ndarray, context: Callable[[int], str]
 ) -> np.ndarray:
@@ -469,11 +490,12 @@ def _picks(
 
     With the step's total T and crossing mass M (``Ladder.law``), u picks
     a crossing unit by inverse CDF when u T falls below M, else pool
-    index floor((u T - M) / r).  Only these per-uniform passes run per
-    call, in place: the inverse CDF of every pick among several crossing
-    units is one bisection over all of them, in as many rounds as the
-    largest crossing count has bits, and its picks are those of a
-    ``searchsorted(side="right")`` of that step alone.
+    index floor((u T - M) / r), clipped to the pool.  Only these
+    per-uniform passes run per call, in place, the floor and its cast to
+    intp in ``_floor_positions``: the inverse CDF of every pick among
+    several crossing units is one bisection over all of them, in as many
+    rounds as the largest crossing count has bits, and its picks are
+    those of a ``searchsorted(side="right")`` of that step alone.
     """
     law = ladder.law
     if law.fault is not None:
@@ -486,8 +508,7 @@ def _picks(
     q /= np.where(r > 0.0, r, 1.0)[:, None]
     # u T below the crossing mass, or a step without pool weight, gives
     # q < 0, which the clip and floor turn into -1.
-    np.clip(q, -1, count[:, None] - 1, out=q)
-    pos = np.floor(q, out=q.view(np.intp), casting="unsafe")
+    pos = _floor_positions(q, count)
     # Where several cross, the k-th, k the count of cumulative weights at
     # most u T, found by binary lifting over the step's slice of cum.
     at, rows = np.nonzero(pos[multi] < 0)
@@ -515,10 +536,15 @@ def _eliminate(
     Each row keeps its live uncapped units in a pool.  ``_picks`` turns
     the step-major block of every row's uniforms into pool positions for
     all steps at once.  A batch's pool is slot-major, so a step appends
-    its crossing units as whole slots and swap-removes each row's pick
-    by one put at the flat indices pos R + row.  One row alone walks a
-    Python list: a step extends it by the step's kept tuple
-    (``Ladder.segments``) when a unit crosses, and swap-removes the pick.
+    its crossing units as whole slots and swap-removes each row's pick:
+    one put, at the flat indices pos R + row, of the step's last slot.
+    Where units cross, that slot holds the last of them in every row, so
+    the put is of that one unit, a scalar, and the slot itself, dropped
+    after the step, is written only for the picks, which read it.  So a
+    survivors step where one unit crosses, as an arrival does at most of
+    Chao's steps, is one scalar put.  One row alone walks a Python list:
+    a step extends it by the step's kept tuple (``Ladder.segments``)
+    when a unit crosses, and swap-removes the pick.
     Returns each row's survivors (uncapped, then still capped) if
     ``survivors``, else its picked units, one per step; ``Sampler.rows``
     makes either row-major.
@@ -548,7 +574,7 @@ def _eliminate(
             line[p] = line[-1]
             pop()
         return np.array([gone], dtype=np.intp)
-    at = ladder.cross_at.tolist()
+    at, cross = ladder.cross_at.tolist(), ladder.cross.tolist()
     pool = np.empty((N, R), dtype=np.intp)
     flat = pool.reshape(-1)
     pos *= R
@@ -556,13 +582,19 @@ def _eliminate(
     picked = np.empty((0 if survivors else steps, R), dtype=np.intp)
     for j in range(steps):
         lo, hi = at[j], at[j + 1]
-        if hi > lo:
-            pool[lo - j : hi - j] = ladder.cross[lo:hi, None]
         # The step's extended pool, whose last slot a pick -1 reads.
         live = flat[: (hi - j) * R]
+        if hi > lo:
+            # The last slot holds cross[hi - 1] in every row.
+            end = hi - 1 if survivors else hi
+            if end > lo:
+                pool[lo - j : end - j] = ladder.cross[lo:end, None]
+            last = cross[hi - 1]
+        else:
+            last = pool[hi - j - 1]
         if not survivors:
             picked[j] = live[pos[j]]
-        live[pos[j]] = pool[hi - j - 1]
+        live[pos[j]] = last
     if not survivors:
         return picked.T
     pool[at[-1] - steps : N - steps] = ladder.cross[at[-1] :, None]
@@ -1210,10 +1242,13 @@ def make_sampler(
 
     Returns the sampler together with the target inclusion
     probabilities (needed to expand study values), from ``target_pi``.
+    A pi given with x for Chao or Tille is checked against the last rung
+    of the ladder the sampler draws from (``check_last_rung``).
     SRSWOR's rows hold N uniforms each, the ladder designs' a pool of up
     to N units; Brewer's hold a drawn mask of M bytes over the M active
     units and n picks.
     """
+    given = pi is not None
     pi = target_pi(kind, pi, x, n, N)
     if kind is DesignKind.SRSWOR:
         return Sampler(pi.N, partial(_srswor_rows, pi.N, pi.n), pi.N), pi
@@ -1226,6 +1261,8 @@ def make_sampler(
             build, step = tille_plan, lambda j: f"tille step i={pi.N - 1 - j}"
         key = (pi.n, hashlib.sha256(np.ascontiguousarray(x, dtype=float)).digest())
         ladder = _kept(kind, key, lambda: build(x, pi.n))
+        if given:
+            check_last_rung(ladder, pi)
         return Sampler(pi.N, partial(_eliminate, ladder, context=step), pi.N), pi
     if kind is DesignKind.GENERALIZED_MIDZUNO:
         plan = _kept(kind, pi.digest, lambda: midzuno_plan(pi))
@@ -1237,15 +1274,27 @@ def make_sampler(
     raise InvalidInputError(f"unknown design kind {kind!r}")
 
 
+def check_last_rung(ladder: Ladder, pi: InclusionProbabilities) -> None:
+    """Raise unless ``pi`` is, within ``PROB_SUM_TOL``, the last rung of
+    the Chao or Tille ladder built from the x given with it: the capped
+    shares of x at size n, which the ladder draws.  A pi that x does not
+    give would be silently sampled as another one."""
+    if float(np.max(np.abs(ladder.pi(ladder.steps) - pi.pi))) > PROB_SUM_TOL:
+        raise InvalidInputError(
+            "pi does not match the capped size shares of x at size n"
+        )
+
+
 def target_pi(
     kind: DesignKind, pi: InclusionProbabilities | None, x, n: int | None, N: int | None
 ) -> InclusionProbabilities:
     """The inclusion probabilities a design runs on: ``pi``, else n/N per
     unit for SRSWOR and ``compute_pips(x, n)`` for the other designs.  A
     given ``n`` or ``N`` must agree with them.  Chao and Tille draw from
-    x, so a given pi must be what x gives, ``compute_pips(x, n)``, or
-    they would silently sample another one; a pi derived from x here is
-    not checked again."""
+    x, so an x given with pi must be valid sizes of pi's length here,
+    and pi must then be their ladder's last rung (``check_last_rung``),
+    checked by the caller on the ladder it draws from; a pi derived from
+    x here is not checked again."""
     if pi is None and kind is DesignKind.SRSWOR:
         if N is None or n is None:
             raise InvalidInputError("srswor needs N and n (or pi)")
@@ -1255,13 +1304,9 @@ def target_pi(
             raise InvalidInputError(f"{kind.value} needs pi, or x and n")
         pi = compute_pips(np.asarray(x, dtype=float), int(n))
     elif kind in (DesignKind.CHAO, DesignKind.TILLE_ELIMINATION) and x is not None:
-        x = np.asarray(x, dtype=float)
-        if x.size != pi.N:
+        if np.size(x) != pi.N:
             raise InvalidInputError("x and pi must have equal length")
-        if float(np.max(np.abs(compute_pips(x, pi.n).pi - pi.pi))) > PROB_SUM_TOL:
-            raise InvalidInputError(
-                "pi does not match the capped size shares of x at size n"
-            )
+        _check_sizes(x)
     if n not in (None, pi.n) or N not in (None, pi.N):
         raise InvalidInputError(f"pi has n={pi.n}, N={pi.N}, not n={n}, N={N}")
     return pi

@@ -38,6 +38,7 @@ from .designs import (
     Ladder,
     _check_sum,
     chao_plan,
+    check_last_rung,
     midzuno_plan,
     target_pi,
     tille_plan,
@@ -110,6 +111,7 @@ def enumerate_design(
         raise InvalidInputError(
             f"exact enumeration supports N <= {MAX_ENUM_N}, got {size}"
         )
+    given = pi is not None
     pi = target_pi(kind, pi, x, n, N)
     N, n = pi.N, pi.n
     if kind is DesignKind.SRSWOR and not pi.is_equal_probability():
@@ -123,12 +125,16 @@ def enumerate_design(
         masks = np.flatnonzero(set_sizes(N) == n)
         return ExactDesignDistribution(masks, np.full(count, 1.0 / count), N, n)
     sizes = np.asarray(x if x is not None else pi.pi, dtype=float)
-    if kind is DesignKind.CHAO:
-        ladder, step = chao_plan(sizes, n), lambda j: f"chao step {n + j + 1}"
-        chain = _ladder_chain(ladder, _BITS[:N], n, step, 0)
-    elif kind is DesignKind.TILLE_ELIMINATION:
-        ladder, step = tille_plan(sizes, n), lambda j: f"tille step i={N - 1 - j}"
-        chain = _ladder_chain(ladder, _BITS[:N], N, step, 0)
+    if kind in (DesignKind.CHAO, DesignKind.TILLE_ELIMINATION):
+        if kind is DesignKind.CHAO:
+            ladder, step = chao_plan(sizes, n), lambda j: f"chao step {n + j + 1}"
+            start = n
+        else:
+            ladder, step = tille_plan(sizes, n), lambda j: f"tille step i={N - 1 - j}"
+            start = N
+        if given and x is not None:
+            check_last_rung(ladder, pi)
+        chain = _ladder_chain(ladder, _BITS[:N], start, step, 0)
     elif kind is DesignKind.GENERALIZED_MIDZUNO:
         chain = _midzuno_chain(pi)
     elif kind is DesignKind.BREWER:

@@ -178,6 +178,17 @@ def study_vector(pop: Population, pi: InclusionProbabilities) -> StudyVector:
     return StudyVector(y_check=pop.y / pi.pi, _y=pop.y, _pi=pi.pi)
 
 
+def _check_sizes(x) -> np.ndarray:
+    """Size values as a float array: one-dimensional, non-empty, positive
+    and finite, or ``InvalidInputError``."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 1 or x.size < 1:
+        raise InvalidInputError("x must be a non-empty one-dimensional vector")
+    if not np.all(np.isfinite(x)) or np.any(x <= 0.0):
+        raise InvalidInputError("size values must be positive and finite")
+    return x
+
+
 def compute_pips(x: np.ndarray, n: int) -> InclusionProbabilities:
     """Capped probability-proportional-to-size inclusion probabilities.
 
@@ -196,11 +207,7 @@ def compute_pips(x: np.ndarray, n: int) -> InclusionProbabilities:
     Returns:
         InclusionProbabilities summing to ``n`` with entries in (0, 1].
     """
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1 or x.size < 1:
-        raise InvalidInputError("x must be a non-empty one-dimensional vector")
-    if not np.all(np.isfinite(x)) or np.any(x <= 0.0):
-        raise InvalidInputError("size values must be positive and finite")
+    x = _check_sizes(x)
     N = x.size
     if int(n) != n:
         raise InvalidInputError(f"n must be an integer, got {n!r}")
@@ -226,6 +233,15 @@ def compute_pips(x: np.ndarray, n: int) -> InclusionProbabilities:
         pi[over] = 1.0
         fixed |= over
     pi[fixed] = 1.0
+    # A share that underflows to 0, or a total that overflows, is the
+    # sizes' fault, not a pi the caller gave.
+    bad = np.flatnonzero(~(pi > 0.0))
+    if bad.size:
+        k = int(bad[0])
+        raise InvalidInputError(
+            f"size values overflow or underflow their shares: unit {k} with "
+            f"x={float(x[k])!r} gets the share {float(pi[k])!r}"
+        )
     return InclusionProbabilities(pi=pi, n=n)
 
 

@@ -13,6 +13,7 @@ import dataclasses
 import hashlib
 import itertools
 import math
+import sys
 import tracemalloc
 import warnings
 from functools import partial
@@ -37,7 +38,7 @@ from splitsamp import (
     midzuno_complementarity_tv,
     sample_brewer,
 )
-from splitsamp import designs
+from splitsamp import designs, oracle
 from splitsamp.designs import (
     SEED_LIMIT,
     _brewer_weights,
@@ -719,8 +720,10 @@ class TestMakeSampler:
         "kind", [DesignKind.CHAO, DesignKind.TILLE_ELIMINATION], ids=lambda k: k.value
     )
     def test_pi_from_x_is_computed_once(self, kind, monkeypatch):
-        # A pi derived from x is not checked against x again; a given pi
-        # is, once.
+        # A pi derived from x is computed once and not checked against x
+        # again.  A given pi is checked against the last rung of the
+        # ladder that draws, so it costs no compute_pips call at all.
+        # Every module's name for compute_pips counts its calls.
         x = np.arange(1.0, 7.0)
         pi = compute_pips(x, 3)
         calls = []
@@ -729,16 +732,73 @@ class TestMakeSampler:
             calls.append(args)
             return compute_pips(*args)
 
-        monkeypatch.setattr(designs, "compute_pips", counting)
-        for build in (
-            lambda: make_sampler(kind, x=x, n=3),
-            lambda: make_sampler(kind, pi=pi, x=x),
-            lambda: enumerate_design(kind, x=x, n=3),
-            lambda: enumerate_design(kind, pi=pi, x=x),
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "splitsamp" and hasattr(module, "compute_pips"):
+                monkeypatch.setattr(module, "compute_pips", counting)
+        tail = partial(estimate_tail, kind, y=np.ones(6), eps_grid=[0.1], replicates=10)
+        for build, expect in (
+            (lambda: make_sampler(kind, x=x, n=3), 1),
+            (lambda: tail(x=x, n=3), 1),
+            (lambda: enumerate_design(kind, x=x, n=3), 1),
+            (lambda: make_sampler(kind, pi=pi, x=x), 0),
+            (lambda: tail(pi=pi, x=x), 0),
+            (lambda: enumerate_design(kind, pi=pi, x=x), 0),
         ):
             calls.clear()
             build()
-            assert len(calls) == 1
+            assert len(calls) == expect
+
+    @pytest.mark.parametrize(
+        "kind", [DesignKind.CHAO, DesignKind.TILLE_ELIMINATION], ids=lambda k: k.value
+    )
+    def test_pi_checked_against_the_ladder_on_every_call(self, kind):
+        # A pi 1e-8 off the capped shares of x fails PROB_SUM_TOL (1e-9),
+        # also when the ladder of x is already kept; one 1e-10 off passes.
+        x = np.arange(1.0, 7.0)
+        exact = compute_pips(x, 3)
+        make_sampler(kind, pi=exact, x=x)
+        tail = partial(estimate_tail, kind, y=np.ones(6), eps_grid=[0.1], replicates=10)
+        for shift, ok in ((1e-8, False), (1e-10, True)):
+            moved = exact.pi.copy()
+            moved[0] += shift
+            moved[1] -= shift
+            pi = InclusionProbabilities(pi=moved, n=3)
+            for call in (
+                lambda: make_sampler(kind, pi=pi, x=x),
+                lambda: tail(pi=pi, x=x),
+                lambda: enumerate_design(kind, pi=pi, x=x),
+            ):
+                if ok:
+                    call()
+                else:
+                    with pytest.raises(InvalidInputError, match="capped"):
+                        call()
+
+    @pytest.mark.parametrize(
+        "kind", [DesignKind.CHAO, DesignKind.TILLE_ELIMINATION], ids=lambda k: k.value
+    )
+    def test_bad_x_fails_before_any_plan(self, kind, monkeypatch):
+        # An x of another length than pi, or with a size that is not
+        # positive and finite, is refused before a ladder is built on it.
+        def no_plan(*args):
+            raise AssertionError("a plan was built")
+
+        for module in (designs, oracle):
+            monkeypatch.setattr(module, "chao_plan", no_plan)
+            monkeypatch.setattr(module, "tille_plan", no_plan)
+        pi = compute_pips(np.arange(1.0, 7.0), 3)
+        tail = partial(estimate_tail, kind, y=np.ones(6), eps_grid=[0.1], replicates=10)
+        for x, match in (
+            (np.arange(1.0, 8.0), "x and pi must have equal length"),
+            (np.array([1.0, 2.0, np.nan, 4.0, 5.0, 6.0]), "positive and finite"),
+        ):
+            for call in (
+                lambda: make_sampler(kind, pi=pi, x=x),
+                lambda: tail(pi=pi, x=x),
+                lambda: enumerate_design(kind, pi=pi, x=x),
+            ):
+                with pytest.raises(InvalidInputError, match=match):
+                    call()
 
     @pytest.mark.parametrize(
         "kind", [DesignKind.CHAO, DesignKind.TILLE_ELIMINATION], ids=lambda k: k.value
@@ -916,6 +976,9 @@ NEAR_ONE_X = (np.array([19.0] * 5 + [1.0] * 5), 5)
 # the edges of the pick's bisection.
 EQUAL_X = (np.ones(16), 5)
 BISECTION_X = (np.repeat([1.0, 2.0, 4.0], [9, 8, 7]), 6)
+# Ties: the three 30s leave the cap at one step deep in the walk, and
+# 1000 is a certainty unit.
+TIED_X = (np.r_[np.arange(1.0, 6.5, 0.5), 30.0, 30.0, 30.0, 1000.0], 5)
 # The large-frame benchmark's shape, with 33 certainty units.
 LARGE_FRAME_X = (np.random.default_rng(31).lognormal(0.0, 1.5, size=2000), 200)
 
@@ -936,8 +999,12 @@ class TestLockstepMatchesReferenceLoops:
             BISECTION_X,
             # One row walks the pool as a Python list, a batch as arrays.
             LARGE_FRAME_X,
+            TIED_X,
         ],
-        ids=["certainty", "lognormal", "census", "equal", "bisection", "large-frame"],
+        ids=[
+            "certainty", "lognormal", "census", "equal", "bisection", "large-frame",
+            "tied-crossings",
+        ],
     )
     def test_same_sample_for_each_seed(self, x, n):
         pi = compute_pips(x, n)
@@ -970,6 +1037,71 @@ class TestLockstepMatchesReferenceLoops:
         midzuno = midzuno_plan(compute_pips(*BISECTION_X)).ladder
         for ladder in (tille_plan(*BISECTION_X), midzuno):
             assert {7, 8, 9} <= set(crossings(ladder)[0].tolist())
+        # TIED_X has a certainty unit, and several units cross at a step
+        # after the first on every ladder, Chao's on the permuted stream
+        # that the reference test draws.
+        x, n = TIED_X
+        xs = x[np.random.default_rng(1).permutation(x.size)]
+        assert np.count_nonzero(compute_pips(x, n).certain) == 1
+        tied = (tille_plan(x, n), chao_plan(xs, n), midzuno_plan(compute_pips(x, n)).ladder)
+        for ladder in tied:
+            assert np.any(crossings(ladder)[0][1:] > 1)
+
+    def test_floor_positions_match_floor_of_clip(self):
+        # Integers, -0.0, values just below 0 and around count - 1, and
+        # a row with count == 0, in blocks of one band, of several bands
+        # and not contiguous.
+        count = np.array([0, 1, 2, 5, 7])
+        edges = [0.0, -0.0, -5e-324, -1e-300, np.nextafter(0.0, -1.0), -1.0,
+                 -1.5, -np.inf, np.inf, 1e300]
+        for c in count.tolist():
+            edges += [float(k) for k in range(c + 1)]
+            edges += [np.nextafter(float(k), s) for k in range(c + 1) for s in (-1, c + 1)]
+        u = np.array(edges)
+        for block in (
+            np.tile(u, (5, 1)),
+            np.tile(u, (5, 120)),
+            np.tile(u, (5, 240))[:, ::2],
+        ):
+            rows = np.repeat(count, len(block) // count.size)
+            expect = np.floor(np.clip(block, -1, rows[:, None] - 1)).astype(np.intp)
+            got = designs._floor_positions(block.copy(), rows)
+            assert got.dtype == np.intp and np.array_equal(got, expect)
+
+    def test_picks_match_floor_of_clip(self):
+        # Uniforms on and beside every pool boundary u T = M + k r of
+        # each step, on the hand-built ladder (steps with count == 0,
+        # with r == 0 and with several units crossing) and on TIED_X.
+        # The picks are floor(clip((u T - M) / r, -1, count - 1)), and a
+        # negative one on a step where several cross is the crossing
+        # unit that searchsorted finds on its cumulative weights.
+        hand = designs.Ladder(
+            x=np.array([0.5, 1.0, 1.5, 1.2, 1.0, 0.8]),
+            lam=np.array([np.inf, 2 / 3, 2 / 3, 0.5]),
+            cross=np.arange(6),
+            cross_at=np.array([0, 3, 6, 6]),
+        )
+        for ladder in (hand, tille_plan(*TIED_X)):
+            law = ladder.law
+            T, M = law.total.tolist(), law.mass.tolist()
+            r = np.where(law.r > 0.0, law.r, 1.0).tolist()
+            points = {0.0, 0.5, 1 - 2**-53}
+            for j in range(ladder.steps):
+                for k in range(int(law.count[j]) + 1):
+                    v = (M[j] + k * r[j]) / T[j]
+                    points |= {v, np.nextafter(v, 0.0), np.nextafter(v, 1.0)}
+            u = np.array(sorted(p for p in points if 0.0 <= p < 1.0))
+            block = np.tile(u, (ladder.steps, 1))
+            target = block * law.total[:, None]
+            q = (target - law.mass[:, None]) / np.array(r)[:, None]
+            expect = np.floor(np.clip(q, -1, law.count[:, None] - 1)).astype(np.intp)
+            assert np.any(q == np.floor(q)) and np.any((q < 0) & (q > -1))
+            for j in law.multi.tolist():
+                lo, hi = ladder.cross_at[j], ladder.cross_at[j + 1]
+                k = np.searchsorted(law.cum[lo:hi], target[j], side="right")
+                crossing = law.count[j] + np.minimum(k, hi - lo - 1)
+                expect[j] = np.where(expect[j] < 0, crossing, expect[j])
+            assert np.array_equal(designs._picks(ladder, block, str), expect)
 
     def test_steps_without_pool_weight(self):
         # A hand-built ladder: three units cross at step 0, with no pool,
@@ -1247,6 +1379,9 @@ def test_near_one_cap_frames_draw_their_pi(kind, x, n):
     draw, pi = make_sampler(kind, **frame)
     exact, _ = first_second_order(enumerate_design(kind, **frame))
     assert np.max(np.abs(exact - pi.pi)) <= CERTAINTY_TOL
+    # Chao's and Tille's check of the given pi passes through every entry
+    # point: the ladder caps the near-one share within CERTAINTY_TOL.
+    estimate_tail(kind, y=np.ones(x.size), eps_grid=[0.1], replicates=10, **frame)
     seeds = list(range(300))
     rows = draw.rows(seeds)
     assert [draw(s).selected for s in seeds] == [tuple(row) for row in rows.tolist()]

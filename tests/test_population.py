@@ -103,6 +103,14 @@ class TestComputePips:
         with pytest.raises(InvalidInputError):
             compute_pips(np.array([1.0, 2.0]), 1.5)
 
+    def test_share_that_underflows_names_the_sizes(self):
+        # Unit 1's exact share is 1e-600, which rounds to 0.0: the sizes
+        # are at fault, not a pi the caller never gave.
+        with pytest.raises(InvalidInputError, match="size values") as err:
+            compute_pips(np.array([1e300, 1e-300]), 1)
+        assert "unit 1 with x=1e-300" in str(err.value)
+        assert "inclusion probabilities" not in str(err.value)
+
     @given(positive_sizes, st.data())
     @settings(max_examples=100, deadline=None)
     def test_matches_bisection_oracle(self, xs, data):
