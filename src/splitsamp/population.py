@@ -235,9 +235,8 @@ def compute_pips(x: np.ndarray, n: int) -> InclusionProbabilities:
     pi[fixed] = 1.0
     # A share that underflows to 0, or a total that overflows, is the
     # sizes' fault, not a pi the caller gave.
-    bad = np.flatnonzero(~(pi > 0.0))
-    if bad.size:
-        k = int(bad[0])
+    if not pi.min() > 0.0:
+        k = int(np.argmin(pi > 0.0))
         raise InvalidInputError(
             f"size values overflow or underflow their shares: unit {k} with "
             f"x={float(x[k])!r} gets the share {float(pi[k])!r}"
