@@ -574,7 +574,7 @@ def _eliminate(
             line[p] = line[-1]
             pop()
         return np.array([gone], dtype=np.intp)
-    at, cross = ladder.cross_at.tolist(), ladder.cross.tolist()
+    at, cross = ladder.cross_at.tolist(), ladder.cross
     pool = np.empty((N, R), dtype=np.intp)
     flat = pool.reshape(-1)
     pos *= R
@@ -588,7 +588,7 @@ def _eliminate(
             # The last slot holds cross[hi - 1] in every row.
             end = hi - 1 if survivors else hi
             if end > lo:
-                pool[lo - j : end - j] = ladder.cross[lo:end, None]
+                pool[lo - j : end - j] = cross[lo:end, None]
             last = cross[hi - 1]
         else:
             last = pool[hi - j - 1]
