@@ -539,10 +539,10 @@ def _eliminate(
     its crossing units as whole slots and swap-removes each row's pick:
     one put, at the flat indices pos R + row, of the step's last slot.
     Where units cross, that slot holds the last of them in every row, so
-    the put is of that one unit, a scalar, and the slot itself, dropped
-    after the step, is written only for the picks, which read it.  So a
-    survivors step where one unit crosses, as an arrival does at most of
-    Chao's steps, is one scalar put.  One row alone walks a Python list:
+    the put is of one scalar, and the survivors, which drop the slot
+    after the step, do not write it; the picks read it.  A survivors step
+    where one unit crosses, as an arrival does at most of Chao's steps,
+    is then a lone scalar put.  One row alone walks a Python list:
     a step extends it by the step's kept tuple (``Ladder.segments``)
     when a unit crosses, and swap-removes the pick.
     Returns each row's survivors (uncapped, then still capped) if
