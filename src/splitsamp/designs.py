@@ -51,13 +51,15 @@ reads the ladder's crossing units as tuples kept per step
 draw pays only for its uniforms, its picks and the walk.
 
 Every design draws through ``make_sampler``, and ``sample_brewer`` adds
-Brewer's traced draw.  Both keep, per design, the plans of the last two
-frames planned (``_kept``): Chao's and Tille's keyed on x and n,
-Midzuno's and Brewer's on pi, each frame by a SHA-256 digest, not a
-copy.  So ``estimate_tail``, ``make_sampler`` and plain or traced draws
-on a frame already planned reuse its plan, with the law, walk tuples
-and guide table its draws built.  Being shared, a plan's arrays are
-read-only.
+Brewer's traced draw.  Both, and the oracle's enumeration, take a
+design's plan from ``_plan``, which picks its builder and keeps, per
+design, the plans of the last two frames planned.  Chao and Tille plan
+on x, or on pi's capped shares when no x is given; Midzuno and Brewer
+on pi.  A frame is keyed as n and the SHA-256 of the bytes its plan is
+built from, not by a copy.  So ``estimate_tail``, ``make_sampler``,
+plain or traced draws and enumerations on a frame already planned reuse
+its plan, with the law, walk tuples and guide table its draws built.
+Being shared, a plan's arrays are read-only.
 At N = 10**5, n = 10**4 (lognormal sizes) a kept plan holds about
 2.9 MB for Chao or Tille, 2.4 MB for Midzuno and 13 MB for Brewer; with
 what its batches and single draws build, about 15, 13, 7.6 and 17 MB.
@@ -184,7 +186,7 @@ def _check_sum(weights: np.ndarray, expected: float, context: str) -> np.ndarray
 def _read_only(plan):
     """``plan`` with every array it holds made read-only.  A plan is
     built once per frame and shared by every sampler and trace that
-    reads it (``_kept``), so no reader may write to it."""
+    reads it (``_plan``), so no reader may write to it."""
     for value in vars(plan).values():
         if isinstance(value, np.ndarray):
             value.flags.writeable = False
@@ -714,12 +716,12 @@ def midzuno_plan(pi: InclusionProbabilities) -> MidzunoPlan:
     return _read_only(MidzunoPlan(certain=certain, active=active, ladder=ladder))
 
 
-def _midzuno_rows(plan: MidzunoPlan, seeds: Sequence[int]) -> np.ndarray:
+def _midzuno_rows(
+    plan: MidzunoPlan, seeds: Sequence[int], context: Callable[[int], str]
+) -> np.ndarray:
     """One Midzuno sample per seed, all rows selecting in lockstep with
     one uniform per step."""
-    picked = _eliminate(
-        plan.ladder, seeds, lambda j: f"midzuno step {j + 1}", survivors=False
-    )
+    picked = _eliminate(plan.ladder, seeds, context, survivors=False)
     return np.hstack([np.tile(plan.certain, (len(seeds), 1)), plan.active[picked]])
 
 
@@ -1177,26 +1179,6 @@ def run_splitting(plan: BrewerPlan, seed: int, pi0: np.ndarray) -> SplittingTrac
     return SplittingTrace(np.array(pi0, dtype=float), steps, final)
 
 
-# Per design, the plans of the last two frames planned, least recently
-# used first.
-_PLANS: dict[DesignKind, dict] = {}
-
-
-def _kept(kind: DesignKind, key: tuple | bytes, build: Callable[[], object]):
-    """``build()``, a design's plan, kept for the last two frames planned
-    per design, so that later calls on either reuse it with what its
-    draws build and keep (``Ladder.law``, ``Ladder.segments``,
-    ``BrewerPlan.guide``).  ``key`` names the frame: n and the SHA-256
-    digest of x for Chao and Tille, pi's ``digest`` for Midzuno and
-    Brewer.  A digest is fixed-size, so the memo holds no copy of a
-    frame."""
-    kept = _PLANS.setdefault(kind, {})
-    kept[key] = plan = kept.pop(key, None) or build()
-    if len(kept) > 2:
-        del kept[next(iter(kept))]
-    return plan
-
-
 def sample_brewer(
     pi: InclusionProbabilities, rng_seed: int, trace: str | None = None
 ) -> Sample | tuple[Sample, SplittingTrace]:
@@ -1214,15 +1196,15 @@ def sample_brewer(
             way.
 
     Plain and traced calls read the kept plans of the last two pi
-    planned, which ``make_sampler(BREWER, pi=pi)`` shares, so repeated
-    draws on one pi, or alternating between two, build each plan once.
+    planned (``_plan``), which ``make_sampler(BREWER, pi=pi)`` shares,
+    so repeated draws on one pi, or alternating between two, build each
+    plan once.
     """
     if trace not in (None, "realized"):
         raise InvalidInputError(f"trace must be None or 'realized', got {trace!r}")
     if trace is None:
         return make_sampler(DesignKind.BREWER, pi=pi)[0](rng_seed)
-    plan = _kept(DesignKind.BREWER, pi.digest, lambda: brewer_plan(pi.pi))
-    tr = run_splitting(plan, rng_seed, pi.pi)
+    tr = run_splitting(_plan(DesignKind.BREWER, pi), rng_seed, pi.pi)
     return Sample(selected=tr.selected, N=pi.N), tr
 
 
@@ -1242,39 +1224,80 @@ def make_sampler(
 
     Returns the sampler together with the target inclusion
     probabilities (needed to expand study values), from ``target_pi``.
-    A pi given with x for Chao or Tille is checked against the last rung
-    of the ladder the sampler draws from (``check_last_rung``).
-    SRSWOR's rows hold N uniforms each, the ladder designs' a pool of up
-    to N units; Brewer's hold a drawn mask of M bytes over the M active
-    units and n picks.
+    The plan is ``_plan``'s.  SRSWOR's rows hold N uniforms each, the
+    ladder designs' a pool of up to N units; Brewer's hold a drawn mask
+    of M bytes over the M active units and n picks.
     """
     given = pi is not None
     pi = target_pi(kind, pi, x, n, N)
     if kind is DesignKind.SRSWOR:
         return Sampler(pi.N, partial(_srswor_rows, pi.N, pi.n), pi.N), pi
-    if kind in (DesignKind.CHAO, DesignKind.TILLE_ELIMINATION):
-        if x is None:
-            raise InvalidInputError(f"{kind.value} needs the size vector x")
-        if kind is DesignKind.CHAO:
-            build, step = chao_plan, lambda j: f"chao step t={pi.n + 1 + j}"
-        else:
-            build, step = tille_plan, lambda j: f"tille step i={pi.N - 1 - j}"
-        key = (pi.n, hashlib.sha256(np.ascontiguousarray(x, dtype=float)).digest())
-        ladder = _kept(kind, key, lambda: build(x, pi.n))
-        if given:
-            check_last_rung(ladder, pi)
-        return Sampler(pi.N, partial(_eliminate, ladder, context=step), pi.N), pi
-    if kind is DesignKind.GENERALIZED_MIDZUNO:
-        plan = _kept(kind, pi.digest, lambda: midzuno_plan(pi))
-        return Sampler(pi.N, partial(_midzuno_rows, plan), pi.N), pi
+    plan = _plan(kind, pi, x, given)
     if kind is DesignKind.BREWER:
-        plan = _kept(kind, pi.digest, lambda: brewer_plan(pi.pi))
         cells = max(-(-plan.p.size // 8), pi.n)
         return Sampler(pi.N, partial(_brewer_plan_rows, plan), cells), pi
-    raise InvalidInputError(f"unknown design kind {kind!r}")
+    context = _step_label(kind, pi.N, pi.n)
+    if kind is DesignKind.GENERALIZED_MIDZUNO:
+        return Sampler(pi.N, partial(_midzuno_rows, plan, context=context), pi.N), pi
+    return Sampler(pi.N, partial(_eliminate, plan, context=context), pi.N), pi
 
 
-def check_last_rung(ladder: Ladder, pi: InclusionProbabilities) -> None:
+def _step_label(kind: DesignKind, N: int, n: int) -> Callable[[int], str]:
+    """How a ladder design's errors name its step j, in the sampler and
+    the oracle alike."""
+    if kind is DesignKind.CHAO:
+        return lambda j: f"chao step t={n + 1 + j}"
+    if kind is DesignKind.TILLE_ELIMINATION:
+        return lambda j: f"tille step i={N - 1 - j}"
+    return lambda j: f"midzuno step {j + 1}"
+
+
+# Per design, the plans of the last two frames planned, least recently
+# used first.
+_PLANS: dict[DesignKind, dict] = {}
+
+
+def _plan(
+    kind: DesignKind, pi: InclusionProbabilities, x=None, given: bool = True
+) -> Ladder | MidzunoPlan | BrewerPlan:
+    """The plan a design draws ``pi`` from, for the samplers, the traced
+    draw and the oracle alike.
+
+    Chao and Tille plan on x, checked first (one size per unit of pi,
+    positive and finite), or on pi's capped shares without x; Midzuno
+    and Brewer plan on pi.  Per design, the plans of the last two frames
+    planned are kept, so that later calls on either reuse a plan with
+    what its draws build (``Ladder.law``, ``Ladder.segments``,
+    ``BrewerPlan.guide``).  A frame is keyed as n and the SHA-256 of the
+    bytes its plan is built from, not by a copy of them.  A pi ``given``
+    with x is checked against the last rung of the Chao or Tille ladder
+    of x (``_check_last_rung``); one derived from x is not checked again.
+    """
+    sizes, check = pi.pi, False
+    if kind in (DesignKind.CHAO, DesignKind.TILLE_ELIMINATION):
+        if x is not None:
+            if np.size(x) != pi.N:
+                raise InvalidInputError("x and pi must have equal length")
+            sizes, check = _check_sizes(x), given
+        ladder = chao_plan if kind is DesignKind.CHAO else tille_plan
+        build = partial(ladder, sizes, pi.n)
+    elif kind is DesignKind.GENERALIZED_MIDZUNO:
+        build = partial(midzuno_plan, pi)
+    elif kind is DesignKind.BREWER:
+        build = partial(brewer_plan, pi.pi)
+    else:
+        raise InvalidInputError(f"unknown design kind {kind!r}")
+    key = (pi.n, hashlib.sha256(np.ascontiguousarray(sizes)).digest())
+    kept = _PLANS.setdefault(kind, {})
+    kept[key] = plan = kept.pop(key, None) or build()
+    if len(kept) > 2:
+        del kept[next(iter(kept))]
+    if check:
+        _check_last_rung(plan, pi)
+    return plan
+
+
+def _check_last_rung(ladder: Ladder, pi: InclusionProbabilities) -> None:
     """Raise unless ``pi`` is, within ``PROB_SUM_TOL``, the last rung of
     the Chao or Tille ladder built from the x given with it: the capped
     shares of x at size n, which the ladder draws.  A pi that x does not
@@ -1290,11 +1313,8 @@ def target_pi(
 ) -> InclusionProbabilities:
     """The inclusion probabilities a design runs on: ``pi``, else n/N per
     unit for SRSWOR and ``compute_pips(x, n)`` for the other designs.  A
-    given ``n`` or ``N`` must agree with them.  Chao and Tille draw from
-    x, so an x given with pi must be valid sizes of pi's length here,
-    and pi must then be their ladder's last rung (``check_last_rung``),
-    checked by the caller on the ladder it draws from; a pi derived from
-    x here is not checked again."""
+    given ``n`` or ``N`` must agree with them.  An x given with pi is
+    checked where a plan is built on it (``_plan``)."""
     if pi is None and kind is DesignKind.SRSWOR:
         if N is None or n is None:
             raise InvalidInputError("srswor needs N and n (or pi)")
@@ -1303,10 +1323,6 @@ def target_pi(
         if x is None or n is None:
             raise InvalidInputError(f"{kind.value} needs pi, or x and n")
         pi = compute_pips(np.asarray(x, dtype=float), int(n))
-    elif kind in (DesignKind.CHAO, DesignKind.TILLE_ELIMINATION) and x is not None:
-        if np.size(x) != pi.N:
-            raise InvalidInputError("x and pi must have equal length")
-        _check_sizes(x)
     if n not in (None, pi.n) or N not in (None, pi.N):
         raise InvalidInputError(f"pi has n={pi.n}, N={pi.N}, not n={n}, N={N}")
     return pi

@@ -19,10 +19,14 @@ complementarity between the Midzuno and elimination procedures.
 
 The step laws are built here from the plans' rungs and from Brewer's
 closed form, not by running the samplers' kernels, so enumeration stays
-an independent reference for the samplers.  Chao, Tille and Midzuno
+an independent reference for the samplers.  The plans themselves, the
+probability ladders, are the samplers' own: Chao, Tille and Midzuno take
+theirs from ``designs._plan``, which picks, keys, keeps and checks them
+for the samplers too, and name their steps as the samplers do.  They
 share one elimination chain over a ladder, one unit leaving per step,
-and the complementarity check runs it once more on Midzuno's ladder
-with bit i for active unit i.
+and the complementarity check runs it once more on the Midzuno ladder
+its enumeration kept, with bit i for active unit i.  Brewer's chain
+builds no plan.
 """
 
 from __future__ import annotations
@@ -37,11 +41,9 @@ from .designs import (
     DesignKind,
     Ladder,
     _check_sum,
-    chao_plan,
-    check_last_rung,
-    midzuno_plan,
+    _plan,
+    _step_label,
     target_pi,
-    tille_plan,
 )
 from .distribution import (
     MAX_MASK_N,
@@ -95,8 +97,10 @@ def enumerate_design(
     EnumerationBudgetError when the enumeration needs more than
     ``max_branches`` transitions (for SRSWOR, samples), and
     InvalidInputError for populations larger than ``MAX_ENUM_N``, for an
-    ``n``, ``N`` or ``x`` that does not give the pi (see ``target_pi``)
-    and for an SRSWOR pi that is not n/N for every unit.
+    ``n``, ``N`` or ``x`` that does not give the pi (see ``target_pi``
+    and ``designs._plan``) and for an SRSWOR pi that is not n/N for
+    every unit.  Chao and Tille given pi alone enumerate the ladder of
+    pi's capped shares, as their samplers draw it.
     """
     # Checked before target_pi, so that a huge SRSWOR N allocates nothing.
     # The other designs build pi from x, so a given N that x does not
@@ -124,23 +128,15 @@ def enumerate_design(
             )
         masks = np.flatnonzero(set_sizes(N) == n)
         return ExactDesignDistribution(masks, np.full(count, 1.0 / count), N, n)
-    sizes = np.asarray(x if x is not None else pi.pi, dtype=float)
-    if kind in (DesignKind.CHAO, DesignKind.TILLE_ELIMINATION):
-        if kind is DesignKind.CHAO:
-            ladder, step = chao_plan(sizes, n), lambda j: f"chao step {n + j + 1}"
-            start = n
-        else:
-            ladder, step = tille_plan(sizes, n), lambda j: f"tille step i={N - 1 - j}"
-            start = N
-        if given and x is not None:
-            check_last_rung(ladder, pi)
-        chain = _ladder_chain(ladder, _BITS[:N], start, step, 0)
+    if kind is DesignKind.BREWER:
+        chain = _brewer_chain(pi)
     elif kind is DesignKind.GENERALIZED_MIDZUNO:
         chain = _midzuno_chain(pi)
-    elif kind is DesignKind.BREWER:
-        chain = _brewer_chain(pi)
     else:
-        raise InvalidInputError(f"unknown design kind {kind!r}")
+        # Chao or Tille; _plan raises for an unknown kind.
+        ladder = _plan(kind, pi, x, given)
+        start = n if kind is DesignKind.CHAO else N
+        chain = _ladder_chain(ladder, _BITS[:N], start, _step_label(kind, N, n), 0)
     masks, probs, pruned = _samples(*chain, max_branches)
     return ExactDesignDistribution(masks, probs, N, n, pruned)
 
@@ -248,7 +244,8 @@ def _midzuno_chain(pi: InclusionProbabilities):
     the state is the active units still present, and the ones it
     eliminates are the ones Midzuno selects, so the sample is the state
     XOR every unit, the certainty units included."""
-    plan, step = midzuno_plan(pi), lambda j: f"midzuno step {j + 1}"
+    plan = _plan(DesignKind.GENERALIZED_MIDZUNO, pi)
+    step = _step_label(DesignKind.GENERALIZED_MIDZUNO, pi.N, pi.n)
     bits = _BITS[plan.active]
     return _ladder_chain(plan.ladder, bits, bits.size, step, (1 << pi.N) - 1)
 
@@ -401,9 +398,9 @@ def midzuno_complementarity_tv(
     The two should coincide exactly; certainty units are held out of the
     complementary run and reinserted into every sample.
 
-    Both sides run ``_ladder_chain`` on the same ladder, Midzuno's:
-    ``midzuno_plan`` builds ``_elimination_ladder(1 - pi_active, N' -
-    n')``.  Midzuno's side holds the active units at their own bits and
+    Both sides run ``_ladder_chain`` on the same ladder, Midzuno's
+    ``_elimination_ladder(1 - pi_active, N' - n')``, the plan the
+    enumeration kept (``designs._plan``).  Midzuno's side holds the active units at their own bits and
     XORs every unit onto its states; the complementary side holds active
     unit i at bit i, complements the survivors among the active units and
     spreads the selection over their bits.  So a nonzero distance shows a
@@ -413,7 +410,7 @@ def midzuno_complementarity_tv(
     mid = enumerate_design(
         DesignKind.GENERALIZED_MIDZUNO, pi=pi, max_branches=max_branches
     )
-    plan = midzuno_plan(pi)
+    plan = _plan(DesignKind.GENERALIZED_MIDZUNO, pi)
     size = plan.active.size
     full = (1 << size) - 1
     chain = _ladder_chain(

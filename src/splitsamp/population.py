@@ -16,10 +16,8 @@ supported; values use ``.`` as the decimal separator.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -83,7 +81,7 @@ class InclusionProbabilities:
     Entries lie in (0, 1]; entries within ``CERTAINTY_TOL`` of 1 are
     snapped to exactly 1 and flagged as certainty units.  The entries
     must sum to ``n`` within ``SUM_TOL``.  Checked once, here, and then
-    frozen, so that ``pi``, a read-only copy, keeps its ``digest``.
+    frozen, with ``pi`` a read-only copy.
     """
 
     pi: np.ndarray
@@ -117,12 +115,6 @@ class InclusionProbabilities:
     @property
     def N(self) -> int:
         return self.pi.size
-
-    @cached_property
-    def digest(self) -> bytes:
-        """The SHA-256 of ``pi``'s bytes, computed on first use and kept:
-        the designs that plan on pi keep their plans under it."""
-        return hashlib.sha256(self.pi).digest()
 
     @property
     def certain(self) -> np.ndarray:
@@ -217,21 +209,24 @@ def compute_pips(x: np.ndarray, n: int) -> InclusionProbabilities:
 
     pi = np.empty(N, dtype=float)
     fixed = np.zeros(N, dtype=bool)
-    for _ in range(N):
-        free = ~fixed
-        remaining = n - int(fixed.sum())
-        if not free.any():
-            break
-        pi[free] = remaining * x[free] / float(x[free].sum())
-        over = free & (pi >= 1.0 - CERTAINTY_TOL)
-        if over.sum() >= remaining and (free & ~over).any():
-            # Capping by tolerance would leave the other free units no
-            # sample size: only shares above 1 take the cap.
-            over &= pi > 1.0
-        if not over.any():
-            break
-        pi[over] = 1.0
-        fixed |= over
+    # A total that overflows gives shares of 0 or NaN, with no warning:
+    # the check below names the sizes.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(N):
+            free = ~fixed
+            remaining = n - int(fixed.sum())
+            if not free.any():
+                break
+            pi[free] = remaining * x[free] / float(x[free].sum())
+            over = free & (pi >= 1.0 - CERTAINTY_TOL)
+            if over.sum() >= remaining and (free & ~over).any():
+                # Capping by tolerance would leave the other free units no
+                # sample size: only shares above 1 take the cap.
+                over &= pi > 1.0
+            if not over.any():
+                break
+            pi[over] = 1.0
+            fixed |= over
     pi[fixed] = 1.0
     # A share that underflows to 0, or a total that overflows, is the
     # sizes' fault, not a pi the caller gave.

@@ -189,10 +189,14 @@ def test_json_record_of_every_workload(tmp_path, capsys):
         rows = BASE if Path(checkout) == base else NEW
         return json.loads(rows[seed - 1])
 
-    argv = [str(base), str(new), "--pairs", "2", "--workload", "mc-certify",
-            "large-frame", "--json", str(out)]
-    assert benchpairs.main(argv, runner=runner) == 0
-    assert workloads == ["mc-certify"] * 4 + ["large-frame"] * 4
+    # One --workload flag with both names, or one flag per name.
+    both = ["mc-certify", "large-frame"]
+    for names in (both, ["mc-certify", "--workload", "large-frame"]):
+        workloads.clear()
+        argv = [str(base), str(new), "--pairs", "2", "--workload", *names,
+                "--json", str(out)]
+        assert benchpairs.main(argv, runner=runner) == 0
+        assert workloads == ["mc-certify"] * 4 + ["large-frame"] * 4
     printed = capsys.readouterr().out
     assert "workload large-frame: 2 pairs of 20 s runs" in printed
     record = json.loads(out.read_text())

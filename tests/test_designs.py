@@ -38,7 +38,7 @@ from splitsamp import (
     midzuno_complementarity_tv,
     sample_brewer,
 )
-from splitsamp import designs, oracle
+from splitsamp import designs
 from splitsamp.designs import (
     SEED_LIMIT,
     _brewer_weights,
@@ -783,9 +783,8 @@ class TestMakeSampler:
         def no_plan(*args):
             raise AssertionError("a plan was built")
 
-        for module in (designs, oracle):
-            monkeypatch.setattr(module, "chao_plan", no_plan)
-            monkeypatch.setattr(module, "tille_plan", no_plan)
+        monkeypatch.setattr(designs, "chao_plan", no_plan)
+        monkeypatch.setattr(designs, "tille_plan", no_plan)
         pi = compute_pips(np.arange(1.0, 7.0), 3)
         tail = partial(estimate_tail, kind, y=np.ones(6), eps_grid=[0.1], replicates=10)
         for x, match in (
@@ -1768,3 +1767,51 @@ class TestKeptPlans:
             with pytest.raises(ContractViolationError, match=match):
                 estimate_tail(kind, y=x, eps_grid=[0.1], replicates=20, x=x, n=n)
         assert len(built) == 1
+
+    def test_one_frame_plans_once_across_samplers_traces_and_oracle(self, monkeypatch):
+        # make_sampler, estimate_tail, traced draws, enumerate_design and
+        # the complementarity check all read one memo: on one frame each
+        # plan is built once, and Brewer's enumeration builds none.
+        x = np.array([1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0, 30.0])
+        pi = compute_pips(x, 3)
+        assert pi.certain.any()
+        built = count_builds(monkeypatch)
+        # The check's second reading of the chain reuses the plan its own
+        # enumeration kept.
+        assert midzuno_complementarity_tv(pi) < 1e-12
+        assert built["midzuno_plan"] == 1
+        for kind, name in PLAN_BUILDERS.items():
+            enumerate_design(kind, pi=pi, x=x)
+            assert built[name] == (kind is not DesignKind.BREWER)
+            for _ in range(2):
+                make_sampler(kind, pi=pi, x=x)[0].rows(range(5))
+                estimate_tail(kind, y=x, eps_grid=[0.1], replicates=20, pi=pi, x=x)
+                enumerate_design(kind, pi=pi, x=x)
+        for seed in range(3):
+            sample_brewer(pi, seed, trace="realized")
+        assert {name: built[name] for name in PLAN_BUILDERS.values()} == dict.fromkeys(
+            PLAN_BUILDERS.values(), 1
+        )
+        assert built["StepLaw"] == 3
+
+    @pytest.mark.parametrize("kind", [DesignKind.CHAO, DesignKind.TILLE_ELIMINATION],
+                             ids=lambda k: k.value)
+    def test_pi_alone_draws_the_rows_of_x(self, kind):
+        # Given pi alone, Chao and Tille plan on pi's capped shares, whose
+        # ladder draws what the ladder of x draws, single draws and
+        # batches alike.
+        frames = [(X_CERTAIN, 4), CRITERION_05_X, LARGE_FRAME_X, *NEAR_ONE_CAP_FRAMES]
+        for x, n in frames:
+            pi = compute_pips(x, n)
+            by_x, _ = make_sampler(kind, x=x, n=n)
+            by_pi, _ = make_sampler(kind, pi=pi)
+            assert by_pi.draw_rows.args[0] is not by_x.draw_rows.args[0]
+            seeds = range(300)
+            assert np.array_equal(by_pi.rows(seeds), by_x.rows(seeds))
+            assert [by_pi(s) for s in range(20)] == [by_x(s) for s in range(20)]
+
+    def test_unknown_kind_raises(self):
+        pi = compute_pips(np.arange(1.0, 7.0), 3)
+        for call in (make_sampler, enumerate_design):
+            with pytest.raises(InvalidInputError, match="unknown design kind"):
+                call("pareto", pi=pi)

@@ -156,7 +156,7 @@ class TestEnumerateUnequal:
         # Rung 2 at 1.1 times rung 1 raises every uncapped unit's
         # probability at step 1: a negative elimination (Midzuno:
         # selection) law there, whichever unit a state still holds.
-        from splitsamp import ContractViolationError, oracle
+        from splitsamp import ContractViolationError, designs
 
         def rise(ladder):
             lam = ladder.lam.copy()
@@ -167,9 +167,9 @@ class TestEnumerateUnequal:
             plan = midzuno(pi)
             return dataclasses.replace(plan, ladder=rise(plan.ladder))
 
-        tille, midzuno = oracle.tille_plan, oracle.midzuno_plan
-        monkeypatch.setattr(oracle, "tille_plan", lambda x, n: rise(tille(x, n)))
-        monkeypatch.setattr(oracle, "midzuno_plan", midzuno_plan)
+        tille, midzuno = designs.tille_plan, designs.midzuno_plan
+        monkeypatch.setattr(designs, "tille_plan", lambda x, n: rise(tille(x, n)))
+        monkeypatch.setattr(designs, "midzuno_plan", midzuno_plan)
         x = np.arange(1.0, 7.0)
         with pytest.raises(ContractViolationError, match="negative"):
             enumerate_design(kind, x=x, n=3)

@@ -5,7 +5,8 @@ Usage: python tools/benchpairs.py BASE NEW [--workload NAME ...] [--pairs K]
 
 Runs ``bench/run.py`` untraced from the root of each checkout, K times
 each per workload, S seconds a run: by default the ``run_seconds`` of
-NEW's ``BENCHMARK.json``, or 8 without one.
+NEW's ``BENCHMARK.json``, or 8 without one.  ``--workload`` takes one
+or more names and may be repeated; without it, mc-certify runs.
 Pair i runs both checkouts with seed SEED + i, BASE first when i is
 even and NEW first when it is odd, so that a drift of the machine's
 speed over the session falls on both alike.  A run's result is the last
@@ -186,12 +187,14 @@ def main(argv: list[str], runner=run) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("base")
     p.add_argument("new")
-    p.add_argument("--workload", nargs="+", default=["mc-certify"])
+    # "extend" would append to a list default, so None stands for it.
+    p.add_argument("--workload", nargs="+", action="extend", default=None)
     p.add_argument("--pairs", type=int, default=5)
     p.add_argument("--seconds", type=float, default=None)
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--json", type=Path, default=None)
     args = p.parse_args(argv)
+    args.workload = args.workload or ["mc-certify"]
     if args.pairs < 1:
         p.error("--pairs must be positive")
     for checkout in (args.base, args.new):
