@@ -19,14 +19,13 @@ complementarity between the Midzuno and elimination procedures.
 
 The step laws are built here from the plans' rungs and from Brewer's
 closed form, not by running the samplers' kernels, so enumeration stays
-an independent reference for the samplers.  The plans themselves, the
-probability ladders, are the samplers' own: Chao, Tille and Midzuno take
-theirs from ``designs._plan``, which picks, keys, keeps and checks them
-for the samplers too, and name their steps as the samplers do.  They
-share one elimination chain over a ladder, one unit leaving per step,
-and the complementarity check runs it once more on the Midzuno ladder
-its enumeration kept, with bit i for active unit i.  Brewer's chain
-builds no plan.
+an independent reference for the samplers.  The plans, the probability
+ladders, are the samplers' own: Chao, Tille and Midzuno take theirs from
+``designs._plan`` and name their steps as the samplers do
+(``designs._step_label``).  They share one elimination chain over a
+ladder, one unit leaving per step, and the complementarity check runs it
+once more on the Midzuno ladder its enumeration kept, with bit i for
+active unit i.  Brewer's chain builds no plan.
 """
 
 from __future__ import annotations
@@ -400,10 +399,11 @@ def midzuno_complementarity_tv(
 
     Both sides run ``_ladder_chain`` on the same ladder, Midzuno's
     ``_elimination_ladder(1 - pi_active, N' - n')``, the plan the
-    enumeration kept (``designs._plan``).  Midzuno's side holds the active units at their own bits and
-    XORs every unit onto its states; the complementary side holds active
-    unit i at bit i, complements the survivors among the active units and
-    spreads the selection over their bits.  So a nonzero distance shows a
+    enumeration kept (``designs._plan``).  Midzuno's side holds the
+    active units at their own bits and XORs every unit onto its states;
+    the complementary side holds active unit i at bit i, complements the
+    survivors among the active units and spreads the selection over
+    their bits.  So a nonzero distance shows a
     divergence between those two readings of the chain, not a wrong
     Midzuno law, which both sides would share.
     """
