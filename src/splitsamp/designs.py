@@ -51,14 +51,17 @@ reads the ladder's crossing units as tuples kept per step
 draw pays only for its uniforms, its picks and the walk.
 
 Every design draws through ``make_sampler``, and ``sample_brewer`` adds
-Brewer's traced draw.  Both, and the oracle's enumeration, take a
-design's plan from ``_plan``, which picks its builder and keeps, per
-design, the plans of the last two frames planned.  Chao and Tille plan
-on x, or on pi's capped shares when no x is given; Midzuno and Brewer
-on pi.  A frame is keyed as n and the SHA-256 of the bytes its plan is
-built from, not by a copy.  So ``estimate_tail``, ``make_sampler``,
-plain or traced draws and enumerations on a frame already planned reuse
-its plan, with the law, walk tuples and guide table its draws built.
+Brewer's traced draw.  Both, and the oracle's enumeration, check their
+inputs in ``target_pi``: an x given with pi must be one positive, finite
+size per unit, and pi its capped shares for every design but SRSWOR.
+They take a design's plan from ``_plan``, which picks its builder and
+keeps, per design, the plans of the last two frames planned.  Chao and
+Tille plan on x, or on pi's capped shares when no x is given; Midzuno
+and Brewer on pi.  A frame is keyed as n and the SHA-256 of the bytes
+its plan is built from, not by a copy.  So ``estimate_tail``,
+``make_sampler``, plain or traced draws and enumerations on a frame
+already planned reuse its plan, with the law, walk tuples and guide
+table its draws built.
 Being shared, a plan's arrays are read-only.
 At N = 10**5, n = 10**4 (lognormal sizes) a kept plan holds about
 2.9 MB for Chao or Tille, 2.4 MB for Midzuno and 13 MB for Brewer; with
@@ -109,12 +112,14 @@ class Sample:
 
     def __post_init__(self) -> None:
         # One int array, sorted: repeats are adjacent and the range is
-        # its two ends.
+        # its two ends.  The cast truncates 1.5, "1" or True to an index,
+        # so a row that is not an integer array must hold integers only.
+        ints = isinstance(self.selected, np.ndarray) and self.selected.dtype.kind in "iu"
         try:
             sel = np.asarray(self.selected, dtype=np.intp)
         except OverflowError:
             raise InvalidInputError("sample index out of range") from None
-        if sel.ndim != 1:
+        if sel.ndim != 1 or not (ints or all(map(_is_integer, self.selected))):
             raise InvalidInputError("sample must be one sequence of unit indices")
         sel = np.sort(sel)
         if np.count_nonzero(sel[1:] == sel[:-1]):
@@ -1205,7 +1210,8 @@ def sample_brewer(
     if trace is None:
         return make_sampler(DesignKind.BREWER, pi=pi)[0](rng_seed)
     tr = run_splitting(_plan(DesignKind.BREWER, pi), rng_seed, pi.pi)
-    return Sample(selected=tr.selected, N=pi.N), tr
+    # An index array, which Sample takes without checking each entry's type.
+    return Sample(selected=np.flatnonzero(tr.final), N=pi.N), tr
 
 
 # ---------------------------------------------------------------------------
@@ -1223,16 +1229,16 @@ def make_sampler(
     """Build a seed -> Sample sampler with all precomputation done once.
 
     Returns the sampler together with the target inclusion
-    probabilities (needed to expand study values), from ``target_pi``.
-    The plan is ``_plan``'s.  SRSWOR's rows hold N uniforms each, the
-    ladder designs' a pool of up to N units; Brewer's hold a drawn mask
-    of M bytes over the M active units and n picks.
+    probabilities (needed to expand study values), from ``target_pi``,
+    which checks every input, an x given with pi included, before the
+    plan is taken from ``_plan``.  SRSWOR's rows hold N uniforms each,
+    the ladder designs' a pool of up to N units; Brewer's hold a drawn
+    mask of M bytes over the M active units and n picks.
     """
-    given = pi is not None
     pi = target_pi(kind, pi, x, n, N)
     if kind is DesignKind.SRSWOR:
         return Sampler(pi.N, partial(_srswor_rows, pi.N, pi.n), pi.N), pi
-    plan = _plan(kind, pi, x, given)
+    plan = _plan(kind, pi, x)
     if kind is DesignKind.BREWER:
         cells = max(-(-plan.p.size // 8), pi.n)
         return Sampler(pi.N, partial(_brewer_plan_rows, plan), cells), pi
@@ -1258,27 +1264,22 @@ _PLANS: dict[DesignKind, dict] = {}
 
 
 def _plan(
-    kind: DesignKind, pi: InclusionProbabilities, x=None, given: bool = True
+    kind: DesignKind, pi: InclusionProbabilities, x=None
 ) -> Ladder | MidzunoPlan | BrewerPlan:
     """The plan a design draws ``pi`` from, for the samplers, the traced
-    draw and the oracle alike.
+    draw and the oracle alike: it only selects, keys and keeps plans, on
+    inputs ``target_pi`` has checked.
 
-    Chao and Tille plan on x, checked first (one size per unit of pi,
-    positive and finite), or on pi's capped shares without x; Midzuno
-    and Brewer plan on pi.  Per design, the plans of the last two frames
-    planned are kept, so that later calls on either reuse a plan with
-    what its draws build (``Ladder.law``, ``Ladder.segments``,
+    Chao and Tille plan on x, or on pi's capped shares without x;
+    Midzuno and Brewer plan on pi.  Per design, the plans of the last
+    two frames planned are kept, so that later calls on either reuse a
+    plan with what its draws build (``Ladder.law``, ``Ladder.segments``,
     ``BrewerPlan.guide``).  A frame is keyed as n and the SHA-256 of the
-    bytes its plan is built from, not by a copy of them.  A pi ``given``
-    with x is checked against the last rung of the Chao or Tille ladder
-    of x (``_check_last_rung``); one derived from x is not checked again.
+    bytes its plan is built from, not by a copy of them.
     """
-    sizes, check = pi.pi, False
+    sizes = pi.pi
     if kind in (DesignKind.CHAO, DesignKind.TILLE_ELIMINATION):
-        if x is not None:
-            if np.size(x) != pi.N:
-                raise InvalidInputError("x and pi must have equal length")
-            sizes, check = _check_sizes(x), given
+        sizes = sizes if x is None else np.asarray(x, dtype=float)
         ladder = chao_plan if kind is DesignKind.CHAO else tille_plan
         build = partial(ladder, sizes, pi.n)
     elif kind is DesignKind.GENERALIZED_MIDZUNO:
@@ -1292,37 +1293,54 @@ def _plan(
     kept[key] = plan = kept.pop(key, None) or build()
     if len(kept) > 2:
         del kept[next(iter(kept))]
-    if check:
-        _check_last_rung(plan, pi)
     return plan
-
-
-def _check_last_rung(ladder: Ladder, pi: InclusionProbabilities) -> None:
-    """Raise unless ``pi`` is, within ``PROB_SUM_TOL``, the last rung of
-    the Chao or Tille ladder built from the x given with it: the capped
-    shares of x at size n, which the ladder draws.  A pi that x does not
-    give would be silently sampled as another one."""
-    if float(np.max(np.abs(ladder.pi(ladder.steps) - pi.pi))) > PROB_SUM_TOL:
-        raise InvalidInputError(
-            "pi does not match the capped size shares of x at size n"
-        )
 
 
 def target_pi(
     kind: DesignKind, pi: InclusionProbabilities | None, x, n: int | None, N: int | None
 ) -> InclusionProbabilities:
     """The inclusion probabilities a design runs on: ``pi``, else n/N per
-    unit for SRSWOR and ``compute_pips(x, n)`` for the other designs.  A
-    given ``n`` or ``N`` must agree with them.  An x given with pi is
-    checked where a plan is built on it (``_plan``)."""
-    if pi is None and kind is DesignKind.SRSWOR:
+    unit for SRSWOR and ``compute_pips(x, n)`` for the other designs.
+
+    Every check of a design's inputs is made here, before any plan is
+    built.  A given ``n`` or ``N`` must agree with pi.  An x given next
+    to a pi not computed from it must hold one positive, finite size per
+    unit.  For every design but SRSWOR, which draws at n/N whatever x
+    is, pi must also be x's capped shares at size n, which Chao and
+    Tille draw from x and Midzuno and Brewer from pi: every unit's
+    ``min(1, lam x)`` within ``PROB_SUM_TOL`` of its pi, lam the ratio
+    of the pi and x totals over the units below 1.  So pi = lam x off
+    the certainty units and lam x >= 1 - ``PROB_SUM_TOL`` on them.  A
+    NaN fails.  A pi that x does not give would otherwise be silently
+    sampled as another one.  The check costs a few array passes, reads
+    no plan and makes no ``compute_pips`` call.
+    """
+    if pi is None and kind is not DesignKind.SRSWOR:
+        if x is None or n is None:
+            raise InvalidInputError(f"{kind.value} needs pi, or x and n")
+        # A pi computed from x is not checked against it again.
+        pi, x = compute_pips(np.asarray(x, dtype=float), int(n)), None
+    elif pi is None:
         if N is None or n is None:
             raise InvalidInputError("srswor needs N and n (or pi)")
         pi = InclusionProbabilities(pi=np.full(N, n / N), n=int(n))
-    elif pi is None:
-        if x is None or n is None:
-            raise InvalidInputError(f"{kind.value} needs pi, or x and n")
-        pi = compute_pips(np.asarray(x, dtype=float), int(n))
     if n not in (None, pi.n) or N not in (None, pi.N):
         raise InvalidInputError(f"pi has n={pi.n}, N={pi.N}, not n={n}, N={N}")
+    if x is None:
+        return pi
+    x = _check_sizes(x)
+    if x.size != pi.N:
+        raise InvalidInputError("x and pi must have equal length")
+    if kind is DesignKind.SRSWOR:
+        return pi
+    # At n = N every x gives pi = 1.  A total of x that overflows gives
+    # lam = 0, which fails, with no warning.
+    free = pi.pi < 1.0
+    with np.errstate(over="ignore"):
+        lam = pi.pi.sum(where=free) / x.sum(where=free) if pi.n < pi.N else np.inf
+        off = np.abs(np.minimum(lam * x, 1.0) - pi.pi).max()
+    if not off <= PROB_SUM_TOL:
+        raise InvalidInputError(
+            "pi does not match the capped size shares of x at size n"
+        )
     return pi

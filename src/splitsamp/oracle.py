@@ -96,25 +96,19 @@ def enumerate_design(
     EnumerationBudgetError when the enumeration needs more than
     ``max_branches`` transitions (for SRSWOR, samples), and
     InvalidInputError for populations larger than ``MAX_ENUM_N``, for an
-    ``n``, ``N`` or ``x`` that does not give the pi (see ``target_pi``
-    and ``designs._plan``) and for an SRSWOR pi that is not n/N for
-    every unit.  Chao and Tille given pi alone enumerate the ladder of
-    pi's capped shares, as their samplers draw it.
+    ``n``, ``N`` or ``x`` that does not give the pi (``target_pi``
+    checks them as the samplers' do) and for an SRSWOR pi that is not
+    n/N for every unit.  Chao and Tille given pi alone enumerate the
+    ladder of pi's capped shares, as their samplers draw it.
     """
     # Checked before target_pi, so that a huge SRSWOR N allocates nothing.
-    # The other designs build pi from x, so a given N that x does not
+    # x, like pi, has one entry per unit, so a given N that it does not
     # have is left to target_pi to name.
-    if pi is not None:
-        size = pi.N
-    elif x is not None and kind is not DesignKind.SRSWOR:
-        size = np.size(x)
-    else:
-        size = N or 0
+    size = pi.N if pi is not None else np.size(x) if x is not None else N or 0
     if size > MAX_ENUM_N:
         raise InvalidInputError(
             f"exact enumeration supports N <= {MAX_ENUM_N}, got {size}"
         )
-    given = pi is not None
     pi = target_pi(kind, pi, x, n, N)
     N, n = pi.N, pi.n
     if kind is DesignKind.SRSWOR and not pi.is_equal_probability():
@@ -133,7 +127,7 @@ def enumerate_design(
         chain = _midzuno_chain(pi)
     else:
         # Chao or Tille; _plan raises for an unknown kind.
-        ladder = _plan(kind, pi, x, given)
+        ladder = _plan(kind, pi, x)
         start = n if kind is DesignKind.CHAO else N
         chain = _ladder_chain(ladder, _BITS[:N], start, _step_label(kind, N, n), 0)
     masks, probs, pruned = _samples(*chain, max_branches)

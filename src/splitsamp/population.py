@@ -176,7 +176,8 @@ def _check_sizes(x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.ndim != 1 or x.size < 1:
         raise InvalidInputError("x must be a non-empty one-dimensional vector")
-    if not np.all(np.isfinite(x)) or np.any(x <= 0.0):
+    # Two reductions; a NaN fails both.
+    if not (x.min() > 0.0 and x.max() < np.inf):
         raise InvalidInputError("size values must be positive and finite")
     return x
 
@@ -252,7 +253,7 @@ def load_population(path: str) -> tuple[Population, InclusionProbabilities | Non
     size variable (capped shares are scale free, so this is exact).
 
     Args:
-        path: file to read (UTF-8).
+        path: file to read (UTF-8, with or without a byte-order mark).
 
     Returns:
         (population, probabilities); probabilities is None for the "x"
@@ -260,7 +261,8 @@ def load_population(path: str) -> tuple[Population, InclusionProbabilities | Non
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
+            # A byte-order mark is not part of the header.
+            lines = fh.read().removeprefix("\ufeff").splitlines()
     except OSError as exc:
         raise PopulationFileError(f"cannot read {path!r}: {exc}") from exc
     if not lines:

@@ -20,6 +20,8 @@ from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from splitsamp import (
     ContractViolationError,
@@ -69,9 +71,13 @@ class TestSample:
             Sample(selected=(0, 3), N=3)
 
     @pytest.mark.parametrize(
-        "selected", [((0, 1),), 1, (2**70,)], ids=["nested", "scalar", "huge"]
+        "selected",
+        [((0, 1),), 1, (2**70,), (1.5, 2.7), ("1", "2"), (True, 2)],
+        ids=["nested", "scalar", "huge", "floats", "strings", "bool"],
     )
     def test_rejects_what_is_not_a_row_of_indices(self, selected):
+        # A cast to intp would read (1.5, 2.7), ("1", "2") and (True, 2)
+        # as units 1 and 2.
         with pytest.raises(InvalidInputError):
             Sample(selected=selected, N=3)
 
@@ -700,12 +706,11 @@ class TestMakeSampler:
         with pytest.raises(InvalidInputError):
             make_sampler(DesignKind.SRSWOR)
 
-    @pytest.mark.parametrize(
-        "kind", [DesignKind.CHAO, DesignKind.TILLE_ELIMINATION], ids=lambda k: k.value
-    )
+    @pytest.mark.parametrize("kind", UNEQUAL_DESIGNS, ids=lambda k: k.value)
     def test_rejects_pi_that_x_does_not_give(self, kind):
-        # x = 1..6 at n = 3 gives pi = x / 7, not 0.5 everywhere; Chao and
-        # Tille sample from x, so expanding with 0.5 would be wrong.
+        # x = 1..6 at n = 3 gives pi = x / 7, not 0.5 everywhere.  Chao and
+        # Tille sample from x, so expanding with 0.5 would be wrong, and
+        # Midzuno and Brewer would silently ignore x.
         x = np.arange(1.0, 7.0)
         pi = InclusionProbabilities(pi=np.full(6, 0.5), n=3)
         match = "capped size shares"
@@ -748,12 +753,11 @@ class TestMakeSampler:
             build()
             assert len(calls) == expect
 
-    @pytest.mark.parametrize(
-        "kind", [DesignKind.CHAO, DesignKind.TILLE_ELIMINATION], ids=lambda k: k.value
-    )
+    @pytest.mark.parametrize("kind", UNEQUAL_DESIGNS, ids=lambda k: k.value)
     def test_pi_checked_against_the_ladder_on_every_call(self, kind):
-        # A pi 1e-8 off the capped shares of x fails PROB_SUM_TOL (1e-9),
-        # also when the ladder of x is already kept; one 1e-10 off passes.
+        # A pi 1e-8 off the capped shares of x, whose last rung Chao's
+        # and Tille's ladders reach, fails PROB_SUM_TOL (1e-9), also when
+        # the plan is already kept; one 1e-10 off passes.
         x = np.arange(1.0, 7.0)
         exact = compute_pips(x, 3)
         make_sampler(kind, pi=exact, x=x)
@@ -774,18 +778,19 @@ class TestMakeSampler:
                     with pytest.raises(InvalidInputError, match="capped"):
                         call()
 
-    @pytest.mark.parametrize(
-        "kind", [DesignKind.CHAO, DesignKind.TILLE_ELIMINATION], ids=lambda k: k.value
-    )
+    @pytest.mark.parametrize("kind", list(DesignKind), ids=lambda k: k.value)
     def test_bad_x_fails_before_any_plan(self, kind, monkeypatch):
         # An x of another length than pi, or with a size that is not
-        # positive and finite, is refused before a ladder is built on it.
+        # positive and finite, is refused before any plan is built, by
+        # every design: SRSWOR, which draws at n/N, checks it too.
         def no_plan(*args):
             raise AssertionError("a plan was built")
 
-        monkeypatch.setattr(designs, "chao_plan", no_plan)
-        monkeypatch.setattr(designs, "tille_plan", no_plan)
+        for name in ("chao_plan", "tille_plan", "midzuno_plan", "brewer_plan"):
+            monkeypatch.setattr(designs, name, no_plan)
         pi = compute_pips(np.arange(1.0, 7.0), 3)
+        if kind is DesignKind.SRSWOR:
+            pi = InclusionProbabilities(pi=np.full(6, 0.5), n=3)
         tail = partial(estimate_tail, kind, y=np.ones(6), eps_grid=[0.1], replicates=10)
         for x, match in (
             (np.arange(1.0, 8.0), "x and pi must have equal length"),
@@ -815,6 +820,47 @@ class TestMakeSampler:
             x[:] = x[::-1]
             assert draw(3) == ref(3) and draw(4) == ref(4)
             assert np.array_equal(draw.rows(seeds), ref.rows(seeds))
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_capped_shares_of_x_pass_and_moved_ones_fail(self, data):
+        # Every design takes compute_pips(x, n) with its own x, on frames
+        # with ties, sizes over 21 decades or one unit 1e6 to 1e14 times
+        # the rest, at n = 1, n = N or between.  A pi with 1e-8 moved
+        # from the largest free unit to the smallest fails every unequal
+        # design; one with 1e-10 moved passes.  SRSWOR checks only x's
+        # length and sizes, so it takes both.
+        N = data.draw(st.integers(min_value=1, max_value=12), label="N")
+        shape = data.draw(st.sampled_from(["ties", "decades", "giant"]), label="shape")
+        sizes = {
+            "ties": st.sampled_from([1.0, 2.0, 5.0]),
+            "decades": st.floats(min_value=-18.0, max_value=3.0).map(lambda e: 10.0**e),
+            "giant": st.floats(min_value=1.0, max_value=2.0),
+        }[shape]
+        x = np.array(data.draw(st.lists(sizes, min_size=N, max_size=N), label="x"))
+        if shape == "giant":
+            big = data.draw(st.integers(min_value=0, max_value=N - 1), label="big")
+            x[big] *= 10.0 ** data.draw(st.floats(min_value=6.0, max_value=14.0))
+        n = data.draw(st.sampled_from([1, N]) | st.integers(1, N), label="n")
+        pi = compute_pips(x, n)
+        for kind in DesignKind:
+            assert designs.target_pi(kind, pi, x, None, None) is pi
+        free = np.flatnonzero(pi.pi < 1.0)
+        free = free[np.argsort(pi.pi[free], kind="stable")]
+        if free.size < 2 or pi.pi[free[-1]] < 1e-6:
+            return
+        for shift, ok in ((1e-8, False), (1e-10, True)):
+            moved = pi.pi.copy()
+            moved[free[0]] += shift
+            moved[free[-1]] -= shift
+            moved = InclusionProbabilities(pi=moved, n=n)
+            assert designs.target_pi(DesignKind.SRSWOR, moved, x, None, None) is moved
+            for kind in UNEQUAL_DESIGNS:
+                if ok:
+                    assert designs.target_pi(kind, moved, x, None, None) is moved
+                else:
+                    with pytest.raises(InvalidInputError, match="capped size shares"):
+                        designs.target_pi(kind, moved, x, None, None)
 
 
 # Reference loops: one replicate at a time, in Python floats, one

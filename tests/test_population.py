@@ -239,6 +239,16 @@ class TestLoadPopulation:
         again = compute_pips(pop.x, pi.n)
         assert np.max(np.abs(again.pi - pi.pi)) <= 1e-12
 
+    def test_byte_order_mark_is_not_part_of_the_header(self, tmp_path):
+        # Some editors start a UTF-8 file with U+FEFF; read as text, it
+        # would make the header '\ufeffid,x,y'.
+        for text in ("id,x,y\nu1,1.0,10\nu2,2.0,20\n", "id,pi,y\na,0.5,1\nb,0.5,2\n"):
+            p = tmp_path / "bom.csv"
+            p.write_text(text, encoding="utf-8-sig")
+            assert p.read_bytes().startswith(b"\xef\xbb\xbf")
+            pop, pi = load_population(str(p))
+            assert pop.ids == (("u1", "u2") if pi is None else ("a", "b"))
+
     def test_bad_header(self, tmp_path):
         path = self.write(tmp_path, "unit,x,y\na,1,2\n")
         with pytest.raises(PopulationFileError, match="line 1"):

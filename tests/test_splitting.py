@@ -23,7 +23,7 @@ from splitsamp import (
     sequential_splitting_from_distribution,
 )
 from splitsamp import designs
-from splitsamp.splitting import _validate_candidates
+from splitsamp.splitting import FactorSteps, SplittingTrace, _validate_candidates
 
 
 class TestValidateCandidates:
@@ -123,13 +123,26 @@ class TestRunSplitting:
             assert l1 <= 2.0 + 1e-12
             cur += step.realized_delta
 
-    def test_ht_increments_telescope(self):
+    @pytest.mark.parametrize("source", ["brewer", "draw-by-draw", "no-steps"])
+    def test_ht_increments_telescope(self, source):
+        # Brewer's FactorSteps take the closed form; a draw-by-draw trace
+        # of the same design, a list of dense steps, takes one dot product
+        # per step, and a trace with no steps gives no increment.
         pi = InclusionProbabilities(pi=np.array([0.6, 0.8, 0.6]), n=2)
         y = np.array([1.0, 2.0, 3.0])
-        sample, tr = sample_brewer(pi, rng_seed=3, trace="realized")
+        if source == "brewer":
+            _, tr = sample_brewer(pi, rng_seed=3, trace="realized")
+        elif source == "draw-by-draw":
+            dist = enumerate_design(DesignKind.BREWER, pi=pi)
+            tr = draw_by_draw_from_distribution(dist, 3)
+        else:
+            pi = InclusionProbabilities(pi=np.ones(3), n=3)
+            tr = SplittingTrace(pi0=pi.pi, steps=(), final=np.ones(3, dtype=int))
+        assert isinstance(tr.steps, FactorSteps) == (source == "brewer")
         y_check = y / pi.pi
         xi = ht_increments(tr, y_check)
-        ht = float(y_check[list(sample.selected)].sum())
+        assert xi.shape == (len(tr.steps),)
+        ht = float(y_check[list(tr.selected)].sum())
         assert xi.sum() == pytest.approx(ht - y.sum(), abs=1e-10)
 
     def test_record_modes_draw_identically(self):
