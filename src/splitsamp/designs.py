@@ -54,25 +54,24 @@ Every design draws through ``make_sampler``, and ``sample_brewer`` adds
 Brewer's traced draw.  Both, and the oracle's enumeration, check their
 inputs in ``target_pi``: an x given with pi must be one positive, finite
 size per unit, and pi its capped shares for every design but SRSWOR.
-They take a design's plan from ``_plan``, which picks its builder and
-keeps, per design, the plans of the last two frames planned.  Chao and
-Tille plan on x, or on pi's capped shares when no x is given; Midzuno
-and Brewer on pi.  A frame is keyed as n and the SHA-256 of the bytes
-its plan is built from, not by a copy.  So ``estimate_tail``,
-``make_sampler``, plain or traced draws and enumerations on a frame
-already planned reuse its plan, with the law, walk tuples and guide
-table its draws built.
+They take a design's plan from ``_plan``, which keeps it on the pi it
+is drawn from: one per design and pi, Chao's and Tille's ladder built
+on x, or on pi's capped shares when no x is given, and built again when
+asked for other sizes.  ``make_sampler`` builds no plan: a sampler
+takes its pi's plan on its first draw and keeps it.  So samplers, plain
+or traced draws, ``estimate_tail`` calls and enumerations on one pi
+share its plan, with the law, walk tuples and guide table its draws
+built, and the plan is freed with the pi and its samplers.
 Being shared, a plan's arrays are read-only.
-At N = 10**5, n = 10**4 (lognormal sizes) a kept plan holds about
-2.9 MB for Chao or Tille, 2.4 MB for Midzuno and 13 MB for Brewer; with
-what its batches and single draws build, about 15, 13, 7.6 and 17 MB.
+At N = 10**5, n = 10**4 (lognormal sizes) a plan holds about 2.9 MB for
+Chao or Tille, 2.4 MB for Midzuno and 13 MB for Brewer; with what its
+batches and single draws build, about 15, 13, 7.6 and 17 MB.
 """
 
 from __future__ import annotations
 
 import bisect
 import enum
-import hashlib
 import heapq
 import math
 from dataclasses import dataclass
@@ -113,12 +112,15 @@ class Sample:
     def __post_init__(self) -> None:
         # One int array, sorted: repeats are adjacent and the range is
         # its two ends.  The cast truncates 1.5, "1" or True to an index,
-        # so a row that is not an integer array must hold integers only.
+        # so a row that is not an integer array must hold integers only;
+        # it fails on "a", None or a ragged row.
         ints = isinstance(self.selected, np.ndarray) and self.selected.dtype.kind in "iu"
         try:
             sel = np.asarray(self.selected, dtype=np.intp)
         except OverflowError:
             raise InvalidInputError("sample index out of range") from None
+        except (TypeError, ValueError):
+            raise InvalidInputError("sample must be one sequence of unit indices") from None
         if sel.ndim != 1 or not (ints or all(map(_is_integer, self.selected))):
             raise InvalidInputError("sample must be one sequence of unit indices")
         sel = np.sort(sel)
@@ -136,8 +138,8 @@ class Sample:
 
 @dataclass(frozen=True)
 class Sampler:
-    """A design with its precomputation done: ``sampler(seed)`` draws
-    one Sample, ``sampler.rows(seeds)`` draws one per seed in lockstep.
+    """A design on one pi: ``sampler(seed)`` draws one Sample,
+    ``sampler.rows(seeds)`` draws one per seed in lockstep.
 
     ``draw_rows`` maps a seed sequence to an array with one row of unit
     indices per seed.  Row r reads only the uniforms of seed r's
@@ -1200,10 +1202,9 @@ def sample_brewer(
             one-row kernel draws both, so a seed gives one sample either
             way.
 
-    Plain and traced calls read the kept plans of the last two pi
-    planned (``_plan``), which ``make_sampler(BREWER, pi=pi)`` shares,
-    so repeated draws on one pi, or alternating between two, build each
-    plan once.
+    Plain and traced calls read the plan kept on pi (``_plan``), which
+    the samplers of ``make_sampler(BREWER, pi=pi)`` share, so draws on
+    one pi build its plan once.
     """
     if trace not in (None, "realized"):
         raise InvalidInputError(f"trace must be None or 'realized', got {trace!r}")
@@ -1226,26 +1227,39 @@ def make_sampler(
     n: int | None = None,
     N: int | None = None,
 ) -> tuple[Sampler, InclusionProbabilities]:
-    """Build a seed -> Sample sampler with all precomputation done once.
+    """Build a seed -> Sample sampler.
 
     Returns the sampler together with the target inclusion
     probabilities (needed to expand study values), from ``target_pi``,
-    which checks every input, an x given with pi included, before the
-    plan is taken from ``_plan``.  SRSWOR's rows hold N uniforms each,
+    which checks every input, an x given with pi included.  It builds no
+    plan: the sampler takes the returned pi's plan from ``_plan`` on its
+    first draw and keeps it, so samplers on one pi share one plan.  Chao
+    and Tille plan on a read-only copy of a given x, so a later write to
+    the caller's x changes no draw.  SRSWOR's rows hold N uniforms each,
     the ladder designs' a pool of up to N units; Brewer's hold a drawn
     mask of M bytes over the M active units and n picks.
     """
     pi = target_pi(kind, pi, x, n, N)
     if kind is DesignKind.SRSWOR:
         return Sampler(pi.N, partial(_srswor_rows, pi.N, pi.n), pi.N), pi
-    plan = _plan(kind, pi, x)
+    ladder = kind in (DesignKind.CHAO, DesignKind.TILLE_ELIMINATION)
+    x = _as_readonly(x) if ladder and x is not None else None
     if kind is DesignKind.BREWER:
-        cells = max(-(-plan.p.size // 8), pi.n)
-        return Sampler(pi.N, partial(_brewer_plan_rows, plan), cells), pi
-    context = _step_label(kind, pi.N, pi.n)
-    if kind is DesignKind.GENERALIZED_MIDZUNO:
-        return Sampler(pi.N, partial(_midzuno_rows, plan, context=context), pi.N), pi
-    return Sampler(pi.N, partial(_eliminate, plan, context=context), pi.N), pi
+        # M, the count of active units, is read off pi, not the plan.
+        rows, cells = _brewer_plan_rows, max(-(-np.count_nonzero(pi.pi < 1) // 8), pi.n)
+    else:
+        step = _step_label(kind, pi.N, pi.n)
+        rows, cells = partial(_eliminate if ladder else _midzuno_rows, context=step), pi.N
+    plan = None
+
+    def draw_rows(seeds: Sequence[int]) -> np.ndarray:
+        # The plan is read on the first draw and kept for later ones.
+        nonlocal plan
+        if plan is None:
+            plan = _plan(kind, pi, x)
+        return rows(plan, seeds)
+
+    return Sampler(pi.N, draw_rows, cells), pi
 
 
 def _step_label(kind: DesignKind, N: int, n: int) -> Callable[[int], str]:
@@ -1258,42 +1272,29 @@ def _step_label(kind: DesignKind, N: int, n: int) -> Callable[[int], str]:
     return lambda j: f"midzuno step {j + 1}"
 
 
-# Per design, the plans of the last two frames planned, least recently
-# used first.
-_PLANS: dict[DesignKind, dict] = {}
-
-
 def _plan(
     kind: DesignKind, pi: InclusionProbabilities, x=None
 ) -> Ladder | MidzunoPlan | BrewerPlan:
     """The plan a design draws ``pi`` from, for the samplers, the traced
-    draw and the oracle alike: it only selects, keys and keeps plans, on
-    inputs ``target_pi`` has checked.
+    draw and the oracle alike, kept on pi (``InclusionProbabilities.
+    _plans``) with what its draws build (``Ladder.law``,
+    ``Ladder.segments``, ``BrewerPlan.guide``).  It only plans, on inputs
+    ``target_pi`` has checked.
 
-    Chao and Tille plan on x, or on pi's capped shares without x;
-    Midzuno and Brewer plan on pi.  Per design, the plans of the last
-    two frames planned are kept, so that later calls on either reuse a
-    plan with what its draws build (``Ladder.law``, ``Ladder.segments``,
-    ``BrewerPlan.guide``).  A frame is keyed as n and the SHA-256 of the
-    bytes its plan is built from, not by a copy of them.
+    Midzuno and Brewer keep one plan per pi.  Chao and Tille keep one
+    ladder per pi, of x, or of pi's capped shares without x, and build
+    it again when the sizes asked for are not the ladder's own x.
     """
-    sizes = pi.pi
+    kept = pi._plans
     if kind in (DesignKind.CHAO, DesignKind.TILLE_ELIMINATION):
-        sizes = sizes if x is None else np.asarray(x, dtype=float)
-        ladder = chao_plan if kind is DesignKind.CHAO else tille_plan
-        build = partial(ladder, sizes, pi.n)
-    elif kind is DesignKind.GENERALIZED_MIDZUNO:
-        build = partial(midzuno_plan, pi)
-    elif kind is DesignKind.BREWER:
-        build = partial(brewer_plan, pi.pi)
-    else:
-        raise InvalidInputError(f"unknown design kind {kind!r}")
-    key = (pi.n, hashlib.sha256(np.ascontiguousarray(sizes)).digest())
-    kept = _PLANS.setdefault(kind, {})
-    kept[key] = plan = kept.pop(key, None) or build()
-    if len(kept) > 2:
-        del kept[next(iter(kept))]
-    return plan
+        sizes = pi.pi if x is None else x
+        if kind not in kept or not np.array_equal(kept[kind].x, sizes):
+            build = chao_plan if kind is DesignKind.CHAO else tille_plan
+            kept[kind] = build(sizes, pi.n)
+    elif kind not in kept:
+        midzuno = kind is DesignKind.GENERALIZED_MIDZUNO
+        kept[kind] = midzuno_plan(pi) if midzuno else brewer_plan(pi.pi)
+    return kept[kind]
 
 
 def target_pi(
@@ -1303,18 +1304,21 @@ def target_pi(
     unit for SRSWOR and ``compute_pips(x, n)`` for the other designs.
 
     Every check of a design's inputs is made here, before any plan is
-    built.  A given ``n`` or ``N`` must agree with pi.  An x given next
-    to a pi not computed from it must hold one positive, finite size per
-    unit.  For every design but SRSWOR, which draws at n/N whatever x
-    is, pi must also be x's capped shares at size n, which Chao and
-    Tille draw from x and Midzuno and Brewer from pi: every unit's
-    ``min(1, lam x)`` within ``PROB_SUM_TOL`` of its pi, lam the ratio
-    of the pi and x totals over the units below 1.  So pi = lam x off
-    the certainty units and lam x >= 1 - ``PROB_SUM_TOL`` on them.  A
-    NaN fails.  A pi that x does not give would otherwise be silently
-    sampled as another one.  The check costs a few array passes, reads
-    no plan and makes no ``compute_pips`` call.
+    built.  ``kind`` must be a ``DesignKind``, and a given ``n`` or ``N``
+    must agree with pi.  An x given next to a pi not computed from it
+    must hold one positive, finite size per unit.  For every design but
+    SRSWOR, which draws at n/N whatever x is, pi must also be x's capped
+    shares at size n, which Chao and Tille draw from x and Midzuno and
+    Brewer from pi: every unit's ``min(1, lam x)`` within
+    ``PROB_SUM_TOL`` of its pi, lam the ratio of the pi and x totals over
+    the units below 1.  So pi = lam x off the certainty units and lam x
+    >= 1 - ``PROB_SUM_TOL`` on them.  A NaN fails.  A pi that x does not
+    give would otherwise be silently sampled as another one.  The check
+    costs a few array passes, reads no plan and makes no
+    ``compute_pips`` call.
     """
+    if not isinstance(kind, DesignKind):
+        raise InvalidInputError(f"unknown design kind {kind!r}")
     if pi is None and kind is not DesignKind.SRSWOR:
         if x is None or n is None:
             raise InvalidInputError(f"{kind.value} needs pi, or x and n")

@@ -80,9 +80,9 @@ def wilson_upper(successes: int, trials: int) -> float:
 class TailEstimate:
     """Empirical tail of the normalized estimation error on a grid.
 
-    ``freq_one[i]`` estimates Pr((t_hat - t_y)/N >= eps[i]) and
-    ``freq_two[i]`` the two-sided version; ``errors`` keeps the raw
-    normalized errors for reuse.
+    ``count_one[i]`` replicates of ``replicates`` have (t_hat - t_y)/N
+    >= eps[i], and ``count_two[i]`` have |t_hat - t_y|/N >= eps[i];
+    ``errors`` keeps the raw normalized errors for reuse.
     """
 
     kind: str
@@ -94,24 +94,6 @@ class TailEstimate:
     count_one: np.ndarray
     count_two: np.ndarray
     errors: np.ndarray
-
-    @property
-    def freq_one(self) -> np.ndarray:
-        return self.count_one / self.replicates
-
-    @property
-    def freq_two(self) -> np.ndarray:
-        return self.count_two / self.replicates
-
-    def wilson_one(self) -> np.ndarray:
-        return np.array(
-            [wilson_upper(int(c), self.replicates) for c in self.count_one]
-        )
-
-    def wilson_two(self) -> np.ndarray:
-        return np.array(
-            [wilson_upper(int(c), self.replicates) for c in self.count_two]
-        )
 
 
 def estimate_tail(
@@ -136,6 +118,11 @@ def estimate_tail(
     of ``draw(derive_seed(master_seed, r))``.  A chunk's seeds are one
     uint64 array, computed in one pass with the bits of ``derive_seed``.
     Chao streams the population in order.
+
+    The design's plan is kept on pi (``designs._plan``), so calls on one
+    pi build it once: keep the pi that ``make_sampler`` returns, or that
+    ``compute_pips`` gave, and pass it.  A call with x and n but no pi
+    computes a new pi and plans afresh.
     """
     # Rejects a master seed outside [0, 2**64) before any draw.
     derive_seed(master_seed, 0)
@@ -200,8 +187,9 @@ def certify(
 ) -> list[CertRow]:
     """Check an analytic tail bound against the empirical estimate.
 
-    A grid point passes when the frequency does not exceed the bound by
-    more than the Wilson margin: freq <= bound + (wilson - freq).
+    A grid point passes when the frequency, its count over the
+    replicates, does not exceed the bound by more than the Wilson margin:
+    freq <= bound + (wilson - freq), wilson the count's ``wilson_upper``.
     ``bound`` is either a vector aligned with the grid or a callable of
     eps.
     """
@@ -211,18 +199,18 @@ def certify(
         values = np.asarray(bound, dtype=float)
         if values.size != tail.eps.size:
             raise InvalidInputError("bound vector does not match the eps grid")
-    freq = tail.freq_two if two_sided else tail.freq_one
-    wilson = tail.wilson_two() if two_sided else tail.wilson_one()
+    counts = tail.count_two if two_sided else tail.count_one
     rows = []
-    for i in range(tail.eps.size):
-        margin = float(wilson[i] - freq[i])
+    for i, c in enumerate(counts.tolist()):
+        freq = c / tail.replicates
+        wilson = wilson_upper(c, tail.replicates)
         rows.append(
             CertRow(
                 eps=float(tail.eps[i]),
-                freq=float(freq[i]),
-                wilson=float(wilson[i]),
+                freq=freq,
+                wilson=wilson,
                 bound=float(values[i]),
-                passed=bool(freq[i] <= values[i] + margin),
+                passed=bool(freq <= values[i] + (wilson - freq)),
             )
         )
     return rows

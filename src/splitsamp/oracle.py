@@ -126,7 +126,7 @@ def enumerate_design(
     elif kind is DesignKind.GENERALIZED_MIDZUNO:
         chain = _midzuno_chain(pi)
     else:
-        # Chao or Tille; _plan raises for an unknown kind.
+        # Chao or Tille; target_pi raised for an unknown kind.
         ladder = _plan(kind, pi, x)
         start = n if kind is DesignKind.CHAO else N
         chain = _ladder_chain(ladder, _BITS[:N], start, _step_label(kind, N, n), 0)

@@ -81,11 +81,14 @@ class InclusionProbabilities:
     Entries lie in (0, 1]; entries within ``CERTAINTY_TOL`` of 1 are
     snapped to exactly 1 and flagged as certainty units.  The entries
     must sum to ``n`` within ``SUM_TOL``.  Checked once, here, and then
-    frozen, with ``pi`` a read-only copy.
+    frozen, with ``pi`` a read-only copy.  ``_plans`` holds the plans the
+    designs draw this pi from, per design (``designs._plan``), so they
+    live as long as the pi does.
     """
 
     pi: np.ndarray
     n: int
+    _plans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         pi = np.array(self.pi, dtype=float)

@@ -4,7 +4,6 @@ from math import fsum
 import numpy as np
 import pytest
 
-from splitsamp import designs
 from splitsamp import (
     DesignKind,
     ExactDesignDistribution,
@@ -34,14 +33,6 @@ NEAR_ONE_CAP_FRAMES = (
     (np.array([0.2424993950470044, 1.9248904058999543e-18,
                23.48157294309033, 280.53529153061976]), 3),
 )
-
-
-@pytest.fixture(autouse=True)
-def fresh_plans():
-    """Every test starts with no kept plans, so a plan an earlier test
-    kept cannot stand in for a builder this test patches or a ladder it
-    expects to be fresh."""
-    designs._PLANS.clear()
 
 
 @pytest.fixture(scope="session")

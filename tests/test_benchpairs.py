@@ -126,6 +126,46 @@ def test_worse_beyond_bound_is_marked():
     assert rows[0]["worse"] is False
 
 
+def test_unresolved_is_marked(tmp_path, capsys):
+    # BASE's rates 60..140 have quartiles 80 and 120: 40 apart, beyond
+    # a bound of 0.25 times the median 100, so NEW's 105..109 are
+    # unresolved, and so are 139..145, whose 139 falls below BASE's best
+    # run, 140.  150..154 beat every BASE run.
+    # BASE's set-ups all read 5: no spread, never unresolved.
+    base = [json.loads(line(r, 5, 1.0)) for r in [100, 60, 140, 80, 120]]
+    bound = {"samples_per_s.midzuno": 0.25, "setup_s": 0.25}
+    for rates, unresolved in (
+        ([105, 106, 107, 108, 109], True),
+        ([141, 139, 145, 142, 143], True),
+        ([150, 151, 152, 153, 154], False),
+    ):
+        new = [json.loads(line(r, 5, 1.0)) for r in rates]
+        rows = {row["metric"]: row for row in benchpairs.aggregate(base, new, BETTER, bound)}
+        rate = rows["samples_per_s.midzuno"]
+        assert rate["unresolved"] is unresolved
+        assert ("UNRESOLVED" in benchpairs.format_row(rate)) is unresolved
+        assert rows["setup_s"]["unresolved"] is False
+        assert rows["note"]["unresolved"] is None
+    # Without a bound there is no mark.
+    rows = benchpairs.aggregate(base, new, BETTER)
+    assert rows[0]["unresolved"] is None
+    # The printed rows and the JSON record carry it too: here NEW's runs
+    # are BASE's.
+    rate = {"name": "samples_per_s.midzuno", "better": "higher", "bound": 0.25}
+    root_base, root_new = checkouts(tmp_path, {"run_seconds": 20, "end_to_end": [rate]})
+    canned = [line(r, 5, 1.0) for r in [100, 60, 140, 80, 120]]
+    out = tmp_path / "BENCH.json"
+
+    def runner(checkout, workload, seed, s):
+        return json.loads(canned[seed - 1])
+
+    argv = [str(root_base), str(root_new), "--pairs", "5", "--json", str(out)]
+    assert benchpairs.main(argv, runner=runner) == 0
+    assert "UNRESOLVED" in capsys.readouterr().out
+    record = json.loads(out.read_text())
+    assert record["workloads"]["mc-certify"]["metrics"][0]["unresolved"] is True
+
+
 def checkouts(tmp_path, benchmark):
     """BASE and NEW roots with an empty bench/run.py each, and NEW's
     BENCHMARK.json when ``benchmark`` is not None."""

@@ -285,9 +285,8 @@ def test_guide_equals_searchsorted(pi):
 
 def test_guide_built_once_by_the_first_batch_and_read_only():
     pi = compute_pips(*FRAMES["lognormal-1"][:2])
-    designs._PLANS.clear()
     draw, _ = designs.make_sampler(designs.DesignKind.BREWER, pi=pi)
-    plan = draw.draw_rows.args[0]
+    plan = designs._plan(designs.DesignKind.BREWER, pi)
     draw(7)
     assert "guide" not in vars(plan)
     draw.rows(range(3))

@@ -10,12 +10,14 @@ both codepaths end to end.
 import bisect
 import collections
 import dataclasses
+import gc
 import hashlib
 import itertools
 import math
 import sys
 import tracemalloc
 import warnings
+import weakref
 from functools import partial
 
 import numpy as np
@@ -72,12 +74,15 @@ class TestSample:
 
     @pytest.mark.parametrize(
         "selected",
-        [((0, 1),), 1, (2**70,), (1.5, 2.7), ("1", "2"), (True, 2)],
-        ids=["nested", "scalar", "huge", "floats", "strings", "bool"],
+        [((0, 1),), 1, (2**70,), (1.5, 2.7), ("1", "2"), (True, 2), ("a",),
+         [[0, 1], [2]], (None,)],
+        ids=["nested", "scalar", "huge", "floats", "strings", "bool", "letter",
+             "ragged", "none"],
     )
     def test_rejects_what_is_not_a_row_of_indices(self, selected):
         # A cast to intp would read (1.5, 2.7), ("1", "2") and (True, 2)
-        # as units 1 and 2.
+        # as units 1 and 2; it fails on ("a",), a ragged row and (None,)
+        # with numpy's own ValueError or TypeError.
         with pytest.raises(InvalidInputError):
             Sample(selected=selected, N=3)
 
@@ -572,7 +577,6 @@ class TestBrewer:
             built.append(pi_vec)
             return brewer_plan(pi_vec)
 
-        designs._PLANS.clear()
         monkeypatch.setattr(designs, "brewer_plan", counted)
         plain = [sample_brewer(pi, seed) for seed in (1, 2)]
         traced, _ = sample_brewer(pi, 1, trace="realized")
@@ -581,14 +585,16 @@ class TestBrewer:
         draw, _ = make_sampler(DesignKind.BREWER, pi=pi)
         assert plain == [draw(1), draw(2)]
         # The sampler reads the same kept plan: on another fresh pi,
-        # make_sampler builds it, and neither sample_brewer, plain or
-        # traced, nor estimate_tail builds another.
+        # make_sampler builds none, its first draw builds it, and neither
+        # sample_brewer, plain or traced, nor estimate_tail builds another.
         assert len(built) == 1
         other = compute_pips(np.arange(2.0, 10.0), 3)
         draw, _ = make_sampler(DesignKind.BREWER, pi=other)
+        assert len(built) == 1
+        first = draw(1)
         assert len(built) == 2
         traced, _ = sample_brewer(other, 1, trace="realized")
-        assert sample_brewer(other, 1) == traced == draw(1)
+        assert sample_brewer(other, 1) == traced == first
         for _ in range(2):
             estimate_tail(
                 DesignKind.BREWER, y=np.ones(8), eps_grid=[0.1], replicates=20, pi=other
@@ -596,9 +602,9 @@ class TestBrewer:
         assert len(built) == 2
 
     def test_alternating_two_pi_builds_each_plan_once(self, monkeypatch):
-        # The last two pi keep their plans, so draws alternating between
-        # them, plain and traced, build two plans in all; a third pi
-        # drops the older of those two.
+        # Each pi keeps its own plan, so draws alternating between two,
+        # plain and traced, build two plans in all; a third pi builds its
+        # own and drops neither of theirs.
         pis = [compute_pips(np.arange(1.0, 9.0) + shift, 3) for shift in (0, 1, 2)]
         built = []
 
@@ -606,7 +612,6 @@ class TestBrewer:
             built.append(pi_vec)
             return brewer_plan(pi_vec)
 
-        designs._PLANS.clear()
         monkeypatch.setattr(designs, "brewer_plan", counted)
         for seed in range(5):
             for pi in pis[:2]:
@@ -614,10 +619,10 @@ class TestBrewer:
                 assert sample_brewer(pi, seed, trace="realized")[0] == plain
         assert len(built) == 2
         sample_brewer(pis[2], 0)
-        sample_brewer(pis[1], 0)
         assert len(built) == 3
-        sample_brewer(pis[0], 0)
-        assert len(built) == 4
+        sample_brewer(pis[1], 0)
+        sample_brewer(pis[0], 0, trace="realized")
+        assert len(built) == 3
 
     @pytest.mark.parametrize("gap, certain", [(1e-13, [0]), (1e-10, [])])
     def test_certain_within_the_package_tolerance(self, gap, certain):
@@ -726,8 +731,8 @@ class TestMakeSampler:
     )
     def test_pi_from_x_is_computed_once(self, kind, monkeypatch):
         # A pi derived from x is computed once and not checked against x
-        # again.  A given pi is checked against the last rung of the
-        # ladder that draws, so it costs no compute_pips call at all.
+        # again.  A given pi is checked against x's capped shares by
+        # target_pi, which costs no compute_pips call at all.
         # Every module's name for compute_pips counts its calls.
         x = np.arange(1.0, 7.0)
         pi = compute_pips(x, 3)
@@ -1247,8 +1252,8 @@ class TestLockstepMatchesReferenceLoops:
         # by its first single draw, never by a batch, and shared by later
         # draws, in O(steps + crossing units) memory.
         x, n = LARGE_FRAME_X
-        draw, _ = make_sampler(kind, x=x, n=n)
-        plan = draw.draw_rows.args[0]
+        draw, pi = make_sampler(kind, x=x, n=n)
+        plan = designs._plan(kind, pi, x)
         ladder = plan.ladder if kind is DesignKind.GENERALIZED_MIDZUNO else plan
         draw.rows(list(range(655)))
         assert "segments" not in vars(ladder)
@@ -1319,7 +1324,7 @@ class TestLockstepMatchesReferenceLoops:
         pi = compute_pips(x, n)
         draw, _ = make_sampler(DesignKind.BREWER, pi=pi)
         seeds = list(range(300))
-        d = draw.draw_rows.args[0].draws
+        d = designs._plan(DesignKind.BREWER, pi).draws
         # The reads of a stream past its first 4 uniforms per draw: a
         # single draw's refills and the batch's reads at a row's counter;
         # and the inverse-CDF picks.
@@ -1705,8 +1710,9 @@ def held_arrays(obj):
 
 
 class TestKeptPlans:
-    """Per design, the plans of the last two frames are kept: Chao's and
-    Tille's keyed on x and n, Midzuno's and Brewer's on pi."""
+    """Each pi keeps the plans drawn from it, one per design: Chao's and
+    Tille's ladder of x, or of pi's capped shares, Midzuno's and Brewer's
+    plan of pi."""
 
     def test_estimate_tail_plans_each_design_once(self, monkeypatch):
         # Ten calls on criterion 05's frame build each plan and each law
@@ -1717,7 +1723,8 @@ class TestKeptPlans:
             kind: estimate_tail(kind, y=x, eps_grid=[0.05], replicates=1310, pi=pi, x=x)
             for kind in PLAN_BUILDERS
         }
-        designs._PLANS.clear()
+        # A new pi keeps no plan yet.
+        pi = compute_pips(x, n)
         built = count_builds(monkeypatch)
         for kind in PLAN_BUILDERS:
             for master in range(10):
@@ -1730,53 +1737,72 @@ class TestKeptPlans:
         expect = {name: 1 for name in PLAN_BUILDERS.values()}
         assert built == collections.Counter(StepLaw=3, _guide=1, **expect)
 
-    def test_third_frame_evicts_the_older_of_two(self, monkeypatch):
-        frames = [CRITERION_05_X[0] + shift for shift in (0.0, 0.5, 1.0)]
+    def test_make_sampler_builds_no_plan_and_its_first_draw_one(self, monkeypatch):
+        # make_sampler only checks its inputs.  Its sampler's first draw
+        # builds pi's plan; later draws, and other samplers on that pi,
+        # read it; another pi builds its own.
+        x, n = CRITERION_05_X
         built = count_builds(monkeypatch)
-
-        def plan(kind, i):
-            return make_sampler(kind, x=frames[i], n=40)[0].draw_rows.args[0]
-
         for kind, name in PLAN_BUILDERS.items():
-            a, b = plan(kind, 0), plan(kind, 1)
-            # Frame 0 was used last, so frame 2 evicts frame 1.
-            assert plan(kind, 0) is a and plan(kind, 1) is b and plan(kind, 0) is a
+            pi = compute_pips(x, n)
+            draw, _ = make_sampler(kind, pi=pi, x=x)
+            assert built[name] == 0
+            draw(7)
+            assert built[name] == 1
+            make_sampler(kind, pi=pi, x=x)[0].rows(range(3))
+            draw(8)
+            assert built[name] == 1
+            make_sampler(kind, pi=compute_pips(x, n), x=x)[0](7)
             assert built[name] == 2
-            plan(kind, 2)
-            assert plan(kind, 0) is a and built[name] == 3
-            assert plan(kind, 1) is not b and built[name] == 4
-        # Each design keeps its own two frames: the last ones planned.
-        for kind, name in PLAN_BUILDERS.items():
-            plan(kind, 1)
-            plan(kind, 0)
-            assert built[name] == 4
-        # The same x at another n is another frame.
-        plan(DesignKind.TILLE_ELIMINATION, 0)
-        make_sampler(DesignKind.TILLE_ELIMINATION, x=frames[0], n=41)
+        # A ladder is built again when asked for other sizes than its own
+        # x: pi alone plans on pi's capped shares, and 2 x is another x.
+        pi = compute_pips(x, n)
+        for sizes in (x, None, 2 * x, 2 * x):
+            make_sampler(DesignKind.TILLE_ELIMINATION, pi=pi, x=sizes)[0](7)
         assert built["tille_plan"] == 5
 
     def test_kept_arrays_read_only_and_caller_x_free(self):
         # Every array a kept plan holds is read-only, its law and guide
         # included, and a later write to the caller's x changes no draw
-        # of a sampler already built; the written x is a new frame.
+        # of a sampler that has drawn.  Chao's and Tille's ladder is of
+        # its own x: the written x gets another; Midzuno's and Brewer's
+        # plan is of pi alone.
         x, n = CRITERION_05_X[0].copy(), 40
+        pi = compute_pips(x, n)
         for kind in PLAN_BUILDERS:
-            draw, _ = make_sampler(kind, x=x, n=n)
+            draw, _ = make_sampler(kind, pi=pi, x=x)
             before = [draw(s).selected for s in range(5)]
             draw.rows(range(3))
-            plan = draw.draw_rows.args[0]
+            plan = designs._plan(kind, pi, x)
             arrays = list(held_arrays(plan))
             assert len(arrays) >= 4 and not any(a.flags.writeable for a in arrays)
             kept = x.copy()
             x[:] = x[::-1]
             assert [draw(s).selected for s in range(5)] == before
-            assert make_sampler(kind, x=x, n=n)[0].draw_rows.args[0] is not plan
+            ladder = kind in (DesignKind.CHAO, DesignKind.TILLE_ELIMINATION)
+            assert (designs._plan(kind, pi, x) is plan) is not ladder
             x[:] = kept
-            assert make_sampler(kind, x=x, n=n)[0].draw_rows.args[0] is plan
-        ladder = make_sampler(DesignKind.TILLE_ELIMINATION, x=x, n=n)[0].draw_rows.args[0]
+        draw, _ = make_sampler(DesignKind.TILLE_ELIMINATION, pi=pi, x=x)
+        draw(0)
+        ladder = designs._plan(DesignKind.TILLE_ELIMINATION, pi, x)
         assert not ladder.law.cum.flags.writeable and "segments" in vars(ladder)
         with pytest.raises(ValueError, match="read-only"):
             ladder.lam[0] = 1.0
+
+    def test_write_to_x_before_the_first_draw_changes_no_draw(self, monkeypatch):
+        # make_sampler keeps a copy of x: a write to the caller's array
+        # after it returns, before any plan is built, changes no draw.
+        x, n = CRITERION_05_X
+        for kind, name in PLAN_BUILDERS.items():
+            mine = x.copy()
+            built = count_builds(monkeypatch)
+            draw, _ = make_sampler(kind, pi=compute_pips(x, n), x=mine)
+            mine[:] = mine[::-1]
+            assert built[name] == 0
+            expect, _ = make_sampler(kind, x=x, n=n)
+            assert [draw(s) for s in range(5)] == [expect(s) for s in range(5)]
+            assert np.array_equal(draw.rows(range(20)), expect.rows(range(20)))
+            monkeypatch.undo()
 
     @pytest.mark.parametrize(
         "kind",
@@ -1784,9 +1810,10 @@ class TestKeptPlans:
         ids=["tille", "chao", "midzuno"],
     )
     def test_corrupted_kept_ladder_fails_every_call(self, monkeypatch, kind):
-        # lam scaled down by 1%: every sampler sharing the kept ladder,
-        # and every estimate_tail call, raises on every call, single draw
-        # or batch, from the one ladder built.
+        # lam scaled down by 1%: every sampler on the pi that keeps the
+        # ladder, and every estimate_tail call on it, raises on every
+        # call, single draw or batch, from the one ladder its first draw
+        # built.
         name = PLAN_BUILDERS[kind]
         original = getattr(designs, name)
         built = []
@@ -1801,8 +1828,9 @@ class TestKeptPlans:
 
         monkeypatch.setattr(designs, name, corrupted)
         x, n = CRITERION_05_X
-        draws = [make_sampler(kind, x=x, n=n)[0] for _ in range(2)]
-        assert draws[0].draw_rows.args[0] is draws[1].draw_rows.args[0]
+        pi = compute_pips(x, n)
+        draws = [make_sampler(kind, pi=pi, x=x)[0] for _ in range(2)]
+        assert not built
         match = f"{kind.value} step .*probabilities sum to"
         for _ in range(3):
             for draw in draws:
@@ -1811,8 +1839,29 @@ class TestKeptPlans:
                 with pytest.raises(ContractViolationError, match=match):
                     draw.rows(range(5))
             with pytest.raises(ContractViolationError, match=match):
-                estimate_tail(kind, y=x, eps_grid=[0.1], replicates=20, x=x, n=n)
+                estimate_tail(kind, y=x, eps_grid=[0.1], replicates=20, pi=pi, x=x)
         assert len(built) == 1
+
+    @pytest.mark.parametrize("kind", list(PLAN_BUILDERS), ids=lambda k: k.value)
+    def test_plan_freed_with_pi_and_its_samplers(self, kind):
+        # No module keeps a plan: it lives as long as its pi, which each
+        # sampler on it holds, after a batch and a single draw alike.
+        x, n = CRITERION_05_X
+        pi = compute_pips(x, n)
+        # make_sampler returns pi too, which is not kept here.
+        draw = make_sampler(kind, pi=pi, x=x)[0]
+        draw.rows(range(5))
+        draw(7)
+        estimate_tail(kind, y=x, eps_grid=[0.1], replicates=20, pi=pi, x=x)
+        if kind is DesignKind.BREWER:
+            sample_brewer(pi, 7, trace="realized")
+        plan = weakref.ref(designs._plan(kind, pi, x))
+        del pi
+        gc.collect()
+        assert plan() is not None
+        del draw
+        gc.collect()
+        assert plan() is None
 
     def test_one_frame_plans_once_across_samplers_traces_and_oracle(self, monkeypatch):
         # make_sampler, estimate_tail, traced draws, enumerate_design and
@@ -1849,12 +1898,14 @@ class TestKeptPlans:
         frames = [(X_CERTAIN, 4), CRITERION_05_X, LARGE_FRAME_X, *NEAR_ONE_CAP_FRAMES]
         for x, n in frames:
             pi = compute_pips(x, n)
-            by_x, _ = make_sampler(kind, x=x, n=n)
+            by_x, pi_x = make_sampler(kind, x=x, n=n)
             by_pi, _ = make_sampler(kind, pi=pi)
-            assert by_pi.draw_rows.args[0] is not by_x.draw_rows.args[0]
             seeds = range(300)
             assert np.array_equal(by_pi.rows(seeds), by_x.rows(seeds))
             assert [by_pi(s) for s in range(20)] == [by_x(s) for s in range(20)]
+            # The two drew from ladders of other sizes.
+            assert np.array_equal(designs._plan(kind, pi).x, pi.pi)
+            assert np.array_equal(pi_x._plans[kind].x, x)
 
     def test_unknown_kind_raises(self):
         pi = compute_pips(np.arange(1.0, 7.0), 3)

@@ -17,7 +17,10 @@ quartiles, NEW's median with its quartiles, the change of the medians in
 percent and, for a metric whose direction ``BENCHMARK.json`` (NEW's
 copy) gives, the pairs in which NEW did better.  A metric whose median
 moved the wrong way by more than its ``bound``, a fraction of BASE's
-median, is marked ``WORSE BEYOND BOUND``.  Then each side's failed
+median, is marked ``WORSE BEYOND BOUND``.  One whose BASE quartiles lie
+further apart than that bound, so that a change of the bound's size
+hides in BASE's own spread, is marked ``UNRESOLVED``, unless every NEW
+run did better than every BASE run.  Then each side's failed
 operations, and whether every run was correct.  ``--json PATH`` writes
 the same, with both checkouts' git commits, the machine (cores, Python,
 numpy), the seeds, the pair count and the seconds per run.  Standard
@@ -107,10 +110,12 @@ def aggregate(
     """One row per metric found in every run, in the first run's order:
     the quartiles of ``base`` and of ``new``, the change of the
     medians in percent (None when BASE's is 0), ``wins``, the pairs in
-    which NEW did better (None without a direction), and ``worse``,
+    which NEW did better (None without a direction), ``worse``,
     whether NEW's median is worse than BASE's by more than ``bound``
-    times BASE's (None without a direction and a bound).  Run i of each
-    list make pair i."""
+    times BASE's, and ``unresolved``, whether BASE's interquartile
+    distance exceeds that margin while some NEW run does no better than
+    some BASE run (both None without a direction and a bound).  Run i of
+    each list make pair i."""
     bound = bound or {}
     if len(base) != len(new) or not base:
         raise ValueError("need the same positive number of runs on each side")
@@ -122,12 +127,15 @@ def aggregate(
         n = [r["metrics"][name]["value"] for r in new]
         q1, b_med, q3 = quartiles(b)
         n_q1, n_med, n_q3 = quartiles(n)
-        wins = worse = None
+        wins = worse = unresolved = None
         if better.get(name) in ("higher", "lower"):
             sign = 1 if better[name] == "higher" else -1
             wins = sum(sign * (y - x) > 0 for x, y in zip(b, n))
             if name in bound:
-                worse = sign * (b_med - n_med) > bound[name] * abs(b_med)
+                margin = bound[name] * abs(b_med)
+                worse = sign * (b_med - n_med) > margin
+                apart = min(sign * y for y in n) > max(sign * x for x in b)
+                unresolved = q3 - q1 > margin and not apart
         rows.append({
             "metric": name,
             "unit": first.get("unit", ""),
@@ -140,6 +148,7 @@ def aggregate(
             "change_pct": 100.0 * (n_med - b_med) / b_med if b_med else None,
             "wins": wins,
             "worse": worse,
+            "unresolved": unresolved,
             "pairs": len(b),
         })
     return rows
@@ -149,11 +158,12 @@ def format_row(row: dict) -> str:
     change = "" if row["change_pct"] is None else f"{row['change_pct']:+7.2f}%"
     wins = "" if row["wins"] is None else f"  NEW better in {row['wins']}/{row['pairs']}"
     worse = "  WORSE BEYOND BOUND" if row["worse"] else ""
+    unresolved = "  UNRESOLVED" if row["unresolved"] else ""
     return (
         f"{row['metric']:36s} base {row['base_median']:.6g} "
         f"[{row['base_q1']:.6g}, {row['base_q3']:.6g}] new {row['new_median']:.6g} "
         f"[{row['new_q1']:.6g}, {row['new_q3']:.6g}] "
-        f"{row['unit']} {change}{wins}{worse}"
+        f"{row['unit']} {change}{wins}{worse}{unresolved}"
     )
 
 
