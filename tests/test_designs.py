@@ -1755,7 +1755,8 @@ class TestKeptPlans:
             make_sampler(kind, pi=compute_pips(x, n), x=x)[0](7)
             assert built[name] == 2
         # A ladder is built again when asked for other sizes than its own
-        # x: pi alone plans on pi's capped shares, and 2 x is another x.
+        # x: pi alone plans on pi's capped shares, and 2 x is another x,
+        # which a second array equal to 2 x finds.
         pi = compute_pips(x, n)
         for sizes in (x, None, 2 * x, 2 * x):
             make_sampler(DesignKind.TILLE_ELIMINATION, pi=pi, x=sizes)[0](7)
@@ -1779,8 +1780,10 @@ class TestKeptPlans:
             kept = x.copy()
             x[:] = x[::-1]
             assert [draw(s).selected for s in range(5)] == before
-            ladder = kind in (DesignKind.CHAO, DesignKind.TILLE_ELIMINATION)
-            assert (designs._plan(kind, pi, x) is plan) is not ladder
+            if kind in (DesignKind.CHAO, DesignKind.TILLE_ELIMINATION):
+                assert designs._plan(kind, pi, x) is not plan
+            else:
+                assert designs._plan(kind, pi, x) is plan
             x[:] = kept
         draw, _ = make_sampler(DesignKind.TILLE_ELIMINATION, pi=pi, x=x)
         draw(0)
@@ -1904,7 +1907,7 @@ class TestKeptPlans:
             assert np.array_equal(by_pi.rows(seeds), by_x.rows(seeds))
             assert [by_pi(s) for s in range(20)] == [by_x(s) for s in range(20)]
             # The two drew from ladders of other sizes.
-            assert np.array_equal(designs._plan(kind, pi).x, pi.pi)
+            assert np.array_equal(pi._plans[kind].x, pi.pi)
             assert np.array_equal(pi_x._plans[kind].x, x)
 
     def test_unknown_kind_raises(self):
