@@ -1276,10 +1276,10 @@ def _plan(
     kind: DesignKind, pi: InclusionProbabilities, x=None
 ) -> Ladder | MidzunoPlan | BrewerPlan:
     """The plan a design draws ``pi`` from, for the samplers, the traced
-    draw and the oracle alike, kept on pi (``InclusionProbabilities.
-    _plans``) with what its draws build (``Ladder.law``,
-    ``Ladder.segments``, ``BrewerPlan.guide``).  It only plans, on inputs
-    ``target_pi`` has checked.
+    draw and the oracle alike, kept in pi's private ``_plans`` slot with
+    what its draws build (``Ladder.law``, ``Ladder.segments``,
+    ``BrewerPlan.guide``).  It only plans, on inputs ``target_pi`` has
+    checked.
 
     Midzuno and Brewer keep one plan per pi.  Chao and Tille keep one
     ladder per pi, of x, or of pi's capped shares without x, and build
